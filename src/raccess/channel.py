@@ -9,8 +9,9 @@ packet with probability q_ji, independently across pairs and slots, so
     P(gamma_i = 1) = E[alpha_i(h_i) q(h_i)] * prod_{j != i} (1 - E[alpha_j] q_ji).
 
 This module owns the fade distributions, the success-curve families, the
-collision matrix, and the expectation operators (deterministic adaptive
-quadrature or Monte Carlo) used everywhere else.
+collision matrix, and the expectation operators used everywhere else:
+deterministic (closed forms, with adaptive Simpson quadrature only for
+the logistic_log curve, which has none) or Monte Carlo.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ class ExponentialFading:
         h = np.asarray(h, dtype=float)
         return np.where(h >= 0.0, np.exp(-h / self.mean), 1.0)
 
+    def laplace_tail(self, lo, k):
+        """E[exp(-k h); h >= lo] for k >= 0."""
+        lo = max(lo, 0.0)
+        return math.exp(-lo * (1.0 / self.mean + k)) / (1.0 + k * self.mean)
+
     def upper_cutoff(self, eps):
         """Point beyond which the tail mass is below eps."""
         return -self.mean * math.log(eps)
@@ -110,6 +116,12 @@ class UniformFading:
         h = np.asarray(h, dtype=float)
         frac = (self.high - np.clip(h, self.low, self.high)) / (self.high - self.low)
         return np.where(h < self.low, 1.0, frac)
+
+    def laplace_tail(self, lo, k):
+        """E[exp(-k h); h >= lo] for k > 0."""
+        lo = min(max(lo, self.low), self.high)
+        width = -math.expm1(-k * (self.high - lo)) / (k * (self.high - self.low))
+        return math.exp(-k * lo) * width
 
     def upper_cutoff(self, eps):
         return self.high
@@ -269,7 +281,13 @@ class CollisionMatrix:
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Deterministic expectation via adaptive Simpson integration."""
+    """Deterministic expectation.
+
+    Closed forms cover every threshold transmit rate and the
+    exp_saturating curve on both fade families; adaptive Simpson
+    integration, to ``abs_tol`` over the fades up to the point whose tail
+    mass is ``tail_eps``, serves only the logistic_log curve.
+    """
 
     abs_tol: float = 1e-10
     tail_eps: float = 1e-13
@@ -327,9 +345,7 @@ def _scalar_pdf(dist):
 
 
 def _scalar_curve(curve):
-    if isinstance(curve, SaturatingExpCurve):
-        k = curve.kappa * curve.gain
-        return lambda h: -math.expm1(-k * h)
+    """Fast float -> float logistic_log curve for the quadrature inner loop."""
     if isinstance(curve, LogisticLogCurve):
         m, s = curve.midpoint, curve.steepness
 
@@ -387,9 +403,8 @@ def expected_policy_rate(policy, ch, mode=Quadrature()):
     policy : AccessPolicy
     ch : FadingChannel
     mode : Quadrature or MonteCarlo
-        Quadrature integrates the fade density over the transmit region
-        (mass beyond the truncation point, below ``tail_eps``, is
-        dropped); MonteCarlo averages alpha(h) over a seeded sample.
+        Quadrature returns the fade survival at the threshold, exactly;
+        MonteCarlo averages alpha(h) over a seeded sample.
 
     Returns
     -------
@@ -403,14 +418,17 @@ def expected_policy_rate(policy, ch, mode=Quadrature()):
         rng = derive_rng(mode.seed)
         h = sample_channel(ch, rng, size=mode.samples)
         return float(np.mean(h >= policy.threshold))
-    pdf = _scalar_pdf(ch.dist)
-    lo, hi = _integration_window(policy, ch, mode.tail_eps)
-    val = _adaptive_simpson(pdf, lo, hi, mode.abs_tol)
-    return min(max(val, 0.0), 1.0)
+    return float(ch.dist.survival(policy.threshold))
 
 
 def expected_policy_success(policy, ch, mode=Quadrature()):
-    """E[alpha(h) q(h)], the policy's collision-free delivery rate."""
+    """E[alpha(h) q(h)], the policy's collision-free delivery rate.
+
+    Under Quadrature the exp_saturating curve ``q = 1 - exp(-k h)`` gives
+    ``P(h >= lo) - E[exp(-k h); h >= lo]`` in closed form, with lo the
+    bottom of the transmit region; the logistic_log curve is integrated
+    by adaptive Simpson.
+    """
     if policy.kind == "threshold" and math.isinf(policy.threshold):
         return 0.0
     if isinstance(mode, MonteCarlo):
@@ -418,10 +436,14 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
         h = sample_channel(ch, rng, size=mode.samples)
         alpha = policy.rate_at(h)
         return float(np.mean(alpha * ch.curve.value(h)))
-    pdf = _scalar_pdf(ch.dist)
-    q = _scalar_curve(ch.curve)
     lo, hi = _integration_window(policy, ch, mode.tail_eps)
-    val = _adaptive_simpson(lambda h: pdf(h) * q(h), lo, hi, mode.abs_tol)
+    if isinstance(ch.curve, SaturatingExpCurve):
+        k = ch.curve.kappa * ch.curve.gain
+        val = float(ch.dist.survival(lo)) - ch.dist.laplace_tail(lo, k)
+    else:
+        pdf = _scalar_pdf(ch.dist)
+        q = _scalar_curve(ch.curve)
+        val = _adaptive_simpson(lambda h: pdf(h) * q(h), lo, hi, mode.abs_tol)
     if policy.kind == "constant":
         val *= policy.rate
     return min(max(val, 0.0), 1.0)

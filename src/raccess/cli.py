@@ -47,13 +47,19 @@ def _requirements(cfg):
     reqs = []
     for i, system in enumerate(cfg.systems):
         try:
-            reqs.append(compute_success_requirement(system, tol=cfg.requirement_tol))
+            reqs.append(compute_success_requirement(system))
         except InfeasibleContractError as exc:
             raise InfeasibleContractError(f"loop {i}: {exc}") from exc
     return np.asarray(reqs)
 
 
 def _instance(cfg, targets):
+    for i, c in enumerate(targets):
+        if c == 0.0:
+            raise ConfigError(
+                f"loop {i}: requirement is 0 (its open loop already meets the "
+                "contract), so it has no delivery target to design for"
+            )
     return ProblemInstance(
         systems=cfg.systems,
         channels=cfg.channels,
@@ -128,8 +134,7 @@ def cmd_rates(args):
 
 def _optimize(cfg, args):
     """Shared by cmd_optimize and cmd_pipeline; returns everything written."""
-    targets = _requirements(cfg)
-    inst = _instance(cfg, targets)
+    inst = _instance(cfg, _requirements(cfg))
     mode = _expectation_mode(cfg, getattr(args, "mode", None))
     seed = cfg.optimizer.seed if getattr(args, "seed", None) is None else args.seed
     result = run_algorithm1(
@@ -144,7 +149,7 @@ def _optimize(cfg, args):
         link_success_probability(result.policies, cfg.channels, cfg.collision, i)
         for i in range(inst.m)
     ]
-    return targets, inst, result, link
+    return inst, result, link
 
 
 def _write_optimize(out, result, inst, link):
@@ -170,8 +175,8 @@ def _print_optimize(result, inst, link):
 def cmd_optimize(args):
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    targets, inst, result, link = _optimize(cfg, args)
-    _write_rates(out, targets)
+    inst, result, link = _optimize(cfg, args)
+    _write_rates(out, inst.success_targets)
     _write_optimize(out, result, inst, link)
     _print_optimize(result, inst, link)
     if not result.converged:
@@ -180,11 +185,9 @@ def cmd_optimize(args):
     return EXIT_OK
 
 
-def _simulate(cfg, policies, args):
+def _simulate(cfg, inst, policies, args):
     horizon = cfg.simulation.horizon if getattr(args, "horizon", None) is None else args.horizon
     seed = cfg.simulation.seed if getattr(args, "seed", None) is None else args.seed
-    targets = _requirements(cfg)
-    inst = _instance(cfg, targets)
     try:
         sim_cfg = SimConfig(
             instance=inst,
@@ -196,7 +199,7 @@ def _simulate(cfg, policies, args):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return inst, run_simulation(sim_cfg)
+    return run_simulation(sim_cfg)
 
 
 def _write_metrics(out, inst, metrics):
@@ -258,7 +261,8 @@ def cmd_simulate(args):
         raise ConfigError(
             f"{args.policies}: {len(policies)} policies for {cfg.m} loops"
         )
-    inst, metrics = _simulate(cfg, policies, args)
+    inst = _instance(cfg, _requirements(cfg))
+    metrics = _simulate(cfg, inst, policies, args)
     _write_metrics(out, inst, metrics)
     _print_metrics(inst, metrics)
     return EXIT_OK
@@ -267,18 +271,18 @@ def cmd_simulate(args):
 def cmd_pipeline(args):
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    targets, inst, result, link = _optimize(cfg, args)
-    _write_rates(out, targets)
+    inst, result, link = _optimize(cfg, args)
+    _write_rates(out, inst.success_targets)
     _write_optimize(out, result, inst, link)
     _print_optimize(result, inst, link)
     if not result.converged:
         print("error: optimizer did not converge within max_periods", file=sys.stderr)
         return EXIT_DIVERGED
-    sim_inst, metrics = _simulate(cfg, result.policies, args)
-    _write_metrics(out, sim_inst, metrics)
-    _print_metrics(sim_inst, metrics)
+    metrics = _simulate(cfg, inst, result.policies, args)
+    _write_metrics(out, inst, metrics)
+    _print_metrics(inst, metrics)
     report = {
-        "requirements": [float(c) for c in targets],
+        "requirements": [float(c) for c in inst.success_targets],
         "policies": [p.to_dict() for p in result.policies],
         "link_success": [float(v) for v in link],
         "converged": bool(result.converged),

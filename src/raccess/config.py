@@ -34,7 +34,7 @@ _TOP_KEYS = {
     "channels",
     "collision",
     "tx_powers",
-    "requirement_tol",
+    "requirement_tol",  # accepted so older configs load; has no effect
     "optimizer",
     "simulation",
     "output_dir",
@@ -118,7 +118,6 @@ class ExperimentConfig:
     channels: tuple
     collision: CollisionMatrix
     tx_powers: np.ndarray
-    requirement_tol: float = 1e-9
     optimizer: OptimizerSettings = OptimizerSettings()
     simulation: SimulationSettings = SimulationSettings()
     output_dir: str = "."
@@ -316,10 +315,6 @@ def parse_config(path):
     if np.any(tx_powers <= 0.0):
         raise ConfigError("tx_powers: all entries must be positive")
 
-    tol = float(raw.get("requirement_tol", 1e-9))
-    if not tol > 0.0:
-        raise ConfigError(f"requirement_tol: must be positive, got {tol:g}")
-
     optimizer = _parse_optimizer(raw.get("optimizer", {}))
     simulation = _parse_simulation(raw.get("simulation", {}))
     output_dir = raw.get("output_dir", ".")
@@ -331,7 +326,6 @@ def parse_config(path):
         channels=channels,
         collision=collision,
         tx_powers=tx_powers,
-        requirement_tol=tol,
         optimizer=optimizer,
         simulation=simulation,
         output_dir=output_dir,

@@ -15,7 +15,6 @@ threshold and the quantities around it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,18 +52,14 @@ def _require_symmetric(arr, name, tol=1e-8):
         raise ValueError(f"{name} must be symmetric")
 
 
-def max_symmetric_eigenvalue(m, tol=1e-12, sym_tol=1e-8):
-    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations.
+def max_symmetric_eigenvalue(m, sym_tol=1e-8):
+    """Largest eigenvalue of a symmetric matrix.
 
     Parameters
     ----------
     m : array_like
         Symmetric matrix. Symmetry is checked against ``sym_tol`` (scaled
-        by the largest entry) and the working copy is symmetrized before
-        sweeping.
-    tol : float
-        Convergence threshold on the Frobenius mass of the off-diagonal
-        part, relative to the matrix Frobenius norm.
+        by the largest entry); LAPACK then reads its lower triangle.
     sym_tol : float
         Maximum allowed relative asymmetry of the input.
 
@@ -73,51 +68,11 @@ def max_symmetric_eigenvalue(m, tol=1e-12, sym_tol=1e-8):
     float
         The largest eigenvalue.
     """
-    a = np.atleast_2d(np.asarray(m, dtype=float)).copy()
+    a = np.atleast_2d(np.asarray(m, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     _require_symmetric(a, "matrix", tol=sym_tol)
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return 0.0
-    stop = tol * norm
-
-    off_part = np.ones_like(a) - np.eye(n)
-    for _ in range(60):
-        off = float(np.linalg.norm(a * off_part))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                # Classic two-sided rotation zeroing the (p, q) entry;
-                # hypot keeps huge diagonal gaps from overflowing.
-                theta = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(theta, 1.0)
-                )
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    else:
-        raise RuntimeError("Jacobi sweep did not converge in 60 passes")
-    return float(np.max(np.diag(a)))
+    return float(np.linalg.eigvalsh(a)[-1])
 
 
 @dataclass(frozen=True)
@@ -213,50 +168,63 @@ def lmi_slack(theta, sys):
     return max_symmetric_eigenvalue(pencil)
 
 
-def compute_success_requirement(sys, tol=1e-9):
+def compute_success_requirement(sys):
     """Minimum delivery probability certifying the expected decay contract.
 
-    Bisects the convex slack ``theta -> lmi_slack(theta, sys)`` on [0, 1]
-    for its left zero crossing. Feasibility at theta = 1 (the closed loop
-    alone satisfies the contract) is required; a system failing it cannot
-    be certified at any delivery probability.
+    With ``A = Go - rho P`` and ``B = Gc - rho P`` the slack at mixing
+    weight theta is ``lambda_max((1 - theta) A + theta B)``. When B is
+    negative definite, factor ``-B = L L'``: the mix is negative
+    semidefinite exactly when ``(1 - theta) L^-1 A L^-T <= theta I``, so
+    the left zero crossing of the slack is ``lam / (1 + lam)`` with
+    ``lam = lambda_max(L^-1 A L^-T)``.
 
     Parameters
     ----------
     sys : SwitchedSystem
-    tol : float
-        Bisection width at which to stop; the returned value sits on the
-        feasible side of the crossing.
 
     Returns
     -------
     float
-        Requirement c in [0, 1]; 0.0 when even the never-delivered mix is
+        Requirement c in [0, 1); 0.0 when even the never-delivered mix is
         already contractive.
 
     Raises
     ------
     InfeasibleContractError
         If the closed-loop admissibility assumption A_c' P A_c <= rho P
-        fails, i.e. lmi_slack(1, sys) > 0.
+        fails, i.e. lmi_slack(1, sys) > 0, or holds only on its boundary
+        (B singular), where the requirement would be a delivery
+        probability of 1.
     """
-    if lmi_slack(0.0, sys) <= 0.0:
+    rho_p = sys.decay_rate * sys.lyap_matrix
+    a = sys.gram_open() - rho_p
+    b = sys.gram_closed() - rho_p
+    if max_symmetric_eigenvalue(a) <= 0.0:
         return 0.0
-    slack_closed = lmi_slack(1.0, sys)
+    slack_closed = max_symmetric_eigenvalue(b)
     if slack_closed > 0.0:
         raise InfeasibleContractError(
             "closed-loop admissibility fails: A_c' P A_c <= rho P does not "
             f"hold (slack {slack_closed:g}); no delivery probability can "
             "certify the contract"
         )
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if lmi_slack(mid, sys) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    try:
+        ell = np.linalg.cholesky(-b)
+    except np.linalg.LinAlgError:
+        c = 1.0
+    else:
+        # L^-1 A L^-T; A is symmetric, so (L^-1 A)' = A L^-T.
+        whitened = np.linalg.solve(ell, np.linalg.solve(ell, a).T)
+        lam = float(np.linalg.eigvalsh(whitened)[-1])
+        c = lam / (1.0 + lam)
+    # Also catches a nan from an overflowing whitened pencil.
+    if not c < 1.0:
+        raise InfeasibleContractError(
+            "closed-loop admissibility holds only on its boundary: "
+            "A_c' P A_c - rho P is singular, so the contract needs every "
+            "packet delivered (requirement 1)"
+        )
+    return c
 
 
 def expected_lyapunov_next(sys, x, success_prob):

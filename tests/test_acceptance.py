@@ -61,7 +61,7 @@ def test_requirement_matches_scalar_closed_form():
 
 
 def test_requirement_certifies_random_matrix_systems():
-    # The bisection output must sit on the feasible edge: feasible at c,
+    # The requirement must sit on the feasible edge: feasible at c,
     # infeasible one millionth below it.
     t0 = time.perf_counter()
     rng = np.random.default_rng(202406)

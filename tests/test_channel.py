@@ -22,7 +22,15 @@ from raccess import (
     sample_channel,
     threshold_policy,
 )
-from raccess.channel import channel_from_dict, curve_from_dict, derive_rng, dist_from_dict
+from raccess.channel import (
+    _adaptive_simpson,
+    _integration_window,
+    _scalar_pdf,
+    channel_from_dict,
+    curve_from_dict,
+    derive_rng,
+    dist_from_dict,
+)
 
 
 def exp_saturating_channel(mean, kappa, gain=1.0):
@@ -86,6 +94,39 @@ class TestThresholdExpectationsUniform:
         got_succ = expected_policy_success(threshold_policy(thr), ch, Quadrature())
         assert got_rate == pytest.approx(want_rate, abs=1e-9)
         assert got_succ == pytest.approx(want_succ, abs=1e-9)
+
+
+def simpson_expectations(policy, ch):
+    """E[alpha] and E[alpha q] by adaptive Simpson on the fade density."""
+    pdf = _scalar_pdf(ch.dist)
+    k = ch.curve.kappa * ch.curve.gain
+    lo, hi = _integration_window(policy, ch, Quadrature().tail_eps)
+    scale = policy.rate if policy.kind == "constant" else 1.0
+    rate = _adaptive_simpson(pdf, lo, hi, 1e-12)
+    success = _adaptive_simpson(lambda h: pdf(h) * -math.expm1(-k * h), lo, hi, 1e-12)
+    return scale * rate, scale * success
+
+
+# Thresholds below, inside and beyond each support (45 lies past the
+# exponential's quadrature cutoff), plus a constant policy.
+CLOSED_FORM_CASES = [
+    pytest.param(
+        dist, policy, id="-".join(map(str, [dist.to_dict()["family"], *policy.to_dict().values()]))
+    )
+    for dist, thresholds in (
+        (ExponentialFading(mean=1.3), (0.0, 0.7, 45.0)),
+        (UniformFading(low=0.4, high=1.6), (0.1, 0.9, 2.0)),
+    )
+    for policy in [threshold_policy(t) for t in thresholds] + [constant_policy(0.35)]
+]
+
+
+@pytest.mark.parametrize("dist,policy", CLOSED_FORM_CASES)
+def test_closed_forms_match_simpson(dist, policy):
+    ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5, gain=0.8))
+    want_rate, want_succ = simpson_expectations(policy, ch)
+    assert abs(expected_policy_rate(policy, ch, Quadrature()) - want_rate) <= 1e-10
+    assert abs(expected_policy_success(policy, ch, Quadrature()) - want_succ) <= 1e-10
 
 
 class TestConstantPolicyExpectations:

@@ -333,6 +333,41 @@ class TestCliSimulate:
         assert code == EXIT_OK
 
 
+class TestCliEdgeRequirements:
+    # Loop 0 either contracts without any delivery (requirement 0) or meets
+    # the contract with equality in its closed mode (requirement 1).
+    ZERO = {"a_open": 0.5, "a_closed": 0.3}
+    BOUNDARY = {"a_closed": 0.5, "decay_rate": 0.25}
+
+    def _argv(self, tmp_path, command, loop):
+        raw = base_config()
+        raw["systems"][0].update(loop)
+        argv = [command, write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            path = tmp_path / "policies.json"
+            pol = {"kind": "threshold", "threshold": 0.5}
+            path.write_text(json.dumps({"schema_version": 1, "policies": [pol, pol]}))
+            argv += ["--policies", str(path)]
+        return argv
+
+    def test_zero_requirement_is_reported_by_rates(self, tmp_path):
+        assert main(self._argv(tmp_path, "rates", self.ZERO)) == EXIT_OK
+        lines = (tmp_path / "out" / "rates.csv").read_text().splitlines()
+        assert float(lines[1].split(",")[1]) == 0.0
+
+    @pytest.mark.parametrize("command", ["optimize", "pipeline", "simulate"])
+    def test_zero_requirement_exits_2_naming_the_loop(self, tmp_path, capsys, command):
+        assert main(self._argv(tmp_path, command, self.ZERO)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "loop 0" in err and "requirement is 0" in err
+
+    @pytest.mark.parametrize("command", ["rates", "optimize", "pipeline", "simulate"])
+    def test_boundary_loop_exits_3(self, tmp_path, capsys, command):
+        assert main(self._argv(tmp_path, command, self.BOUNDARY)) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "loop 0" in err and "boundary" in err
+
+
 class TestCliParser:
     def test_subcommands_exist(self):
         parser = build_parser()

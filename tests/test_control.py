@@ -174,12 +174,12 @@ class TestSuccessRequirement:
             assert lmi_slack(c, s) <= 1e-8
             assert lmi_slack(c - 1e-6, s) > 0.0
 
-    def test_tol_controls_bisection_width(self):
-        s = scalar_system(1.1, 0.5)
-        coarse = compute_success_requirement(s, tol=1e-3)
-        fine = compute_success_requirement(s, tol=1e-12)
-        assert abs(coarse - 41.0 / 96.0) <= 1e-3
-        assert abs(fine - 41.0 / 96.0) <= 1e-11
+    def test_scalar_requirement_is_exact(self):
+        # The generalized-eigenvalue form leaves only rounding error.
+        s1 = scalar_system(1.1, 0.5)
+        s2 = scalar_system(1.0, 0.4)
+        assert abs(compute_success_requirement(s1) - 41.0 / 96.0) <= 1e-12
+        assert abs(compute_success_requirement(s2) - 5.0 / 21.0) <= 1e-12
 
 
 class TestExpectedLyapunovNext:
