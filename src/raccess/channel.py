@@ -70,7 +70,9 @@ class ExponentialFading:
         return np.where(h >= 0.0, np.exp(-h / self.mean) / self.mean, 0.0)
 
     def survival(self, h):
-        """P(fade >= h)."""
+        """P(fade >= h); a float in gives a float out, an array an array."""
+        if isinstance(h, float):
+            return math.exp(-h / self.mean) if h >= 0.0 else 1.0
         h = np.asarray(h, dtype=float)
         return np.where(h >= 0.0, np.exp(-h / self.mean), 1.0)
 
@@ -113,6 +115,11 @@ class UniformFading:
         return np.where((h >= self.low) & (h <= self.high), dens, 0.0)
 
     def survival(self, h):
+        """P(fade >= h); a float in gives a float out, an array an array."""
+        if isinstance(h, float):
+            if h < self.low:
+                return 1.0
+            return (self.high - min(h, self.high)) / (self.high - self.low)
         h = np.asarray(h, dtype=float)
         frac = (self.high - np.clip(h, self.low, self.high)) / (self.high - self.low)
         return np.where(h < self.low, 1.0, frac)

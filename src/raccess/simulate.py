@@ -7,8 +7,9 @@ each loop between its closed and open dynamics.
 
 Fades, transmit decisions, collision events, and decode events do not
 depend on the plant states, so ``run_simulation`` precomputes them in
-fixed-size vectorized chunks and hands the only sequential part, the
-switched-state recursion, to the kernel backend. ``simulate_slot`` is
+fixed-size vectorized chunks, with memory O(m * chunk), and hands the
+only sequential part, the switched-state recursion, to the time-blocked
+NumPy kernel in ``_kernels``. ``simulate_slot`` is
 the one-slot reference sampler of the same process (its stream layout
 differs from the chunked scheme, so the two match statistically rather
 than sample-for-sample).
@@ -61,8 +62,7 @@ class SimConfig:
     horizon : int
         Number of slots.
     seed : int
-        Base seed; identical configs reproduce bit-identical metrics on
-        the same kernel backend.
+        Base seed; identical configs reproduce bit-identical metrics.
     burn_in : int or None
         Slots dropped from every metric (defaults to horizon // 10).
     thin : int
@@ -132,14 +132,16 @@ def _transmission_outcomes(policies, channels, qmat, rng, count):
 
     Draw order is fixed (fades per link, transmit uniforms, collision
     uniforms per ordered pair, decode uniforms) so a seed pins the block.
+    The collision uniforms are drawn one ordered pair ``(j, i)`` at a
+    time, diagonal included and discarded, which consumes the generator
+    exactly as one C-order ``(m, m, count)`` draw would, in O(count)
+    memory.
     """
     m = len(policies)
     h = np.empty((m, count))
     for i in range(m):
         h[i] = channels[i].dist.sample(rng, size=count)
     u_tx = rng.random((m, count))
-    u_coll = rng.random((m, m, count))
-    u_dec = rng.random((m, count))
 
     tx = np.empty((m, count), dtype=bool)
     for i in range(m):
@@ -150,14 +152,17 @@ def _transmission_outcomes(policies, channels, qmat, rng, count):
             tx[i] = u_tx[i] < pol.rate
 
     q = qmat.q
+    collided = np.zeros((m, count), dtype=bool)
+    for j in range(m):
+        for i in range(m):
+            u = rng.random(count)
+            if i != j:
+                collided[i] |= tx[j] & (u < q[j, i])
+    u_dec = rng.random((m, count))
+
     gamma = np.empty((m, count), dtype=bool)
     for i in range(m):
-        alive = tx[i].copy()
-        for j in range(m):
-            if j == i:
-                continue
-            alive &= ~(tx[j] & (u_coll[j, i] < q[j, i]))
-        gamma[i] = alive & (u_dec[i] < channels[i].curve.value(h[i]))
+        gamma[i] = tx[i] & ~collided[i] & (u_dec[i] < channels[i].curve.value(h[i]))
     return h, tx, gamma
 
 

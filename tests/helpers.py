@@ -48,6 +48,17 @@ def reference_instance():
     )
 
 
+def loop_state_recursion(a_closed, a_open, gamma, noise, x0):
+    """Per-slot oracle for ``raccess._kernels.state_recursion``."""
+    out = np.empty((gamma.shape[0], x0.shape[0]))
+    x = np.array(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(gamma.shape[0]):
+            x = (a_closed if gamma[k] else a_open) @ x + noise[k]
+            out[k] = x
+    return out
+
+
 def random_admissible_system(rng, dims=(2, 3, 4)):
     """Random system whose closed mode certifies the contract.
 

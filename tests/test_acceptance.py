@@ -40,9 +40,8 @@ REFERENCE_CONFIG = os.path.join(
     os.path.dirname(__file__), "..", "configs", "twoloop.json"
 )
 
-# Frozen outputs of the 200k-slot reference simulation (seed 7). The
-# scalar state recursion is bit-identical across kernel backends, so
-# these hold for both.
+# Frozen outputs of the 200k-slot reference simulation (seed 7), taken
+# from a per-slot loop; the blocked kernel matches them to round-off.
 GOLDEN_COST = (4.927954522849766, 5.0079172896449045)
 GOLDEN_TX_RATE = (0.7062611111111111, 0.40928333333333333)
 GOLDEN_SUCCESS_RATE = (0.4288444444444444, 0.23805)

@@ -224,6 +224,17 @@ class TestFadingDistributions:
         assert d.upper_cutoff(1e-13) == 1.5
         assert d.lower == 0.5
 
+    @pytest.mark.parametrize(
+        "dist", [ExponentialFading(mean=0.7), UniformFading(low=0.3, high=1.9)]
+    )
+    def test_scalar_survival_matches_the_array_path(self, dist):
+        # Below, at the edges of, inside and beyond the support.
+        for h in (-1.0, 0.0, 0.15, 0.3, 0.9, 1.9, 2.5, 40.0, math.inf):
+            got = dist.survival(h)
+            want = float(dist.survival(np.array([h]))[0])
+            assert type(got) is float
+            assert abs(got - want) <= np.spacing(want)
+
     def test_pdf_normalization(self):
         for d in (ExponentialFading(mean=0.7), UniformFading(low=0.2, high=1.9)):
             hs = np.linspace(d.lower, d.upper_cutoff(1e-15), 200_001)

@@ -1,9 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import raccess._kernels
 from helpers import (
+    loop_state_recursion,
     random_shared_channel_setup,
     reference_channel,
     reference_instance,
@@ -25,6 +28,7 @@ from raccess import (
     threshold_policy,
 )
 from raccess.channel import derive_rng
+from raccess.simulate import _transmission_outcomes
 
 # Stopping thresholds of the converged reference design; their link
 # deliveries clear both requirements, which the drift check verifies
@@ -218,6 +222,47 @@ class TestSimulateSlot:
         np.testing.assert_array_equal(g1, g2)
 
 
+def transmission_outcomes_3d(policies, channels, qmat, rng, count):
+    """The block draw with every collision uniform in one (m, m, count) array."""
+    m = len(policies)
+    h = np.empty((m, count))
+    for i in range(m):
+        h[i] = channels[i].dist.sample(rng, size=count)
+    u_tx = rng.random((m, count))
+    u_coll = rng.random((m, m, count))
+    u_dec = rng.random((m, count))
+    tx = np.empty((m, count), dtype=bool)
+    for i, pol in enumerate(policies):
+        if pol.kind == "threshold":
+            tx[i] = h[i] >= pol.threshold
+        else:
+            tx[i] = u_tx[i] < pol.rate
+    gamma = np.empty((m, count), dtype=bool)
+    for i in range(m):
+        alive = tx[i].copy()
+        for j in range(m):
+            if j != i:
+                alive &= ~(tx[j] & (u_coll[j, i] < qmat.q[j, i]))
+        gamma[i] = alive & (u_dec[i] < channels[i].curve.value(h[i]))
+    return h, tx, gamma
+
+
+class TestTransmissionOutcomes:
+    def test_pairwise_collision_draws_reproduce_the_3d_draw(self):
+        channels, policies, qmat = random_shared_channel_setup(
+            np.random.default_rng(11), 3
+        )
+        rng = np.random.default_rng(5)
+        oracle_rng = np.random.default_rng(5)
+        got = _transmission_outcomes(policies, channels, qmat, rng, 1000)
+        want = transmission_outcomes_3d(policies, channels, qmat, oracle_rng, 1000)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert np.any(want[1] & ~want[2])
+        # The generator is left where the 3-D draw leaves it.
+        np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
+
+
 class TestInstability:
     def test_unhelped_unstable_loop_is_reported_with_its_slot(self):
         inst = one_loop_instance()
@@ -226,6 +271,25 @@ class TestInstability:
         )
         with pytest.raises(UnstableSimulationError, match=r"loop 0 .* at slot \d+ of 1000"):
             run_simulation(cfg)
+
+    @pytest.mark.parametrize("threshold", [math.inf, 3.0])
+    def test_reported_slot_matches_the_loop_oracle(self, threshold, monkeypatch):
+        # The state passes the norm limit a few blocks into the horizon;
+        # the blocked kernel must name the slot the per-slot loop names.
+        cfg = SimConfig(
+            instance=one_loop_instance(),
+            policies=(threshold_policy(threshold),),
+            horizon=5000,
+            seed=3,
+        )
+        with pytest.raises(UnstableSimulationError) as kernel_err:
+            run_simulation(cfg)
+        monkeypatch.setattr(raccess._kernels, "state_recursion", loop_state_recursion)
+        with pytest.raises(UnstableSimulationError) as oracle_err:
+            run_simulation(cfg)
+        assert str(kernel_err.value) == str(oracle_err.value)
+        slot = int(re.search(r"at slot (\d+)", str(kernel_err.value)).group(1))
+        assert math.isqrt(5000) < slot < 5000
 
     def test_stabilized_loop_survives_the_same_horizon(self):
         inst = one_loop_instance()
