@@ -16,6 +16,7 @@ the logistic_log curve, which has none) or Monte Carlo.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -40,6 +41,7 @@ __all__ = [
     "expected_policy_rate",
     "expected_policy_success",
     "link_success_probability",
+    "delivery_product",
     "derive_rng",
     "dist_from_dict",
     "curve_from_dict",
@@ -307,6 +309,10 @@ class MonteCarlo:
     samples: int = 10_000
     seed: int = 0
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+
 
 def sample_channel(ch, rng, size=None):
     """Draw i.i.d. fades from the channel's distribution."""
@@ -337,6 +343,20 @@ def invert_success_curve(ch, target):
     if t <= curve.at_zero:
         return 0.0
     return float(curve.inverse(t))
+
+
+@functools.lru_cache(maxsize=1)
+def _mc_fades(dist, samples, seed):
+    """The seeded fade sample behind a Monte Carlo expectation, read-only.
+
+    The fades depend only on the arguments, so a sensor's transmit and
+    delivery rates, asked for one after the other under the same mode,
+    share one draw.
+    """
+    # sample_channel reads only the distribution.
+    h = sample_channel(FadingChannel(dist, None), derive_rng(seed), size=samples)
+    h.setflags(write=False)
+    return h
 
 
 def _scalar_pdf(dist):
@@ -422,9 +442,8 @@ def expected_policy_rate(policy, ch, mode=Quadrature()):
     if math.isinf(policy.threshold):
         return 0.0
     if isinstance(mode, MonteCarlo):
-        rng = derive_rng(mode.seed)
-        h = sample_channel(ch, rng, size=mode.samples)
-        return float(np.mean(h >= policy.threshold))
+        h = _mc_fades(ch.dist, mode.samples, mode.seed)
+        return np.count_nonzero(h >= policy.threshold) / h.shape[0]
     return float(ch.dist.survival(policy.threshold))
 
 
@@ -439,8 +458,7 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
     if policy.kind == "threshold" and math.isinf(policy.threshold):
         return 0.0
     if isinstance(mode, MonteCarlo):
-        rng = derive_rng(mode.seed)
-        h = sample_channel(ch, rng, size=mode.samples)
+        h = _mc_fades(ch.dist, mode.samples, mode.seed)
         alpha = policy.rate_at(h)
         return float(np.mean(alpha * ch.curve.value(h)))
     lo, hi = _integration_window(policy, ch, mode.tail_eps)
@@ -454,6 +472,22 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
     if policy.kind == "constant":
         val *= policy.rate
     return min(max(val, 0.0), 1.0)
+
+
+def delivery_product(own, rates, q):
+    """own_i * prod_{j != i} (1 - rates_j q[j, i]) for every column i of q.
+
+    ``rates`` is an ndarray of the m sensors' transmit rates and ``q``
+    holds one row per sensor and one column per link evaluated (all m of
+    them, or a selection such as ``q[:, [i]]``); ``own`` is those links'
+    collision-free delivery rates (or a scalar). The factor of a link's
+    own sensor is exactly 1.0 because the collision diagonal is 0, and
+    the factors multiply in the order j = 0, 1, ..., as a loop over the
+    interferers would.
+    """
+    f = 1.0 - rates[:, None] * q
+    f[0] *= own
+    return np.multiply.reduce(f)  # over axis 0, row after row
 
 
 def link_success_probability(policies, channels, qmat, i, mode=Quadrature()):
@@ -472,6 +506,7 @@ def link_success_probability(policies, channels, qmat, i, mode=Quadrature()):
     if not 0 <= i < m:
         raise ValueError(f"link index {i} out of range for m={m}")
     own = expected_policy_success(policies[i], channels[i], mode)
+    rates = np.zeros(m)
     for j in range(m):
         if j == i:
             continue
@@ -481,6 +516,5 @@ def link_success_probability(policies, channels, qmat, i, mode=Quadrature()):
             if isinstance(mode, MonteCarlo)
             else mode
         )
-        rate_j = expected_policy_rate(policies[j], channels[j], mode_j)
-        own *= 1.0 - rate_j * qmat.q[j, i]
-    return own
+        rates[j] = expected_policy_rate(policies[j], channels[j], mode_j)
+    return float(delivery_product(own, rates, qmat.q[:, [i]])[0])

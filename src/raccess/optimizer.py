@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import MonteCarlo, Quadrature, expected_policy_rate, expected_policy_success
+from .channel import (
+    MonteCarlo,
+    Quadrature,
+    delivery_product,
+    expected_policy_rate,
+    expected_policy_success,
+)
 from .policy import PricingVector, threshold_from_prices
 from .serialize import write_csv
 
@@ -382,13 +388,7 @@ def run_algorithm1(
         policies = primal_policies(state, inst)
         rates, succ = _measure(policies, inst, mode, seed, t)
 
-        link = np.empty(m)
-        for i in range(m):
-            prob = succ[i]
-            for j in range(m):
-                if j != i:
-                    prob *= 1.0 - rates[j] * q[j, i]
-            link[i] = prob
+        link = delivery_product(succ, rates, q)
         slack = inst.success_targets - link
         objective = float(np.dot(inst.tx_powers, rates))
         trace.append(t, eps, objective, state.lam, state.nu, beta, rates, succ, link, slack)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import invert_success_curve
+from .channel import delivery_product, invert_success_curve
 
 __all__ = [
     "AccessPolicy",
@@ -178,8 +178,4 @@ def evaluate_constant_success(rates, mean_q, qmat, i):
         raise ValueError("mean_q must lie in [0, 1]")
     if not 0 <= i < m:
         raise ValueError(f"link index {i} out of range for m={m}")
-    value = rates[i] * mean_q[i]
-    for j in range(m):
-        if j != i:
-            value *= 1.0 - rates[j] * qmat.q[j, i]
-    return float(value)
+    return float(delivery_product(rates[i] * mean_q[i], rates, qmat.q[:, [i]])[0])

@@ -239,7 +239,7 @@ def run_simulation(cfg):
         states = _kernels.state_recursion(
             sys.a_closed,
             sys.a_open,
-            gamma[i].astype(np.uint8),
+            gamma[i],
             noise,
             np.zeros(n),
         )

@@ -59,6 +59,19 @@ def loop_state_recursion(a_closed, a_open, gamma, noise, x0):
     return out
 
 
+def loop_delivery_product(own, rates, q):
+    """Loop oracle for ``raccess.channel.delivery_product`` over all m links."""
+    m = q.shape[0]
+    out = np.empty(m)
+    for i in range(m):
+        prob = own[i]
+        for j in range(m):
+            if j != i:
+                prob *= 1.0 - rates[j] * q[j, i]
+        out[i] = prob
+    return out
+
+
 def random_admissible_system(rng, dims=(2, 3, 4)):
     """Random system whose closed mode certifies the contract.
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_shared_channel_setup, reference_channel
+import raccess.channel
+from helpers import loop_delivery_product, random_shared_channel_setup, reference_channel
 from raccess import (
     CollisionMatrix,
     ExponentialFading,
@@ -25,9 +26,11 @@ from raccess import (
 from raccess.channel import (
     _adaptive_simpson,
     _integration_window,
+    _mc_fades,
     _scalar_pdf,
     channel_from_dict,
     curve_from_dict,
+    delivery_product,
     derive_rng,
     dist_from_dict,
 )
@@ -166,6 +169,87 @@ class TestMonteCarloExpectations:
         c = expected_policy_success(pol, ch, MonteCarlo(samples=5000, seed=10))
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_an_empty_sample(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            MonteCarlo(samples=samples, seed=0)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Sizes of the fade samples actually drawn, with the memo emptied."""
+        draws = []
+        real = raccess.channel.sample_channel
+
+        def counting(ch, rng, size=None):
+            draws.append(size)
+            return real(ch, rng, size=size)
+
+        monkeypatch.setattr(raccess.channel, "sample_channel", counting)
+        _mc_fades.cache_clear()
+        return draws
+
+    def test_rate_and_success_share_one_draw(self, draws):
+        ch = reference_channel()
+        pol = threshold_policy(0.8)
+        mode = MonteCarlo(samples=3000, seed=7)
+        expected_policy_rate(pol, ch, mode)
+        expected_policy_success(pol, ch, mode)
+        assert draws == [3000]
+
+    def test_a_new_seed_size_or_distribution_draws_again(self, draws):
+        pol = threshold_policy(0.8)
+        ch = reference_channel()
+        other = FadingChannel(dist=UniformFading(0.0, 2.0), curve=ch.curve)
+        for channel, mode in [
+            (ch, MonteCarlo(samples=3000, seed=7)),
+            (ch, MonteCarlo(samples=3000, seed=8)),
+            (ch, MonteCarlo(samples=4000, seed=8)),
+            (other, MonteCarlo(samples=4000, seed=8)),
+        ]:
+            expected_policy_rate(pol, channel, mode)
+            expected_policy_success(pol, channel, mode)
+        assert draws == [3000, 3000, 4000, 4000]
+
+    def test_memoized_values_equal_a_fresh_draw(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        channels, policies, _ = random_shared_channel_setup(rng, 6)
+        modes = [MonteCarlo(samples=2000, seed=s) for s in (0, 1, 1, 5)]
+        cases = [(p, ch, mode) for p, ch in zip(policies, channels) for mode in modes]
+
+        def values():
+            return [
+                (expected_policy_rate(*case), expected_policy_success(*case))
+                for case in cases
+            ]
+
+        memoized = values()
+        monkeypatch.setattr(raccess.channel, "_mc_fades", _mc_fades.__wrapped__)
+        assert values() == memoized
+        for ch in channels:
+            assert np.array_equal(
+                _mc_fades(ch.dist, 2000, 4), _mc_fades.__wrapped__(ch.dist, 2000, 4)
+            )
+
+    def test_the_shared_sample_is_read_only(self):
+        h = _mc_fades(ExponentialFading(mean=1.0), 100, 0)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 0.0
+
+
+class TestDeliveryProduct:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 39, 64])
+    def test_matches_the_loop_oracle(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            q = CollisionMatrix(q=rng.uniform(0.0, 1.0, size=(m, m))).q
+            rates = rng.uniform(0.0, 1.0, size=m)
+            own = rng.uniform(0.0, 1.0, size=m)
+            want = loop_delivery_product(own, rates, q)
+            assert np.array_equal(delivery_product(own, rates, q), want)
+            i = int(rng.integers(m))
+            assert delivery_product(own[i], rates, q[:, [i]])[0] == want[i]
 
 
 class TestSuccessCurves:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import raccess.channel
 from helpers import reference_channel, reference_instance, scalar_system
 from raccess import (
     CollisionMatrix,
@@ -14,6 +15,7 @@ from raccess import (
     MonteCarlo,
     StepSchedule,
     StopRule,
+    compute_success_requirement,
     expected_policy_success,
     run_algorithm1,
 )
@@ -375,6 +377,23 @@ class TestRunAlgorithm1:
         r3 = run_algorithm1(inst, mode=mode, stop=stop, seed=4)
         assert r1.trace.rows == r2.trace.rows
         assert r1.trace.rows != r3.trace.rows
+
+    def test_monte_carlo_design_is_unchanged_by_the_fade_memo(self, monkeypatch):
+        systems = (scalar_system(1.1, 0.5), scalar_system(1.0, 0.4), scalar_system(1.05, 0.3))
+        inst = ProblemInstance(
+            systems=systems,
+            channels=(reference_channel(),) * 3,
+            collision=CollisionMatrix(q=np.full((3, 3), 0.2)),
+            tx_powers=[1.0, 1.0, 1.0],
+            success_targets=[compute_success_requirement(s) for s in systems],
+        )
+        kwargs = dict(mode=MonteCarlo(samples=2000, seed=0), stop=StopRule(max_periods=300), seed=1)
+        memoized = run_algorithm1(inst, **kwargs)
+        monkeypatch.setattr(raccess.channel, "_mc_fades", raccess.channel._mc_fades.__wrapped__)
+        fresh = run_algorithm1(inst, **kwargs)
+        assert memoized.trace.rows == fresh.trace.rows
+        assert memoized.policies == fresh.policies
+        assert memoized.periods == fresh.periods
 
     def test_unreachable_targets_diverge(self):
         inst = ProblemInstance(
