@@ -17,7 +17,6 @@ from .channel import (
     Quadrature,
     SaturatingExpCurve,
     UniformFading,
-    decode_success_prob,
     expected_policy_rate,
     expected_policy_success,
     invert_success_curve,
@@ -48,7 +47,6 @@ from .policy import (
     AccessPolicy,
     PricingVector,
     constant_policy,
-    evaluate_constant_success,
     threshold_from_prices,
     threshold_policy,
 )
@@ -59,7 +57,6 @@ from .simulate import (
     empirical_gamma_rate_check,
     lyapunov_drift_check,
     run_simulation,
-    simulate_slot,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,9 @@ packet with probability q_ji, independently across pairs and slots, so
 This module owns the fade distributions, the success-curve families, the
 collision matrix, and the expectation operators used everywhere else:
 deterministic (closed forms, with adaptive Simpson quadrature only for
-the logistic_log curve, which has none) or Monte Carlo.
+the logistic_log curve, which has none) or, for a sensor's own rates in
+the design loop, Monte Carlo. Link success probabilities are always
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .policy import AccessPolicy
 
 __all__ = [
     "ExponentialFading",
@@ -36,22 +34,20 @@ __all__ = [
     "Quadrature",
     "MonteCarlo",
     "sample_channel",
-    "decode_success_prob",
     "invert_success_curve",
     "expected_policy_rate",
     "expected_policy_success",
     "link_success_probability",
     "delivery_product",
-    "derive_rng",
     "dist_from_dict",
     "curve_from_dict",
     "channel_from_dict",
 ]
 
-
-def derive_rng(base_seed, stream=0):
-    """Generator for one execution context, offset by a stream index."""
-    return np.random.default_rng(int(base_seed) + int(stream))
+# Adaptive Simpson (logistic_log curve only) integrates to this absolute
+# error over the fades up to the point whose tail mass is _SIMPSON_TAIL.
+_SIMPSON_TOL = 1e-10
+_SIMPSON_TAIL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,9 @@ class ExponentialFading:
         return rng.exponential(self.mean, size=size)
 
     def pdf(self, h):
-        h = np.asarray(h, dtype=float)
-        return np.where(h >= 0.0, np.exp(-h / self.mean) / self.mean, 0.0)
+        """Density at the float fade level h."""
+        inv = 1.0 / self.mean
+        return inv * math.exp(-h * inv) if h >= 0.0 else 0.0
 
     def survival(self, h):
         """P(fade >= h); a float in gives a float out, an array an array."""
@@ -112,9 +109,9 @@ class UniformFading:
         return rng.uniform(self.low, self.high, size=size)
 
     def pdf(self, h):
-        h = np.asarray(h, dtype=float)
+        """Density at the float fade level h."""
         dens = 1.0 / (self.high - self.low)
-        return np.where((h >= self.low) & (h <= self.high), dens, 0.0)
+        return dens if self.low <= h <= self.high else 0.0
 
     def survival(self, h):
         """P(fade >= h); a float in gives a float out, an array an array."""
@@ -294,12 +291,8 @@ class Quadrature:
 
     Closed forms cover every threshold transmit rate and the
     exp_saturating curve on both fade families; adaptive Simpson
-    integration, to ``abs_tol`` over the fades up to the point whose tail
-    mass is ``tail_eps``, serves only the logistic_log curve.
+    integration serves only the logistic_log curve.
     """
-
-    abs_tol: float = 1e-10
-    tail_eps: float = 1e-13
 
 
 @dataclass(frozen=True)
@@ -317,15 +310,6 @@ class MonteCarlo:
 def sample_channel(ch, rng, size=None):
     """Draw i.i.d. fades from the channel's distribution."""
     return ch.dist.sample(rng, size=size)
-
-
-def decode_success_prob(ch, h):
-    """q(h) for nonnegative fade levels (scalar or array)."""
-    arr = np.asarray(h, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("fade level must be nonnegative")
-    out = ch.curve.value(arr)
-    return float(out) if np.isscalar(h) or arr.ndim == 0 else out
 
 
 def invert_success_curve(ch, target):
@@ -354,21 +338,9 @@ def _mc_fades(dist, samples, seed):
     share one draw.
     """
     # sample_channel reads only the distribution.
-    h = sample_channel(FadingChannel(dist, None), derive_rng(seed), size=samples)
+    h = sample_channel(FadingChannel(dist, None), np.random.default_rng(seed), size=samples)
     h.setflags(write=False)
     return h
-
-
-def _scalar_pdf(dist):
-    """Fast float -> float density for the quadrature inner loop."""
-    if isinstance(dist, ExponentialFading):
-        inv = 1.0 / dist.mean
-        return lambda h: inv * math.exp(-h * inv)
-    if isinstance(dist, UniformFading):
-        lo, hi = dist.low, dist.high
-        dens = 1.0 / (hi - lo)
-        return lambda h: dens if lo <= h <= hi else 0.0
-    raise TypeError(f"unsupported fade distribution {type(dist).__name__}")
 
 
 def _scalar_curve(curve):
@@ -413,12 +385,12 @@ def _adaptive_simpson(f, a, b, tol):
     return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth=48)
 
 
-def _integration_window(policy, ch, tail_eps):
-    """Fade interval carrying all but ``tail_eps`` of the policy's mass."""
+def _integration_window(policy, ch):
+    """Fade interval carrying all but ``_SIMPSON_TAIL`` of the policy's mass."""
     lo = ch.dist.lower
     if policy.kind == "threshold":
         lo = max(lo, policy.threshold)
-    hi = ch.dist.upper_cutoff(tail_eps)
+    hi = ch.dist.upper_cutoff(_SIMPSON_TAIL)
     return lo, hi
 
 
@@ -461,14 +433,14 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
         h = _mc_fades(ch.dist, mode.samples, mode.seed)
         alpha = policy.rate_at(h)
         return float(np.mean(alpha * ch.curve.value(h)))
-    lo, hi = _integration_window(policy, ch, mode.tail_eps)
+    lo, hi = _integration_window(policy, ch)
     if isinstance(ch.curve, SaturatingExpCurve):
         k = ch.curve.kappa * ch.curve.gain
         val = float(ch.dist.survival(lo)) - ch.dist.laplace_tail(lo, k)
     else:
-        pdf = _scalar_pdf(ch.dist)
+        pdf = ch.dist.pdf
         q = _scalar_curve(ch.curve)
-        val = _adaptive_simpson(lambda h: pdf(h) * q(h), lo, hi, mode.abs_tol)
+        val = _adaptive_simpson(lambda h: pdf(h) * q(h), lo, hi, _SIMPSON_TOL)
     if policy.kind == "constant":
         val *= policy.rate
     return min(max(val, 0.0), 1.0)
@@ -490,11 +462,11 @@ def delivery_product(own, rates, q):
     return np.multiply.reduce(f)  # over axis 0, row after row
 
 
-def link_success_probability(policies, channels, qmat, i, mode=Quadrature()):
+def link_success_probability(policies, channels, qmat, i):
     """P(gamma_i = 1) under independent fades and pairwise collisions.
 
     Combines sensor i's own delivery rate with the probability that no
-    transmitting interferer erases it:
+    transmitting interferer erases it, all expectations under Quadrature:
 
         E[alpha_i q] * prod_{j != i} (1 - E[alpha_j] q[j, i]).
     """
@@ -505,16 +477,9 @@ def link_success_probability(policies, channels, qmat, i, mode=Quadrature()):
         raise ValueError(f"collision matrix is {qmat.m}x{qmat.m} for {m} policies")
     if not 0 <= i < m:
         raise ValueError(f"link index {i} out of range for m={m}")
-    own = expected_policy_success(policies[i], channels[i], mode)
+    own = expected_policy_success(policies[i], channels[i])
     rates = np.zeros(m)
     for j in range(m):
-        if j == i:
-            continue
-        # Each interferer estimate gets its own stream under Monte Carlo.
-        mode_j = (
-            MonteCarlo(mode.samples, mode.seed + j + 1)
-            if isinstance(mode, MonteCarlo)
-            else mode
-        )
-        rates[j] = expected_policy_rate(policies[j], channels[j], mode_j)
+        if j != i:
+            rates[j] = expected_policy_rate(policies[j], channels[j])
     return float(delivery_product(own, rates, qmat.q[:, [i]])[0])

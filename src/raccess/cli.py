@@ -69,10 +69,11 @@ def _instance(cfg, targets):
     )
 
 
-def _expectation_mode(cfg, override):
-    mode = cfg.optimizer.expectation_mode if override is None else override
-    if mode in ("mc", "monte_carlo"):
-        return MonteCarlo(samples=cfg.optimizer.mc_samples, seed=cfg.optimizer.seed)
+def _expectation_mode(cfg, args):
+    mode = cfg.optimizer.expectation_mode if args.mode is None else args.mode
+    if mode == "mc":
+        seed = cfg.optimizer.seed if args.seed is None else args.seed
+        return MonteCarlo(samples=cfg.optimizer.mc_samples, seed=seed)
     return Quadrature()
 
 
@@ -132,32 +133,27 @@ def cmd_rates(args):
     return EXIT_OK
 
 
-def _optimize(cfg, args):
-    """Shared by cmd_optimize and cmd_pipeline; returns everything written."""
+def _design(cfg, args, out):
+    """Design the policies, write rates, trace and policies, print a summary.
+
+    Shared by cmd_optimize and cmd_pipeline; reports non-convergence on
+    stderr and leaves the exit code to the caller.
+    """
     inst = _instance(cfg, _requirements(cfg))
-    mode = _expectation_mode(cfg, getattr(args, "mode", None))
-    seed = cfg.optimizer.seed if getattr(args, "seed", None) is None else args.seed
     result = run_algorithm1(
         inst,
         schedule=cfg.optimizer.schedule,
-        mode=mode,
+        mode=_expectation_mode(cfg, args),
         stop=cfg.optimizer.stop,
-        seed=seed,
         box=cfg.optimizer.box,
     )
     link = [
         link_success_probability(result.policies, cfg.channels, cfg.collision, i)
         for i in range(inst.m)
     ]
-    return inst, result, link
-
-
-def _write_optimize(out, result, inst, link):
+    _write_rates(out, inst.success_targets)
     result.trace.to_csv(os.path.join(out, "trace.csv"))
     write_json(os.path.join(out, "policies.json"), _policies_doc(result, inst, link))
-
-
-def _print_optimize(result, inst, link):
     status = "converged" if result.converged else "did not converge"
     print(f"optimizer {status} after {result.periods} periods")
     for i, pol in enumerate(result.policies):
@@ -170,27 +166,27 @@ def _print_optimize(result, inst, link):
             f"loop {i}: {desc}, delivery {fmt(link[i])} "
             f"(requirement {fmt(inst.success_targets[i])})"
         )
+    if not result.converged:
+        print("error: optimizer did not converge within max_periods", file=sys.stderr)
+    return inst, result, link
 
 
 def cmd_optimize(args):
     cfg = parse_config(args.config)
-    out = _out_dir(args, cfg)
-    inst, result, link = _optimize(cfg, args)
-    _write_rates(out, inst.success_targets)
-    _write_optimize(out, result, inst, link)
-    _print_optimize(result, inst, link)
-    if not result.converged:
-        print("error: optimizer did not converge within max_periods", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    _, result, _ = _design(cfg, args, _out_dir(args, cfg))
+    return EXIT_OK if result.converged else EXIT_DIVERGED
 
 
-def _simulate(cfg, inst, policies, args):
+def _simulate(cfg, policies, args, out):
+    """Simulate the policies on the config's loops; write and print metrics.
+
+    Returns the metrics and each loop's steady-state cost bound.
+    """
     horizon = cfg.simulation.horizon if getattr(args, "horizon", None) is None else args.horizon
-    seed = cfg.simulation.seed if getattr(args, "seed", None) is None else args.seed
+    seed = cfg.simulation.seed if args.seed is None else args.seed
     try:
         sim_cfg = SimConfig(
-            instance=inst,
+            instance=cfg,
             policies=tuple(policies),
             horizon=horizon,
             seed=seed,
@@ -199,19 +195,17 @@ def _simulate(cfg, inst, policies, args):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return run_simulation(sim_cfg)
-
-
-def _write_metrics(out, inst, metrics):
+    metrics = run_simulation(sim_cfg)
+    bounds = [steady_state_cost_bound(s) for s in cfg.systems]
     rows = []
-    for i in range(inst.m):
+    for i in range(cfg.m):
         rows.append(
             (
                 i,
                 float(metrics.empirical_cost[i]),
                 float(metrics.empirical_tx_rate[i]),
                 float(metrics.empirical_success_rate[i]),
-                steady_state_cost_bound(inst.systems[i]),
+                bounds[i],
             )
         )
     write_csv(
@@ -231,20 +225,18 @@ def _write_metrics(out, inst, metrics):
             ["slot", "system", "v", "tx", "gamma"],
             metrics.trajectory,
         )
-
-
-def _print_metrics(inst, metrics):
     print(
         f"simulated {metrics.horizon} slots "
         f"(burn-in {metrics.burn_in}, backend {_backend()})"
     )
-    for i in range(inst.m):
+    for i in range(cfg.m):
         print(
             f"loop {i}: cost {fmt(metrics.empirical_cost[i])} "
-            f"(bound {fmt(steady_state_cost_bound(inst.systems[i]))}), "
+            f"(bound {fmt(bounds[i])}), "
             f"tx rate {fmt(metrics.empirical_tx_rate[i])}, "
             f"delivery rate {fmt(metrics.empirical_success_rate[i])}"
         )
+    return metrics, bounds
 
 
 def _backend():
@@ -261,26 +253,17 @@ def cmd_simulate(args):
         raise ConfigError(
             f"{args.policies}: {len(policies)} policies for {cfg.m} loops"
         )
-    inst = _instance(cfg, _requirements(cfg))
-    metrics = _simulate(cfg, inst, policies, args)
-    _write_metrics(out, inst, metrics)
-    _print_metrics(inst, metrics)
+    _simulate(cfg, policies, args, out)
     return EXIT_OK
 
 
 def cmd_pipeline(args):
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    inst, result, link = _optimize(cfg, args)
-    _write_rates(out, inst.success_targets)
-    _write_optimize(out, result, inst, link)
-    _print_optimize(result, inst, link)
+    inst, result, link = _design(cfg, args, out)
     if not result.converged:
-        print("error: optimizer did not converge within max_periods", file=sys.stderr)
         return EXIT_DIVERGED
-    metrics = _simulate(cfg, inst, result.policies, args)
-    _write_metrics(out, inst, metrics)
-    _print_metrics(inst, metrics)
+    metrics, bounds = _simulate(cfg, result.policies, args, out)
     report = {
         "requirements": [float(c) for c in inst.success_targets],
         "policies": [p.to_dict() for p in result.policies],
@@ -290,7 +273,7 @@ def cmd_pipeline(args):
         "empirical_cost": [float(v) for v in metrics.empirical_cost],
         "empirical_tx_rate": [float(v) for v in metrics.empirical_tx_rate],
         "empirical_success_rate": [float(v) for v in metrics.empirical_success_rate],
-        "cost_bounds": [steady_state_cost_bound(s) for s in cfg.systems],
+        "cost_bounds": bounds,
         "horizon": int(metrics.horizon),
         "burn_in": int(metrics.burn_in),
     }

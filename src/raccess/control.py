@@ -46,22 +46,20 @@ def _as_square(value, name):
     return arr
 
 
-def _require_symmetric(arr, name, tol=1e-8):
+def _require_symmetric(arr, name):
     scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr - arr.T)) > tol * scale:
+    if np.max(np.abs(arr - arr.T)) > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")
 
 
-def max_symmetric_eigenvalue(m, sym_tol=1e-8):
+def max_symmetric_eigenvalue(m):
     """Largest eigenvalue of a symmetric matrix.
 
     Parameters
     ----------
     m : array_like
-        Symmetric matrix. Symmetry is checked against ``sym_tol`` (scaled
-        by the largest entry); LAPACK then reads its lower triangle.
-    sym_tol : float
-        Maximum allowed relative asymmetry of the input.
+        Symmetric matrix, to a relative asymmetry of 1e-8 (scaled by the
+        largest entry); LAPACK then reads its lower triangle.
 
     Returns
     -------
@@ -71,7 +69,7 @@ def max_symmetric_eigenvalue(m, sym_tol=1e-8):
     a = np.atleast_2d(np.asarray(m, dtype=float))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    _require_symmetric(a, "matrix", tol=sym_tol)
+    _require_symmetric(a, "matrix")
     return float(np.linalg.eigvalsh(a)[-1])
 
 

@@ -18,7 +18,7 @@ the duals ascend along subgradients with diminishing steps a/(b+t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,7 +116,6 @@ class DualState:
     lam: np.ndarray
     nu: np.ndarray
     beta: np.ndarray
-    iteration: int = 0
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ def dual_step(state, s_lambda, s_nu, eps):
     """Projected ascent step; multipliers stay in the nonnegative orthant."""
     lam = np.maximum(state.lam + eps * np.asarray(s_lambda, dtype=float), 0.0)
     nu = np.maximum(state.nu + eps * np.asarray(s_nu, dtype=float), 0.0)
-    return DualState(lam=lam, nu=nu, beta=state.beta, iteration=state.iteration + 1)
+    return DualState(lam=lam, nu=nu, beta=state.beta)
 
 
 def lagrangian_value(measured_rate, measured_success, beta, lam, nu, inst):
@@ -330,10 +329,10 @@ def _initial_state(inst, box):
     nu = np.full((m, m), 0.1)
     for i in range(m):
         nu[i, i] = inst.tx_powers[i] + 1.0
-    return DualState(lam=lam, nu=nu, beta=beta_update(lam, nu, box), iteration=0)
+    return DualState(lam=lam, nu=nu, beta=beta_update(lam, nu, box))
 
 
-def _measure(policies, inst, mode, seed, period):
+def _measure(policies, inst, mode, period):
     """Per-sensor E[alpha] and E[alpha q] for one period."""
     m = inst.m
     rates = np.empty(m)
@@ -341,7 +340,7 @@ def _measure(policies, inst, mode, seed, period):
     for i in range(m):
         if isinstance(mode, MonteCarlo):
             # One independent stream per (period, sensor) measurement.
-            mode_i = MonteCarlo(mode.samples, seed + period * m + i)
+            mode_i = MonteCarlo(mode.samples, mode.seed + period * m + i)
         else:
             mode_i = mode
         rates[i] = expected_policy_rate(policies[i], inst.channels[i], mode_i)
@@ -354,19 +353,19 @@ def run_algorithm1(
     schedule=StepSchedule(),
     mode=Quadrature(),
     stop=StopRule(),
-    seed=0,
     box=DEFAULT_BOX,
 ):
     """Run the dual subgradient loop until the stop rule fires.
 
     Each period prices the sensors with the current duals, measures the
     resulting transmit and delivery rates (deterministic quadrature or
-    seeded Monte Carlo), refreshes the shares, logs everything, and steps
-    the duals along the subgradient. Convergence requires the returned
-    policies' worst constraint slack <= ``stop.slack_tol`` together with
-    a settled dual trajectory; the loop aborts if any multiplier passes
-    ``stop.divergence_bound``, which signals an infeasible or marginal
-    set of requirements.
+    seeded Monte Carlo, sensor i at period t sampling with seed
+    ``mode.seed + t * m + i``), refreshes the shares, logs everything,
+    and steps the duals along the subgradient. Convergence requires the
+    returned policies' worst constraint slack <= ``stop.slack_tol``
+    together with a settled dual trajectory; the loop aborts if any
+    multiplier passes ``stop.divergence_bound``, which signals an
+    infeasible or marginal set of requirements.
 
     Returns
     -------
@@ -384,9 +383,9 @@ def run_algorithm1(
     for t in range(stop.max_periods):
         eps = stepsize(t, schedule)
         beta = beta_update(state.lam, state.nu, box)
-        state = DualState(lam=state.lam, nu=state.nu, beta=beta, iteration=t)
+        state = DualState(lam=state.lam, nu=state.nu, beta=beta)
         policies = primal_policies(state, inst)
-        rates, succ = _measure(policies, inst, mode, seed, t)
+        rates, succ = _measure(policies, inst, mode, t)
 
         link = delivery_product(succ, rates, q)
         slack = inst.success_targets - link

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import delivery_product, invert_success_curve
+from .channel import invert_success_curve
 
 __all__ = [
     "AccessPolicy",
@@ -29,7 +29,6 @@ __all__ = [
     "constant_policy",
     "PricingVector",
     "threshold_from_prices",
-    "evaluate_constant_success",
 ]
 
 
@@ -61,18 +60,6 @@ class AccessPolicy:
         else:
             out = np.full_like(arr, self.rate, dtype=float)
         return float(out) if arr.ndim == 0 else out
-
-    def decide(self, h, rng=None):
-        """Realize one transmit decision at fade h.
-
-        Threshold policies are deterministic (transmit on the boundary);
-        constant policies need ``rng`` for the Bernoulli draw.
-        """
-        if self.kind == "threshold":
-            return int(float(h) >= self.threshold)
-        if rng is None:
-            raise ValueError("constant policies need an rng to decide")
-        return int(rng.random() < self.rate)
 
     def to_dict(self):
         if self.kind == "threshold":
@@ -148,34 +135,3 @@ def threshold_from_prices(pr, ch):
         return threshold_policy(0.0)
     return threshold_policy(invert_success_curve(ch, ratio))
 
-
-def evaluate_constant_success(rates, mean_q, qmat, i):
-    """P(gamma_i = 1) for fade-blind constant-rate sensors.
-
-    Parameters
-    ----------
-    rates : array_like
-        Per-sensor transmit probabilities alpha_j in [0, 1].
-    mean_q : array_like
-        Per-sensor mean decode probabilities E[q(h_j)].
-    qmat : CollisionMatrix
-    i : int
-        Link to evaluate.
-
-    Returns
-    -------
-    float
-        ``rates[i] * mean_q[i] * prod_{j != i}(1 - rates[j] q[j, i])``.
-    """
-    rates = np.asarray(rates, dtype=float)
-    mean_q = np.asarray(mean_q, dtype=float)
-    m = rates.shape[0]
-    if mean_q.shape[0] != m or qmat.m != m:
-        raise ValueError("rates, mean_q, and collision matrix sizes disagree")
-    if np.any((rates < 0.0) | (rates > 1.0)):
-        raise ValueError("rates must lie in [0, 1]")
-    if np.any((mean_q < 0.0) | (mean_q > 1.0)):
-        raise ValueError("mean_q must lie in [0, 1]")
-    if not 0 <= i < m:
-        raise ValueError(f"link index {i} out of range for m={m}")
-    return float(delivery_product(rates[i] * mean_q[i], rates, qmat.q[:, [i]])[0])

@@ -9,10 +9,7 @@ Fades, transmit decisions, collision events, and decode events do not
 depend on the plant states, so ``run_simulation`` precomputes them in
 fixed-size vectorized chunks, with memory O(m * chunk), and hands the
 only sequential part, the switched-state recursion, to the time-blocked
-NumPy kernel in ``_kernels``. ``simulate_slot`` is
-the one-slot reference sampler of the same process (its stream layout
-differs from the chunked scheme, so the two match statistically rather
-than sample-for-sample).
+NumPy kernel in ``_kernels``.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel import Quadrature, derive_rng, link_success_probability
+from .channel import link_success_probability
 
 __all__ = [
     "UnstableSimulationError",
@@ -31,7 +28,6 @@ __all__ = [
     "SimMetrics",
     "GammaRateRecord",
     "DriftRecord",
-    "simulate_slot",
     "run_simulation",
     "empirical_gamma_rate_check",
     "lyapunov_drift_check",
@@ -57,7 +53,10 @@ class SimConfig:
 
     Parameters
     ----------
-    instance : ProblemInstance
+    instance : ProblemInstance or ExperimentConfig
+        The loops and the channel: ``m``, ``systems``, ``channels`` and
+        ``collision`` are read. Only ``lyapunov_drift_check`` also needs
+        a ProblemInstance's ``success_targets``.
     policies : sequence of AccessPolicy
     horizon : int
         Number of slots.
@@ -180,34 +179,6 @@ def _draw_gamma(policies, channels, qmat, rng, count):
     return np.concatenate(tx_parts, axis=1), np.concatenate(g_parts, axis=1)
 
 
-def simulate_slot(states, cfg, rng):
-    """Advance every loop by one slot; reference single-slot sampler.
-
-    Parameters
-    ----------
-    states : sequence of ndarray
-        Current per-loop states.
-    cfg : SimConfig
-    rng : numpy.random.Generator
-
-    Returns
-    -------
-    (list of ndarray, ndarray, ndarray)
-        Next states, transmit indicators, delivery indicators.
-    """
-    inst = cfg.instance
-    _, tx, gamma = _transmission_outcomes(
-        cfg.policies, inst.channels, inst.collision, rng, 1
-    )
-    next_states = []
-    for i, sys in enumerate(inst.systems):
-        z = rng.standard_normal(sys.dim)
-        w = cfg._noise_factors[i] @ z
-        a = sys.a_closed if gamma[i, 0] else sys.a_open
-        next_states.append(a @ np.asarray(states[i], dtype=float) + w)
-    return next_states, tx[:, 0].astype(int), gamma[:, 0].astype(int)
-
-
 def run_simulation(cfg):
     """Simulate the full horizon from x_0 = 0 and average the quadratic cost.
 
@@ -222,7 +193,7 @@ def run_simulation(cfg):
     """
     inst = cfg.instance
     m = inst.m
-    rng = derive_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     tx, gamma = _draw_gamma(
         cfg.policies, inst.channels, inst.collision, rng, cfg.horizon
     )
@@ -283,16 +254,14 @@ def empirical_gamma_rate_check(cfg, n_slots, seed=None):
     difference.
     """
     inst = cfg.instance
-    rng = derive_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     _, gamma = _draw_gamma(
         cfg.policies, inst.channels, inst.collision, rng, n_slots
     )
     records = []
     for i in range(inst.m):
         emp = float(np.mean(gamma[i]))
-        ana = link_success_probability(
-            cfg.policies, inst.channels, inst.collision, i, Quadrature()
-        )
+        ana = link_success_probability(cfg.policies, inst.channels, inst.collision, i)
         se = math.sqrt(max(ana * (1.0 - ana), 0.0) / n_slots)
         if se == 0.0:
             z = 0.0 if emp == ana else math.inf
@@ -331,16 +300,14 @@ def lyapunov_drift_check(cfg, x_probe, n_replications, seed=None):
     if len(x_probe) != inst.m:
         raise ValueError(f"{len(x_probe)} probe states for {inst.m} loops")
     for i in range(inst.m):
-        prob = link_success_probability(
-            cfg.policies, inst.channels, inst.collision, i, Quadrature()
-        )
+        prob = link_success_probability(cfg.policies, inst.channels, inst.collision, i)
         if prob < inst.success_targets[i] - 1e-9:
             raise ValueError(
                 f"policies deliver {prob:.6f} on link {i}, below its "
                 f"requirement {inst.success_targets[i]:.6f}; the drift bound "
                 "does not apply"
             )
-    rng = derive_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     _, gamma = _draw_gamma(
         cfg.policies, inst.channels, inst.collision, rng, n_replications
     )

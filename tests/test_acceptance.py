@@ -177,7 +177,7 @@ def test_dual_loop_converges_on_reference_instance(reference_run):
     assert thresholds[0] < thresholds[1]
 
     # Quadrature mode is deterministic end to end.
-    again = run_algorithm1(reference_instance(), seed=0)
+    again = run_algorithm1(reference_instance())
     assert again.periods == result.periods
     assert again.trace.rows == trace.rows
 

@@ -15,7 +15,6 @@ from raccess import (
     SaturatingExpCurve,
     UniformFading,
     constant_policy,
-    decode_success_prob,
     expected_policy_rate,
     expected_policy_success,
     invert_success_curve,
@@ -27,11 +26,9 @@ from raccess.channel import (
     _adaptive_simpson,
     _integration_window,
     _mc_fades,
-    _scalar_pdf,
     channel_from_dict,
     curve_from_dict,
     delivery_product,
-    derive_rng,
     dist_from_dict,
 )
 
@@ -101,9 +98,9 @@ class TestThresholdExpectationsUniform:
 
 def simpson_expectations(policy, ch):
     """E[alpha] and E[alpha q] by adaptive Simpson on the fade density."""
-    pdf = _scalar_pdf(ch.dist)
+    pdf = ch.dist.pdf
     k = ch.curve.kappa * ch.curve.gain
-    lo, hi = _integration_window(policy, ch, Quadrature().tail_eps)
+    lo, hi = _integration_window(policy, ch)
     scale = policy.rate if policy.kind == "constant" else 1.0
     rate = _adaptive_simpson(pdf, lo, hi, 1e-12)
     success = _adaptive_simpson(lambda h: pdf(h) * -math.expm1(-k * h), lo, hi, 1e-12)
@@ -279,12 +276,6 @@ class TestSuccessCurves:
         with pytest.raises(ValueError):
             invert_success_curve(ch, 1.2)
 
-    def test_decode_success_prob_vectorizes(self):
-        ch = reference_channel()
-        h = np.array([0.0, 0.5, 2.0])
-        got = decode_success_prob(ch, h)
-        np.testing.assert_allclose(got, 1.0 - np.exp(-1.5 * h), rtol=1e-12)
-
     def test_curve_parameter_validation(self):
         with pytest.raises(ValueError):
             SaturatingExpCurve(kappa=0.0)
@@ -322,7 +313,7 @@ class TestFadingDistributions:
     def test_pdf_normalization(self):
         for d in (ExponentialFading(mean=0.7), UniformFading(low=0.2, high=1.9)):
             hs = np.linspace(d.lower, d.upper_cutoff(1e-15), 200_001)
-            mass = np.trapezoid(d.pdf(hs), hs)
+            mass = np.trapezoid([d.pdf(h) for h in hs], hs)
             assert mass == pytest.approx(1.0, abs=1e-5)
 
     def test_sampling_matches_mean(self):
@@ -348,7 +339,7 @@ class TestLinkSuccessProbability:
         own = expected_policy_success(pols[0], chs[0], Quadrature())
         other_rate = expected_policy_rate(pols[1], chs[1], Quadrature())
         want = own * (1.0 - other_rate * 0.4)
-        got = link_success_probability(pols, chs, q, 0, Quadrature())
+        got = link_success_probability(pols, chs, q, 0)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_three_link_product_form(self):
@@ -359,23 +350,13 @@ class TestLinkSuccessProbability:
             for j in range(3):
                 if j != i:
                     want *= 1.0 - expected_policy_rate(pols[j], chs[j], Quadrature()) * q.q[j, i]
-            got = link_success_probability(pols, chs, q, i, Quadrature())
+            got = link_success_probability(pols, chs, q, i)
             assert got == pytest.approx(want, rel=1e-12)
-
-    def test_monte_carlo_mode_agrees(self):
-        chs = (reference_channel(), reference_channel())
-        pols = (threshold_policy(0.35), threshold_policy(0.9))
-        q = CollisionMatrix(q=np.array([[0.0, 0.5], [0.5, 0.0]]))
-        quad = link_success_probability(pols, chs, q, 0, Quadrature())
-        mc = link_success_probability(pols, chs, q, 0, MonteCarlo(samples=200_000, seed=2))
-        assert mc == pytest.approx(quad, abs=0.01)
 
     def test_no_interference_reduces_to_own_delivery(self):
         ch = reference_channel()
         pol = threshold_policy(0.5)
-        got = link_success_probability(
-            (pol,), (ch,), CollisionMatrix.none(1), 0, Quadrature()
-        )
+        got = link_success_probability((pol,), (ch,), CollisionMatrix.none(1), 0)
         want = expected_policy_success(pol, ch, Quadrature())
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -408,14 +389,9 @@ class TestCollisionMatrix:
 
 
 class TestSerializationAndStreams:
-    def test_derive_rng_is_stream_arithmetic(self):
-        a = derive_rng(5, 3).random(4)
-        b = np.random.default_rng(8).random(4)
-        np.testing.assert_array_equal(a, b)
-
     def test_sample_channel_draws_from_the_distribution(self):
         ch = reference_channel()
-        xs = sample_channel(ch, derive_rng(0), size=100_000)
+        xs = sample_channel(ch, np.random.default_rng(0), size=100_000)
         assert float(np.mean(xs)) == pytest.approx(1.0, abs=0.02)
 
     def test_dist_round_trip(self):

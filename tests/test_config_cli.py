@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from raccess import threshold_policy
 from raccess.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -355,17 +354,24 @@ class TestCliEdgeRequirements:
         lines = (tmp_path / "out" / "rates.csv").read_text().splitlines()
         assert float(lines[1].split(",")[1]) == 0.0
 
-    @pytest.mark.parametrize("command", ["optimize", "pipeline", "simulate"])
+    @pytest.mark.parametrize("command", ["optimize", "pipeline"])
     def test_zero_requirement_exits_2_naming_the_loop(self, tmp_path, capsys, command):
         assert main(self._argv(tmp_path, command, self.ZERO)) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "loop 0" in err and "requirement is 0" in err
 
-    @pytest.mark.parametrize("command", ["rates", "optimize", "pipeline", "simulate"])
+    @pytest.mark.parametrize("command", ["rates", "optimize", "pipeline"])
     def test_boundary_loop_exits_3(self, tmp_path, capsys, command):
         assert main(self._argv(tmp_path, command, self.BOUNDARY)) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert "loop 0" in err and "boundary" in err
+
+    @pytest.mark.parametrize("loop", [ZERO, BOUNDARY], ids=["zero", "boundary"])
+    def test_simulate_does_not_need_the_requirements(self, tmp_path, loop):
+        # Replaying given policies reads no delivery target.
+        assert main(self._argv(tmp_path, "simulate", loop)) == EXIT_OK
+        lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 3
 
 
 class TestCliParser:

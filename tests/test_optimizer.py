@@ -105,7 +105,7 @@ class TestSubgradient:
         )
         beta = np.array([[0.5, 0.2], [0.8, 0.6]])
         state = DualState(
-            lam=np.ones(2), nu=np.ones((2, 2)), beta=beta, iteration=0
+            lam=np.ones(2), nu=np.ones((2, 2)), beta=beta
         )
         succ = np.array([0.45, 0.33])
         rate = np.array([0.7, 0.4])
@@ -132,7 +132,7 @@ class TestSubgradient:
             lam0 = rng.uniform(0.1, 3.0, size=2)
             nu0 = rng.uniform(0.1, 3.0, size=(2, 2))
             beta0 = beta_update(lam0, nu0)
-            state0 = DualState(lam=lam0, nu=nu0, beta=beta0, iteration=0)
+            state0 = DualState(lam=lam0, nu=nu0, beta=beta0)
             g0 = lagrangian_value(rate, succ, beta0, lam0, nu0, inst)
             s_lam, s_nu = subgradient(state0, succ, rate, inst)
             lam1 = rng.uniform(0.1, 3.0, size=2)
@@ -146,18 +146,15 @@ class TestSubgradient:
 
 class TestDualStep:
     def test_projects_to_the_nonnegative_orthant(self):
-        state = DualState(
-            lam=np.array([0.2]), nu=np.array([[0.1]]), beta=np.array([[0.5]]), iteration=3
-        )
+        state = DualState(lam=np.array([0.2]), nu=np.array([[0.1]]), beta=np.array([[0.5]]))
         nxt = dual_step(state, np.array([-5.0]), np.array([[-5.0]]), 0.1)
         assert nxt.lam[0] == 0.0
         assert nxt.nu[0, 0] == 0.0
-        assert nxt.iteration == 4
         np.testing.assert_array_equal(nxt.beta, state.beta)
 
     def test_moves_along_the_subgradient(self):
         state = DualState(
-            lam=np.array([1.0]), nu=np.array([[2.0]]), beta=np.array([[0.5]]), iteration=0
+            lam=np.array([1.0]), nu=np.array([[2.0]]), beta=np.array([[0.5]])
         )
         nxt = dual_step(state, np.array([0.5]), np.array([[-0.25]]), 0.2)
         assert nxt.lam[0] == pytest.approx(1.1)
@@ -209,7 +206,7 @@ class TestPrimalPolicies:
         inst = reference_instance()
         nu = np.array([[4.0, 0.5], [2.0, 5.0]])
         state = DualState(
-            lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu), iteration=0
+            lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu)
         )
         pols = primal_policies(state, inst)
         ch = inst.channels[0]
@@ -224,7 +221,7 @@ class TestPrimalPolicies:
         inst = reference_instance()
         nu = np.array([[0.5, 0.0], [0.0, 5.0]])
         state = DualState(
-            lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu), iteration=0
+            lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu)
         )
         pols = primal_policies(state, inst)
         assert pols[0].threshold == math.inf
@@ -319,7 +316,7 @@ class TestRunAlgorithm1:
         # exactly enough fades to meet the target, so the threshold must
         # solve E[alpha q](h) = c.
         inst = one_loop_instance(0.3)
-        result = run_algorithm1(inst, seed=0)
+        result = run_algorithm1(inst)
         assert result.converged
         h_star = brentq(
             lambda h: math.exp(-h) - 0.4 * math.exp(-2.5 * h) - 0.3, 0.0, 10.0, xtol=1e-13
@@ -328,7 +325,7 @@ class TestRunAlgorithm1:
 
     def test_converged_policies_meet_the_target_analytically(self):
         inst = one_loop_instance(0.3)
-        result = run_algorithm1(inst, seed=0)
+        result = run_algorithm1(inst)
         succ = expected_policy_success(result.policies[0], inst.channels[0], Quadrature())
         assert succ >= 0.3 - 1e-12
 
@@ -363,22 +360,21 @@ class TestRunAlgorithm1:
 
     def test_non_convergence_is_reported_not_raised(self):
         inst = one_loop_instance(0.3)
-        result = run_algorithm1(inst, stop=StopRule(max_periods=10), seed=0)
+        result = run_algorithm1(inst, stop=StopRule(max_periods=10))
         assert not result.converged
         assert result.periods == 10
         assert len(result.trace) == 10
 
-    def test_monte_carlo_mode_is_seed_deterministic(self):
+    def test_mc_design_follows_the_mode_seed(self):
         inst = one_loop_instance(0.3)
         stop = StopRule(max_periods=25)
-        mode = MonteCarlo(samples=2000, seed=0)
-        r1 = run_algorithm1(inst, mode=mode, stop=stop, seed=3)
-        r2 = run_algorithm1(inst, mode=mode, stop=stop, seed=3)
-        r3 = run_algorithm1(inst, mode=mode, stop=stop, seed=4)
+        r1 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=3), stop=stop)
+        r2 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=3), stop=stop)
+        r3 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=4), stop=stop)
         assert r1.trace.rows == r2.trace.rows
         assert r1.trace.rows != r3.trace.rows
 
-    def test_monte_carlo_design_is_unchanged_by_the_fade_memo(self, monkeypatch):
+    def test_mc_design_is_unchanged_by_the_fade_memo(self, monkeypatch):
         systems = (scalar_system(1.1, 0.5), scalar_system(1.0, 0.4), scalar_system(1.05, 0.3))
         inst = ProblemInstance(
             systems=systems,
@@ -387,7 +383,7 @@ class TestRunAlgorithm1:
             tx_powers=[1.0, 1.0, 1.0],
             success_targets=[compute_success_requirement(s) for s in systems],
         )
-        kwargs = dict(mode=MonteCarlo(samples=2000, seed=0), stop=StopRule(max_periods=300), seed=1)
+        kwargs = dict(mode=MonteCarlo(samples=2000, seed=1), stop=StopRule(max_periods=300))
         memoized = run_algorithm1(inst, **kwargs)
         monkeypatch.setattr(raccess.channel, "_mc_fades", raccess.channel._mc_fades.__wrapped__)
         fresh = run_algorithm1(inst, **kwargs)
@@ -404,4 +400,4 @@ class TestRunAlgorithm1:
             success_targets=[0.9, 0.9],
         )
         with pytest.raises(DivergenceError):
-            run_algorithm1(inst, stop=StopRule(max_periods=300, divergence_bound=5.0), seed=0)
+            run_algorithm1(inst, stop=StopRule(max_periods=300, divergence_bound=5.0))

@@ -6,10 +6,8 @@ import pytest
 from helpers import reference_channel
 from raccess import (
     AccessPolicy,
-    CollisionMatrix,
     PricingVector,
     constant_policy,
-    evaluate_constant_success,
     invert_success_curve,
     threshold_from_prices,
     threshold_policy,
@@ -51,26 +49,6 @@ class TestPolicyEvaluation:
         pol = constant_policy(0.42)
         np.testing.assert_array_equal(pol.rate_at(np.array([0.0, 5.0])), [0.42, 0.42])
         assert pol.rate_at(3.0) == 0.42
-
-    def test_threshold_decide_is_deterministic(self):
-        pol = threshold_policy(0.7)
-        assert pol.decide(0.69) == 0
-        assert pol.decide(0.7) == 1
-        assert pol.decide(2.0) == 1
-
-    def test_constant_decide_needs_an_rng(self):
-        pol = constant_policy(0.5)
-        with pytest.raises(ValueError):
-            pol.decide(1.0)
-
-    def test_constant_decide_is_a_seeded_bernoulli(self):
-        pol = constant_policy(0.3)
-        draws_a = [pol.decide(0.0, np.random.default_rng(4)) for _ in range(10)]
-        draws_b = [pol.decide(0.0, np.random.default_rng(4)) for _ in range(10)]
-        assert draws_a == draws_b
-        rng = np.random.default_rng(0)
-        freq = np.mean([pol.decide(0.0, rng) for _ in range(20_000)])
-        assert freq == pytest.approx(0.3, abs=0.02)
 
     def test_round_trip_through_dict(self):
         for pol in (threshold_policy(0.8), threshold_policy(math.inf), constant_policy(0.25)):
@@ -131,29 +109,3 @@ class TestThresholdFromPrices:
         ]
         assert thr[0] < thr[1] < thr[2]
 
-
-class TestEvaluateConstantSuccess:
-    def test_product_form(self):
-        rates = np.array([0.6, 0.3, 0.8])
-        mean_q = np.array([0.5, 0.7, 0.4])
-        q = CollisionMatrix(
-            q=np.array([[0.0, 0.2, 0.1], [0.5, 0.0, 0.3], [0.4, 0.6, 0.0]])
-        )
-        # Interferer j erases link 1 with probability q[j, 1].
-        want = 0.3 * 0.7 * (1.0 - 0.6 * 0.2) * (1.0 - 0.8 * 0.6)
-        got = evaluate_constant_success(rates, mean_q, q, 1)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_single_link_has_no_interference_factor(self):
-        got = evaluate_constant_success(
-            np.array([0.5]), np.array([0.6]), CollisionMatrix.none(1), 0
-        )
-        assert got == pytest.approx(0.3, rel=1e-12)
-
-    def test_rejects_inconsistent_sizes_and_bad_values(self):
-        with pytest.raises(ValueError):
-            evaluate_constant_success([0.5, 0.5], [0.6], CollisionMatrix.none(2), 0)
-        with pytest.raises(ValueError):
-            evaluate_constant_success([1.5], [0.6], CollisionMatrix.none(1), 0)
-        with pytest.raises(ValueError):
-            evaluate_constant_success([0.5], [0.6], CollisionMatrix.none(1), 1)

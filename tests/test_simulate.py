@@ -15,19 +15,15 @@ from helpers import (
 from raccess import (
     CollisionMatrix,
     ProblemInstance,
-    Quadrature,
     SimConfig,
     UnstableSimulationError,
     constant_policy,
     empirical_gamma_rate_check,
-    expected_policy_success,
     link_success_probability,
     lyapunov_drift_check,
     run_simulation,
-    simulate_slot,
     threshold_policy,
 )
-from raccess.channel import derive_rng
 from raccess.simulate import _transmission_outcomes
 
 # Stopping thresholds of the converged reference design; their link
@@ -164,64 +160,6 @@ class TestTrajectoryRecord:
         assert run_simulation(cfg).trajectory is None
 
 
-class TestSimulateSlot:
-    def test_noise_free_states_follow_one_of_the_two_modes(self):
-        sys_nf = scalar_system(1.1, 0.5, w=0.0)
-        inst = ProblemInstance(
-            systems=(sys_nf,),
-            channels=(reference_channel(),),
-            collision=CollisionMatrix.none(1),
-            tx_powers=[1.0],
-            success_targets=[0.3],
-        )
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(0.5),), horizon=10, seed=0
-        )
-        rng = derive_rng(123)
-        states = [np.array([1.7])]
-        saw_both = set()
-        for _ in range(200):
-            nxt, tx, gamma = simulate_slot(states, cfg, rng)
-            closed = 0.5 * states[0][0]
-            open_ = 1.1 * states[0][0]
-            assert nxt[0][0] in (closed, open_)
-            assert gamma[0] <= tx[0]
-            saw_both.add(int(gamma[0]))
-            states = nxt
-        assert saw_both == {0, 1}
-
-    def test_never_transmitting_stays_open(self):
-        sys_nf = scalar_system(1.1, 0.5, w=0.0)
-        inst = ProblemInstance(
-            systems=(sys_nf,),
-            channels=(reference_channel(),),
-            collision=CollisionMatrix.none(1),
-            tx_powers=[1.0],
-            success_targets=[0.3],
-        )
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(math.inf),), horizon=10, seed=0
-        )
-        rng = derive_rng(7)
-        states = [np.array([1.0])]
-        for _ in range(10):
-            states, tx, gamma = simulate_slot(states, cfg, rng)
-            assert tx[0] == 0 and gamma[0] == 0
-        assert states[0][0] == pytest.approx(1.1**10, rel=1e-12)
-
-    def test_seeded_reproducibility(self):
-        inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=10, seed=0
-        )
-        s1, tx1, g1 = simulate_slot([np.array([1.0]), np.array([-2.0])], cfg, derive_rng(9))
-        s2, tx2, g2 = simulate_slot([np.array([1.0]), np.array([-2.0])], cfg, derive_rng(9))
-        for a, b in zip(s1, s2):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(tx1, tx2)
-        np.testing.assert_array_equal(g1, g2)
-
-
 def transmission_outcomes_3d(policies, channels, qmat, rng, count):
     """The block draw with every collision uniform in one (m, m, count) array."""
     m = len(policies)
@@ -312,7 +250,7 @@ class TestEmpiricalGammaRateCheck:
             assert abs(rec.z_score) <= 4.0
             assert rec.analytic == pytest.approx(
                 link_success_probability(
-                    reference_policies(), inst.channels, inst.collision, rec.link, Quadrature()
+                    reference_policies(), inst.channels, inst.collision, rec.link
                 ),
                 rel=1e-12,
             )
