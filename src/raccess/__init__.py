@@ -16,7 +16,9 @@ from .channel import (
     MonteCarlo,
     Quadrature,
     SaturatingExpCurve,
+    TransmitSample,
     UniformFading,
+    draw_transmit_sample,
     expected_policy_rate,
     expected_policy_success,
     invert_success_curve,

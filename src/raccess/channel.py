@@ -12,13 +12,12 @@ This module owns the fade distributions, the success-curve families, the
 collision matrix, and the expectation operators used everywhere else:
 deterministic (closed forms, with adaptive Simpson quadrature only for
 the logistic_log curve, which has none) or, for a sensor's own rates in
-the design loop, Monte Carlo. Link success probabilities are always
-deterministic.
+the design loop, Monte Carlo over a drawn ``TransmitSample``. Link
+success probabilities are always deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +32,9 @@ __all__ = [
     "CollisionMatrix",
     "Quadrature",
     "MonteCarlo",
+    "TransmitSample",
     "sample_channel",
+    "draw_transmit_sample",
     "invert_success_curve",
     "expected_policy_rate",
     "expected_policy_success",
@@ -60,8 +61,12 @@ class ExponentialFading:
         if not self.mean > 0.0:
             raise ValueError(f"mean must be positive, got {self.mean:g}")
 
-    def sample(self, rng, size=None):
-        return rng.exponential(self.mean, size=size)
+    def sample(self, rng, size=None, lower=0.0):
+        """I.i.d. fades given h >= lower: lower + Exp(mean), as the law is memoryless."""
+        h = rng.exponential(self.mean, size=size)
+        if lower > 0.0:
+            h += lower
+        return h
 
     def pdf(self, h):
         """Density at the float fade level h."""
@@ -69,11 +74,8 @@ class ExponentialFading:
         return inv * math.exp(-h * inv) if h >= 0.0 else 0.0
 
     def survival(self, h):
-        """P(fade >= h); a float in gives a float out, an array an array."""
-        if isinstance(h, float):
-            return math.exp(-h / self.mean) if h >= 0.0 else 1.0
-        h = np.asarray(h, dtype=float)
-        return np.where(h >= 0.0, np.exp(-h / self.mean), 1.0)
+        """P(fade >= h) at the float fade level h."""
+        return math.exp(-h / self.mean) if h >= 0.0 else 1.0
 
     def laplace_tail(self, lo, k):
         """E[exp(-k h); h >= lo] for k >= 0."""
@@ -105,8 +107,9 @@ class UniformFading:
                 f"need 0 <= low < high, got low={self.low:g} high={self.high:g}"
             )
 
-    def sample(self, rng, size=None):
-        return rng.uniform(self.low, self.high, size=size)
+    def sample(self, rng, size=None, lower=0.0):
+        """I.i.d. fades given h >= lower: uniform on [max(lower, low), high]."""
+        return rng.uniform(min(max(lower, self.low), self.high), self.high, size=size)
 
     def pdf(self, h):
         """Density at the float fade level h."""
@@ -114,14 +117,10 @@ class UniformFading:
         return dens if self.low <= h <= self.high else 0.0
 
     def survival(self, h):
-        """P(fade >= h); a float in gives a float out, an array an array."""
-        if isinstance(h, float):
-            if h < self.low:
-                return 1.0
-            return (self.high - min(h, self.high)) / (self.high - self.low)
-        h = np.asarray(h, dtype=float)
-        frac = (self.high - np.clip(h, self.low, self.high)) / (self.high - self.low)
-        return np.where(h < self.low, 1.0, frac)
+        """P(fade >= h) at the float fade level h."""
+        if h < self.low:
+            return 1.0
+        return (self.high - min(h, self.high)) / (self.high - self.low)
 
     def laplace_tail(self, lo, k):
         """E[exp(-k h); h >= lo] for k > 0."""
@@ -191,10 +190,9 @@ class LogisticLogCurve:
             raise ValueError(f"steepness must be positive, got {self.steepness:g}")
 
     def value(self, h):
+        # Fades are >= 0 and 0**s = 0 for s > 0, so h = 0 needs no guard.
         h = np.asarray(h, dtype=float)
-        with np.errstate(divide="ignore"):
-            r = np.power(h / self.midpoint, self.steepness,
-                         where=h > 0.0, out=np.zeros_like(h, dtype=float))
+        r = np.power(h / self.midpoint, self.steepness)
         return r / (1.0 + r)
 
     def inverse(self, t):
@@ -297,7 +295,12 @@ class Quadrature:
 
 @dataclass(frozen=True)
 class MonteCarlo:
-    """Expectation from a finite seeded sample of fades."""
+    """Expectation from a finite seeded sample of fades.
+
+    The design loop draws one ``TransmitSample`` of ``samples`` fades per
+    sensor and period, each sensor from its own stream spawned from
+    ``seed``; the expectations then read that sample.
+    """
 
     samples: int = 10_000
     seed: int = 0
@@ -307,9 +310,41 @@ class MonteCarlo:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
 
 
-def sample_channel(ch, rng, size=None):
-    """Draw i.i.d. fades from the channel's distribution."""
-    return ch.dist.sample(rng, size=size)
+@dataclass(frozen=True)
+class TransmitSample:
+    """The fades on which a threshold policy transmits, out of ``size`` drawn.
+
+    Only fades at or above ``threshold`` enter E[alpha] and E[alpha q], so
+    ``fades`` (read-only) holds just those; the rest of the ``size`` fades
+    are never drawn.
+    """
+
+    size: int
+    threshold: float
+    fades: np.ndarray
+
+
+def sample_channel(ch, rng, size=None, lower=0.0):
+    """Draw i.i.d. fades from the channel's distribution, given h >= lower."""
+    return ch.dist.sample(rng, size=size, lower=lower)
+
+
+def draw_transmit_sample(policy, ch, samples, rng):
+    """Monte Carlo draw of the fades that reach a threshold policy's threshold.
+
+    Of ``samples`` i.i.d. fades, the number K at or above the threshold tau
+    is Binomial(samples, P(h >= tau)), and given K those fades are i.i.d.
+    from h | h >= tau. Drawing K and then only those K fades gives the pair
+    (K, sum q(h_k)) the exact joint law it has under the full sample, at a
+    cost that grows with K instead of ``samples``.
+    """
+    if policy.kind != "threshold":
+        raise ValueError(f"Monte Carlo design needs a threshold policy, got {policy.kind!r}")
+    tau = policy.threshold
+    k = int(rng.binomial(samples, ch.dist.survival(tau)))
+    fades = sample_channel(ch, rng, size=k, lower=tau)
+    fades.setflags(write=False)
+    return TransmitSample(samples, tau, fades)
 
 
 def invert_success_curve(ch, target):
@@ -329,18 +364,18 @@ def invert_success_curve(ch, target):
     return float(curve.inverse(t))
 
 
-@functools.lru_cache(maxsize=1)
-def _mc_fades(dist, samples, seed):
-    """The seeded fade sample behind a Monte Carlo expectation, read-only.
-
-    The fades depend only on the arguments, so a sensor's transmit and
-    delivery rates, asked for one after the other under the same mode,
-    share one draw.
-    """
-    # sample_channel reads only the distribution.
-    h = sample_channel(FadingChannel(dist, None), np.random.default_rng(seed), size=samples)
-    h.setflags(write=False)
-    return h
+def _drawn_fades(policy, mode):
+    """The transmitting fades of ``mode``, which must be drawn for ``policy``."""
+    if not isinstance(mode, TransmitSample):
+        raise TypeError(
+            f"expectation mode must be Quadrature or a TransmitSample, got "
+            f"{type(mode).__name__} (draw a MonteCarlo sample with draw_transmit_sample)"
+        )
+    if policy.kind != "threshold" or policy.threshold != mode.threshold:
+        raise ValueError(
+            f"sample drawn for threshold {mode.threshold!r} cannot price {policy!r}"
+        )
+    return mode.fades
 
 
 def _scalar_curve(curve):
@@ -401,21 +436,21 @@ def expected_policy_rate(policy, ch, mode=Quadrature()):
     ----------
     policy : AccessPolicy
     ch : FadingChannel
-    mode : Quadrature or MonteCarlo
-        Quadrature returns the fade survival at the threshold, exactly;
-        MonteCarlo averages alpha(h) over a seeded sample.
+    mode : Quadrature or TransmitSample
+        Quadrature returns the fade survival at the threshold, exactly; a
+        TransmitSample drawn for this policy gives the share of its
+        ``size`` fades that transmit.
 
     Returns
     -------
     float in [0, 1]
     """
+    if not isinstance(mode, Quadrature):
+        return _drawn_fades(policy, mode).shape[0] / mode.size
     if policy.kind == "constant":
         return float(policy.rate)
     if math.isinf(policy.threshold):
         return 0.0
-    if isinstance(mode, MonteCarlo):
-        h = _mc_fades(ch.dist, mode.samples, mode.seed)
-        return np.count_nonzero(h >= policy.threshold) / h.shape[0]
     return float(ch.dist.survival(policy.threshold))
 
 
@@ -425,14 +460,14 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
     Under Quadrature the exp_saturating curve ``q = 1 - exp(-k h)`` gives
     ``P(h >= lo) - E[exp(-k h); h >= lo]`` in closed form, with lo the
     bottom of the transmit region; the logistic_log curve is integrated
-    by adaptive Simpson.
+    by adaptive Simpson. A TransmitSample sums q over its transmitting
+    fades and divides by its ``size``.
     """
+    if not isinstance(mode, Quadrature):
+        fades = _drawn_fades(policy, mode)
+        return float(np.sum(ch.curve.value(fades))) / mode.size
     if policy.kind == "threshold" and math.isinf(policy.threshold):
         return 0.0
-    if isinstance(mode, MonteCarlo):
-        h = _mc_fades(ch.dist, mode.samples, mode.seed)
-        alpha = policy.rate_at(h)
-        return float(np.mean(alpha * ch.curve.value(h)))
     lo, hi = _integration_window(policy, ch)
     if isinstance(ch.curve, SaturatingExpCurve):
         k = ch.curve.kappa * ch.curve.gain

@@ -26,6 +26,7 @@ from .channel import (
     MonteCarlo,
     Quadrature,
     delivery_product,
+    draw_transmit_sample,
     expected_policy_rate,
     expected_policy_success,
 )
@@ -332,19 +333,19 @@ def _initial_state(inst, box):
     return DualState(lam=lam, nu=nu, beta=beta_update(lam, nu, box))
 
 
-def _measure(policies, inst, mode, period):
-    """Per-sensor E[alpha] and E[alpha q] for one period."""
+def _measure(policies, inst, mode, rngs):
+    """Per-sensor E[alpha] and E[alpha q] for one period.
+
+    Under Monte Carlo, sensor i draws its transmitting fades from its own
+    generator ``rngs[i]``; under Quadrature ``rngs`` is None.
+    """
     m = inst.m
     rates = np.empty(m)
     succ = np.empty(m)
-    for i in range(m):
-        if isinstance(mode, MonteCarlo):
-            # One independent stream per (period, sensor) measurement.
-            mode_i = MonteCarlo(mode.samples, mode.seed + period * m + i)
-        else:
-            mode_i = mode
-        rates[i] = expected_policy_rate(policies[i], inst.channels[i], mode_i)
-        succ[i] = expected_policy_success(policies[i], inst.channels[i], mode_i)
+    for i, (pol, ch) in enumerate(zip(policies, inst.channels)):
+        mode_i = mode if rngs is None else draw_transmit_sample(pol, ch, mode.samples, rngs[i])
+        rates[i] = expected_policy_rate(pol, ch, mode_i)
+        succ[i] = expected_policy_success(pol, ch, mode_i)
     return rates, succ
 
 
@@ -359,8 +360,10 @@ def run_algorithm1(
 
     Each period prices the sensors with the current duals, measures the
     resulting transmit and delivery rates (deterministic quadrature or
-    seeded Monte Carlo, sensor i at period t sampling with seed
-    ``mode.seed + t * m + i``), refreshes the shares, logs everything,
+    seeded Monte Carlo: sensor i draws ``mode.samples`` fades per period,
+    of which only the transmitting ones are materialized, from the i-th
+    of m streams spawned by ``np.random.SeedSequence(mode.seed)``),
+    refreshes the shares, logs everything,
     and steps the duals along the subgradient. Convergence requires the
     returned policies' worst constraint slack <= ``stop.slack_tol``
     together with a settled dual trajectory; the loop aborts if any
@@ -376,6 +379,9 @@ def run_algorithm1(
     m = inst.m
     q = inst.collision.q
     state = _initial_state(inst, box)
+    rngs = None
+    if isinstance(mode, MonteCarlo):
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(m)]
     trace = IterationTrace(m)
     history = []
     policies = primal_policies(state, inst)
@@ -385,7 +391,7 @@ def run_algorithm1(
         beta = beta_update(state.lam, state.nu, box)
         state = DualState(lam=state.lam, nu=state.nu, beta=beta)
         policies = primal_policies(state, inst)
-        rates, succ = _measure(policies, inst, mode, t)
+        rates, succ = _measure(policies, inst, mode, rngs)
 
         link = delivery_product(succ, rates, q)
         slack = inst.success_targets - link

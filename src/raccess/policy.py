@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import invert_success_curve
 
 __all__ = [
@@ -51,15 +49,6 @@ class AccessPolicy:
                 raise ValueError(f"rate must lie in [0, 1], got {self.rate!r}")
         else:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-
-    def rate_at(self, h):
-        """Transmit probability alpha(h); vectorized over fades."""
-        arr = np.asarray(h, dtype=float)
-        if self.kind == "threshold":
-            out = (arr >= self.threshold).astype(float)
-        else:
-            out = np.full_like(arr, self.rate, dtype=float)
-        return float(out) if arr.ndim == 0 else out
 
     def to_dict(self):
         if self.kind == "threshold":

@@ -15,6 +15,7 @@ from raccess import (
     SaturatingExpCurve,
     UniformFading,
     constant_policy,
+    draw_transmit_sample,
     expected_policy_rate,
     expected_policy_success,
     invert_success_curve,
@@ -25,7 +26,6 @@ from raccess import (
 from raccess.channel import (
     _adaptive_simpson,
     _integration_window,
-    _mc_fades,
     channel_from_dict,
     curve_from_dict,
     delivery_product,
@@ -145,94 +145,143 @@ class TestConstantPolicyExpectations:
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def mc_draws(policy, ch, samples, count, seed):
+    """``count`` Monte Carlo (rate, success) pairs, each from ``samples`` fades."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, 2))
+    for r in range(count):
+        drawn = draw_transmit_sample(policy, ch, samples, rng)
+        out[r] = expected_policy_rate(policy, ch, drawn), expected_policy_success(policy, ch, drawn)
+    return out
+
+
 class TestMonteCarloExpectations:
     def test_agrees_with_quadrature(self):
         ch = reference_channel()
         pol = threshold_policy(0.8)
-        mc = MonteCarlo(samples=200_000, seed=5)
+        drawn = draw_transmit_sample(pol, ch, 200_000, np.random.default_rng(5))
         quad = Quadrature()
-        assert expected_policy_rate(pol, ch, mc) == pytest.approx(
+        assert expected_policy_rate(pol, ch, drawn) == pytest.approx(
             expected_policy_rate(pol, ch, quad), abs=0.01
         )
-        assert expected_policy_success(pol, ch, mc) == pytest.approx(
+        assert expected_policy_success(pol, ch, drawn) == pytest.approx(
             expected_policy_success(pol, ch, quad), abs=0.01
         )
 
     def test_seeded_and_reproducible(self):
         ch = reference_channel()
         pol = threshold_policy(0.8)
-        a = expected_policy_success(pol, ch, MonteCarlo(samples=5000, seed=9))
-        b = expected_policy_success(pol, ch, MonteCarlo(samples=5000, seed=9))
-        c = expected_policy_success(pol, ch, MonteCarlo(samples=5000, seed=10))
-        assert a == b
-        assert a != c
+        a, b, c = (
+            draw_transmit_sample(pol, ch, 5000, np.random.default_rng(seed))
+            for seed in (9, 9, 10)
+        )
+        assert np.array_equal(a.fades, b.fades)
+        assert expected_policy_success(pol, ch, a) == expected_policy_success(pol, ch, b)
+        assert expected_policy_success(pol, ch, a) != expected_policy_success(pol, ch, c)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_an_empty_sample(self, samples):
         with pytest.raises(ValueError, match="samples"):
             MonteCarlo(samples=samples, seed=0)
 
-    @pytest.fixture
-    def draws(self, monkeypatch):
-        """Sizes of the fade samples actually drawn, with the memo emptied."""
+    def test_rate_and_success_share_one_draw(self, monkeypatch):
         draws = []
         real = raccess.channel.sample_channel
 
-        def counting(ch, rng, size=None):
+        def counting(ch, rng, size=None, lower=0.0):
             draws.append(size)
-            return real(ch, rng, size=size)
+            return real(ch, rng, size=size, lower=lower)
 
         monkeypatch.setattr(raccess.channel, "sample_channel", counting)
-        _mc_fades.cache_clear()
-        return draws
-
-    def test_rate_and_success_share_one_draw(self, draws):
         ch = reference_channel()
         pol = threshold_policy(0.8)
-        mode = MonteCarlo(samples=3000, seed=7)
-        expected_policy_rate(pol, ch, mode)
-        expected_policy_success(pol, ch, mode)
-        assert draws == [3000]
-
-    def test_a_new_seed_size_or_distribution_draws_again(self, draws):
-        pol = threshold_policy(0.8)
-        ch = reference_channel()
-        other = FadingChannel(dist=UniformFading(0.0, 2.0), curve=ch.curve)
-        for channel, mode in [
-            (ch, MonteCarlo(samples=3000, seed=7)),
-            (ch, MonteCarlo(samples=3000, seed=8)),
-            (ch, MonteCarlo(samples=4000, seed=8)),
-            (other, MonteCarlo(samples=4000, seed=8)),
-        ]:
-            expected_policy_rate(pol, channel, mode)
-            expected_policy_success(pol, channel, mode)
-        assert draws == [3000, 3000, 4000, 4000]
-
-    def test_memoized_values_equal_a_fresh_draw(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        channels, policies, _ = random_shared_channel_setup(rng, 6)
-        modes = [MonteCarlo(samples=2000, seed=s) for s in (0, 1, 1, 5)]
-        cases = [(p, ch, mode) for p, ch in zip(policies, channels) for mode in modes]
-
-        def values():
-            return [
-                (expected_policy_rate(*case), expected_policy_success(*case))
-                for case in cases
-            ]
-
-        memoized = values()
-        monkeypatch.setattr(raccess.channel, "_mc_fades", _mc_fades.__wrapped__)
-        assert values() == memoized
-        for ch in channels:
-            assert np.array_equal(
-                _mc_fades(ch.dist, 2000, 4), _mc_fades.__wrapped__(ch.dist, 2000, 4)
-            )
+        drawn = draw_transmit_sample(pol, ch, 3000, np.random.default_rng(7))
+        rate = expected_policy_rate(pol, ch, drawn)
+        expected_policy_success(pol, ch, drawn)
+        assert draws == [drawn.fades.shape[0]]
+        assert rate == draws[0] / 3000
 
     def test_the_shared_sample_is_read_only(self):
-        h = _mc_fades(ExponentialFading(mean=1.0), 100, 0)
-        assert not h.flags.writeable
+        drawn = draw_transmit_sample(
+            threshold_policy(0.2), reference_channel(), 100, np.random.default_rng(0)
+        )
+        assert not drawn.fades.flags.writeable
         with pytest.raises(ValueError):
-            h[0] = 0.0
+            drawn.fades[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "dist", [ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6)]
+    )
+    @pytest.mark.parametrize("thr", [0.1, 0.9, 1.1])
+    def test_joint_law_matches_the_closed_forms(self, dist, thr):
+        # (rate, success) from n fades has mean (S, E[alpha q]) and
+        # covariance [[S(1-S), mu(1-S)], [mu(1-S), E[alpha q^2] - mu^2]] / n,
+        # with S = P(h >= thr), mu = E[alpha q]; for q = 1 - exp(-k h),
+        # E[alpha q^2] = S - 2 L(k) + L(2k), L(k) = E[exp(-k h); h >= thr].
+        k, n, count = 1.5, 400, 4000
+        ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=k))
+        pol = threshold_policy(thr)
+        surv = dist.survival(thr)
+        mu = expected_policy_success(pol, ch, Quadrature())
+        second = surv - 2.0 * dist.laplace_tail(thr, k) + dist.laplace_tail(thr, 2.0 * k)
+        want_mean = np.array([surv, mu])
+        want_cov = np.array(
+            [[surv * (1.0 - surv), mu * (1.0 - surv)], [mu * (1.0 - surv), second - mu * mu]]
+        ) / n
+
+        def assert_within_5_se(got, want, se):
+            exact = se == 0.0  # a rate of exactly 1 below the support
+            assert np.array_equal(got[exact], want[exact])
+            assert np.all(np.abs(got - want)[~exact] <= 5.0 * se[~exact]), (got, want, se)
+
+        x = mc_draws(pol, ch, n, count, seed=int(10 * thr))
+        assert_within_5_se(x.mean(axis=0), want_mean, np.sqrt(np.diag(want_cov) / count))
+        dev = x - want_mean
+        products = dev[:, :, None] * dev[:, None, :]
+        assert_within_5_se(
+            products.mean(axis=0), want_cov, products.std(axis=0) / math.sqrt(count)
+        )
+
+    @pytest.mark.parametrize(
+        "dist", [ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6)]
+    )
+    def test_exact_edges(self, dist):
+        ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5))
+        rng = np.random.default_rng(2)
+        always = draw_transmit_sample(threshold_policy(0.0), ch, 1000, rng)
+        assert always.fades.shape == (1000,)
+        assert expected_policy_rate(threshold_policy(0.0), ch, always) == 1.0
+        edges = [math.inf] + ([dist.high, dist.high + 1.0] if isinstance(dist, UniformFading) else [])
+        for thr in edges:
+            pol = threshold_policy(thr)
+            never = draw_transmit_sample(pol, ch, 1000, rng)
+            assert never.fades.shape == (0,)
+            assert expected_policy_rate(pol, ch, never) == 0.0
+            assert expected_policy_success(pol, ch, never) == 0.0
+
+    def test_fades_lie_in_the_transmit_region(self):
+        for dist in (ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6)):
+            ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5))
+            for thr in (0.1, 0.9, 1.5):
+                drawn = draw_transmit_sample(threshold_policy(thr), ch, 2000, np.random.default_rng(1))
+                assert drawn.fades.shape[0] > 0
+                assert np.all(drawn.fades >= thr)
+                assert np.all(drawn.fades >= dist.lower)
+                if isinstance(dist, UniformFading):
+                    assert np.all(drawn.fades <= dist.high)
+
+    def test_needs_a_sample_drawn_for_the_policy(self):
+        ch = reference_channel()
+        pol = threshold_policy(0.8)
+        for expectation in (expected_policy_rate, expected_policy_success):
+            with pytest.raises(TypeError, match="TransmitSample"):
+                expectation(pol, ch, MonteCarlo(samples=100, seed=0))
+            drawn = draw_transmit_sample(pol, ch, 100, np.random.default_rng(0))
+            for other in (threshold_policy(0.7), constant_policy(0.5)):
+                with pytest.raises(ValueError, match="threshold"):
+                    expectation(other, ch, drawn)
+        with pytest.raises(ValueError, match="threshold policy"):
+            draw_transmit_sample(constant_policy(0.5), ch, 100, np.random.default_rng(0))
 
 
 class TestDeliveryProduct:
@@ -276,6 +325,26 @@ class TestSuccessCurves:
         with pytest.raises(ValueError):
             invert_success_curve(ch, 1.2)
 
+    def test_logistic_value_is_the_guarded_power_bit_for_bit(self):
+        def guarded(curve, h):
+            # The form that skipped h = 0 through np.power's where/out.
+            h = np.asarray(h, dtype=float)
+            with np.errstate(divide="ignore"):
+                r = np.power(h / curve.midpoint, curve.steepness,
+                             where=h > 0.0, out=np.zeros_like(h, dtype=float))
+            return r / (1.0 + r)
+
+        h = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12], np.linspace(0.0, 40.0, 4001)])
+        for curve in (
+            LogisticLogCurve(midpoint=0.8, steepness=2.5),
+            LogisticLogCurve(midpoint=1.3, steepness=0.4),
+            LogisticLogCurve(midpoint=0.05, steepness=9.0),
+        ):
+            got = curve.value(h)
+            assert got[0] == 0.0
+            assert np.array_equal(got, guarded(curve, h))
+            assert curve.value(0.0) == 0.0
+
     def test_curve_parameter_validation(self):
         with pytest.raises(ValueError):
             SaturatingExpCurve(kappa=0.0)
@@ -298,17 +367,6 @@ class TestFadingDistributions:
         assert d.survival(1.0) == pytest.approx(0.5, rel=1e-12)
         assert d.upper_cutoff(1e-13) == 1.5
         assert d.lower == 0.5
-
-    @pytest.mark.parametrize(
-        "dist", [ExponentialFading(mean=0.7), UniformFading(low=0.3, high=1.9)]
-    )
-    def test_scalar_survival_matches_the_array_path(self, dist):
-        # Below, at the edges of, inside and beyond the support.
-        for h in (-1.0, 0.0, 0.15, 0.3, 0.9, 1.9, 2.5, 40.0, math.inf):
-            got = dist.survival(h)
-            want = float(dist.survival(np.array([h]))[0])
-            assert type(got) is float
-            assert abs(got - want) <= np.spacing(want)
 
     def test_pdf_normalization(self):
         for d in (ExponentialFading(mean=0.7), UniformFading(low=0.2, high=1.9)):

@@ -16,6 +16,7 @@ from raccess import (
     StepSchedule,
     StopRule,
     compute_success_requirement,
+    expected_policy_rate,
     expected_policy_success,
     run_algorithm1,
 )
@@ -374,22 +375,67 @@ class TestRunAlgorithm1:
         assert r1.trace.rows == r2.trace.rows
         assert r1.trace.rows != r3.trace.rows
 
-    def test_mc_design_is_unchanged_by_the_fade_memo(self, monkeypatch):
-        systems = (scalar_system(1.1, 0.5), scalar_system(1.0, 0.4), scalar_system(1.05, 0.3))
-        inst = ProblemInstance(
+    @staticmethod
+    def mc_instance(m):
+        systems = (scalar_system(1.1, 0.5), scalar_system(1.0, 0.4), scalar_system(1.05, 0.3))[:m]
+        return ProblemInstance(
             systems=systems,
-            channels=(reference_channel(),) * 3,
-            collision=CollisionMatrix(q=np.full((3, 3), 0.2)),
-            tx_powers=[1.0, 1.0, 1.0],
+            channels=(reference_channel(),) * m,
+            collision=CollisionMatrix(q=np.full((m, m), 0.2)),
+            tx_powers=[1.0] * m,
             success_targets=[compute_success_requirement(s) for s in systems],
         )
-        kwargs = dict(mode=MonteCarlo(samples=2000, seed=1), stop=StopRule(max_periods=300))
-        memoized = run_algorithm1(inst, **kwargs)
-        monkeypatch.setattr(raccess.channel, "_mc_fades", raccess.channel._mc_fades.__wrapped__)
-        fresh = run_algorithm1(inst, **kwargs)
-        assert memoized.trace.rows == fresh.trace.rows
-        assert memoized.policies == fresh.policies
-        assert memoized.periods == fresh.periods
+
+    def test_mc_seeds_m_apart_draw_uncorrelated_rates(self):
+        # Each period's Monte Carlo rate error, rate - P(h >= threshold),
+        # is fresh sampling noise. Seeds s and s + m must not share it, not
+        # even one period apart (as streams seeded s + t*m + i would).
+        m = 2
+        inst = self.mc_instance(m)
+        stop = StopRule(max_periods=300, dual_change_tol=0.0)
+
+        def rate_errors(seed):
+            trace = run_algorithm1(inst, mode=MonteCarlo(samples=1000, seed=seed), stop=stop).trace
+            nus = np.stack(
+                [trace.column(f"nu_{i}_{j}") for i in range(m) for j in range(m)], axis=1
+            ).reshape(-1, m, m)
+            rates = np.stack([trace.column(f"rate_{i}") for i in range(m)], axis=1)
+            exact = [
+                [
+                    expected_policy_rate(pol, ch)
+                    for pol, ch in zip(
+                        primal_policies(DualState(lam=None, nu=nu, beta=None), inst), inst.channels
+                    )
+                ]
+                for nu in nus
+            ]
+            return rates - np.array(exact)
+
+        a, b = rate_errors(5), rate_errors(5 + m)
+        for lag_a, lag_b in [(a, b), (a[1:], b[:-1]), (a[:-1], b[1:])]:
+            for i in range(m):
+                assert abs(np.corrcoef(lag_a[:, i], lag_b[:, i])[0, 1]) < 0.3
+
+    def test_mc_draws_pass_through_sample_channel(self, monkeypatch):
+        # perfbench counts channel.mc_samples at raccess.channel.sample_channel.
+        drawn = []
+        real = raccess.channel.sample_channel
+
+        def counting(ch, rng, size=None, lower=0.0):
+            drawn.append(size)
+            return real(ch, rng, size=size, lower=lower)
+
+        monkeypatch.setattr(raccess.channel, "sample_channel", counting)
+        m, samples = 3, 2000
+        result = run_algorithm1(
+            self.mc_instance(m),
+            mode=MonteCarlo(samples=samples, seed=1),
+            stop=StopRule(max_periods=40),
+        )
+        assert len(drawn) == result.periods * m
+        rates = np.stack([result.trace.column(f"rate_{i}") for i in range(m)], axis=1)
+        assert sum(drawn) == int(np.rint(rates * samples).sum())
+        assert 0 < sum(drawn) < result.periods * m * samples
 
     def test_unreachable_targets_diverge(self):
         inst = ProblemInstance(

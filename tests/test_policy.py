@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from helpers import reference_channel
@@ -39,17 +38,6 @@ class TestAccessPolicyValidation:
 
 
 class TestPolicyEvaluation:
-    def test_threshold_rate_at_is_boundary_inclusive(self):
-        pol = threshold_policy(0.7)
-        h = np.array([0.2, 0.7, 1.5])
-        np.testing.assert_array_equal(pol.rate_at(h), [0.0, 1.0, 1.0])
-        assert pol.rate_at(0.7) == 1.0
-
-    def test_constant_rate_at_ignores_the_fade(self):
-        pol = constant_policy(0.42)
-        np.testing.assert_array_equal(pol.rate_at(np.array([0.0, 5.0])), [0.42, 0.42])
-        assert pol.rate_at(3.0) == 0.42
-
     def test_round_trip_through_dict(self):
         for pol in (threshold_policy(0.8), threshold_policy(math.inf), constant_policy(0.25)):
             assert AccessPolicy.from_dict(pol.to_dict()) == pol
