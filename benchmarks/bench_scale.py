@@ -1,0 +1,173 @@
+"""How the dual loop's cost grows with the number of loops m.
+
+For m in {2, 8, 32, 128} scalar loops, alternating (a_open, a_closed) =
+(1.1, 0.5) and (1.0, 0.4), on exponential fades (mean 1, saturating
+curve) with collision probability q = 0.3/m off the diagonal, each entry
+records:
+
+- ms per dual period over a fixed 100 periods (``dual_change_tol = 0``,
+  so the stop rule cannot fire), in quadrature and in Monte Carlo
+  (10k fades per sensor and period, seed 0);
+- the trace's bytes per period: the memory freed by dropping the trace
+  of a 100-period quadrature run, as counted by ``tracemalloc``;
+- the peak RSS of the process that ran that m.
+
+A last entry runs the default stop rule (at most 5,000 periods) in
+quadrature on 64 identical (1.0, 0.4) loops, which does not converge,
+and records its wall time and peak RSS.
+
+Each entry runs in a process of its own, so its peak RSS is its own.
+From the root of a checkout:
+
+    PYTHONPATH=src python benchmarks/bench_scale.py --label after
+
+adds (or replaces) the run under that label in ``BENCH_scale.json``,
+so one file keeps the runs of successive changes side by side.
+"""
+
+import argparse
+import gc
+import json
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from raccess import (
+    CollisionMatrix,
+    ExponentialFading,
+    FadingChannel,
+    MonteCarlo,
+    ProblemInstance,
+    Quadrature,
+    SaturatingExpCurve,
+    StopRule,
+    SwitchedSystem,
+    compute_success_requirement,
+    run_algorithm1,
+)
+
+SIZES = (2, 8, 32, 128)
+PERIODS = 100
+LONG_M = 64
+SAMPLES = 10_000
+
+
+def instance(m, loops):
+    systems = tuple(
+        SwitchedSystem(
+            a_closed=a_closed, a_open=a_open, noise_cov=1.0, lyap_matrix=1.0, decay_rate=0.8
+        )
+        for a_open, a_closed in (loops[i % len(loops)] for i in range(m))
+    )
+    channel = FadingChannel(
+        dist=ExponentialFading(mean=1.0), curve=SaturatingExpCurve(kappa=1.5, gain=1.0)
+    )
+    q = np.full((m, m), 0.3 / m)
+    np.fill_diagonal(q, 0.0)
+    return ProblemInstance(
+        systems=systems,
+        channels=(channel,) * m,
+        collision=CollisionMatrix(q=q),
+        tx_powers=np.ones(m),
+        success_targets=[compute_success_requirement(s) for s in systems],
+    )
+
+
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def timed_run(inst, mode, stop):
+    start = time.perf_counter()
+    result = run_algorithm1(inst, mode=mode, stop=stop)
+    return result, time.perf_counter() - start
+
+
+def scaling_entry(m):
+    inst = instance(m, ((1.1, 0.5), (1.0, 0.4)))
+    stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
+    entry = {"m": m, "n": 1, "periods": PERIODS}
+    for name, mode in (("quadrature", Quadrature()), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
+        result, wall = timed_run(inst, mode, stop)
+        entry[f"{name}_ms_per_period"] = 1e3 * wall / result.periods
+
+    tracemalloc.start()
+    trace = timed_run(inst, Quadrature(), stop)[0].trace
+    gc.collect()
+    kept = tracemalloc.get_traced_memory()[0]
+    del trace
+    gc.collect()
+    entry["trace_bytes_per_period"] = (kept - tracemalloc.get_traced_memory()[0]) / PERIODS
+    tracemalloc.stop()
+    entry["peak_rss_mb"] = peak_rss_mb()
+    return entry
+
+
+def long_entry():
+    result, wall = timed_run(instance(LONG_M, ((1.0, 0.4),)), Quadrature(), StopRule())
+    return {
+        "m": LONG_M,
+        "n": 1,
+        "loops": "identical (1.0, 0.4)",
+        "periods": result.periods,
+        "converged": result.converged,
+        "wall_s": wall,
+        "peak_rss_mb": peak_rss_mb(),
+    }
+
+
+def run_child(extra):
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), *extra],
+        check=True,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="latest", help="name of this run in the output file")
+    parser.add_argument("--out", default="BENCH_scale.json")
+    parser.add_argument("--m", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--long", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.m is not None or args.long:
+        print(json.dumps(long_entry() if args.long else scaling_entry(args.m)))
+        return
+
+    scaling = []
+    for m in SIZES:
+        scaling.append(run_child(["--m", str(m)]))
+        print(json.dumps(scaling[-1]), file=sys.stderr)
+    long = run_child(["--long"])
+    print(json.dumps(long), file=sys.stderr)
+
+    doc = {"runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as fh:
+            doc = json.load(fh)
+    doc["runs"][args.label] = {
+        "machine": {
+            "platform": platform.platform(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "scaling": scaling,
+        "long": long,
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -225,10 +225,7 @@ def _simulate(cfg, policies, args, out):
             ["slot", "system", "v", "tx", "gamma"],
             metrics.trajectory,
         )
-    print(
-        f"simulated {metrics.horizon} slots "
-        f"(burn-in {metrics.burn_in}, backend {_backend()})"
-    )
+    print(f"simulated {metrics.horizon} slots (burn-in {metrics.burn_in})")
     for i in range(cfg.m):
         print(
             f"loop {i}: cost {fmt(metrics.empirical_cost[i])} "
@@ -237,12 +234,6 @@ def _simulate(cfg, policies, args, out):
             f"delivery rate {fmt(metrics.empirical_success_rate[i])}"
         )
     return metrics, bounds
-
-
-def _backend():
-    from . import _kernels
-
-    return _kernels.backend_name()
 
 
 def cmd_simulate(args):
@@ -321,6 +312,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,6 +180,13 @@ def _parse_channel(entry, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _seed(entry, path):
+    seed = int(entry.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_optimizer(entry):
     path = "optimizer"
     _check_keys(entry, _OPT_KEYS, path)
@@ -189,7 +196,7 @@ def _parse_optimizer(entry):
             a=float(entry.get("step_a", defaults.a)),
             b=float(entry.get("step_b", defaults.b)),
         )
-        stop = StopRule(
+        stop_fields = dict(
             max_periods=int(entry.get("max_periods", 5000)),
             slack_tol=float(entry.get("slack_tol", 0.0)),
             dual_change_tol=float(entry.get("dual_change_tol", 1e-3)),
@@ -198,14 +205,16 @@ def _parse_optimizer(entry):
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        stop = StopRule(**stop_fields)
+    except ValueError as exc:  # the message starts with the field name
+        raise ConfigError(f"{path}.{exc}") from exc
     box = (float(entry.get("beta_min", DEFAULT_BOX[0])),
            float(entry.get("beta_max", DEFAULT_BOX[1])))
     if not 0.0 < box[0] < box[1] < 1.0:
         raise ConfigError(
             f"{path}: beta box must satisfy 0 < beta_min < beta_max < 1, got {box}"
         )
-    if stop.max_periods < 0:
-        raise ConfigError(f"{path}.max_periods: must be >= 0")
     mode = entry.get("expectation_mode", "quadrature")
     if mode not in ("quadrature", "mc"):
         raise ConfigError(
@@ -220,7 +229,7 @@ def _parse_optimizer(entry):
         box=box,
         expectation_mode=mode,
         mc_samples=samples,
-        seed=int(entry.get("seed", 0)),
+        seed=_seed(entry, path),
     )
 
 
@@ -242,7 +251,7 @@ def _parse_simulation(entry):
         raise ConfigError(f"{path}.thin: must be >= 0, got {thin}")
     return SimulationSettings(
         horizon=horizon,
-        seed=int(entry.get("seed", 0)),
+        seed=_seed(entry, path),
         burn_in=burn,
         thin=thin,
     )

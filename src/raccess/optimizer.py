@@ -152,9 +152,21 @@ class StopRule:
     window: int = 100
     divergence_bound: float = 1e6
 
+    def __post_init__(self):
+        for name in ("max_periods", "window"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+
 
 class IterationTrace:
-    """Append-only per-period log of the dual loop."""
+    """Append-only per-period log of the dual loop, one float64 row per period.
+
+    The rows fill an array that starts with ``BLOCK`` rows and doubles when
+    full; ``rows`` views the filled part and ``to_csv`` writes ``period`` as
+    an integer.
+    """
+
+    BLOCK = 64
 
     def __init__(self, m):
         self.m = m
@@ -166,28 +178,34 @@ class IterationTrace:
         self.columns += [f"success_{i}" for i in range(m)]
         self.columns += [f"link_prob_{i}" for i in range(m)]
         self.columns += [f"slack_{i}" for i in range(m)]
-        self.rows = []
+        self._data = np.empty((self.BLOCK, len(self.columns)))
+        self._len = 0
 
     def append(self, period, eps, objective, lam, nu, beta, rates, success, link, slack):
-        row = [int(period), float(eps), float(objective)]
-        row += [float(v) for v in lam]
-        row += [float(v) for v in nu.reshape(-1)]
-        row += [float(v) for v in beta.reshape(-1)]
-        row += [float(v) for v in rates]
-        row += [float(v) for v in success]
-        row += [float(v) for v in link]
-        row += [float(v) for v in slack]
-        self.rows.append(tuple(row))
+        n = self._len
+        if n == self._data.shape[0]:
+            grown = np.empty((2 * n, self._data.shape[1]))
+            grown[:n] = self._data
+            self._data = grown
+        np.concatenate(
+            ((period, eps, objective), lam, nu.reshape(-1), beta.reshape(-1),
+             rates, success, link, slack),
+            out=self._data[n],
+        )
+        self._len = n + 1
+
+    @property
+    def rows(self):
+        return self._data[: self._len]
 
     def column(self, name):
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.rows[:, self.columns.index(name)].copy()
 
     def __len__(self):
-        return len(self.rows)
+        return self._len
 
     def to_csv(self, path):
-        write_csv(path, self.columns, self.rows)
+        write_csv(path, self.columns, ((int(r[0]), *r[1:]) for r in self.rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -222,20 +240,12 @@ def beta_update(lam, nu, box=DEFAULT_BOX):
     """
     lam = np.asarray(lam, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    m = lam.shape[0]
     lo, hi = box
     if not 0.0 < lo < hi < 1.0:
         raise ValueError(f"box must satisfy 0 < lo < hi < 1, got [{lo:g}, {hi:g}]")
-    beta = np.empty((m, m))
-    for i in range(m):
-        beta[i, i] = hi if nu[i, i] == 0.0 else min(max(lam[i] / nu[i, i], lo), hi)
-        for j in range(m):
-            if j == i:
-                continue
-            if nu[i, j] == 0.0:
-                beta[j, i] = lo
-            else:
-                beta[j, i] = min(max(1.0 - lam[i] / nu[i, j], lo), hi)
+    ratio = np.divide(lam[:, None], nu, out=np.full(nu.shape, np.inf), where=nu != 0.0)
+    beta = (1.0 - ratio.T).clip(lo, hi)
+    beta.flat[:: lam.shape[0] + 1] = ratio.diagonal().clip(lo, hi)  # the diagonal, via .flat
     return beta
 
 
@@ -247,21 +257,12 @@ def primal_policies(state, inst):
     erasures it inflicts, so it transmits exactly on the fades where the
     reward covers the charge.
     """
-    m = inst.m
-    q = inst.collision.q
-    policies = []
-    for i in range(m):
-        interference = 0.0
-        for j in range(m):
-            if j != i:
-                interference += state.nu[j, i] * q[i, j]
-        pr = PricingVector(
-            own_price=float(state.nu[i, i]),
-            interference_price=float(interference),
-            tx_power=float(inst.tx_powers[i]),
-        )
-        policies.append(threshold_from_prices(pr, inst.channels[i]))
-    return tuple(policies)
+    # q has a zero diagonal, so the j = i term adds nothing.
+    interference = np.add.reduce(state.nu * inst.collision.q.T).tolist()
+    prices = zip(state.nu.diagonal().tolist(), interference, inst.tx_powers.tolist())
+    return tuple(
+        threshold_from_prices(PricingVector(*pr), ch) for pr, ch in zip(prices, inst.channels)
+    )
 
 
 def subgradient(state, measured_success, measured_rate, inst):
@@ -275,22 +276,14 @@ def subgradient(state, measured_success, measured_rate, inst):
         s_nu[i, i] = beta_ii - E[alpha_i q] and
         s_nu[i, j] = E[alpha_j] q_ji - beta_ji for j != i.
     """
-    m = inst.m
     beta = state.beta
-    q = inst.collision.q
-    succ = np.asarray(measured_success, dtype=float)
-    rate = np.asarray(measured_rate, dtype=float)
-    s_lam = np.empty(m)
-    s_nu = np.empty((m, m))
-    for i in range(m):
-        acc = math.log(inst.success_targets[i]) - math.log(beta[i, i])
-        s_nu[i, i] = beta[i, i] - succ[i]
-        for j in range(m):
-            if j == i:
-                continue
-            acc -= math.log1p(-beta[j, i])
-            s_nu[i, j] = rate[j] * q[j, i] - beta[j, i]
-        s_lam[i] = acc
+    own = beta.diagonal()
+    diagonal = slice(None, None, own.shape[0] + 1)  # the diagonal, via .flat
+    log_miss = np.log1p(-beta)
+    log_miss.flat[diagonal] = 0.0
+    s_lam = np.log(inst.success_targets) - np.log(own) - np.add.reduce(log_miss)
+    s_nu = (np.asarray(measured_rate, dtype=float)[:, None] * inst.collision.q - beta).T
+    s_nu.flat[diagonal] = own - np.asarray(measured_success, dtype=float)
     return s_lam, s_nu
 
 
@@ -328,8 +321,7 @@ def _initial_state(inst, box):
     m = inst.m
     lam = np.ones(m)
     nu = np.full((m, m), 0.1)
-    for i in range(m):
-        nu[i, i] = inst.tx_powers[i] + 1.0
+    np.fill_diagonal(nu, inst.tx_powers + 1.0)
     return DualState(lam=lam, nu=nu, beta=beta_update(lam, nu, box))
 
 
@@ -363,12 +355,13 @@ def run_algorithm1(
     seeded Monte Carlo: sensor i draws ``mode.samples`` fades per period,
     of which only the transmitting ones are materialized, from the i-th
     of m streams spawned by ``np.random.SeedSequence(mode.seed)``),
-    refreshes the shares, logs everything,
-    and steps the duals along the subgradient. Convergence requires the
-    returned policies' worst constraint slack <= ``stop.slack_tol``
-    together with a settled dual trajectory; the loop aborts if any
-    multiplier passes ``stop.divergence_bound``, which signals an
-    infeasible or marginal set of requirements.
+    refreshes the shares, logs the period as a trace row, and steps the
+    duals along the subgradient. Convergence requires the returned
+    policies' worst constraint slack <= ``stop.slack_tol`` together with
+    duals within ``stop.dual_change_tol`` of the trace row ``stop.window``
+    periods back; the loop aborts if any multiplier passes
+    ``stop.divergence_bound``, which signals an infeasible or marginal set
+    of requirements.
 
     Returns
     -------
@@ -383,7 +376,7 @@ def run_algorithm1(
     if isinstance(mode, MonteCarlo):
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(m)]
     trace = IterationTrace(m)
-    history = []
+    duals = slice(trace.columns.index("lambda_0"), trace.columns.index("beta_0_0"))
     policies = primal_policies(state, inst)
 
     for t in range(stop.max_periods):
@@ -398,23 +391,15 @@ def run_algorithm1(
         objective = float(np.dot(inst.tx_powers, rates))
         trace.append(t, eps, objective, state.lam, state.nu, beta, rates, succ, link, slack)
 
-        history.append((state.lam.copy(), state.nu.copy()))
-        if len(history) > stop.window + 1:
-            history.pop(0)
-        if len(history) > stop.window:
-            lam_old, nu_old = history[0]
-            dual_change = max(
-                float(np.max(np.abs(state.lam - lam_old))),
-                float(np.max(np.abs(state.nu - nu_old))),
+        if (
+            t >= stop.window
+            and float(np.max(slack)) <= stop.slack_tol
+            and np.max(np.abs(trace.rows[t, duals] - trace.rows[t - stop.window, duals]))
+            <= stop.dual_change_tol
+        ):
+            return OptimizationResult(
+                policies=policies, state=state, trace=trace, converged=True, periods=t + 1
             )
-            if dual_change <= stop.dual_change_tol and float(np.max(slack)) <= stop.slack_tol:
-                return OptimizationResult(
-                    policies=policies,
-                    state=state,
-                    trace=trace,
-                    converged=True,
-                    periods=t + 1,
-                )
 
         s_lam, s_nu = subgradient(state, succ, rates, inst)
         state = dual_step(state, s_lam, s_nu, eps)

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from raccess import (
@@ -134,3 +136,50 @@ def random_shared_channel_setup(rng, m):
     q = rng.uniform(0.0, 0.8, size=(m, m))
     np.fill_diagonal(q, 0.0)
     return channels, policies, CollisionMatrix(q=q)
+
+
+def loop_beta_update(lam, nu, box):
+    """Loop oracle for ``raccess.optimizer.beta_update``."""
+    m = lam.shape[0]
+    lo, hi = box
+    beta = np.empty((m, m))
+    for i in range(m):
+        beta[i, i] = hi if nu[i, i] == 0.0 else min(max(lam[i] / nu[i, i], lo), hi)
+        for j in range(m):
+            if j == i:
+                continue
+            if nu[i, j] == 0.0:
+                beta[j, i] = lo
+            else:
+                beta[j, i] = min(max(1.0 - lam[i] / nu[i, j], lo), hi)
+    return beta
+
+
+def loop_subgradient(beta, succ, rate, targets, q):
+    """Loop oracle for ``raccess.optimizer.subgradient``: (s_lambda, s_nu)."""
+    m = beta.shape[0]
+    s_lam = np.empty(m)
+    s_nu = np.empty((m, m))
+    for i in range(m):
+        acc = math.log(targets[i]) - math.log(beta[i, i])
+        s_nu[i, i] = beta[i, i] - succ[i]
+        for j in range(m):
+            if j == i:
+                continue
+            acc -= math.log1p(-beta[j, i])
+            s_nu[i, j] = rate[j] * q[j, i] - beta[j, i]
+        s_lam[i] = acc
+    return s_lam, s_nu
+
+
+def loop_interference_prices(nu, q):
+    """Loop oracle for each sensor's interference price in ``primal_policies``."""
+    m = q.shape[0]
+    out = np.empty(m)
+    for i in range(m):
+        price = 0.0
+        for j in range(m):
+            if j != i:
+                price += nu[j, i] * q[i, j]
+        out[i] = price
+    return out

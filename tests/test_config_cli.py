@@ -185,6 +185,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="beta"):
             parse_config(write_config(tmp_path, raw))
 
+    @pytest.mark.parametrize("section", ["optimizer", "simulation"])
+    def test_negative_seed_names_its_path(self, tmp_path, section):
+        raw = base_config()
+        raw[section]["seed"] = -3
+        with pytest.raises(ConfigError, match=rf"{section}\.seed: must be >= 0"):
+            parse_config(write_config(tmp_path, raw))
+
+    @pytest.mark.parametrize("field", ["max_periods", "window"])
+    def test_negative_stop_count_exits_2_naming_its_path(self, tmp_path, capsys, field):
+        raw = base_config()
+        raw["optimizer"][field] = -1
+        code = main(["optimize", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"optimizer.{field}: must be >= 0" in capsys.readouterr().err
+
 
 class TestCliRates:
     def test_writes_the_requirements(self, tmp_path, capsys):
@@ -270,6 +285,14 @@ class TestCliOptimize:
         assert t1 == (out2 / "trace.csv").read_text()
         assert t1 != (out3 / "trace.csv").read_text()
 
+    @pytest.mark.parametrize(
+        "argv", [["optimize", "--mode", "mc"], ["pipeline"]], ids=["design", "simulation"]
+    )
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
+        code = main(argv + [REFERENCE_CONFIG, "--seed", "-3", "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+
 
 class TestCliSimulate:
     def _policies_file(self, tmp_path, thresholds):
@@ -295,7 +318,7 @@ class TestCliSimulate:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[0] == "system,empirical_cost,empirical_tx_rate,empirical_success_rate,cost_bound"
         assert len(lines) == 3
-        assert "backend" in capsys.readouterr().out
+        assert "simulated 20000 slots" in capsys.readouterr().out
 
     def test_unstable_policy_exits_5(self, tmp_path, capsys):
         raw = base_config()

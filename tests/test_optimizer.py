@@ -5,7 +5,14 @@ import pytest
 from scipy.optimize import brentq
 
 import raccess.channel
-from helpers import reference_channel, reference_instance, scalar_system
+from helpers import (
+    loop_beta_update,
+    loop_interference_prices,
+    loop_subgradient,
+    reference_channel,
+    reference_instance,
+    scalar_system,
+)
 from raccess import (
     CollisionMatrix,
     DivergenceError,
@@ -30,6 +37,7 @@ from raccess.optimizer import (
     stepsize,
     subgradient,
 )
+from raccess.policy import PricingVector, threshold_from_prices
 
 
 class TestStepSchedule:
@@ -48,6 +56,13 @@ class TestStepSchedule:
             StepSchedule(a=0.0, b=10.0)
         with pytest.raises(ValueError):
             StepSchedule(a=1.0, b=0.0)
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("field", ["max_periods", "window"])
+    def test_rejects_negative_counts(self, field):
+        with pytest.raises(ValueError, match=f"{field}: must be >= 0"):
+            StopRule(**{field: -1})
 
 
 class TestBetaUpdate:
@@ -143,6 +158,67 @@ class TestSubgradient:
                 np.sum(s_nu * (nu1 - nu0))
             )
             assert g1 <= g0 + linear + 1e-9
+
+
+class TestAgreesWithTheLoopForms:
+    """The array forms against the per-entry loops kept in tests/helpers.py.
+
+    beta, s_nu and the prices do the same arithmetic in the same order and
+    must match bit for bit; s_lambda sums its logs in another order and
+    with NumPy's log, so it may differ in the last digits.
+    """
+
+    @staticmethod
+    def case(m):
+        rng = np.random.default_rng(m)
+        lam = rng.uniform(0.0, 3.0, size=m)
+        nu = rng.uniform(0.0, 3.0, size=(m, m))
+        # lam_i = 0 (with nu_ii = 0 too), nu_ii = 0 and nu_ij = 0.
+        lam[0] = 0.0
+        nu[0, 0] = nu[1, 1] = nu[1, 2] = nu[2, 0] = 0.0
+        inst = ProblemInstance(
+            systems=(scalar_system(1.1, 0.5),) * m,
+            channels=(reference_channel(),) * m,
+            collision=CollisionMatrix(q=rng.uniform(0.0, 0.5, size=(m, m))),
+            tx_powers=rng.uniform(0.5, 2.0, size=m),
+            success_targets=rng.uniform(0.1, 0.9, size=m),
+        )
+        rate = rng.uniform(0.0, 1.0, size=m)
+        return inst, lam, nu, rate, rate * rng.uniform(0.0, 1.0, size=m)
+
+    @pytest.mark.parametrize("m", [3, 5, 32])
+    @pytest.mark.parametrize("box", [DEFAULT_BOX, (0.1, 0.6)], ids=["default", "custom"])
+    def test_beta_update(self, m, box):
+        _, lam, nu, _, _ = self.case(m)
+        want = loop_beta_update(lam, nu, box)
+        np.testing.assert_array_equal(beta_update(lam, nu, box), want)
+        assert want[0, 0] == box[1] and want[1, 1] == box[1]  # nu_ii = 0
+        assert want[2, 1] == box[0]  # nu_12 = 0
+        assert want[1, 0] == box[1]  # lam_0 = 0 with nu_01 > 0
+
+    @pytest.mark.parametrize("m", [3, 5, 32])
+    @pytest.mark.parametrize("box", [DEFAULT_BOX, (0.1, 0.6)], ids=["default", "custom"])
+    def test_subgradient(self, m, box):
+        inst, lam, nu, rate, succ = self.case(m)
+        beta = beta_update(lam, nu, box)
+        s_lam, s_nu = subgradient(DualState(lam=lam, nu=nu, beta=beta), succ, rate, inst)
+        want_lam, want_nu = loop_subgradient(
+            beta, succ, rate, inst.success_targets, inst.collision.q
+        )
+        np.testing.assert_array_equal(s_nu, want_nu)
+        np.testing.assert_allclose(s_lam, want_lam, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("m", [3, 5, 32])
+    def test_prices(self, m):
+        inst, lam, nu, _, _ = self.case(m)
+        prices = loop_interference_prices(nu, inst.collision.q)
+        want = [
+            threshold_from_prices(PricingVector(nu[i, i], prices[i], inst.tx_powers[i]), ch)
+            for i, ch in enumerate(inst.channels)
+        ]
+        state = DualState(lam=lam, nu=nu, beta=beta_update(lam, nu))
+        assert primal_policies(state, inst) == tuple(want)
+        assert want[0].threshold == want[1].threshold == math.inf  # nu_ii = 0
 
 
 class TestDualStep:
@@ -300,6 +376,33 @@ class TestIterationTrace:
         assert header.split(",") == trace.columns
         assert len(row.split(",")) == len(trace.columns)
 
+    def test_grows_past_one_block(self, tmp_path):
+        m, periods = 2, 2 * IterationTrace.BLOCK + 3
+        trace = IterationTrace(m)
+        for t in range(periods):
+            v = t + 0.5
+            trace.append(
+                t, 1.0 / (t + 1), v, np.full(m, v), np.full((m, m), v), np.full((m, m), 0.5),
+                np.full(m, 0.6), np.full(m, 0.4), np.full(m, 0.3), np.full(m, -v),
+            )
+        assert len(trace) == periods
+        assert trace.rows.shape == (periods, len(trace.columns))
+        np.testing.assert_array_equal(trace.column("nu_1_0"), np.arange(periods) + 0.5)
+        np.testing.assert_array_equal(trace.column("slack_1"), -(np.arange(periods) + 0.5))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        lines = path.read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [str(t) for t in range(periods)]
+        assert lines[-1].split(",")[3] == repr(periods - 0.5)
+
+    def test_column_is_a_copy(self):
+        trace = IterationTrace(1)
+        one = np.ones(1)
+        trace.append(0, 0.1, 1.0, one, one.reshape(1, 1), one.reshape(1, 1), one, one, one, one)
+        col = trace.column("lambda_0")
+        col[0] = -7.0
+        assert trace.column("lambda_0")[0] == 1.0
+
 
 def one_loop_instance(target=0.3):
     return ProblemInstance(
@@ -372,8 +475,8 @@ class TestRunAlgorithm1:
         r1 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=3), stop=stop)
         r2 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=3), stop=stop)
         r3 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=4), stop=stop)
-        assert r1.trace.rows == r2.trace.rows
-        assert r1.trace.rows != r3.trace.rows
+        np.testing.assert_array_equal(r1.trace.rows, r2.trace.rows)
+        assert not np.array_equal(r1.trace.rows, r3.trace.rows)
 
     @staticmethod
     def mc_instance(m):
