@@ -21,7 +21,6 @@ from .channel import (
     draw_transmit_sample,
     expected_policy_rate,
     expected_policy_success,
-    invert_success_curve,
     link_success_probability,
     sample_channel,
 )
@@ -47,9 +46,7 @@ from .optimizer import (
 )
 from .policy import (
     AccessPolicy,
-    PricingVector,
     constant_policy,
-    threshold_from_prices,
     threshold_policy,
 )
 from .simulate import (

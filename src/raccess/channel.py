@@ -35,7 +35,6 @@ __all__ = [
     "TransmitSample",
     "sample_channel",
     "draw_transmit_sample",
-    "invert_success_curve",
     "expected_policy_rate",
     "expected_policy_success",
     "link_success_probability",
@@ -161,16 +160,8 @@ class SaturatingExpCurve:
         return -np.expm1(-self.kappa * self.gain * h)
 
     def inverse(self, t):
-        """Fade level at which the curve reaches t in (q(0), sup)."""
+        """Fade level at which the curve reaches t in (0, 1)."""
         return -math.log1p(-t) / (self.kappa * self.gain)
-
-    @property
-    def at_zero(self):
-        return 0.0
-
-    @property
-    def sup(self):
-        return 1.0
 
     def to_dict(self):
         return {"family": "exp_saturating", "kappa": self.kappa, "gain": self.gain}
@@ -196,15 +187,8 @@ class LogisticLogCurve:
         return r / (1.0 + r)
 
     def inverse(self, t):
+        """Fade level at which the curve reaches t in (0, 1)."""
         return self.midpoint * (t / (1.0 - t)) ** (1.0 / self.steepness)
-
-    @property
-    def at_zero(self):
-        return 0.0
-
-    @property
-    def sup(self):
-        return 1.0
 
     def to_dict(self):
         return {
@@ -308,6 +292,8 @@ class MonteCarlo:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -345,23 +331,6 @@ def draw_transmit_sample(policy, ch, samples, rng):
     fades = sample_channel(ch, rng, size=k, lower=tau)
     fades.setflags(write=False)
     return TransmitSample(samples, tau, fades)
-
-
-def invert_success_curve(ch, target):
-    """Fade level at which the success curve reaches ``target``.
-
-    Returns 0.0 when the target is already met at zero fade and +inf when
-    it exceeds what the curve can ever deliver.
-    """
-    t = float(target)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"target must lie in [0, 1], got {t:g}")
-    curve = ch.curve
-    if t >= curve.sup:
-        return math.inf
-    if t <= curve.at_zero:
-        return 0.0
-    return float(curve.inverse(t))
 
 
 def _drawn_fades(policy, mode):
@@ -468,11 +437,13 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
         return float(np.sum(ch.curve.value(fades))) / mode.size
     if policy.kind == "threshold" and math.isinf(policy.threshold):
         return 0.0
-    lo, hi = _integration_window(policy, ch)
     if isinstance(ch.curve, SaturatingExpCurve):
+        # survival and laplace_tail clamp lo to the fade support themselves.
+        lo = policy.threshold if policy.kind == "threshold" else 0.0
         k = ch.curve.kappa * ch.curve.gain
         val = float(ch.dist.survival(lo)) - ch.dist.laplace_tail(lo, k)
     else:
+        lo, hi = _integration_window(policy, ch)
         pdf = ch.dist.pdf
         q = _scalar_curve(ch.curve)
         val = _adaptive_simpson(lambda h: pdf(h) * q(h), lo, hi, _SIMPSON_TOL)
@@ -484,10 +455,9 @@ def expected_policy_success(policy, ch, mode=Quadrature()):
 def delivery_product(own, rates, q):
     """own_i * prod_{j != i} (1 - rates_j q[j, i]) for every column i of q.
 
-    ``rates`` is an ndarray of the m sensors' transmit rates and ``q``
-    holds one row per sensor and one column per link evaluated (all m of
-    them, or a selection such as ``q[:, [i]]``); ``own`` is those links'
-    collision-free delivery rates (or a scalar). The factor of a link's
+    ``rates`` is an ndarray of the m sensors' transmit rates, ``q`` holds
+    one row per sensor and one column per link evaluated, and ``own`` is
+    those links' collision-free delivery rates. The factor of a link's
     own sensor is exactly 1.0 because the collision diagonal is 0, and
     the factors multiply in the order j = 0, 1, ..., as a loop over the
     interferers would.
@@ -497,24 +467,24 @@ def delivery_product(own, rates, q):
     return np.multiply.reduce(f)  # over axis 0, row after row
 
 
-def link_success_probability(policies, channels, qmat, i):
-    """P(gamma_i = 1) under independent fades and pairwise collisions.
+def link_success_probability(policies, channels, qmat):
+    """P(gamma_i = 1) of every link i under independent fades and pairwise collisions.
 
-    Combines sensor i's own delivery rate with the probability that no
+    Combines each sensor's own delivery rate with the probability that no
     transmitting interferer erases it, all expectations under Quadrature:
 
         E[alpha_i q] * prod_{j != i} (1 - E[alpha_j] q[j, i]).
+
+    Returns
+    -------
+    ndarray of length m
     """
     m = len(policies)
     if len(channels) != m:
         raise ValueError(f"{len(channels)} channels for {m} policies")
     if qmat.m != m:
         raise ValueError(f"collision matrix is {qmat.m}x{qmat.m} for {m} policies")
-    if not 0 <= i < m:
-        raise ValueError(f"link index {i} out of range for m={m}")
-    own = expected_policy_success(policies[i], channels[i])
-    rates = np.zeros(m)
-    for j in range(m):
-        if j != i:
-            rates[j] = expected_policy_rate(policies[j], channels[j])
-    return float(delivery_product(own, rates, qmat.q[:, [i]])[0])
+    pairs = tuple(zip(policies, channels))
+    own = np.array([expected_policy_success(pol, ch) for pol, ch in pairs])
+    rates = np.array([expected_policy_rate(pol, ch) for pol, ch in pairs])
+    return delivery_product(own, rates, qmat.q)

@@ -147,10 +147,7 @@ def _design(cfg, args, out):
         stop=cfg.optimizer.stop,
         box=cfg.optimizer.box,
     )
-    link = [
-        link_success_probability(result.policies, cfg.channels, cfg.collision, i)
-        for i in range(inst.m)
-    ]
+    link = link_success_probability(result.policies, cfg.channels, cfg.collision)
     _write_rates(out, inst.success_targets)
     result.trace.to_csv(os.path.join(out, "trace.csv"))
     write_json(os.path.join(out, "policies.json"), _policies_doc(result, inst, link))

@@ -30,7 +30,7 @@ from .channel import (
     expected_policy_rate,
     expected_policy_success,
 )
-from .policy import PricingVector, threshold_from_prices
+from .policy import threshold_policy
 from .serialize import write_csv
 
 __all__ = [
@@ -253,16 +253,23 @@ def primal_policies(state, inst):
     """Per-sensor threshold policies minimizing the priced Lagrangian.
 
     Sensor i is rewarded nu[i, i] per unit of own delivery and charged
-    its transmit power plus sum_{j != i} nu[j, i] q[i, j] for the expected
-    erasures it inflicts, so it transmits exactly on the fades where the
-    reward covers the charge.
+    its transmit power p_i plus sum_{j != i} nu[j, i] q[i, j] for the
+    expected erasures it inflicts, so it transmits exactly on the fades
+    where nu[i, i] q(h) covers the charge: from q^{-1}(charge / nu[i, i])
+    up. Every success curve rises from q(0) = 0 toward sup q = 1 and the
+    charge is positive, so a ratio below 1 has an interior threshold, and
+    a ratio of 1 or more, or a zero reward, prices the sensor out
+    (threshold +inf).
     """
     # q has a zero diagonal, so the j = i term adds nothing.
-    interference = np.add.reduce(state.nu * inst.collision.q.T).tolist()
-    prices = zip(state.nu.diagonal().tolist(), interference, inst.tx_powers.tolist())
-    return tuple(
-        threshold_from_prices(PricingVector(*pr), ch) for pr, ch in zip(prices, inst.channels)
-    )
+    charge = inst.tx_powers + np.add.reduce(state.nu * inst.collision.q.T)
+    policies = []
+    for c, own, ch in zip(charge.tolist(), state.nu.diagonal().tolist(), inst.channels):
+        ratio = c / own if own > 0.0 else math.inf
+        # Test the ratio itself: LogisticLogCurve.inverse(1.0) divides by zero.
+        thr = ch.curve.inverse(ratio) if ratio < 1.0 else math.inf
+        policies.append(threshold_policy(thr))
+    return tuple(policies)
 
 
 def subgradient(state, measured_success, measured_rate, inst):

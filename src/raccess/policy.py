@@ -1,17 +1,10 @@
-"""Random-access policies and their pricing structure.
+"""Random-access policies.
 
 A policy maps the local fade h to a transmit probability alpha(h). Two
 kinds are supported: fade-threshold policies (transmit exactly when
-h >= threshold), which are the minimizers of the per-sensor priced
-objective, and constant-probability policies used as baselines.
-
-Given a transmit power price p, a reward nu_own per unit of own delivery
-and interference charges nu_ji per unit of damage to other links, the
-priced objective is minimized pointwise by transmitting whenever
-
-    nu_own * q(h) >= p + sum_{j != i} nu_ji * q_ij,
-
-i.e. above the fade level where the curve crosses the price ratio.
+h >= threshold), which the design loop sets from its duals
+(``optimizer.primal_policies``), and constant-probability policies used
+as baselines.
 """
 
 from __future__ import annotations
@@ -19,15 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import invert_success_curve
-
-__all__ = [
-    "AccessPolicy",
-    "threshold_policy",
-    "constant_policy",
-    "PricingVector",
-    "threshold_from_prices",
-]
+__all__ = ["AccessPolicy", "threshold_policy", "constant_policy"]
 
 
 @dataclass(frozen=True)
@@ -73,54 +58,3 @@ def threshold_policy(threshold):
 def constant_policy(rate):
     """Transmit with fixed probability ``rate`` regardless of the fade."""
     return AccessPolicy(kind="constant", rate=float(rate))
-
-
-@dataclass(frozen=True)
-class PricingVector:
-    """Prices shaping one sensor's transmit region.
-
-    ``own_price`` rewards the sensor's delivered packets, ``interference_price``
-    aggregates the charges for erasures it inflicts on the other links, and
-    ``tx_power`` is the per-transmission energy cost.
-    """
-
-    own_price: float
-    interference_price: float
-    tx_power: float
-
-    def __post_init__(self):
-        if self.own_price < 0.0:
-            raise ValueError(f"own_price must be >= 0, got {self.own_price:g}")
-        if self.interference_price < 0.0:
-            raise ValueError(
-                f"interference_price must be >= 0, got {self.interference_price:g}"
-            )
-        if not self.tx_power > 0.0:
-            raise ValueError(f"tx_power must be positive, got {self.tx_power:g}")
-
-
-def threshold_from_prices(pr, ch):
-    """Optimal fade threshold for the priced per-sensor objective.
-
-    Transmitting at fade h trades reward ``own_price * q(h)`` against cost
-    ``tx_power + interference_price``, so the transmit region is where the
-    curve exceeds their ratio. A zero own-price (or a ratio at or above
-    the curve's supremum) prices the sensor out entirely; a ratio at or
-    below q(0) makes transmitting always worthwhile.
-
-    Returns
-    -------
-    AccessPolicy
-        Threshold policy, with threshold +inf for never-transmit and 0.0
-        for always-transmit.
-    """
-    cost = pr.tx_power + pr.interference_price
-    if pr.own_price == 0.0 or not math.isfinite(cost):
-        return threshold_policy(math.inf)
-    ratio = cost / pr.own_price
-    if ratio >= ch.curve.sup:
-        return threshold_policy(math.inf)
-    if ratio <= ch.curve.at_zero:
-        return threshold_policy(0.0)
-    return threshold_policy(invert_success_curve(ch, ratio))
-

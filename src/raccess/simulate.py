@@ -83,6 +83,8 @@ class SimConfig:
             )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         burn = self.horizon // 10 if self.burn_in is None else int(self.burn_in)
         if not 0 <= burn < self.horizon:
             raise ValueError(
@@ -258,10 +260,10 @@ def empirical_gamma_rate_check(cfg, n_slots, seed=None):
     _, gamma = _draw_gamma(
         cfg.policies, inst.channels, inst.collision, rng, n_slots
     )
+    analytic = link_success_probability(cfg.policies, inst.channels, inst.collision)
     records = []
-    for i in range(inst.m):
+    for i, ana in enumerate(analytic.tolist()):
         emp = float(np.mean(gamma[i]))
-        ana = link_success_probability(cfg.policies, inst.channels, inst.collision, i)
         se = math.sqrt(max(ana * (1.0 - ana), 0.0) / n_slots)
         if se == 0.0:
             z = 0.0 if emp == ana else math.inf
@@ -299,8 +301,8 @@ def lyapunov_drift_check(cfg, x_probe, n_replications, seed=None):
     inst = cfg.instance
     if len(x_probe) != inst.m:
         raise ValueError(f"{len(x_probe)} probe states for {inst.m} loops")
-    for i in range(inst.m):
-        prob = link_success_probability(cfg.policies, inst.channels, inst.collision, i)
+    link = link_success_probability(cfg.policies, inst.channels, inst.collision)
+    for i, prob in enumerate(link.tolist()):
         if prob < inst.success_targets[i] - 1e-9:
             raise ValueError(
                 f"policies deliver {prob:.6f} on link {i}, below its "

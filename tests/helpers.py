@@ -36,6 +36,13 @@ def reference_channel():
     )
 
 
+def logistic_channel():
+    return FadingChannel(
+        dist=ExponentialFading(mean=1.0),
+        curve=LogisticLogCurve(midpoint=0.8, steepness=2.5),
+    )
+
+
 def reference_instance():
     """Two scalar loops on one collision channel; the worked example."""
     systems = (scalar_system(1.1, 0.5), scalar_system(1.0, 0.4))
@@ -170,6 +177,22 @@ def loop_subgradient(beta, succ, rate, targets, q):
             s_nu[i, j] = rate[j] * q[j, i] - beta[j, i]
         s_lam[i] = acc
     return s_lam, s_nu
+
+
+def loop_threshold_from_prices(own_price, interference_price, tx_power, ch):
+    """Branching oracle for one sensor's policy in ``primal_policies``.
+
+    Every success curve rises from q(0) = 0 toward sup q = 1.
+    """
+    cost = tx_power + interference_price
+    if own_price == 0.0 or not math.isfinite(cost):
+        return threshold_policy(math.inf)
+    ratio = cost / own_price
+    if ratio >= 1.0:
+        return threshold_policy(math.inf)
+    if ratio <= 0.0:
+        return threshold_policy(0.0)
+    return threshold_policy(ch.curve.inverse(ratio))
 
 
 def loop_interference_prices(nu, q):

@@ -18,7 +18,6 @@ from raccess import (
     draw_transmit_sample,
     expected_policy_rate,
     expected_policy_success,
-    invert_success_curve,
     link_success_probability,
     sample_channel,
     threshold_policy,
@@ -184,6 +183,10 @@ class TestMonteCarloExpectations:
         with pytest.raises(ValueError, match="samples"):
             MonteCarlo(samples=samples, seed=0)
 
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match=r"seed: must be >= 0, got -3"):
+            MonteCarlo(samples=100, seed=-3)
+
     def test_rate_and_success_share_one_draw(self, monkeypatch):
         draws = []
         real = raccess.channel.sample_channel
@@ -301,7 +304,7 @@ class TestDeliveryProduct:
 class TestSuccessCurves:
     def test_saturating_inverse_reference_value(self):
         ch = reference_channel()
-        assert invert_success_curve(ch, 0.55) == pytest.approx(
+        assert ch.curve.inverse(0.55) == pytest.approx(
             0.5323384641451812, abs=1e-15
         )
 
@@ -315,15 +318,6 @@ class TestSuccessCurves:
         assert curve.value(0.8) == pytest.approx(0.5, rel=1e-12)
         for t in (0.1, 0.5, 0.9):
             assert curve.value(curve.inverse(t)) == pytest.approx(t, rel=1e-12)
-
-    def test_invert_edges(self):
-        ch = reference_channel()
-        assert invert_success_curve(ch, 0.0) == 0.0
-        assert invert_success_curve(ch, 1.0) == math.inf
-        with pytest.raises(ValueError):
-            invert_success_curve(ch, -0.1)
-        with pytest.raises(ValueError):
-            invert_success_curve(ch, 1.2)
 
     def test_logistic_value_is_the_guarded_power_bit_for_bit(self):
         def guarded(curve, h):
@@ -397,26 +391,27 @@ class TestLinkSuccessProbability:
         own = expected_policy_success(pols[0], chs[0], Quadrature())
         other_rate = expected_policy_rate(pols[1], chs[1], Quadrature())
         want = own * (1.0 - other_rate * 0.4)
-        got = link_success_probability(pols, chs, q, 0)
-        assert got == pytest.approx(want, rel=1e-12)
+        got = link_success_probability(pols, chs, q)
+        assert got.shape == (2,)
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_three_link_product_form(self):
         rng = np.random.default_rng(21)
         chs, pols, q = random_shared_channel_setup(rng, 3)
+        got = link_success_probability(pols, chs, q)
         for i in range(3):
             want = expected_policy_success(pols[i], chs[i], Quadrature())
             for j in range(3):
                 if j != i:
                     want *= 1.0 - expected_policy_rate(pols[j], chs[j], Quadrature()) * q.q[j, i]
-            got = link_success_probability(pols, chs, q, i)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert got[i] == pytest.approx(want, rel=1e-12)
 
     def test_no_interference_reduces_to_own_delivery(self):
         ch = reference_channel()
         pol = threshold_policy(0.5)
-        got = link_success_probability((pol,), (ch,), CollisionMatrix.none(1), 0)
+        got = link_success_probability((pol,), (ch,), CollisionMatrix.none(1))
         want = expected_policy_success(pol, ch, Quadrature())
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
 
 class TestCollisionMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from helpers import (
     loop_beta_update,
     loop_interference_prices,
     loop_subgradient,
+    logistic_channel,
+    loop_threshold_from_prices,
     reference_channel,
     reference_instance,
     scalar_system,
@@ -37,7 +40,6 @@ from raccess.optimizer import (
     stepsize,
     subgradient,
 )
-from raccess.policy import PricingVector, threshold_from_prices
 
 
 class TestStepSchedule:
@@ -165,7 +167,9 @@ class TestAgreesWithTheLoopForms:
 
     beta, s_nu and the prices do the same arithmetic in the same order and
     must match bit for bit; s_lambda sums its logs in another order and
-    with NumPy's log, so it may differ in the last digits.
+    with NumPy's log, so it may differ in the last digits. Even sensors
+    use a logistic_log curve and odd ones the reference channel, so from
+    m = 5 on both curves get interior thresholds.
     """
 
     @staticmethod
@@ -178,7 +182,9 @@ class TestAgreesWithTheLoopForms:
         nu[0, 0] = nu[1, 1] = nu[1, 2] = nu[2, 0] = 0.0
         inst = ProblemInstance(
             systems=(scalar_system(1.1, 0.5),) * m,
-            channels=(reference_channel(),) * m,
+            channels=tuple(
+                reference_channel() if i % 2 else logistic_channel() for i in range(m)
+            ),
             collision=CollisionMatrix(q=rng.uniform(0.0, 0.5, size=(m, m))),
             tx_powers=rng.uniform(0.5, 2.0, size=m),
             success_targets=rng.uniform(0.1, 0.9, size=m),
@@ -211,14 +217,23 @@ class TestAgreesWithTheLoopForms:
     @pytest.mark.parametrize("m", [3, 5, 32])
     def test_prices(self, m):
         inst, lam, nu, _, _ = self.case(m)
+        # The rewards nu_ii do not enter the prices. Set them so that sensor
+        # 2's charge is twice its reward and sensors 3, ..., m - 1 have
+        # ratios across (0, 1); the drawn rewards put every ratio above 1.
         prices = loop_interference_prices(nu, inst.collision.q)
+        charge = inst.tx_powers + prices
+        nu[2, 2] = 0.5 * charge[2]
+        for i, ratio in enumerate(np.linspace(0.05, 0.95, m - 3).tolist(), start=3):
+            nu[i, i] = charge[i] / ratio
         want = [
-            threshold_from_prices(PricingVector(nu[i, i], prices[i], inst.tx_powers[i]), ch)
+            loop_threshold_from_prices(nu[i, i], prices[i], inst.tx_powers[i], ch)
             for i, ch in enumerate(inst.channels)
         ]
         state = DualState(lam=lam, nu=nu, beta=beta_update(lam, nu))
         assert primal_policies(state, inst) == tuple(want)
         assert want[0].threshold == want[1].threshold == math.inf  # nu_ii = 0
+        assert want[2].threshold == math.inf
+        assert all(0.0 < pol.threshold < math.inf for pol in want[3:])
 
 
 class TestDualStep:
@@ -279,6 +294,43 @@ class TestLagrangianValue:
 
 
 class TestPrimalPolicies:
+    """Crafted duals on the worked example: tx powers 1, q = 0.5 off the diagonal."""
+
+    @staticmethod
+    def priced(nu, channel=None):
+        inst = reference_instance()
+        if channel is not None:
+            inst = dataclasses.replace(inst, channels=(channel, channel))
+        nu = np.array(nu)
+        state = DualState(lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu))
+        return primal_policies(state, inst)
+
+    def test_priced_out_when_reward_is_zero(self):
+        pols = self.priced([[0.0, 0.0], [0.4, 5.0]])
+        assert pols[0].threshold == math.inf
+        assert pols[1].threshold < math.inf
+
+    @pytest.mark.parametrize("curve", ["exp_saturating", "logistic_log"])
+    def test_priced_out_when_the_charge_reaches_the_reward(self, curve):
+        # Sensor 0's charge 1 + 0.5 * 0.5 equals its reward; sensor 1's
+        # charge 1 exceeds its reward 0.8. logistic_log's inverse(1)
+        # would divide by zero.
+        channel = logistic_channel() if curve == "logistic_log" else None
+        pols = self.priced([[1.25, 0.0], [0.5, 0.8]], channel)
+        assert pols[0].threshold == pols[1].threshold == math.inf
+
+    def test_interior_threshold_inverts_the_curve(self):
+        # Sensor 0's charge 1 + 0.2 * 0.5 against its reward 2: ratio 0.55.
+        pol = self.priced([[2.0, 0.0], [0.2, 5.0]])[0]
+        assert pol.kind == "threshold"
+        assert pol.threshold == pytest.approx(0.5323384641451812, abs=1e-15)
+        assert pol.threshold == reference_channel().curve.inverse(0.55)
+
+    def test_threshold_rises_with_interference_price(self):
+        # Sensor 0 pays nu[1, 0] * 0.5 = 0, 0.5 and 1 for loop 1's erasures.
+        thr = [self.priced([[4.0, 0.0], [nu10, 5.0]])[0].threshold for nu10 in (0.0, 1.0, 2.0)]
+        assert thr[0] < thr[1] < thr[2]
+
     def test_prices_follow_the_duals(self):
         inst = reference_instance()
         nu = np.array([[4.0, 0.5], [2.0, 5.0]])

@@ -75,6 +75,15 @@ class TestSimConfigValidation:
                 burn_in=100,
             )
 
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=r"seed: must be >= 0, got -1"):
+            SimConfig(
+                instance=one_loop_instance(),
+                policies=(threshold_policy(0.5),),
+                horizon=100,
+                seed=-1,
+            )
+
     def test_thin_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             SimConfig(
@@ -250,8 +259,8 @@ class TestEmpiricalGammaRateCheck:
             assert abs(rec.z_score) <= 4.0
             assert rec.analytic == pytest.approx(
                 link_success_probability(
-                    reference_policies(), inst.channels, inst.collision, rec.link
-                ),
+                    reference_policies(), inst.channels, inst.collision
+                )[rec.link],
                 rel=1e-12,
             )
 
