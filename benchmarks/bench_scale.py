@@ -1,4 +1,4 @@
-"""How the dual loop's cost grows with the number of loops m.
+"""How the dual loop's and the simulation's costs grow with the number of loops m.
 
 For m in {2, 8, 32, 128} scalar loops, alternating (a_open, a_closed) =
 (1.1, 0.5) and (1.0, 0.4), on exponential fades (mean 1, saturating
@@ -10,11 +10,21 @@ records:
   (10k fades per sensor and period, seed 0);
 - the trace's bytes per period: the memory freed by dropping the trace
   of a 100-period quadrature run, as counted by ``tracemalloc``;
-- the peak RSS of the process that ran that m.
+- the peak RSS of the process after the dual-loop runs;
+- a 20k-slot ``run_simulation`` of fade-threshold policies at 0.1 with
+  ``thin = 10``, split into the outcome draw (``_draw_gamma``), the
+  state recursion (``_kernels.state_recursion``) and the rest: the
+  Gaussian noise draw, the reduction to metrics and the trajectory
+  record. Then the time to write that record as ``trajectory.csv``, and
+  the peak RSS after the simulation.
+
+Every timing is repeated 5 times and stored as its median and quartiles,
+``{"median", "q1", "q3"}``. Runs recorded before ``per-cell-writer`` hold
+one timing per field instead.
 
 A last entry runs the default stop rule (at most 5,000 periods) in
 quadrature on 64 identical (1.0, 0.4) loops, which does not converge,
-and records its wall time and peak RSS.
+and records its wall time and peak RSS, once.
 
 Each entry runs in a process of its own, so its peak RSS is its own.
 From the root of a checkout:
@@ -26,6 +36,7 @@ so one file keeps the runs of successive changes side by side.
 """
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -33,11 +44,14 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
+import raccess._kernels
+import raccess.simulate
 from raccess import (
     CollisionMatrix,
     ExponentialFading,
@@ -46,16 +60,23 @@ from raccess import (
     ProblemInstance,
     Quadrature,
     SaturatingExpCurve,
+    SimConfig,
     StopRule,
     SwitchedSystem,
     compute_success_requirement,
     run_algorithm1,
+    run_simulation,
+    threshold_policy,
 )
+from raccess.serialize import write_csv
 
 SIZES = (2, 8, 32, 128)
 PERIODS = 100
 LONG_M = 64
 SAMPLES = 10_000
+REPEATS = 5
+SLOTS = 20_000
+THIN = 10
 
 
 def instance(m, loops):
@@ -89,13 +110,60 @@ def timed_run(inst, mode, stop):
     return result, time.perf_counter() - start
 
 
+def spread(samples):
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+@contextlib.contextmanager
+def stopwatch(module, name):
+    """Swap in a timed ``module.name``; yields a one-item list of its seconds."""
+    inner = getattr(module, name)
+    seconds = [0.0]
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            seconds[0] += time.perf_counter() - start
+
+    setattr(module, name, timed)
+    try:
+        yield seconds
+    finally:
+        setattr(module, name, inner)
+
+
+def simulation_split(inst):
+    """One timed 20k-slot run: draw, kernel, rest and total seconds, and the record."""
+    cfg = SimConfig(
+        instance=inst,
+        policies=(threshold_policy(0.1),) * inst.m,
+        horizon=SLOTS,
+        seed=0,
+        thin=THIN,
+    )
+    with stopwatch(raccess.simulate, "_draw_gamma") as draw, stopwatch(
+        raccess._kernels, "state_recursion"
+    ) as kernel:
+        start = time.perf_counter()
+        metrics = run_simulation(cfg)
+        total = time.perf_counter() - start
+    rest = total - draw[0] - kernel[0]
+    return [draw[0], kernel[0], rest, total], metrics.trajectory
+
+
 def scaling_entry(m):
     inst = instance(m, ((1.1, 0.5), (1.0, 0.4)))
     stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
-    entry = {"m": m, "n": 1, "periods": PERIODS}
+    entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
     for name, mode in (("quadrature", Quadrature()), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
-        result, wall = timed_run(inst, mode, stop)
-        entry[f"{name}_ms_per_period"] = 1e3 * wall / result.periods
+        per_period = []
+        for _ in range(REPEATS):
+            result, wall = timed_run(inst, mode, stop)
+            per_period.append(1e3 * wall / result.periods)
+        entry[f"{name}_ms_per_period"] = spread(per_period)
 
     tracemalloc.start()
     trace = timed_run(inst, Quadrature(), stop)[0].trace
@@ -106,6 +174,32 @@ def scaling_entry(m):
     entry["trace_bytes_per_period"] = (kept - tracemalloc.get_traced_memory()[0]) / PERIODS
     tracemalloc.stop()
     entry["peak_rss_mb"] = peak_rss_mb()
+
+    names = (
+        "outcome_draw_s",
+        "kernel_s",
+        "reduction_and_record_s",
+        "total_s",
+        "trajectory_write_s",
+    )
+    samples = {name: [] for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(REPEATS):
+            split, trajectory = simulation_split(inst)
+            gc.collect()
+            start = time.perf_counter()
+            write_csv(
+                os.path.join(tmp, "trajectory.csv"),
+                ["slot", "system", "v", "tx", "gamma"],
+                trajectory,
+            )
+            split.append(time.perf_counter() - start)
+            del trajectory
+            for name, seconds in zip(names, split):
+                samples[name].append(seconds)
+    entry["simulation"] = {"slots": SLOTS, "thin": THIN, "threshold": 0.1}
+    entry["simulation"].update({name: spread(v) for name, v in samples.items()})
+    entry["simulation"]["peak_rss_mb"] = peak_rss_mb()
     return entry
 
 

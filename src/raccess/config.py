@@ -180,8 +180,17 @@ def _parse_channel(entry, path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _integer(value, field):
+    """A JSON integer, or a float with an integral value such as ``2e5``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{field}: must be an integer, got {value!r}")
+
+
 def _seed(entry, path):
-    seed = int(entry.get("seed", 0))
+    seed = _integer(entry.get("seed", 0), f"{path}.seed")
     if seed < 0:
         raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
     return seed
@@ -197,14 +206,14 @@ def _parse_optimizer(entry):
             b=float(entry.get("step_b", defaults.b)),
         )
         stop_fields = dict(
-            max_periods=int(entry.get("max_periods", 5000)),
             slack_tol=float(entry.get("slack_tol", 0.0)),
             dual_change_tol=float(entry.get("dual_change_tol", 1e-3)),
-            window=int(entry.get("window", 100)),
             divergence_bound=float(entry.get("divergence_bound", 1e6)),
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for key, default in (("max_periods", 5000), ("window", 100)):
+        stop_fields[key] = _integer(entry.get(key, default), f"{path}.{key}")
     try:
         stop = StopRule(**stop_fields)
     except ValueError as exc:  # the message starts with the field name
@@ -220,7 +229,7 @@ def _parse_optimizer(entry):
         raise ConfigError(
             f"{path}.expectation_mode: must be 'quadrature' or 'mc', got {mode!r}"
         )
-    samples = int(entry.get("mc_samples", 10_000))
+    samples = _integer(entry.get("mc_samples", 10_000), f"{path}.mc_samples")
     if samples < 1:
         raise ConfigError(f"{path}.mc_samples: must be >= 1")
     return OptimizerSettings(
@@ -236,17 +245,17 @@ def _parse_optimizer(entry):
 def _parse_simulation(entry):
     path = "simulation"
     _check_keys(entry, _SIM_KEYS, path)
-    horizon = int(entry.get("horizon", 200_000))
+    horizon = _integer(entry.get("horizon", 200_000), f"{path}.horizon")
     if horizon < 1:
         raise ConfigError(f"{path}.horizon: must be >= 1, got {horizon}")
     burn = entry.get("burn_in", None)
     if burn is not None:
-        burn = int(burn)
+        burn = _integer(burn, f"{path}.burn_in")
         if not 0 <= burn < horizon:
             raise ConfigError(
                 f"{path}.burn_in: must lie in [0, horizon), got {burn}"
             )
-    thin = int(entry.get("thin", 0))
+    thin = _integer(entry.get("thin", 0), f"{path}.thin")
     if thin < 0:
         raise ConfigError(f"{path}.thin: must be >= 0, got {thin}")
     return SimulationSettings(

@@ -205,7 +205,10 @@ class IterationTrace:
         return self._len
 
     def to_csv(self, path):
-        write_csv(path, self.columns, ((int(r[0]), *r[1:]) for r in self.rows.tolist()))
+        rows = self.rows.tolist()
+        for row in rows:
+            row[0] = int(row[0])
+        write_csv(path, self.columns, rows)
 
 
 @dataclass(frozen=True)

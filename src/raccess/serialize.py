@@ -9,18 +9,14 @@ def fmt(x):
 
 
 def write_csv(path, header, rows):
-    """Write rows of floats/ints/strings with a header, full precision."""
+    """Write rows under a header, each cell as its ``repr``, full precision.
+
+    Cells must be Python ints and floats, as ``ndarray.tolist()`` gives:
+    ``repr`` of a float is ``fmt``'s shortest round-trip form, but a bool
+    would print as ``True`` and a NumPy scalar as ``np.float64(...)``.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, str):
-                cells.append(cell)
-            elif isinstance(cell, (int,)) and not isinstance(cell, bool):
-                cells.append(str(cell))
-            else:
-                cells.append(fmt(cell))
-        lines.append(",".join(cells))
+    lines += [",".join(map(repr, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -100,7 +100,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimMetrics:
-    """Post-burn-in averages of one run, plus the optional thinned trace."""
+    """Post-burn-in averages of one run, plus the optional thinned trace.
+
+    ``trajectory`` holds one ``(slot, system, v, tx, gamma)`` row of Python
+    ints and floats per kept slot and loop, slot-major, then by system.
+    """
 
     empirical_cost: np.ndarray
     empirical_tx_rate: np.ndarray
@@ -203,7 +207,8 @@ def run_simulation(cfg):
     costs = np.empty(m)
     tx_rates = np.empty(m)
     success_rates = np.empty(m)
-    traj_rows = [] if cfg.thin else None
+    kept = np.arange(cfg.thin - 1, cfg.horizon, cfg.thin) if cfg.thin else np.arange(0)
+    v_kept = np.empty((kept.size, m))
 
     for i, sys in enumerate(inst.systems):
         n = sys.dim
@@ -230,21 +235,28 @@ def run_simulation(cfg):
         costs[i] = float(np.mean(v[cfg.burn_in :]))
         tx_rates[i] = float(np.mean(tx[i, cfg.burn_in :]))
         success_rates[i] = float(np.mean(gamma[i, cfg.burn_in :]))
-        if traj_rows is not None:
-            for k in range(cfg.thin - 1, cfg.horizon, cfg.thin):
-                traj_rows.append(
-                    (k + 1, i, float(v[k]), int(tx[i, k]), int(gamma[i, k]))
-                )
+        v_kept[:, i] = v[kept]
 
-    if traj_rows is not None:
-        traj_rows.sort()
+    trajectory = None
+    if cfg.thin:
+        # tolist() gives Python ints and floats, which the CSV writer
+        # prints with repr; the bool columns become ints first.
+        trajectory = tuple(
+            zip(
+                np.repeat(kept + 1, m).tolist(),
+                np.tile(np.arange(m), kept.size).tolist(),
+                v_kept.ravel().tolist(),
+                tx.T[kept].astype(int).ravel().tolist(),
+                gamma.T[kept].astype(int).ravel().tolist(),
+            )
+        )
     return SimMetrics(
         empirical_cost=costs,
         empirical_tx_rate=tx_rates,
         empirical_success_rate=success_rates,
         horizon=cfg.horizon,
         burn_in=cfg.burn_in,
-        trajectory=tuple(traj_rows) if traj_rows is not None else None,
+        trajectory=trajectory,
     )
 
 

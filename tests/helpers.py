@@ -13,10 +13,13 @@ from raccess import (
     SaturatingExpCurve,
     SwitchedSystem,
     UniformFading,
+    _kernels,
     compute_success_requirement,
     constant_policy,
     threshold_policy,
 )
+from raccess.serialize import fmt
+from raccess.simulate import _draw_gamma
 
 
 def scalar_system(a_open, a_closed, rho=0.8, w=1.0, p=1.0):
@@ -206,3 +209,44 @@ def loop_interference_prices(nu, q):
                 price += nu[j, i] * q[i, j]
         out[i] = price
     return out
+
+
+def loop_trajectory(cfg):
+    """Row-by-row oracle for ``run_simulation(cfg).trajectory``.
+
+    Replays the run's draws from ``cfg.seed``, appends one
+    ``(slot, system, v, tx, gamma)`` row per kept slot of each loop in
+    turn, then sorts the rows.
+    """
+    inst = cfg.instance
+    rng = np.random.default_rng(cfg.seed)
+    tx, gamma = _draw_gamma(cfg.policies, inst.channels, inst.collision, rng, cfg.horizon)
+    rows = []
+    for i, sys in enumerate(inst.systems):
+        z = rng.standard_normal((cfg.horizon, sys.dim))
+        noise = z @ cfg._noise_factors[i].T
+        states = _kernels.state_recursion(
+            sys.a_closed, sys.a_open, gamma[i], noise, np.zeros(sys.dim)
+        )
+        v = np.einsum("kn,nl,kl->k", states, sys.lyap_matrix, states)
+        for k in range(cfg.thin - 1, cfg.horizon, cfg.thin):
+            rows.append((k + 1, i, float(v[k]), int(tx[i, k]), int(gamma[i, k])))
+    rows.sort()
+    return tuple(rows)
+
+
+def loop_write_csv(path, header, rows):
+    """Cell-by-cell oracle for ``raccess.serialize.write_csv``."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, str):
+                cells.append(cell)
+            elif isinstance(cell, (int,)) and not isinstance(cell, bool):
+                cells.append(str(cell))
+            else:
+                cells.append(fmt(cell))
+        lines.append(",".join(cells))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

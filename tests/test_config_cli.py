@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import loop_write_csv
 from raccess.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -16,7 +17,7 @@ from raccess.cli import (
     main,
 )
 from raccess.config import ConfigError, parse_config
-from raccess.serialize import fmt
+from raccess.serialize import fmt, write_csv
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "twoloop.json")
 
@@ -200,6 +201,62 @@ class TestParseConfig:
         assert code == EXIT_CONFIG
         assert f"optimizer.{field}: must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in (
+                "simulation.horizon",
+                "simulation.burn_in",
+                "simulation.thin",
+                "simulation.seed",
+                "optimizer.seed",
+                "optimizer.max_periods",
+                "optimizer.window",
+                "optimizer.mc_samples",
+            )
+            for value in ("abc", None, 2.7, True)
+            # a null burn_in asks for the default, horizon // 10
+            if not (field == "simulation.burn_in" and value is None)
+        ],
+    )
+    def test_non_integer_field_exits_2_naming_its_path(self, tmp_path, capsys, field, value):
+        raw = base_config()
+        section, key = field.split(".")
+        raw[section][key] = value
+        code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"{field}: must be an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_integral_floats_load_as_integers(self, tmp_path):
+        raw = base_config()
+        raw["simulation"].update(horizon=2e4, burn_in=1e3, thin=10.0, seed=7.0)
+        raw["optimizer"].update(max_periods=5e3, window=1e2, mc_samples=2e3, seed=0.0)
+        cfg = parse_config(write_config(tmp_path, raw))
+        sim, opt = cfg.simulation, cfg.optimizer
+        values = (sim.horizon, sim.burn_in, sim.thin, sim.seed,
+                  opt.stop.max_periods, opt.stop.window, opt.mc_samples, opt.seed)
+        assert values == (20000, 1000, 10, 7, 5000, 100, 2000, 0)
+        assert all(type(v) is int for v in values)
+
+
+class TestWriteCsv:
+    def test_matches_the_cell_by_cell_oracle(self, tmp_path):
+        header = ["a", "b", "c", "d", "e"]
+        rows = [
+            (0, 0.0, -0.0, math.inf, -math.inf),
+            (1, 1e-05, 1e-4, 1.5e16, 5e-324),
+            (2**63, 1.7976931348623157e308, -(10**30), 0.1, math.nan),
+            (-7, 1.0, 2.5e-300, 123456789.125, 10**20),
+        ]
+        write_csv(tmp_path / "new.csv", header, rows)
+        loop_write_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_record_is_the_header_alone(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["slot", "system"], ())
+        assert (tmp_path / "t.csv").read_text() == "slot,system\n"
+
 
 class TestCliRates:
     def test_writes_the_requirements(self, tmp_path, capsys):
@@ -215,13 +272,36 @@ class TestCliRates:
         assert c1 == pytest.approx(5.0 / 21.0, abs=1e-8)
         assert "requirement" in capsys.readouterr().out
 
-    def test_full_precision_round_trip(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, written",
+        [
+            pytest.param("rates", ["rates.csv"], id="rates"),
+            pytest.param(
+                "pipeline",
+                ["metrics.csv", "rates.csv", "trace.csv", "trajectory.csv"],
+                id="pipeline",
+            ),
+        ],
+    )
+    def test_full_precision_round_trip(self, tmp_path, command, written):
+        # Every cell is an int literal or a float's shortest round-trip
+        # form; a bool or a NumPy scalar reaching the writer fails here.
+        if command == "rates":
+            cfg = REFERENCE_CONFIG
+        else:
+            raw = base_config()
+            raw["simulation"]["thin"] = 7
+            cfg = write_config(tmp_path, raw)
         out = tmp_path / "out"
-        main(["rates", REFERENCE_CONFIG, "--out", str(out)])
-        text = (out / "rates.csv").read_text()
-        for line in text.splitlines()[1:]:
-            value = line.split(",")[1]
-            assert value == fmt(float(value))
+        assert main([command, cfg, "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("*.csv")) == written
+        for name in written:
+            for line in (out / name).read_text().splitlines()[1:]:
+                for value in line.split(","):
+                    assert value.lstrip("-").isdigit() or value == fmt(float(value)), (
+                        name,
+                        value,
+                    )
 
     def test_infeasible_system_exits_3(self, tmp_path, capsys):
         raw = base_config()

@@ -7,6 +7,8 @@ import pytest
 import raccess._kernels
 from helpers import (
     loop_state_recursion,
+    loop_trajectory,
+    random_admissible_system,
     random_shared_channel_setup,
     reference_channel,
     reference_instance,
@@ -167,6 +169,31 @@ class TestTrajectoryRecord:
             instance=inst, policies=(threshold_policy(0.8),), horizon=100, seed=0
         )
         assert run_simulation(cfg).trajectory is None
+
+    @pytest.mark.parametrize("thin", [1, 7, 200, 205])
+    def test_rows_match_the_per_slot_oracle(self, thin):
+        # Three loops of state dimension 1, 4 and 2; 7 does not divide the
+        # horizon, and thin = 205 keeps no slot at all.
+        rng = np.random.default_rng(17)
+        systems = tuple(random_admissible_system(rng, dims=(n,)) for n in (1, 4, 2))
+        channels, _, _ = random_shared_channel_setup(rng, 3)
+        q = np.full((3, 3), 0.1)
+        np.fill_diagonal(q, 0.0)
+        inst = ProblemInstance(
+            systems=systems,
+            channels=channels,
+            collision=CollisionMatrix(q=q),
+            tx_powers=[1.0] * 3,
+            success_targets=[0.5] * 3,
+        )
+        policies = (constant_policy(0.9), threshold_policy(0.0), constant_policy(0.8))
+        cfg = SimConfig(instance=inst, policies=policies, horizon=200, seed=3, thin=thin)
+        rows = run_simulation(cfg).trajectory
+        assert len(rows) == 3 * (200 // thin)
+        assert rows == loop_trajectory(cfg)
+        assert all(
+            tuple(map(type, row)) == (int, int, float, int, int) for row in rows
+        )
 
 
 def transmission_outcomes_3d(policies, channels, qmat, rng, count):
