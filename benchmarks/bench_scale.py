@@ -18,6 +18,14 @@ records:
   record. Then the time to write that record as ``trajectory.csv``, and
   the peak RSS after the simulation.
 
+The n = 4 grid repeats the simulation split for each m on loops of state
+dimension 4: ``a = s Q`` for the same (a_open, a_closed) scalars s and
+one fixed orthogonal Q, with P = W = I, so every requirement, and with
+it the design, equals the scalar loop's, while the kernel runs 4 x 4
+products. Its entries carry ``n: 4`` and the simulation only; they run
+in the same process as the scalar entry of that m, after it, so their
+peak RSS is the larger of the two.
+
 Every timing is repeated 5 times and stored as its median and quartiles,
 ``{"median", "q1", "q3"}``. Runs recorded before ``per-cell-writer`` hold
 one timing per field instead.
@@ -26,7 +34,8 @@ A last entry runs the default stop rule (at most 5,000 periods) in
 quadrature on 64 identical (1.0, 0.4) loops, which does not converge,
 and records its wall time and peak RSS, once.
 
-Each entry runs in a process of its own, so its peak RSS is its own.
+Each m runs in a process of its own, so its scalar entry's peak RSS is
+its own.
 From the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_scale.py --label after
@@ -77,12 +86,25 @@ SAMPLES = 10_000
 REPEATS = 5
 SLOTS = 20_000
 THIN = 10
+GRID_N = 4
+MIXED = ((1.1, 0.5), (1.0, 0.4))
 
 
-def instance(m, loops):
+def instance(m, loops, n=1):
+    """m loops cycling through the (a_open, a_closed) scalars of ``loops``.
+
+    For n > 1 each mode is the scalar times one fixed orthogonal n x n
+    matrix, with identity noise and Lyapunov matrices, so a'Pa = s^2 I and
+    the requirement equals the scalar loop's.
+    """
+    rot, eye = 1.0, 1.0
+    if n > 1:
+        rot = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+        eye = np.eye(n)
     systems = tuple(
         SwitchedSystem(
-            a_closed=a_closed, a_open=a_open, noise_cov=1.0, lyap_matrix=1.0, decay_rate=0.8
+            a_closed=a_closed * rot, a_open=a_open * rot, noise_cov=eye, lyap_matrix=eye,
+            decay_rate=0.8,
         )
         for a_open, a_closed in (loops[i % len(loops)] for i in range(m))
     )
@@ -154,27 +176,8 @@ def simulation_split(inst):
     return [draw[0], kernel[0], rest, total], metrics.trajectory
 
 
-def scaling_entry(m):
-    inst = instance(m, ((1.1, 0.5), (1.0, 0.4)))
-    stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
-    entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
-    for name, mode in (("quadrature", Quadrature()), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
-        per_period = []
-        for _ in range(REPEATS):
-            result, wall = timed_run(inst, mode, stop)
-            per_period.append(1e3 * wall / result.periods)
-        entry[f"{name}_ms_per_period"] = spread(per_period)
-
-    tracemalloc.start()
-    trace = timed_run(inst, Quadrature(), stop)[0].trace
-    gc.collect()
-    kept = tracemalloc.get_traced_memory()[0]
-    del trace
-    gc.collect()
-    entry["trace_bytes_per_period"] = (kept - tracemalloc.get_traced_memory()[0]) / PERIODS
-    tracemalloc.stop()
-    entry["peak_rss_mb"] = peak_rss_mb()
-
+def simulation_entry(inst):
+    """The simulation split and the ``trajectory.csv`` write, REPEATS times."""
     names = (
         "outcome_draw_s",
         "kernel_s",
@@ -197,10 +200,37 @@ def scaling_entry(m):
             del trajectory
             for name, seconds in zip(names, split):
                 samples[name].append(seconds)
-    entry["simulation"] = {"slots": SLOTS, "thin": THIN, "threshold": 0.1}
-    entry["simulation"].update({name: spread(v) for name, v in samples.items()})
-    entry["simulation"]["peak_rss_mb"] = peak_rss_mb()
+    entry = {"slots": SLOTS, "thin": THIN, "threshold": 0.1}
+    entry.update({name: spread(v) for name, v in samples.items()})
+    entry["peak_rss_mb"] = peak_rss_mb()
     return entry
+
+
+def scaling_entries(m):
+    """The scalar entry of m loops, then the simulation-only n = 4 entry."""
+    inst = instance(m, MIXED)
+    stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
+    entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
+    for name, mode in (("quadrature", Quadrature()), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
+        per_period = []
+        for _ in range(REPEATS):
+            result, wall = timed_run(inst, mode, stop)
+            per_period.append(1e3 * wall / result.periods)
+        entry[f"{name}_ms_per_period"] = spread(per_period)
+
+    tracemalloc.start()
+    trace = timed_run(inst, Quadrature(), stop)[0].trace
+    gc.collect()
+    kept = tracemalloc.get_traced_memory()[0]
+    del trace
+    gc.collect()
+    entry["trace_bytes_per_period"] = (kept - tracemalloc.get_traced_memory()[0]) / PERIODS
+    tracemalloc.stop()
+    entry["peak_rss_mb"] = peak_rss_mb()
+    entry["simulation"] = simulation_entry(inst)
+    grid = {"m": m, "n": GRID_N, "repeats": REPEATS}
+    grid["simulation"] = simulation_entry(instance(m, MIXED, n=GRID_N))
+    return [entry, grid]
 
 
 def long_entry():
@@ -234,13 +264,13 @@ def main():
     parser.add_argument("--long", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.m is not None or args.long:
-        print(json.dumps(long_entry() if args.long else scaling_entry(args.m)))
+        print(json.dumps(long_entry() if args.long else scaling_entries(args.m)))
         return
 
     scaling = []
     for m in SIZES:
-        scaling.append(run_child(["--m", str(m)]))
-        print(json.dumps(scaling[-1]), file=sys.stderr)
+        scaling += run_child(["--m", str(m)])
+        print(json.dumps(scaling[-2:]), file=sys.stderr)
     long = run_child(["--long"])
     print(json.dumps(long), file=sys.stderr)
 

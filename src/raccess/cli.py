@@ -81,7 +81,7 @@ def _write_rates(out, targets):
     write_csv(
         os.path.join(out, "rates.csv"),
         ["system", "requirement"],
-        [(i, float(c)) for i, c in enumerate(targets)],
+        (np.arange(len(targets)), targets),
     )
 
 
@@ -194,17 +194,6 @@ def _simulate(cfg, policies, args, out):
         raise ConfigError(str(exc)) from exc
     metrics = run_simulation(sim_cfg)
     bounds = [steady_state_cost_bound(s) for s in cfg.systems]
-    rows = []
-    for i in range(cfg.m):
-        rows.append(
-            (
-                i,
-                float(metrics.empirical_cost[i]),
-                float(metrics.empirical_tx_rate[i]),
-                float(metrics.empirical_success_rate[i]),
-                bounds[i],
-            )
-        )
     write_csv(
         os.path.join(out, "metrics.csv"),
         [
@@ -214,7 +203,13 @@ def _simulate(cfg, policies, args, out):
             "empirical_success_rate",
             "cost_bound",
         ],
-        rows,
+        (
+            np.arange(cfg.m),
+            metrics.empirical_cost,
+            metrics.empirical_tx_rate,
+            metrics.empirical_success_rate,
+            bounds,
+        ),
     )
     if metrics.trajectory is not None:
         write_csv(

@@ -205,10 +205,8 @@ class IterationTrace:
         return self._len
 
     def to_csv(self, path):
-        rows = self.rows.tolist()
-        for row in rows:
-            row[0] = int(row[0])
-        write_csv(path, self.columns, rows)
+        rows = self.rows
+        write_csv(path, self.columns, [rows[:, 0].astype(np.int64), *rows[:, 1:].T])
 
 
 @dataclass(frozen=True)

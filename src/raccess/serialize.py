@@ -2,23 +2,38 @@
 
 import json
 
+import numpy as np
+
+# Cells formatted and written per block of rows; a block holds at least
+# one row, however wide.
+_BLOCK_CELLS = 1 << 16
+
 
 def fmt(x):
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
 
 
-def write_csv(path, header, rows):
-    """Write rows under a header, each cell as its ``repr``, full precision.
+def write_csv(path, header, columns):
+    """Write equal-length columns under a header, each cell as its ``repr``.
 
-    Cells must be Python ints and floats, as ``ndarray.tolist()`` gives:
-    ``repr`` of a float is ``fmt``'s shortest round-trip form, but a bool
-    would print as ``True`` and a NumPy scalar as ``np.float64(...)``.
+    Each column is a 1-D array (or a sequence ``np.asarray`` turns into
+    one) of ints, floats or bools. Cells are the ``repr`` of the column's
+    ``tolist()`` values: floats in ``fmt``'s shortest round-trip form,
+    ints as literals, and bools as 0 and 1. Rows go out in blocks of at
+    most ``_BLOCK_CELLS`` cells. Each cell's ``repr`` is made as its row
+    is joined, so only one block's values and text are held at a time,
+    never a string per cell of the block.
     """
-    lines = [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in rows]
+    columns = [np.asarray(col) for col in columns]
+    columns = [col.view(np.uint8) if col.dtype == bool else col for col in columns]
+    n_rows = len(columns[0]) if columns else 0
+    step = max(_BLOCK_CELLS // max(len(columns), 1), 1)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n_rows, step):
+            cells = [map(repr, col[a : a + step].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(path, obj):

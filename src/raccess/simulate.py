@@ -9,7 +9,8 @@ Fades, transmit decisions, collision events, and decode events do not
 depend on the plant states, so ``run_simulation`` precomputes them in
 fixed-size vectorized chunks, with memory O(m * chunk), and hands the
 only sequential part, the switched-state recursion, to the time-blocked
-NumPy kernel in ``_kernels``.
+NumPy kernel in ``_kernels``, one call per run of loops of equal state
+dimension.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ __all__ = [
 ]
 
 _CHUNK = 65536
+# Noise floats (loops x slots x n) the kernel advances in one call.
+_RUN_CELLS = 1 << 20
 _NORM_LIMIT = 1e12
 
 
@@ -102,8 +105,9 @@ class SimConfig:
 class SimMetrics:
     """Post-burn-in averages of one run, plus the optional thinned trace.
 
-    ``trajectory`` holds one ``(slot, system, v, tx, gamma)`` row of Python
-    ints and floats per kept slot and loop, slot-major, then by system.
+    ``trajectory`` holds the five columns ``(slot, system, v, tx, gamma)``
+    as 1-D arrays (int64, int64, float64, bool, bool), one entry per kept
+    slot and loop, slot-major, then by system.
     """
 
     empirical_cost: np.ndarray
@@ -137,37 +141,39 @@ def _transmission_outcomes(policies, channels, qmat, rng, count):
 
     Draw order is fixed (fades per link, transmit uniforms, collision
     uniforms per ordered pair, decode uniforms) so a seed pins the block.
-    The collision uniforms are drawn one ordered pair ``(j, i)`` at a
-    time, diagonal included and discarded, which consumes the generator
-    exactly as one C-order ``(m, m, count)`` draw would, in O(count)
-    memory.
+    Every uniform row is drawn into one reused ``(count,)`` buffer: the
+    transmit and decode uniforms one link at a time, which consumes the
+    generator exactly as one ``(m, count)`` draw would, and the collision
+    uniforms one ordered pair ``(j, i)`` at a time, diagonal included and
+    discarded, as one C-order ``(m, m, count)`` draw would. So beside the
+    outputs the block needs O(count) memory.
     """
     m = len(policies)
     h = np.empty((m, count))
     for i in range(m):
         h[i] = channels[i].dist.sample(rng, size=count)
-    u_tx = rng.random((m, count))
+    u = np.empty(count)
 
     tx = np.empty((m, count), dtype=bool)
-    for i in range(m):
-        pol = policies[i]
+    for i, pol in enumerate(policies):
+        rng.random(out=u)
         if pol.kind == "threshold":
             tx[i] = h[i] >= pol.threshold
         else:
-            tx[i] = u_tx[i] < pol.rate
+            tx[i] = u < pol.rate
 
     q = qmat.q
     collided = np.zeros((m, count), dtype=bool)
     for j in range(m):
         for i in range(m):
-            u = rng.random(count)
+            rng.random(out=u)
             if i != j:
                 collided[i] |= tx[j] & (u < q[j, i])
-    u_dec = rng.random((m, count))
 
     gamma = np.empty((m, count), dtype=bool)
     for i in range(m):
-        gamma[i] = tx[i] & ~collided[i] & (u_dec[i] < channels[i].curve.value(h[i]))
+        rng.random(out=u)
+        gamma[i] = tx[i] & ~collided[i] & (u < channels[i].curve.value(h[i]))
     return h, tx, gamma
 
 
@@ -185,8 +191,30 @@ def _draw_gamma(policies, channels, qmat, rng, count):
     return np.concatenate(tx_parts, axis=1), np.concatenate(g_parts, axis=1)
 
 
+def _loop_runs(systems, horizon):
+    """(start, stop) of each run of consecutive loops of equal state dimension.
+
+    A run holds at most ``_RUN_CELLS // (horizon * n)`` loops, and at
+    least one, so its noise buffer stays within ``_RUN_CELLS`` floats
+    unless a single loop is larger.
+    """
+    start = 0
+    while start < len(systems):
+        n = systems[start].dim
+        cap = max(_RUN_CELLS // (horizon * n), 1)
+        stop = start + 1
+        while stop < len(systems) and stop - start < cap and systems[stop].dim == n:
+            stop += 1
+        yield start, stop
+        start = stop
+
+
 def run_simulation(cfg):
     """Simulate the full horizon from x_0 = 0 and average the quadratic cost.
+
+    Each run of consecutive loops of one state dimension goes through the
+    kernel in one call. The noise is still drawn loop by loop, in loop
+    order, so the streams do not depend on how the loops are grouped.
 
     Returns
     -------
@@ -195,7 +223,8 @@ def run_simulation(cfg):
     Raises
     ------
     UnstableSimulationError
-        If any state norm passes 1e12 (reported with system and slot).
+        If any state norm passes 1e12 (reported with the first such
+        system, in loop order, and its slot).
     """
     inst = cfg.instance
     m = inst.m
@@ -210,45 +239,47 @@ def run_simulation(cfg):
     kept = np.arange(cfg.thin - 1, cfg.horizon, cfg.thin) if cfg.thin else np.arange(0)
     v_kept = np.empty((kept.size, m))
 
-    for i, sys in enumerate(inst.systems):
-        n = sys.dim
-        z = rng.standard_normal((cfg.horizon, n))
-        noise = z @ cfg._noise_factors[i].T
+    for start, stop in _loop_runs(inst.systems, cfg.horizon):
+        systems = inst.systems[start:stop]
+        n = systems[0].dim
+        noise = np.empty((stop - start, cfg.horizon, n))
+        z = np.empty((cfg.horizon, n))
+        for j in range(stop - start):
+            rng.standard_normal(out=z)
+            np.matmul(z, cfg._noise_factors[start + j].T, out=noise[j])
+        del z
         states = _kernels.state_recursion(
-            sys.a_closed,
-            sys.a_open,
-            gamma[i],
+            np.stack([s.a_closed for s in systems]),
+            np.stack([s.a_open for s in systems]),
+            gamma[start:stop],
             noise,
-            np.zeros(n),
+            np.zeros((stop - start, n)),
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            norm_sq = np.einsum("kn,kn->k", states, states)
-            escaped = ~np.isfinite(norm_sq) | (norm_sq > _NORM_LIMIT**2)
-            if np.any(escaped):
-                k = int(np.argmax(escaped))
-                raise UnstableSimulationError(
-                    f"loop {i} state norm passed {_NORM_LIMIT:g} at slot "
-                    f"{k + 1} of {cfg.horizon}; its access policy does not "
-                    "stabilize it"
-                )
-            v = np.einsum("kn,nl,kl->k", states, sys.lyap_matrix, states)
-        costs[i] = float(np.mean(v[cfg.burn_in :]))
-        tx_rates[i] = float(np.mean(tx[i, cfg.burn_in :]))
-        success_rates[i] = float(np.mean(gamma[i, cfg.burn_in :]))
-        v_kept[:, i] = v[kept]
+        for i, sys, x in zip(range(start, stop), systems, states):
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm_sq = np.einsum("kn,kn->k", x, x)
+                escaped = ~np.isfinite(norm_sq) | (norm_sq > _NORM_LIMIT**2)
+                if np.any(escaped):
+                    k = int(np.argmax(escaped))
+                    raise UnstableSimulationError(
+                        f"loop {i} state norm passed {_NORM_LIMIT:g} at slot "
+                        f"{k + 1} of {cfg.horizon}; its access policy does not "
+                        "stabilize it"
+                    )
+                v = np.einsum("kn,nl,kl->k", x, sys.lyap_matrix, x)
+            costs[i] = float(np.mean(v[cfg.burn_in :]))
+            tx_rates[i] = float(np.mean(tx[i, cfg.burn_in :]))
+            success_rates[i] = float(np.mean(gamma[i, cfg.burn_in :]))
+            v_kept[:, i] = v[kept]
 
     trajectory = None
     if cfg.thin:
-        # tolist() gives Python ints and floats, which the CSV writer
-        # prints with repr; the bool columns become ints first.
-        trajectory = tuple(
-            zip(
-                np.repeat(kept + 1, m).tolist(),
-                np.tile(np.arange(m), kept.size).tolist(),
-                v_kept.ravel().tolist(),
-                tx.T[kept].astype(int).ravel().tolist(),
-                gamma.T[kept].astype(int).ravel().tolist(),
-            )
+        trajectory = (
+            np.repeat(kept + 1, m),
+            np.tile(np.arange(m), kept.size),
+            v_kept.ravel(),
+            tx.T[kept].ravel(),
+            gamma.T[kept].ravel(),
         )
     return SimMetrics(
         empirical_cost=costs,

@@ -19,7 +19,7 @@ from raccess import (
     threshold_policy,
 )
 from raccess.serialize import fmt
-from raccess.simulate import _draw_gamma
+from raccess.simulate import SimMetrics, _draw_gamma
 
 
 def scalar_system(a_open, a_closed, rho=0.8, w=1.0, p=1.0):
@@ -61,13 +61,19 @@ def reference_instance():
 
 
 def loop_state_recursion(a_closed, a_open, gamma, noise, x0):
-    """Per-slot oracle for ``raccess._kernels.state_recursion``."""
-    out = np.empty((gamma.shape[0], x0.shape[0]))
-    x = np.array(x0, dtype=float)
+    """Per-loop, per-slot oracle for ``raccess._kernels.state_recursion``.
+
+    Takes the kernel's batched shapes, leaves ``noise`` as it is, and
+    returns a new ``(L, N, n)`` array.
+    """
+    n_loops, n_slots = np.shape(gamma)
+    out = np.empty((n_loops, n_slots, np.shape(x0)[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(gamma.shape[0]):
-            x = (a_closed if gamma[k] else a_open) @ x + noise[k]
-            out[k] = x
+        for ell in range(n_loops):
+            x = np.array(x0[ell], dtype=float)
+            for k in range(n_slots):
+                x = (a_closed[ell] if gamma[ell][k] else a_open[ell]) @ x + noise[ell][k]
+                out[ell, k] = x
     return out
 
 
@@ -211,28 +217,47 @@ def loop_interference_prices(nu, q):
     return out
 
 
-def loop_trajectory(cfg):
-    """Row-by-row oracle for ``run_simulation(cfg).trajectory``.
+def loop_simulation(cfg):
+    """Per-loop oracle for ``run_simulation(cfg)`` on stable loops.
 
-    Replays the run's draws from ``cfg.seed``, appends one
-    ``(slot, system, v, tx, gamma)`` row per kept slot of each loop in
-    turn, then sorts the rows.
+    Replays the run's draws from ``cfg.seed``, runs the kernel on one loop
+    at a time, and builds the trajectory from one ``(slot, system, v, tx,
+    gamma)`` row per kept slot of each loop in turn, sorted, then split
+    into columns.
     """
     inst = cfg.instance
     rng = np.random.default_rng(cfg.seed)
     tx, gamma = _draw_gamma(cfg.policies, inst.channels, inst.collision, rng, cfg.horizon)
-    rows = []
+    costs, tx_rates, success_rates, rows = [], [], [], []
     for i, sys in enumerate(inst.systems):
         z = rng.standard_normal((cfg.horizon, sys.dim))
         noise = z @ cfg._noise_factors[i].T
         states = _kernels.state_recursion(
-            sys.a_closed, sys.a_open, gamma[i], noise, np.zeros(sys.dim)
-        )
+            sys.a_closed[None], sys.a_open[None], gamma[i : i + 1], noise[None],
+            np.zeros((1, sys.dim)),
+        )[0]
         v = np.einsum("kn,nl,kl->k", states, sys.lyap_matrix, states)
-        for k in range(cfg.thin - 1, cfg.horizon, cfg.thin):
-            rows.append((k + 1, i, float(v[k]), int(tx[i, k]), int(gamma[i, k])))
-    rows.sort()
-    return tuple(rows)
+        costs.append(float(np.mean(v[cfg.burn_in :])))
+        tx_rates.append(float(np.mean(tx[i, cfg.burn_in :])))
+        success_rates.append(float(np.mean(gamma[i, cfg.burn_in :])))
+        if cfg.thin:
+            for k in range(cfg.thin - 1, cfg.horizon, cfg.thin):
+                rows.append((k + 1, i, float(v[k]), bool(tx[i, k]), bool(gamma[i, k])))
+    trajectory = None
+    if cfg.thin:
+        rows.sort()
+        dtypes = (np.int64, np.int64, np.float64, bool, bool)
+        trajectory = tuple(
+            np.array([row[c] for row in rows], dtype=dt) for c, dt in enumerate(dtypes)
+        )
+    return SimMetrics(
+        empirical_cost=np.array(costs),
+        empirical_tx_rate=np.array(tx_rates),
+        empirical_success_rate=np.array(success_rates),
+        horizon=cfg.horizon,
+        burn_in=cfg.burn_in,
+        trajectory=trajectory,
+    )
 
 
 def loop_write_csv(path, header, rows):

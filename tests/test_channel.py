@@ -297,8 +297,19 @@ class TestDeliveryProduct:
             own = rng.uniform(0.0, 1.0, size=m)
             want = loop_delivery_product(own, rates, q)
             assert np.array_equal(delivery_product(own, rates, q), want)
-            i = int(rng.integers(m))
-            assert delivery_product(own[i], rates, q[:, [i]])[0] == want[i]
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_link_success_is_the_all_links_product(self, m):
+        # The one call site: every link at once, over the full q.
+        rng = np.random.default_rng(40 + m)
+        for _ in range(5):
+            channels, policies, qmat = random_shared_channel_setup(rng, m)
+            pairs = tuple(zip(policies, channels))
+            own = np.array([expected_policy_success(p, ch) for p, ch in pairs])
+            rates = np.array([expected_policy_rate(p, ch) for p, ch in pairs])
+            want = loop_delivery_product(own, rates, qmat.q)
+            got = link_success_probability(policies, channels, qmat)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSuccessCurves:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import loop_write_csv
+import raccess.serialize
 from raccess.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -240,22 +241,61 @@ class TestParseConfig:
         assert all(type(v) is int for v in values)
 
 
+def as_rows(columns):
+    """The oracle's rows: one tuple per row, bools as the ints 0 and 1."""
+    cols = [np.asarray(c) for c in columns]
+    return list(zip(*(c.astype(int).tolist() if c.dtype == bool else c.tolist() for c in cols)))
+
+
+def edge_columns(rows):
+    """An int, two float and a bool column of ``rows`` rows, edge values first."""
+    ints = np.array([0, -7, 2**63 - 1, -(2**63), 10**15], dtype=np.int64)
+    floats = np.array(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-05, 1e-4, 1.5e16, 5e-324,
+         1.7976931348623157e308, 2.5e-300, 123456789.125, 0.1]
+    )
+    return (
+        np.resize(ints, rows),
+        np.resize(floats, rows),
+        -np.resize(floats[::-1], rows),
+        np.arange(rows) % 3 == 1,
+    )
+
+
 class TestWriteCsv:
     def test_matches_the_cell_by_cell_oracle(self, tmp_path):
-        header = ["a", "b", "c", "d", "e"]
-        rows = [
-            (0, 0.0, -0.0, math.inf, -math.inf),
-            (1, 1e-05, 1e-4, 1.5e16, 5e-324),
-            (2**63, 1.7976931348623157e308, -(10**30), 0.1, math.nan),
-            (-7, 1.0, 2.5e-300, 123456789.125, 10**20),
-        ]
-        write_csv(tmp_path / "new.csv", header, rows)
-        loop_write_csv(tmp_path / "old.csv", header, rows)
+        header = ["a", "b", "c", "d"]
+        columns = edge_columns(13)
+        write_csv(tmp_path / "new.csv", header, columns)
+        loop_write_csv(tmp_path / "old.csv", header, as_rows(columns))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundaries(self, tmp_path, offset):
+        header = ["a", "b", "c", "d"]
+        rows = raccess.serialize._BLOCK_CELLS // len(header) + offset
+        columns = edge_columns(rows)
+        write_csv(tmp_path / "new.csv", header, columns)
+        loop_write_csv(tmp_path / "old.csv", header, as_rows(columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_row_wider_than_the_cell_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(raccess.serialize, "_BLOCK_CELLS", 3)
+        header = ["a", "b", "c", "d"]
+        columns = edge_columns(5)
+        write_csv(tmp_path / "new.csv", header, columns)
+        loop_write_csv(tmp_path / "old.csv", header, as_rows(columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_bool_columns_are_zero_and_one(self, tmp_path):
+        flags = np.array([True, False, True])
+        write_csv(tmp_path / "t.csv", ["tx", "gamma"], (flags, flags[::-1] & False))
+        assert (tmp_path / "t.csv").read_text() == "tx,gamma\n1,0\n0,0\n1,0\n"
+
     def test_empty_record_is_the_header_alone(self, tmp_path):
-        write_csv(tmp_path / "t.csv", ["slot", "system"], ())
-        assert (tmp_path / "t.csv").read_text() == "slot,system\n"
+        for columns in ((), (np.arange(0), np.zeros(0))):
+            write_csv(tmp_path / "t.csv", ["slot", "system"], columns)
+            assert (tmp_path / "t.csv").read_text() == "slot,system\n"
 
 
 class TestCliRates:

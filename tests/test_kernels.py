@@ -15,13 +15,21 @@ def stable_pair(rng, n):
     return a_c, a_o
 
 
-def random_inputs(seed, n, slots):
+def random_inputs(seed, n, slots, loops=1):
+    """Kernel inputs for ``loops`` loops: (a_closed, a_open, gamma, noise, x0)."""
     rng = np.random.default_rng(seed)
-    a_c, a_o = stable_pair(rng, n)
-    gamma = (rng.random(slots) < 0.45).astype(np.uint8)
-    noise = rng.standard_normal((slots, n))
-    x0 = rng.standard_normal(n)
+    pairs = [stable_pair(rng, n) for _ in range(loops)]
+    a_c = np.stack([p[0] for p in pairs])
+    a_o = np.stack([p[1] for p in pairs])
+    gamma = (rng.random((loops, slots)) < 0.45).astype(np.uint8)
+    noise = rng.standard_normal((loops, slots, n))
+    x0 = rng.standard_normal((loops, n))
     return a_c, a_o, gamma, noise, x0
+
+
+def run_kernel(a_c, a_o, gamma, noise, x0):
+    """The kernel on a copy of the noise, which it writes the states over."""
+    return state_recursion(a_c, a_o, gamma, noise.copy(), x0)
 
 
 class TestBackendSelection:
@@ -37,8 +45,8 @@ class TestKernelAgainstLoopOracle:
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_agrees_on_stable_dynamics(self, n, slots):
         args = random_inputs(100 + n, n, slots)
-        out = state_recursion(*args)
-        assert out.shape == (slots, n)
+        out = run_kernel(*args)
+        assert out.shape == (1, slots, n)
         np.testing.assert_allclose(
             out, loop_state_recursion(*args), rtol=0.0, atol=1e-12
         )
@@ -48,22 +56,22 @@ class TestKernelAgainstLoopOracle:
         # product and one sum, so its states are bit-identical; later
         # blocks start from chained states and agree to round-off.
         rng = np.random.default_rng(1)
-        a_c = np.array([[0.5]])
-        a_o = np.array([[1.1]])
+        a_c = np.array([[[0.5]]])
+        a_o = np.array([[[1.1]]])
         slots = 2000
-        gamma = (rng.random(slots) < 0.5).astype(np.uint8)
-        noise = rng.standard_normal((slots, 1))
-        x0 = np.array([0.0])
-        out = state_recursion(a_c, a_o, gamma, noise, x0)
+        gamma = (rng.random((1, slots)) < 0.5).astype(np.uint8)
+        noise = rng.standard_normal((1, slots, 1))
+        x0 = np.array([[0.0]])
+        out = run_kernel(a_c, a_o, gamma, noise, x0)
         oracle = loop_state_recursion(a_c, a_o, gamma, noise, x0)
         block = math.isqrt(slots)
-        np.testing.assert_array_equal(out[:block], oracle[:block])
+        np.testing.assert_array_equal(out[:, :block], oracle[:, :block])
         np.testing.assert_allclose(out, oracle, rtol=1e-12, atol=1e-12)
 
     def test_non_contiguous_noise(self):
         a_c, a_o, gamma, _, x0 = random_inputs(5, 3, 1000)
-        wide = np.random.default_rng(6).standard_normal((1000, 6))
-        noise = wide[:, ::2]
+        wide = np.random.default_rng(6).standard_normal((1, 1000, 6))
+        noise = wide[:, :, ::2]
         assert not noise.flags.c_contiguous
         out = state_recursion(a_c, a_o, gamma, noise, x0)
         np.testing.assert_array_equal(
@@ -74,6 +82,45 @@ class TestKernelAgainstLoopOracle:
         )
 
 
+class TestBatchedCall:
+    @pytest.mark.parametrize("slots", [1, 2, 109, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    @pytest.mark.parametrize("loops", [1, 3])
+    def test_equals_one_call_per_loop(self, loops, n, slots):
+        # Every loop's states carry the same bits in a batch as alone.
+        a_c, a_o, gamma, noise, x0 = random_inputs(7 * n + slots, n, slots, loops)
+        out = run_kernel(a_c, a_o, gamma, noise, x0)
+        assert out.shape == (loops, slots, n)
+        for ell in range(loops):
+            one = slice(ell, ell + 1)
+            alone = run_kernel(a_c[one], a_o[one], gamma[one], noise[one], x0[one])
+            np.testing.assert_array_equal(out[one], alone)
+
+    def test_writes_the_states_over_writable_noise(self):
+        args = random_inputs(9, 2, 300, loops=2)
+        noise = args[3].copy()
+        out = state_recursion(*args[:3], noise, args[4])
+        assert out is noise
+        np.testing.assert_array_equal(out, run_kernel(*args))
+
+    @pytest.mark.parametrize("layout", ["read_only", "strided", "float32"])
+    def test_leaves_other_noise_unmodified(self, layout):
+        a_c, a_o, gamma, noise, x0 = random_inputs(10, 2, 300, loops=2)
+        if layout == "read_only":
+            given = noise.copy()
+            given.setflags(write=False)
+        elif layout == "strided":
+            given = np.repeat(noise, 2, axis=2)[:, :, ::2]
+        else:
+            given = noise.astype(np.float32)
+            noise = given.astype(float)
+        before = given.copy()
+        out = state_recursion(a_c, a_o, gamma, given, x0)
+        np.testing.assert_array_equal(given, before)
+        assert not np.shares_memory(out, given)
+        np.testing.assert_array_equal(out, run_kernel(a_c, a_o, gamma, noise, x0))
+
+
 class TestRecursionContract:
     def test_matches_a_hand_rolled_loop(self):
         rng = np.random.default_rng(8)
@@ -82,7 +129,9 @@ class TestRecursionContract:
         gamma = (rng.random(slots) < 0.5).astype(np.uint8)
         noise = rng.standard_normal((slots, n))
         x0 = rng.standard_normal(n)
-        out = state_recursion(a_c, a_o, gamma, noise, x0)
+        out = state_recursion(
+            a_c[None], a_o[None], gamma[None], noise[None].copy(), x0[None]
+        )[0]
         x = x0.copy()
         for k in range(slots):
             a = a_c if gamma[k] else a_o
@@ -94,7 +143,7 @@ class TestRecursionContract:
         for arr in args:
             arr.setflags(write=False)
         out = state_recursion(*args)
-        assert out.shape == (20, 2)
+        assert out.shape == (1, 20, 2)
         np.testing.assert_allclose(
             out, loop_state_recursion(*args), rtol=0.0, atol=1e-12
         )

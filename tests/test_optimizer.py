@@ -12,6 +12,7 @@ from helpers import (
     loop_subgradient,
     logistic_channel,
     loop_threshold_from_prices,
+    loop_write_csv,
     reference_channel,
     reference_instance,
     scalar_system,
@@ -446,6 +447,27 @@ class TestIterationTrace:
         lines = path.read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in lines] == [str(t) for t in range(periods)]
         assert lines[-1].split(",")[3] == repr(periods - 0.5)
+
+    def test_to_csv_matches_the_row_list_oracle(self, tmp_path):
+        # The bytes of the writer that formatted ``rows.tolist()`` with the
+        # period cast to int, on random rows with edge values mixed in.
+        m, periods = 3, IterationTrace.BLOCK + 5
+        rng = np.random.default_rng(4)
+        trace = IterationTrace(m)
+        edges = np.array([0.0, -0.0, math.inf, 5e-324, 1e-05, 1.5e16, 0.1])
+        for t in range(periods):
+            v = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8)
+            v[t % m] = edges[t % edges.size]
+            trace.append(
+                t, 1.0 / (t + 1), float(v.sum()), v, np.outer(v, v), rng.random((m, m)),
+                rng.random(m), rng.random(m), rng.random(m), -v,
+            )
+        trace.to_csv(tmp_path / "new.csv")
+        rows = trace.rows.tolist()
+        for row in rows:
+            row[0] = int(row[0])
+        loop_write_csv(tmp_path / "old.csv", trace.columns, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_column_is_a_copy(self):
         trace = IterationTrace(1)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import raccess._kernels
+import raccess.simulate
 from helpers import (
+    loop_simulation,
     loop_state_recursion,
-    loop_trajectory,
     random_admissible_system,
     random_shared_channel_setup,
     reference_channel,
@@ -117,7 +118,8 @@ class TestRunSimulationDeterminism:
         np.testing.assert_array_equal(m1.empirical_cost, m2.empirical_cost)
         np.testing.assert_array_equal(m1.empirical_tx_rate, m2.empirical_tx_rate)
         np.testing.assert_array_equal(m1.empirical_success_rate, m2.empirical_success_rate)
-        assert m1.trajectory == m2.trajectory
+        for a, b in zip(m1.trajectory, m2.trajectory, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
         inst = reference_instance()
@@ -127,6 +129,33 @@ class TestRunSimulationDeterminism:
         assert not np.array_equal(m1.empirical_cost, m2.empirical_cost)
 
 
+def mixed_instance(dims, seed=17):
+    """Random admissible loops of the given state dimensions on one channel."""
+    rng = np.random.default_rng(seed)
+    m = len(dims)
+    systems = tuple(random_admissible_system(rng, dims=(n,)) for n in dims)
+    channels, _, _ = random_shared_channel_setup(rng, m)
+    q = np.full((m, m), 0.1)
+    np.fill_diagonal(q, 0.0)
+    return ProblemInstance(
+        systems=systems,
+        channels=channels,
+        collision=CollisionMatrix(q=q),
+        tx_powers=[1.0] * m,
+        success_targets=[0.5] * m,
+    )
+
+
+def assert_same_run(got, want):
+    np.testing.assert_array_equal(got.empirical_cost, want.empirical_cost)
+    np.testing.assert_array_equal(got.empirical_tx_rate, want.empirical_tx_rate)
+    np.testing.assert_array_equal(got.empirical_success_rate, want.empirical_success_rate)
+    assert len(got.trajectory) == len(want.trajectory) == 5
+    for a, b in zip(got.trajectory, want.trajectory):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
 class TestTrajectoryRecord:
     def test_rows_reproduce_the_metrics(self):
         inst = one_loop_instance()
@@ -134,16 +163,12 @@ class TestTrajectoryRecord:
             instance=inst, policies=(threshold_policy(0.8),), horizon=500, seed=11, thin=1
         )
         met = run_simulation(cfg)
-        rows = met.trajectory
-        assert len(rows) == 500
-        kept = [r for r in rows if r[0] > met.burn_in]
-        assert np.mean([r[2] for r in kept]) == pytest.approx(
-            met.empirical_cost[0], rel=1e-12
-        )
-        assert np.mean([r[3] for r in kept]) == pytest.approx(
-            met.empirical_tx_rate[0], rel=1e-12
-        )
-        assert np.mean([r[4] for r in kept]) == pytest.approx(
+        slot, system, v, tx, gamma = met.trajectory
+        assert slot.size == 500
+        kept = slot > met.burn_in
+        assert np.mean(v[kept]) == pytest.approx(met.empirical_cost[0], rel=1e-12)
+        assert np.mean(tx[kept]) == pytest.approx(met.empirical_tx_rate[0], rel=1e-12)
+        assert np.mean(gamma[kept]) == pytest.approx(
             met.empirical_success_rate[0], rel=1e-12
         )
 
@@ -152,8 +177,9 @@ class TestTrajectoryRecord:
         cfg = SimConfig(
             instance=inst, policies=reference_policies(), horizon=2000, seed=5, thin=1
         )
-        met = run_simulation(cfg)
-        assert all(r[3] == 1 for r in met.trajectory if r[4] == 1)
+        _, _, _, tx, gamma = run_simulation(cfg).trajectory
+        assert np.any(gamma)
+        assert not np.any(gamma & ~tx)
 
     def test_thinning_keeps_every_kth_slot(self):
         inst = one_loop_instance()
@@ -161,7 +187,7 @@ class TestTrajectoryRecord:
             instance=inst, policies=(threshold_policy(0.8),), horizon=100, seed=0, thin=10
         )
         met = run_simulation(cfg)
-        assert [r[0] for r in met.trajectory] == list(range(10, 101, 10))
+        assert met.trajectory[0].tolist() == list(range(10, 101, 10))
 
     def test_disabled_by_default(self):
         inst = one_loop_instance()
@@ -174,26 +200,43 @@ class TestTrajectoryRecord:
     def test_rows_match_the_per_slot_oracle(self, thin):
         # Three loops of state dimension 1, 4 and 2; 7 does not divide the
         # horizon, and thin = 205 keeps no slot at all.
-        rng = np.random.default_rng(17)
-        systems = tuple(random_admissible_system(rng, dims=(n,)) for n in (1, 4, 2))
-        channels, _, _ = random_shared_channel_setup(rng, 3)
-        q = np.full((3, 3), 0.1)
-        np.fill_diagonal(q, 0.0)
-        inst = ProblemInstance(
-            systems=systems,
-            channels=channels,
-            collision=CollisionMatrix(q=q),
-            tx_powers=[1.0] * 3,
-            success_targets=[0.5] * 3,
-        )
+        inst = mixed_instance((1, 4, 2))
         policies = (constant_policy(0.9), threshold_policy(0.0), constant_policy(0.8))
         cfg = SimConfig(instance=inst, policies=policies, horizon=200, seed=3, thin=thin)
-        rows = run_simulation(cfg).trajectory
-        assert len(rows) == 3 * (200 // thin)
-        assert rows == loop_trajectory(cfg)
-        assert all(
-            tuple(map(type, row)) == (int, int, float, int, int) for row in rows
+        met = run_simulation(cfg)
+        assert met.trajectory[0].size == 3 * (200 // thin)
+        assert [col.dtype for col in met.trajectory] == [
+            np.int64, np.int64, np.float64, np.bool_, np.bool_
+        ]
+        assert_same_run(met, loop_simulation(cfg))
+
+
+class TestLoopRuns:
+    # Loop dimensions (1, 2, 1, 1) at horizon 300: a budget of one loop's
+    # cells runs every loop alone, two loops' cells pair the last two
+    # scalar loops, and the default budget does the same.
+    @pytest.mark.parametrize("cells", [300, 600, None])
+    def test_mixed_dimensions_match_the_per_loop_oracle(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(raccess.simulate, "_RUN_CELLS", cells)
+        inst = mixed_instance((1, 2, 1, 1), seed=23)
+        policies = (
+            threshold_policy(0.2), constant_policy(0.9), threshold_policy(0.0),
+            constant_policy(0.7),
         )
+        cfg = SimConfig(instance=inst, policies=policies, horizon=300, seed=4, thin=3)
+        calls = []
+        kernel = raccess._kernels.state_recursion
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(raccess._kernels, "state_recursion", counted)
+        met = run_simulation(cfg)
+        assert calls == ([1, 1, 1, 1] if cells == 300 else [1, 1, 2])
+        monkeypatch.setattr(raccess._kernels, "state_recursion", kernel)
+        assert_same_run(met, loop_simulation(cfg))
 
 
 def transmission_outcomes_3d(policies, channels, qmat, rng, count):
@@ -236,6 +279,17 @@ class TestTransmissionOutcomes:
         # The generator is left where the 3-D draw leaves it.
         np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
 
+    def test_row_draws_into_one_buffer_reproduce_the_block_draw(self):
+        # The transmit and decode uniforms are drawn one link row at a
+        # time into a reused buffer; that consumes the generator exactly
+        # as one (m, count) draw does.
+        rng = np.random.default_rng(9)
+        block = np.random.default_rng(9).random((3, 1000))
+        buf = np.empty(1000)
+        for row in block:
+            rng.random(out=buf)
+            np.testing.assert_array_equal(buf, row)
+
 
 class TestInstability:
     def test_unhelped_unstable_loop_is_reported_with_its_slot(self):
@@ -264,6 +318,40 @@ class TestInstability:
         assert str(kernel_err.value) == str(oracle_err.value)
         slot = int(re.search(r"at slot (\d+)", str(kernel_err.value)).group(1))
         assert math.isqrt(5000) < slot < 5000
+
+    def test_first_loop_in_loop_order_is_named(self, monkeypatch):
+        # Loops 0 and 2 share one kernel call and never transmit; loop 2
+        # grows faster and passes the limit first, but loop 0 comes first
+        # in loop order, so the error names loop 0 at its own slot.
+        systems = (scalar_system(1.1, 0.5), scalar_system(1.0, 0.4), scalar_system(1.5, 0.5))
+        inst = ProblemInstance(
+            systems=systems,
+            channels=(reference_channel(),) * 3,
+            collision=CollisionMatrix.none(3),
+            tx_powers=[1.0] * 3,
+            success_targets=[0.3] * 3,
+        )
+        policies = (threshold_policy(math.inf), threshold_policy(0.5), threshold_policy(math.inf))
+        cfg = SimConfig(instance=inst, policies=policies, horizon=3000, seed=3)
+        states = []
+        kernel = raccess._kernels.state_recursion
+
+        def kept(*args):
+            states.append(kernel(*args))
+            return states[-1]
+
+        monkeypatch.setattr(raccess._kernels, "state_recursion", kept)
+        with pytest.raises(UnstableSimulationError) as err:
+            run_simulation(cfg)
+        (out,) = states
+        with np.errstate(over="ignore", invalid="ignore"):
+            escaped = ~(np.abs(out[:, :, 0]) <= 1e12)
+        first = [int(np.argmax(row)) + 1 if row.any() else None for row in escaped]
+        assert first[1] is None
+        assert first[2] < first[0]
+        assert str(err.value).startswith(
+            f"loop 0 state norm passed 1e+12 at slot {first[0]} of 3000;"
+        )
 
     def test_stabilized_loop_survives_the_same_horizon(self):
         inst = one_loop_instance()
