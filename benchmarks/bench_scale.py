@@ -67,7 +67,6 @@ from raccess import (
     FadingChannel,
     MonteCarlo,
     ProblemInstance,
-    Quadrature,
     SaturatingExpCurve,
     SimConfig,
     StopRule,
@@ -211,7 +210,7 @@ def scaling_entries(m):
     inst = instance(m, MIXED)
     stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
     entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
-    for name, mode in (("quadrature", Quadrature()), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
+    for name, mode in (("quadrature", None), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
         per_period = []
         for _ in range(REPEATS):
             result, wall = timed_run(inst, mode, stop)
@@ -219,7 +218,7 @@ def scaling_entries(m):
         entry[f"{name}_ms_per_period"] = spread(per_period)
 
     tracemalloc.start()
-    trace = timed_run(inst, Quadrature(), stop)[0].trace
+    trace = timed_run(inst, None, stop)[0].trace
     gc.collect()
     kept = tracemalloc.get_traced_memory()[0]
     del trace
@@ -234,7 +233,7 @@ def scaling_entries(m):
 
 
 def long_entry():
-    result, wall = timed_run(instance(LONG_M, ((1.0, 0.4),)), Quadrature(), StopRule())
+    result, wall = timed_run(instance(LONG_M, ((1.0, 0.4),)), None, StopRule())
     return {
         "m": LONG_M,
         "n": 1,

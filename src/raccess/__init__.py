@@ -14,9 +14,7 @@ from .channel import (
     FadingChannel,
     LogisticLogCurve,
     MonteCarlo,
-    Quadrature,
     SaturatingExpCurve,
-    TransmitSample,
     UniformFading,
     draw_transmit_sample,
     expected_policy_rate,

@@ -9,11 +9,12 @@ packet with probability q_ji, independently across pairs and slots, so
     P(gamma_i = 1) = E[alpha_i(h_i) q(h_i)] * prod_{j != i} (1 - E[alpha_j] q_ji).
 
 This module owns the fade distributions, the success-curve families, the
-collision matrix, and the expectation operators used everywhere else:
-deterministic (closed forms, with adaptive Simpson quadrature only for
-the logistic_log curve, which has none) or, for a sensor's own rates in
-the design loop, Monte Carlo over a drawn ``TransmitSample``. Link
-success probabilities are always deterministic.
+collision matrix, and the expectation operators used everywhere else.
+``expected_policy_rate`` and ``expected_policy_success`` are exact: closed
+forms, with adaptive Simpson quadrature only for the logistic_log curve,
+which has none. Under ``MonteCarlo`` the design loop estimates the same
+two numbers for each sensor from one ``draw_transmit_sample`` call. Link
+success probabilities are always exact.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ __all__ = [
     "LogisticLogCurve",
     "FadingChannel",
     "CollisionMatrix",
-    "Quadrature",
     "MonteCarlo",
-    "TransmitSample",
     "sample_channel",
     "draw_transmit_sample",
     "expected_policy_rate",
@@ -268,22 +267,12 @@ class CollisionMatrix:
 
 
 @dataclass(frozen=True)
-class Quadrature:
-    """Deterministic expectation.
-
-    Closed forms cover every threshold transmit rate and the
-    exp_saturating curve on both fade families; adaptive Simpson
-    integration serves only the logistic_log curve.
-    """
-
-
-@dataclass(frozen=True)
 class MonteCarlo:
     """Expectation from a finite seeded sample of fades.
 
-    The design loop draws one ``TransmitSample`` of ``samples`` fades per
-    sensor and period, each sensor from its own stream spawned from
-    ``seed``; the expectations then read that sample.
+    The design loop estimates each sensor's rate and delivery from
+    ``samples`` fades per period (``draw_transmit_sample``), each sensor
+    from its own stream spawned from ``seed``.
     """
 
     samples: int = 10_000
@@ -296,27 +285,13 @@ class MonteCarlo:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class TransmitSample:
-    """The fades on which a threshold policy transmits, out of ``size`` drawn.
-
-    Only fades at or above ``threshold`` enter E[alpha] and E[alpha q], so
-    ``fades`` (read-only) holds just those; the rest of the ``size`` fades
-    are never drawn.
-    """
-
-    size: int
-    threshold: float
-    fades: np.ndarray
-
-
 def sample_channel(ch, rng, size=None, lower=0.0):
     """Draw i.i.d. fades from the channel's distribution, given h >= lower."""
     return ch.dist.sample(rng, size=size, lower=lower)
 
 
 def draw_transmit_sample(policy, ch, samples, rng):
-    """Monte Carlo draw of the fades that reach a threshold policy's threshold.
+    """Monte Carlo estimate (K / samples, sum q(h_k) / samples) of (E[alpha], E[alpha q]).
 
     Of ``samples`` i.i.d. fades, the number K at or above the threshold tau
     is Binomial(samples, P(h >= tau)), and given K those fades are i.i.d.
@@ -329,22 +304,7 @@ def draw_transmit_sample(policy, ch, samples, rng):
     tau = policy.threshold
     k = int(rng.binomial(samples, ch.dist.survival(tau)))
     fades = sample_channel(ch, rng, size=k, lower=tau)
-    fades.setflags(write=False)
-    return TransmitSample(samples, tau, fades)
-
-
-def _drawn_fades(policy, mode):
-    """The transmitting fades of ``mode``, which must be drawn for ``policy``."""
-    if not isinstance(mode, TransmitSample):
-        raise TypeError(
-            f"expectation mode must be Quadrature or a TransmitSample, got "
-            f"{type(mode).__name__} (draw a MonteCarlo sample with draw_transmit_sample)"
-        )
-    if policy.kind != "threshold" or policy.threshold != mode.threshold:
-        raise ValueError(
-            f"sample drawn for threshold {mode.threshold!r} cannot price {policy!r}"
-        )
-    return mode.fades
+    return k / samples, float(np.sum(ch.curve.value(fades))) / samples
 
 
 def _scalar_curve(curve):
@@ -398,24 +358,8 @@ def _integration_window(policy, ch):
     return lo, hi
 
 
-def expected_policy_rate(policy, ch, mode=Quadrature()):
-    """E[alpha(h)], the policy's average transmit rate over the fades.
-
-    Parameters
-    ----------
-    policy : AccessPolicy
-    ch : FadingChannel
-    mode : Quadrature or TransmitSample
-        Quadrature returns the fade survival at the threshold, exactly; a
-        TransmitSample drawn for this policy gives the share of its
-        ``size`` fades that transmit.
-
-    Returns
-    -------
-    float in [0, 1]
-    """
-    if not isinstance(mode, Quadrature):
-        return _drawn_fades(policy, mode).shape[0] / mode.size
+def expected_policy_rate(policy, ch):
+    """E[alpha(h)] in [0, 1]: the fade survival at a threshold, or a constant rate."""
     if policy.kind == "constant":
         return float(policy.rate)
     if math.isinf(policy.threshold):
@@ -423,18 +367,14 @@ def expected_policy_rate(policy, ch, mode=Quadrature()):
     return float(ch.dist.survival(policy.threshold))
 
 
-def expected_policy_success(policy, ch, mode=Quadrature()):
+def expected_policy_success(policy, ch):
     """E[alpha(h) q(h)], the policy's collision-free delivery rate.
 
-    Under Quadrature the exp_saturating curve ``q = 1 - exp(-k h)`` gives
+    The exp_saturating curve ``q = 1 - exp(-k h)`` gives
     ``P(h >= lo) - E[exp(-k h); h >= lo]`` in closed form, with lo the
     bottom of the transmit region; the logistic_log curve is integrated
-    by adaptive Simpson. A TransmitSample sums q over its transmitting
-    fades and divides by its ``size``.
+    by adaptive Simpson.
     """
-    if not isinstance(mode, Quadrature):
-        fades = _drawn_fades(policy, mode)
-        return float(np.sum(ch.curve.value(fades))) / mode.size
     if policy.kind == "threshold" and math.isinf(policy.threshold):
         return 0.0
     if isinstance(ch.curve, SaturatingExpCurve):
@@ -471,7 +411,7 @@ def link_success_probability(policies, channels, qmat):
     """P(gamma_i = 1) of every link i under independent fades and pairwise collisions.
 
     Combines each sensor's own delivery rate with the probability that no
-    transmitting interferer erases it, all expectations under Quadrature:
+    transmitting interferer erases it, all expectations exact:
 
         E[alpha_i q] * prod_{j != i} (1 - E[alpha_j] q[j, i]).
 

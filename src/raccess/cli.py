@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .channel import MonteCarlo, Quadrature, link_success_probability
+from .channel import MonteCarlo, link_success_probability
 from .config import ConfigError, parse_config
 from .control import InfeasibleContractError, compute_success_requirement, steady_state_cost_bound
 from .optimizer import DivergenceError, ProblemInstance, run_algorithm1
@@ -74,7 +74,7 @@ def _expectation_mode(cfg, args):
     if mode == "mc":
         seed = cfg.optimizer.seed if args.seed is None else args.seed
         return MonteCarlo(samples=cfg.optimizer.mc_samples, seed=seed)
-    return Quadrature()
+    return None  # exact expectations
 
 
 def _write_rates(out, targets):

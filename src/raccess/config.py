@@ -10,6 +10,7 @@ path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,30 +197,44 @@ def _seed(entry, path):
     return seed
 
 
+def _number(entry, key, default, path):
+    """``entry[key]`` (``default`` if absent) as float() reads it."""
+    value = entry.get(key, default)
+    try:
+        return float(value)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}.{key}: must be a number, got {value!r}") from exc
+
+
+def _finite(text):
+    """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text}: every config number must be finite")
+    return value
+
+
 def _parse_optimizer(entry):
     path = "optimizer"
     _check_keys(entry, _OPT_KEYS, path)
+    a = _number(entry, "step_a", StepSchedule.a, path)
+    b = _number(entry, "step_b", StepSchedule.b, path)
     try:
-        defaults = StepSchedule()
-        schedule = StepSchedule(
-            a=float(entry.get("step_a", defaults.a)),
-            b=float(entry.get("step_b", defaults.b)),
-        )
-        stop_fields = dict(
-            slack_tol=float(entry.get("slack_tol", 0.0)),
-            dual_change_tol=float(entry.get("dual_change_tol", 1e-3)),
-            divergence_bound=float(entry.get("divergence_bound", 1e6)),
-        )
-    except (ValueError, TypeError) as exc:
+        schedule = StepSchedule(a=a, b=b)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    for key, default in (("max_periods", 5000), ("window", 100)):
-        stop_fields[key] = _integer(entry.get(key, default), f"{path}.{key}")
+    stop_fields = {
+        key: _number(entry, key, getattr(StopRule, key), path)
+        for key in ("slack_tol", "dual_change_tol", "divergence_bound")
+    }
+    for key in ("max_periods", "window"):
+        stop_fields[key] = _integer(entry.get(key, getattr(StopRule, key)), f"{path}.{key}")
     try:
         stop = StopRule(**stop_fields)
     except ValueError as exc:  # the message starts with the field name
         raise ConfigError(f"{path}.{exc}") from exc
-    box = (float(entry.get("beta_min", DEFAULT_BOX[0])),
-           float(entry.get("beta_max", DEFAULT_BOX[1])))
+    box = (_number(entry, "beta_min", DEFAULT_BOX[0], path),
+           _number(entry, "beta_max", DEFAULT_BOX[1], path))
     if not 0.0 < box[0] < box[1] < 1.0:
         raise ConfigError(
             f"{path}: beta box must satisfy 0 < beta_min < beta_max < 1, got {box}"
@@ -276,12 +291,13 @@ def parse_config(path):
     Raises
     ------
     ConfigError
-        On unreadable files, invalid JSON, unknown keys, or any field
-        failing validation; the message names the field path.
+        On unreadable files, invalid JSON, non-finite numbers (``NaN``,
+        ``Infinity``, ``1e400``), unknown keys, or any field failing
+        validation; the message names the field path.
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -38,17 +38,16 @@ class InfeasibleContractError(ValueError):
 
 def _as_square(value, name):
     """Coerce a scalar or nested sequence to a float square matrix."""
-    arr = np.atleast_2d(np.asarray(value, dtype=float))
+    arr = np.array(value, dtype=float, ndmin=2)  # always a copy of the caller's data
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 def _require_symmetric(arr, name):
-    scale = max(1.0, float(np.max(np.abs(arr))))
-    if np.max(np.abs(arr - arr.T)) > 1e-8 * scale:
+    scale = max(1.0, float(np.abs(arr).max()))
+    if np.abs(arr - arr.T).max() > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")
 
 

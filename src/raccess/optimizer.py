@@ -23,8 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
-    MonteCarlo,
-    Quadrature,
     delivery_product,
     draw_transmit_sample,
     expected_policy_rate,
@@ -336,33 +334,36 @@ def _initial_state(inst, box):
 def _measure(policies, inst, mode, rngs):
     """Per-sensor E[alpha] and E[alpha q] for one period.
 
-    Under Monte Carlo, sensor i draws its transmitting fades from its own
-    generator ``rngs[i]``; under Quadrature ``rngs`` is None.
+    Exact when ``mode`` is None; under Monte Carlo, sensor i estimates both
+    from its own generator ``rngs[i]``.
     """
     m = inst.m
     rates = np.empty(m)
     succ = np.empty(m)
     for i, (pol, ch) in enumerate(zip(policies, inst.channels)):
-        mode_i = mode if rngs is None else draw_transmit_sample(pol, ch, mode.samples, rngs[i])
-        rates[i] = expected_policy_rate(pol, ch, mode_i)
-        succ[i] = expected_policy_success(pol, ch, mode_i)
+        if mode is None:
+            rates[i] = expected_policy_rate(pol, ch)
+            succ[i] = expected_policy_success(pol, ch)
+        else:
+            rates[i], succ[i] = draw_transmit_sample(pol, ch, mode.samples, rngs[i])
     return rates, succ
 
 
 def run_algorithm1(
     inst,
     schedule=StepSchedule(),
-    mode=Quadrature(),
+    mode=None,
     stop=StopRule(),
     box=DEFAULT_BOX,
 ):
     """Run the dual subgradient loop until the stop rule fires.
 
     Each period prices the sensors with the current duals, measures the
-    resulting transmit and delivery rates (deterministic quadrature or
-    seeded Monte Carlo: sensor i draws ``mode.samples`` fades per period,
-    of which only the transmitting ones are materialized, from the i-th
-    of m streams spawned by ``np.random.SeedSequence(mode.seed)``),
+    resulting transmit and delivery rates (exactly when ``mode`` is None;
+    under a ``MonteCarlo`` mode sensor i estimates them from
+    ``mode.samples`` fades per period, of which only the transmitting
+    ones are drawn, from the i-th of m streams spawned by
+    ``np.random.SeedSequence(mode.seed)``),
     refreshes the shares, logs the period as a trace row, and steps the
     duals along the subgradient. Convergence requires the returned
     policies' worst constraint slack <= ``stop.slack_tol`` together with
@@ -381,7 +382,7 @@ def run_algorithm1(
     q = inst.collision.q
     state = _initial_state(inst, box)
     rngs = None
-    if isinstance(mode, MonteCarlo):
+    if mode is not None:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(m)]
     trace = IterationTrace(m)
     duals = slice(trace.columns.index("lambda_0"), trace.columns.index("beta_0_0"))

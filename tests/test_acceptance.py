@@ -19,7 +19,6 @@ from helpers import (
 )
 from raccess import (
     ProblemInstance,
-    Quadrature,
     SimConfig,
     compute_success_requirement,
     constant_policy,
@@ -103,7 +102,6 @@ def test_designed_minimizers_beat_search(reference_run):
             assert best >= base - 1e-8
 
     rng = np.random.default_rng(7)
-    mode = Quadrature()
     violations = 0
     for _ in range(200):
         i = int(rng.integers(m))
@@ -113,8 +111,8 @@ def test_designed_minimizers_beat_search(reference_run):
             alt = constant_policy(float(rng.uniform(0.01, 0.99)))
         alt_rate = rate.copy()
         alt_succ = succ.copy()
-        alt_rate[i] = expected_policy_rate(alt, inst.channels[i], mode)
-        alt_succ[i] = expected_policy_success(alt, inst.channels[i], mode)
+        alt_rate[i] = expected_policy_rate(alt, inst.channels[i])
+        alt_succ[i] = expected_policy_success(alt, inst.channels[i])
         value = lagrangian_value(
             alt_rate, alt_succ, state.beta, state.lam, state.nu, inst
         )
@@ -173,7 +171,7 @@ def test_dual_loop_converges_on_reference_instance(reference_run):
     thresholds = [p.threshold for p in result.policies]
     assert thresholds[0] < thresholds[1]
 
-    # Quadrature mode is deterministic end to end.
+    # The exact design is deterministic end to end.
     again = run_algorithm1(reference_instance())
     assert again.periods == result.periods
     np.testing.assert_array_equal(again.trace.rows, trace.rows)

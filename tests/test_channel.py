@@ -11,7 +11,6 @@ from raccess import (
     FadingChannel,
     LogisticLogCurve,
     MonteCarlo,
-    Quadrature,
     SaturatingExpCurve,
     UniformFading,
     constant_policy,
@@ -53,27 +52,27 @@ class TestThresholdExpectationsExponential:
     @pytest.mark.parametrize("mean", [0.6, 1.0, 2.3])
     def test_transmit_rate_closed_form(self, thr, mean):
         ch = exp_saturating_channel(mean, 1.5)
-        got = expected_policy_rate(threshold_policy(thr), ch, Quadrature())
+        got = expected_policy_rate(threshold_policy(thr), ch)
         assert got == pytest.approx(exact_threshold_rate_exp(thr, mean), abs=1e-9)
 
     @pytest.mark.parametrize("thr", [0.0, 0.3, 1.0, 1.7])
     @pytest.mark.parametrize("mean,kappa,gain", [(1.0, 1.5, 1.0), (0.7, 2.0, 0.8), (2.0, 0.9, 1.3)])
     def test_delivery_closed_form(self, thr, mean, kappa, gain):
         ch = exp_saturating_channel(mean, kappa, gain)
-        got = expected_policy_success(threshold_policy(thr), ch, Quadrature())
+        got = expected_policy_success(threshold_policy(thr), ch)
         assert got == pytest.approx(
             exact_threshold_success_exp(thr, mean, kappa, gain), abs=1e-9
         )
 
     def test_always_transmit_delivery_reference_value(self):
         ch = reference_channel()
-        got = expected_policy_success(threshold_policy(0.0), ch, Quadrature())
+        got = expected_policy_success(threshold_policy(0.0), ch)
         assert got == pytest.approx(0.6, abs=1e-10)
 
     def test_never_transmit(self):
         ch = reference_channel()
-        assert expected_policy_rate(threshold_policy(math.inf), ch, Quadrature()) == 0.0
-        assert expected_policy_success(threshold_policy(math.inf), ch, Quadrature()) == 0.0
+        assert expected_policy_rate(threshold_policy(math.inf), ch) == 0.0
+        assert expected_policy_success(threshold_policy(math.inf), ch) == 0.0
 
 
 class TestThresholdExpectationsUniform:
@@ -89,8 +88,8 @@ class TestThresholdExpectationsUniform:
         want_succ = (
             (hi - mm) - (math.exp(-kappa * mm) - math.exp(-kappa * hi)) / kappa
         ) / (hi - lo)
-        got_rate = expected_policy_rate(threshold_policy(thr), ch, Quadrature())
-        got_succ = expected_policy_success(threshold_policy(thr), ch, Quadrature())
+        got_rate = expected_policy_rate(threshold_policy(thr), ch)
+        got_succ = expected_policy_success(threshold_policy(thr), ch)
         assert got_rate == pytest.approx(want_rate, abs=1e-9)
         assert got_succ == pytest.approx(want_succ, abs=1e-9)
 
@@ -124,14 +123,14 @@ CLOSED_FORM_CASES = [
 def test_closed_forms_match_simpson(dist, policy):
     ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5, gain=0.8))
     want_rate, want_succ = simpson_expectations(policy, ch)
-    assert abs(expected_policy_rate(policy, ch, Quadrature()) - want_rate) <= 1e-10
-    assert abs(expected_policy_success(policy, ch, Quadrature()) - want_succ) <= 1e-10
+    assert abs(expected_policy_rate(policy, ch) - want_rate) <= 1e-10
+    assert abs(expected_policy_success(policy, ch) - want_succ) <= 1e-10
 
 
 class TestConstantPolicyExpectations:
     def test_rate_is_exact(self):
         ch = reference_channel()
-        assert expected_policy_rate(constant_policy(0.37), ch, Quadrature()) == 0.37
+        assert expected_policy_rate(constant_policy(0.37), ch) == 0.37
 
     @pytest.mark.parametrize("mean,kappa", [(1.0, 1.5), (0.5, 2.0)])
     def test_delivery_scales_mean_decode_probability(self, mean, kappa):
@@ -140,32 +139,23 @@ class TestConstantPolicyExpectations:
         ch = exp_saturating_channel(mean, kappa)
         r = 0.42
         want = r * kappa * mean / (1.0 + kappa * mean)
-        got = expected_policy_success(constant_policy(r), ch, Quadrature())
+        got = expected_policy_success(constant_policy(r), ch)
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def mc_draws(policy, ch, samples, count, seed):
     """``count`` Monte Carlo (rate, success) pairs, each from ``samples`` fades."""
     rng = np.random.default_rng(seed)
-    out = np.empty((count, 2))
-    for r in range(count):
-        drawn = draw_transmit_sample(policy, ch, samples, rng)
-        out[r] = expected_policy_rate(policy, ch, drawn), expected_policy_success(policy, ch, drawn)
-    return out
+    return np.array([draw_transmit_sample(policy, ch, samples, rng) for _ in range(count)])
 
 
 class TestMonteCarloExpectations:
     def test_agrees_with_quadrature(self):
         ch = reference_channel()
         pol = threshold_policy(0.8)
-        drawn = draw_transmit_sample(pol, ch, 200_000, np.random.default_rng(5))
-        quad = Quadrature()
-        assert expected_policy_rate(pol, ch, drawn) == pytest.approx(
-            expected_policy_rate(pol, ch, quad), abs=0.01
-        )
-        assert expected_policy_success(pol, ch, drawn) == pytest.approx(
-            expected_policy_success(pol, ch, quad), abs=0.01
-        )
+        rate, succ = draw_transmit_sample(pol, ch, 200_000, np.random.default_rng(5))
+        assert rate == pytest.approx(expected_policy_rate(pol, ch), abs=0.01)
+        assert succ == pytest.approx(expected_policy_success(pol, ch), abs=0.01)
 
     def test_seeded_and_reproducible(self):
         ch = reference_channel()
@@ -174,9 +164,8 @@ class TestMonteCarloExpectations:
             draw_transmit_sample(pol, ch, 5000, np.random.default_rng(seed))
             for seed in (9, 9, 10)
         )
-        assert np.array_equal(a.fades, b.fades)
-        assert expected_policy_success(pol, ch, a) == expected_policy_success(pol, ch, b)
-        assert expected_policy_success(pol, ch, a) != expected_policy_success(pol, ch, c)
+        assert a == b
+        assert a[1] != c[1]
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_rejects_an_empty_sample(self, samples):
@@ -192,25 +181,17 @@ class TestMonteCarloExpectations:
         real = raccess.channel.sample_channel
 
         def counting(ch, rng, size=None, lower=0.0):
-            draws.append(size)
-            return real(ch, rng, size=size, lower=lower)
+            fades = real(ch, rng, size=size, lower=lower)
+            draws.append(fades)
+            return fades
 
         monkeypatch.setattr(raccess.channel, "sample_channel", counting)
         ch = reference_channel()
         pol = threshold_policy(0.8)
-        drawn = draw_transmit_sample(pol, ch, 3000, np.random.default_rng(7))
-        rate = expected_policy_rate(pol, ch, drawn)
-        expected_policy_success(pol, ch, drawn)
-        assert draws == [drawn.fades.shape[0]]
-        assert rate == draws[0] / 3000
-
-    def test_the_shared_sample_is_read_only(self):
-        drawn = draw_transmit_sample(
-            threshold_policy(0.2), reference_channel(), 100, np.random.default_rng(0)
-        )
-        assert not drawn.fades.flags.writeable
-        with pytest.raises(ValueError):
-            drawn.fades[0] = 0.0
+        rate, succ = draw_transmit_sample(pol, ch, 3000, np.random.default_rng(7))
+        assert len(draws) == 1
+        assert rate == draws[0].size / 3000
+        assert succ == float(np.sum(ch.curve.value(draws[0]))) / 3000
 
     @pytest.mark.parametrize(
         "dist", [ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6)]
@@ -225,7 +206,7 @@ class TestMonteCarloExpectations:
         ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=k))
         pol = threshold_policy(thr)
         surv = dist.survival(thr)
-        mu = expected_policy_success(pol, ch, Quadrature())
+        mu = expected_policy_success(pol, ch)
         second = surv - 2.0 * dist.laplace_tail(thr, k) + dist.laplace_tail(thr, 2.0 * k)
         want_mean = np.array([surv, mu])
         want_cov = np.array(
@@ -251,40 +232,29 @@ class TestMonteCarloExpectations:
     def test_exact_edges(self, dist):
         ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5))
         rng = np.random.default_rng(2)
-        always = draw_transmit_sample(threshold_policy(0.0), ch, 1000, rng)
-        assert always.fades.shape == (1000,)
-        assert expected_policy_rate(threshold_policy(0.0), ch, always) == 1.0
+        rate, succ = draw_transmit_sample(threshold_policy(0.0), ch, 1000, rng)
+        assert rate == 1.0
+        assert 0.0 < succ < 1.0
         edges = [math.inf] + ([dist.high, dist.high + 1.0] if isinstance(dist, UniformFading) else [])
         for thr in edges:
-            pol = threshold_policy(thr)
-            never = draw_transmit_sample(pol, ch, 1000, rng)
-            assert never.fades.shape == (0,)
-            assert expected_policy_rate(pol, ch, never) == 0.0
-            assert expected_policy_success(pol, ch, never) == 0.0
+            assert draw_transmit_sample(threshold_policy(thr), ch, 1000, rng) == (0.0, 0.0)
 
     def test_fades_lie_in_the_transmit_region(self):
         for dist in (ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6)):
             ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5))
             for thr in (0.1, 0.9, 1.5):
-                drawn = draw_transmit_sample(threshold_policy(thr), ch, 2000, np.random.default_rng(1))
-                assert drawn.fades.shape[0] > 0
-                assert np.all(drawn.fades >= thr)
-                assert np.all(drawn.fades >= dist.lower)
+                fades = sample_channel(ch, np.random.default_rng(1), 2000, lower=thr)
+                assert fades.shape == (2000,)
+                assert np.all(fades >= thr)
+                assert np.all(fades >= dist.lower)
                 if isinstance(dist, UniformFading):
-                    assert np.all(drawn.fades <= dist.high)
+                    assert np.all(fades <= dist.high)
 
-    def test_needs_a_sample_drawn_for_the_policy(self):
-        ch = reference_channel()
-        pol = threshold_policy(0.8)
-        for expectation in (expected_policy_rate, expected_policy_success):
-            with pytest.raises(TypeError, match="TransmitSample"):
-                expectation(pol, ch, MonteCarlo(samples=100, seed=0))
-            drawn = draw_transmit_sample(pol, ch, 100, np.random.default_rng(0))
-            for other in (threshold_policy(0.7), constant_policy(0.5)):
-                with pytest.raises(ValueError, match="threshold"):
-                    expectation(other, ch, drawn)
+    def test_rejects_a_constant_policy(self):
         with pytest.raises(ValueError, match="threshold policy"):
-            draw_transmit_sample(constant_policy(0.5), ch, 100, np.random.default_rng(0))
+            draw_transmit_sample(
+                constant_policy(0.5), reference_channel(), 100, np.random.default_rng(0)
+            )
 
 
 class TestDeliveryProduct:
@@ -399,8 +369,8 @@ class TestLinkSuccessProbability:
         chs = (reference_channel(), exp_saturating_channel(0.8, 2.0))
         pols = (threshold_policy(0.35), threshold_policy(0.9))
         q = CollisionMatrix(q=np.array([[0.0, 0.5], [0.4, 0.0]]))
-        own = expected_policy_success(pols[0], chs[0], Quadrature())
-        other_rate = expected_policy_rate(pols[1], chs[1], Quadrature())
+        own = expected_policy_success(pols[0], chs[0])
+        other_rate = expected_policy_rate(pols[1], chs[1])
         want = own * (1.0 - other_rate * 0.4)
         got = link_success_probability(pols, chs, q)
         assert got.shape == (2,)
@@ -411,17 +381,17 @@ class TestLinkSuccessProbability:
         chs, pols, q = random_shared_channel_setup(rng, 3)
         got = link_success_probability(pols, chs, q)
         for i in range(3):
-            want = expected_policy_success(pols[i], chs[i], Quadrature())
+            want = expected_policy_success(pols[i], chs[i])
             for j in range(3):
                 if j != i:
-                    want *= 1.0 - expected_policy_rate(pols[j], chs[j], Quadrature()) * q.q[j, i]
+                    want *= 1.0 - expected_policy_rate(pols[j], chs[j]) * q.q[j, i]
             assert got[i] == pytest.approx(want, rel=1e-12)
 
     def test_no_interference_reduces_to_own_delivery(self):
         ch = reference_channel()
         pol = threshold_policy(0.5)
         got = link_success_probability((pol,), (ch,), CollisionMatrix.none(1))
-        want = expected_policy_success(pol, ch, Quadrature())
+        want = expected_policy_success(pol, ch)
         assert got[0] == pytest.approx(want, rel=1e-12)
 
 

@@ -229,6 +229,59 @@ class TestParseConfig:
         assert code == EXIT_CONFIG
         assert f"{field}: must be an integer, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in (
+                "optimizer.step_a",
+                "optimizer.step_b",
+                "optimizer.slack_tol",
+                "optimizer.dual_change_tol",
+                "optimizer.divergence_bound",
+                "optimizer.beta_min",
+                "optimizer.beta_max",
+            )
+            for value in ("abc", None, [0.5])
+        ],
+    )
+    def test_non_number_field_exits_2_naming_its_path(self, tmp_path, capsys, field, value):
+        raw = base_config()
+        section, key = field.split(".")
+        raw[section][key] = value
+        code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"{field}: must be a number, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "place, literal",
+        [
+            ("tx_powers.0", "NaN"),
+            ("tx_powers.0", "Infinity"),
+            ("tx_powers.1", "1e400"),
+            ("systems.0.a_closed", "NaN"),
+            ("systems.1.noise_cov", "NaN"),
+            ("optimizer.dual_change_tol", "NaN"),
+            ("optimizer.slack_tol", "NaN"),
+            ("optimizer.divergence_bound", "NaN"),
+            ("optimizer.step_a", "-Infinity"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, place, literal):
+        # Python's json reads these literals as nan and inf unless told not to.
+        raw = base_config()
+        raw["optimizer"]["max_periods"] = 800
+        *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
+        target = raw
+        for key in outer:
+            target = target[key]
+        target[last] = "NON_FINITE"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw).replace('"NON_FINITE"', literal))
+        code = main(["pipeline", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"non-finite number {literal}" in capsys.readouterr().err
+
     def test_integral_floats_load_as_integers(self, tmp_path):
         raw = base_config()
         raw["simulation"].update(horizon=2e4, burn_in=1e3, thin=10.0, seed=7.0)

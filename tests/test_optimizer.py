@@ -22,7 +22,6 @@ from raccess import (
     DivergenceError,
     DualState,
     ProblemInstance,
-    Quadrature,
     MonteCarlo,
     StepSchedule,
     StopRule,
@@ -504,7 +503,7 @@ class TestRunAlgorithm1:
     def test_converged_policies_meet_the_target_analytically(self):
         inst = one_loop_instance(0.3)
         result = run_algorithm1(inst)
-        succ = expected_policy_success(result.policies[0], inst.channels[0], Quadrature())
+        succ = expected_policy_success(result.policies[0], inst.channels[0])
         assert succ >= 0.3 - 1e-12
 
     def test_trace_matches_the_stopping_state(self, reference_run):

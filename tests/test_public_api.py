@@ -1,12 +1,24 @@
-"""Every exported name must resolve, so a deletion cannot leave one behind."""
+"""Every exported name must resolve, so a deletion cannot leave one behind.
+
+The same holds for the names the benchmark looks up from outside the
+package: ``perfbench/tracing.py`` patches raccess functions by (owner,
+attribute), and ``perfbench/run.py`` records the kernel backend's name,
+so a rename inside raccess would otherwise surface only in a benchmark
+run.
+"""
 
 import ast
 import importlib
+import importlib.util
+import os
 import pkgutil
 
 import pytest
 
 import raccess
+import raccess._kernels
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MODULES = sorted(
     f"raccess.{info.name}" for info in pkgutil.iter_modules(raccess.__path__)
@@ -37,3 +49,27 @@ def test_package_imports_resolve():
         or not hasattr(importlib.import_module(f"raccess.{module}"), attr)
     ]
     assert missing == []
+
+
+def load_tracing():
+    """Import ``perfbench/tracing.py`` by path, only to read its tables."""
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_boundary_resolves():
+    boundaries = load_tracing().BOUNDARIES
+    assert boundaries
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, *_ in boundaries
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+
+
+def test_kernel_backend_name_is_a_str():
+    assert isinstance(raccess._kernels.backend_name(), str)
