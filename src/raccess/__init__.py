@@ -30,7 +30,6 @@ from .control import (
     compute_success_requirement,
     expected_lyapunov_next,
     lmi_slack,
-    max_symmetric_eigenvalue,
     steady_state_cost_bound,
 )
 from .optimizer import (

@@ -38,9 +38,6 @@ __all__ = [
     "expected_policy_success",
     "link_success_probability",
     "delivery_product",
-    "dist_from_dict",
-    "curve_from_dict",
-    "channel_from_dict",
 ]
 
 # Adaptive Simpson (logistic_log curve only) integrates to this absolute
@@ -88,9 +85,6 @@ class ExponentialFading:
     def lower(self):
         return 0.0
 
-    def to_dict(self):
-        return {"family": "exponential", "mean": self.mean}
-
 
 @dataclass(frozen=True)
 class UniformFading:
@@ -133,9 +127,6 @@ class UniformFading:
     def lower(self):
         return self.low
 
-    def to_dict(self):
-        return {"family": "uniform", "low": self.low, "high": self.high}
-
 
 @dataclass(frozen=True)
 class SaturatingExpCurve:
@@ -162,9 +153,6 @@ class SaturatingExpCurve:
         """Fade level at which the curve reaches t in (0, 1)."""
         return -math.log1p(-t) / (self.kappa * self.gain)
 
-    def to_dict(self):
-        return {"family": "exp_saturating", "kappa": self.kappa, "gain": self.gain}
-
 
 @dataclass(frozen=True)
 class LogisticLogCurve:
@@ -189,13 +177,6 @@ class LogisticLogCurve:
         """Fade level at which the curve reaches t in (0, 1)."""
         return self.midpoint * (t / (1.0 - t)) ** (1.0 / self.steepness)
 
-    def to_dict(self):
-        return {
-            "family": "logistic_log",
-            "midpoint": self.midpoint,
-            "steepness": self.steepness,
-        }
-
 
 @dataclass(frozen=True)
 class FadingChannel:
@@ -203,35 +184,6 @@ class FadingChannel:
 
     dist: object
     curve: object
-
-    def to_dict(self):
-        return {"dist": self.dist.to_dict(), "curve": self.curve.to_dict()}
-
-
-def dist_from_dict(d):
-    family = d.get("family")
-    if family == "exponential":
-        return ExponentialFading(mean=float(d.get("mean", 1.0)))
-    if family == "uniform":
-        return UniformFading(low=float(d["low"]), high=float(d["high"]))
-    raise ValueError(f"unknown fade distribution family {family!r}")
-
-
-def curve_from_dict(d):
-    family = d.get("family")
-    if family == "exp_saturating":
-        return SaturatingExpCurve(
-            kappa=float(d.get("kappa", 1.5)), gain=float(d.get("gain", 1.0))
-        )
-    if family == "logistic_log":
-        return LogisticLogCurve(
-            midpoint=float(d["midpoint"]), steepness=float(d["steepness"])
-        )
-    raise ValueError(f"unknown success curve family {family!r}")
-
-
-def channel_from_dict(d):
-    return FadingChannel(dist=dist_from_dict(d["dist"]), curve=curve_from_dict(d["curve"]))
 
 
 @dataclass(frozen=True)

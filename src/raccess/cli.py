@@ -95,7 +95,7 @@ def _policies_doc(result, inst, link):
         },
         "converged": bool(result.converged),
         "periods": int(result.periods),
-        "objective": float(result.trace.rows[-1][2]) if len(result.trace) else None,
+        "objective": float(result.trace.column("objective")[-1]) if len(result.trace) else None,
         "success_targets": [float(c) for c in inst.success_targets],
         "link_success": [float(v) for v in link],
     }
@@ -110,14 +110,15 @@ def load_policies(path):
         raise ConfigError(f"cannot read policies: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "policies" not in doc:
-        raise ConfigError(f"{path}: expected an object with a 'policies' list")
+    entries = doc.get("policies") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
+        raise ConfigError(f"{path}: expected an object with a 'policies' list of objects")
     if doc.get("schema_version") != POLICIES_SCHEMA_VERSION:
         raise ConfigError(
             f"{path}: schema_version must be {POLICIES_SCHEMA_VERSION}"
         )
     try:
-        return [AccessPolicy.from_dict(d) for d in doc["policies"]]
+        return [AccessPolicy.from_dict(d) for d in entries]
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

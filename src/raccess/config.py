@@ -9,13 +9,21 @@ path.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CollisionMatrix, channel_from_dict
+from .channel import (
+    CollisionMatrix,
+    ExponentialFading,
+    FadingChannel,
+    LogisticLogCurve,
+    SaturatingExpCurve,
+    UniformFading,
+)
 from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop
 from .optimizer import DEFAULT_BOX, StepSchedule, StopRule
 
@@ -40,26 +48,6 @@ _TOP_KEYS = {
     "simulation",
     "output_dir",
 }
-_RAW_SYSTEM_KEYS = {"a_closed", "a_open", "noise_cov", "lyap_matrix", "decay_rate"}
-_PAIR_SYSTEM_KEYS = {
-    "plant_a",
-    "plant_b",
-    "plant_c",
-    "ctrl_f",
-    "ctrl_fc",
-    "ctrl_g",
-    "ctrl_k",
-    "ctrl_kc",
-    "ctrl_l",
-    "process_noise_cov",
-    "meas_noise_cov",
-    "lyap_matrix",
-    "decay_rate",
-    "noise_mode",
-}
-_CHANNEL_KEYS = {"dist", "curve"}
-_DIST_KEYS = {"family", "mean", "low", "high"}
-_CURVE_KEYS = {"family", "kappa", "gain", "midpoint", "steepness"}
 _OPT_KEYS = {
     "step_a",
     "step_b",
@@ -93,6 +81,41 @@ def _require(d, key, path):
     if key not in d:
         raise ConfigError(f"missing required key '{key}' at {path}")
     return d[key]
+
+
+def _keys(cls, required=(), optional=()):
+    """The keys a config object for ``cls`` may give, and those it must give.
+
+    They are ``cls``'s dataclass fields, required where the field has no
+    default, plus the given extra keys.
+    """
+    fields = dataclasses.fields(cls)
+    must = tuple(f.name for f in fields if f.default is dataclasses.MISSING) + required
+    return frozenset(f.name for f in fields).union(must, optional), must
+
+
+def _object(entry, keys, path):
+    """``entry`` if it is an object that gives only ``keys``' keys and all required ones."""
+    allowed, required = keys
+    _check_keys(entry, allowed, path)
+    for key in required:
+        _require(entry, key, path)
+    return entry
+
+
+_FADES = {"exponential": ExponentialFading, "uniform": UniformFading}
+_CURVES = {"exp_saturating": SaturatingExpCurve, "logistic_log": LogisticLogCurve}
+# Built once here: parsing is about half of a ``rates`` call.
+_FAMILY_KEYS = {
+    cls: _keys(cls, optional=("family",)) for cls in (*_FADES.values(), *_CURVES.values())
+}
+_CHANNEL_KEYS = _keys(FadingChannel)
+_RAW_SYSTEM_KEYS = _keys(SwitchedSystem)
+# The pair form also gives assemble_example_loop's keyword arguments.
+_ASSEMBLY_KEYS = ("lyap_matrix", "decay_rate", "noise_mode")
+_PAIR_SYSTEM_KEYS = _keys(
+    PlantControllerPair, required=_ASSEMBLY_KEYS[:2], optional=_ASSEMBLY_KEYS[2:]
+)
 
 
 @dataclass(frozen=True)
@@ -129,56 +152,41 @@ class ExperimentConfig:
 
 
 def _parse_system(entry, path):
-    _check_keys(
-        entry,
-        _PAIR_SYSTEM_KEYS if "plant_a" in entry else _RAW_SYSTEM_KEYS,
-        path,
-    )
+    pair = isinstance(entry, dict) and "plant_a" in entry
+    loop = dict(_object(entry, _PAIR_SYSTEM_KEYS if pair else _RAW_SYSTEM_KEYS, path))
     try:
-        if "plant_a" in entry:
-            pair = PlantControllerPair(
-                plant_a=_require(entry, "plant_a", path),
-                plant_b=_require(entry, "plant_b", path),
-                plant_c=_require(entry, "plant_c", path),
-                ctrl_f=_require(entry, "ctrl_f", path),
-                ctrl_fc=_require(entry, "ctrl_fc", path),
-                ctrl_g=_require(entry, "ctrl_g", path),
-                ctrl_k=_require(entry, "ctrl_k", path),
-                ctrl_kc=_require(entry, "ctrl_kc", path),
-                ctrl_l=_require(entry, "ctrl_l", path),
-                process_noise_cov=_require(entry, "process_noise_cov", path),
-                meas_noise_cov=_require(entry, "meas_noise_cov", path),
-            )
-            system, _, _ = assemble_example_loop(
-                pair,
-                lyap_matrix=_require(entry, "lyap_matrix", path),
-                decay_rate=_require(entry, "decay_rate", path),
-                noise_mode=entry.get("noise_mode", "closed"),
-            )
+        if pair:
+            assembly = {key: loop.pop(key) for key in _ASSEMBLY_KEYS if key in loop}
+            system, _, _ = assemble_example_loop(PlantControllerPair(**loop), **assembly)
             return system
-        return SwitchedSystem(
-            a_closed=_require(entry, "a_closed", path),
-            a_open=_require(entry, "a_open", path),
-            noise_cov=_require(entry, "noise_cov", path),
-            lyap_matrix=_require(entry, "lyap_matrix", path),
-            decay_rate=_require(entry, "decay_rate", path),
-        )
-    except ConfigError:
-        raise
+        return SwitchedSystem(**loop)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_channel(entry, path):
-    _check_keys(entry, _CHANNEL_KEYS, path)
-    dist = _require(entry, "dist", path)
-    curve = _require(entry, "curve", path)
-    _check_keys(dist, _DIST_KEYS, f"{path}.dist")
-    _check_keys(curve, _CURVE_KEYS, f"{path}.curve")
+def _parse_family(entry, table, path):
+    """A fade law or success curve: ``table[family]`` built from that type's fields."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path}: expected an object")
+    family = _require(entry, "family", path)
+    if not isinstance(family, str) or family not in table:
+        raise ConfigError(
+            f"{path}: unknown family {family!r}, expected one of {', '.join(table)}"
+        )
+    cls = table[family]
+    _object(entry, _FAMILY_KEYS[cls], path)
     try:
-        return channel_from_dict({"dist": dist, "curve": curve})
-    except (ValueError, TypeError, KeyError) as exc:
+        return cls(**{key: _number(entry, key, None, path) for key in entry if key != "family"})
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _parse_channel(entry, path):
+    _object(entry, _CHANNEL_KEYS, path)
+    return FadingChannel(
+        dist=_parse_family(entry["dist"], _FADES, f"{path}.dist"),
+        curve=_parse_family(entry["curve"], _CURVES, f"{path}.curve"),
+    )
 
 
 def _integer(value, field):
@@ -212,6 +220,12 @@ def _finite(text):
     if not math.isfinite(value):
         raise ConfigError(f"non-finite number {text}: every config number must be finite")
     return value
+
+
+def _finite_int(text):
+    """JSON integer hook: an integer beyond the float range is an error, as ``1e400`` is."""
+    _finite(text)
+    return int(text)
 
 
 def _parse_optimizer(entry):
@@ -297,7 +311,9 @@ def parse_config(path):
     """
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(
+                fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -24,7 +24,6 @@ __all__ = [
     "SwitchedSystem",
     "PlantControllerPair",
     "assemble_example_loop",
-    "max_symmetric_eigenvalue",
     "lmi_slack",
     "compute_success_requirement",
     "expected_lyapunov_next",
@@ -49,27 +48,6 @@ def _require_symmetric(arr, name):
     scale = max(1.0, float(np.abs(arr).max()))
     if np.abs(arr - arr.T).max() > 1e-8 * scale:
         raise ValueError(f"{name} must be symmetric")
-
-
-def max_symmetric_eigenvalue(m):
-    """Largest eigenvalue of a symmetric matrix.
-
-    Parameters
-    ----------
-    m : array_like
-        Symmetric matrix, to a relative asymmetry of 1e-8 (scaled by the
-        largest entry); LAPACK then reads its lower triangle.
-
-    Returns
-    -------
-    float
-        The largest eigenvalue.
-    """
-    a = np.atleast_2d(np.asarray(m, dtype=float))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    _require_symmetric(a, "matrix")
-    return float(np.linalg.eigvalsh(a)[-1])
 
 
 @dataclass(frozen=True)
@@ -162,7 +140,7 @@ def lmi_slack(theta, sys):
         + (1.0 - th) * sys.gram_open()
         - sys.decay_rate * sys.lyap_matrix
     )
-    return max_symmetric_eigenvalue(pencil)
+    return float(np.linalg.eigvalsh(pencil)[-1])
 
 
 def compute_success_requirement(sys):
@@ -196,9 +174,9 @@ def compute_success_requirement(sys):
     rho_p = sys.decay_rate * sys.lyap_matrix
     a = sys.gram_open() - rho_p
     b = sys.gram_closed() - rho_p
-    if max_symmetric_eigenvalue(a) <= 0.0:
+    if np.linalg.eigvalsh(a)[-1] <= 0.0:
         return 0.0
-    slack_closed = max_symmetric_eigenvalue(b)
+    slack_closed = float(np.linalg.eigvalsh(b)[-1])
     if slack_closed > 0.0:
         raise InfeasibleContractError(
             "closed-loop admissibility fails: A_c' P A_c <= rho P does not "

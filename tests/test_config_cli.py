@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from raccess.cli import (
     load_policies,
     main,
 )
-from raccess.config import ConfigError, parse_config
+from raccess.config import _CURVES, _FADES, ConfigError, parse_config
 from raccess.serialize import fmt, write_csv
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "twoloop.json")
@@ -292,6 +293,153 @@ class TestParseConfig:
                   opt.stop.max_periods, opt.stop.window, opt.mc_samples, opt.seed)
         assert values == (20000, 1000, 10, 7, 5000, 100, 2000, 0)
         assert all(type(v) is int for v in values)
+
+
+class TestIntegerBeyondFloatRange:
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "place",
+        ["tx_powers.0", "systems.0.decay_rate", "systems.1.a_open", "simulation.horizon"],
+    )
+    def test_exits_2_naming_the_literal(self, tmp_path, capsys, place):
+        # json reads an integer literal as a Python int, however long; a
+        # huge horizon would load, since rates never simulates.
+        raw = base_config()
+        *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
+        target = raw
+        for key in outer:
+            target = target[key]
+        target[last] = "HUGE"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw).replace('"HUGE"', self.HUGE))
+        code = main(["rates", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"non-finite number {self.HUGE}" in capsys.readouterr().err
+
+
+class TestConfigShapes:
+    @pytest.mark.parametrize("entry", [5, None])
+    def test_system_that_is_not_an_object_exits_2(self, tmp_path, capsys, entry):
+        raw = base_config()
+        raw["systems"][0] = entry
+        code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "systems[0]: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1, 2], "ab", [{"kind": "threshold", "threshold": 0.5}, None]],
+        ids=["numbers", "string", "null-entry"],
+    )
+    def test_policies_that_are_not_objects_exit_2(self, tmp_path, capsys, entries):
+        pols = tmp_path / "policies.json"
+        pols.write_text(json.dumps({"schema_version": 1, "policies": entries}))
+        argv = ["simulate", write_config(tmp_path, base_config()), "--policies", str(pols)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert str(pols) in capsys.readouterr().err
+
+
+# Valid values for every fade and curve field, so each family can be
+# built from its required fields alone.
+FIELD_VALUES = {"mean": 1.3, "low": 0.2, "high": 1.5, "kappa": 2.0, "gain": 0.7,
+                "midpoint": 0.8, "steepness": 2.5}
+TABLES = {"dist": _FADES, "curve": _CURVES}
+FAMILIES = [(part, family) for part, table in TABLES.items() for family in table]
+
+
+def field_names(cls, required_only=False):
+    return [f.name for f in dataclasses.fields(cls)
+            if not required_only or f.default is dataclasses.MISSING]
+
+
+def family_entry(part, family):
+    """``{"family": family, ...}`` with only the family's required fields."""
+    cls = TABLES[part][family]
+    return {"family": family, **{k: FIELD_VALUES[k] for k in field_names(cls, True)}}
+
+
+def with_channel_part(part, entry):
+    raw = base_config()
+    raw["channels"][1][part] = entry
+    return raw
+
+
+class TestFamilySchema:
+    @pytest.mark.parametrize(
+        "part, family, key",
+        [
+            (part, family, key)
+            for part, family in FAMILIES
+            for other, cls in TABLES[part].items()
+            if other != family
+            for key in field_names(cls)
+            if key not in field_names(TABLES[part][family])
+        ],
+    )
+    def test_key_of_another_family_exits_2(self, tmp_path, capsys, part, family, key):
+        entry = {**family_entry(part, family), key: FIELD_VALUES[key]}
+        raw = with_channel_part(part, entry)
+        code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"unknown key '{key}' at channels[1].{part}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "part, family, key",
+        [
+            (part, family, key)
+            for part, family in FAMILIES
+            for key in field_names(TABLES[part][family], required_only=True)
+        ],
+    )
+    def test_missing_required_key_names_its_path(self, tmp_path, part, family, key):
+        entry = family_entry(part, family)
+        del entry[key]
+        raw = with_channel_part(part, entry)
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, raw))
+        assert str(info.value) == f"missing required key '{key}' at channels[1].{part}"
+
+    @pytest.mark.parametrize("part, family", FAMILIES)
+    def test_omitted_optional_keys_take_the_defaults(self, tmp_path, part, family):
+        entry = family_entry(part, family)
+        cfg = parse_config(write_config(tmp_path, with_channel_part(part, entry)))
+        cls = TABLES[part][family]
+        want = cls(**{k: v for k, v in entry.items() if k != "family"})
+        got = getattr(cfg.channels[1], part)
+        assert type(got) is cls and got == want
+
+    @pytest.mark.parametrize("part, family", FAMILIES)
+    def test_every_field_given_builds_that_object(self, tmp_path, part, family):
+        cls = TABLES[part][family]
+        values = {k: FIELD_VALUES[k] for k in field_names(cls)}
+        raw = with_channel_part(part, {"family": family, **values})
+        cfg = parse_config(write_config(tmp_path, raw))
+        assert getattr(cfg.channels[1], part) == cls(**values)
+
+    @pytest.mark.parametrize(
+        "part, family",
+        [("dist", "rayleigh"), ("curve", "step"), ("dist", ["x"]), ("curve", None), ("dist", 3)],
+        ids=["rayleigh", "step", "list", "null", "number"],
+    )
+    def test_unknown_families_rejected(self, tmp_path, capsys, part, family):
+        raw = with_channel_part(part, {"family": family})
+        code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"channels[1].{part}: unknown family {family!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part", TABLES)
+    def test_missing_family_names_its_path(self, tmp_path, part):
+        raw = with_channel_part(part, {"mean": 1.0})
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, raw))
+        assert str(info.value) == f"missing required key 'family' at channels[1].{part}"
+
+    def test_non_number_field_names_its_path(self, tmp_path):
+        raw = with_channel_part("dist", {"family": "exponential", "mean": "abc"})
+        with pytest.raises(ConfigError, match=r"channels\[1\]\.dist\.mean: must be a number"):
+            parse_config(write_config(tmp_path, raw))
 
 
 def as_rows(columns):

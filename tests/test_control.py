@@ -12,32 +12,8 @@ from raccess import (
     compute_success_requirement,
     expected_lyapunov_next,
     lmi_slack,
-    max_symmetric_eigenvalue,
     steady_state_cost_bound,
 )
-
-
-class TestMaxSymmetricEigenvalue:
-    def test_matches_lapack_across_sizes_and_scales(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 9))
-            a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 7)
-            a = a + a.T
-            got = max_symmetric_eigenvalue(a)
-            want = float(np.linalg.eigvalsh(a)[-1])
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-12 * max(1.0, abs(want)))
-
-    def test_trivial_cases(self):
-        assert max_symmetric_eigenvalue([[3.5]]) == 3.5
-        assert max_symmetric_eigenvalue(np.zeros((4, 4))) == 0.0
-        assert max_symmetric_eigenvalue(np.diag([1.0, -2.0, 0.5])) == 1.0
-
-    def test_rejects_asymmetric_and_nonsquare(self):
-        with pytest.raises(ValueError):
-            max_symmetric_eigenvalue([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            max_symmetric_eigenvalue(np.zeros((2, 3)))
 
 
 class TestSwitchedSystemValidation:
