@@ -10,11 +10,11 @@ packet with probability q_ji, independently across pairs and slots, so
 
 This module owns the fade distributions, the success-curve families, the
 collision matrix, and the expectation operators used everywhere else.
-``expected_policy_rate`` and ``expected_policy_success`` are exact: closed
-forms, with adaptive Simpson quadrature only for the logistic_log curve,
-which has none. Under ``MonteCarlo`` the design loop estimates the same
-two numbers for each sensor from one ``draw_transmit_sample`` call. Link
-success probabilities are always exact.
+Under alpha(h) = r 1[h >= tau] they are exact: r P(h >= tau), and
+r E[q(h); h >= tau] from the curve's ``tail_mean``, a closed form except
+on the logistic_log curve, which adaptive Simpson integrates. Under
+``MonteCarlo`` the design loop estimates both for each sensor from one
+``draw_transmit_sample`` call. Link success probabilities are exact.
 """
 
 from __future__ import annotations
@@ -153,6 +153,10 @@ class SaturatingExpCurve:
         """Fade level at which the curve reaches t in (0, 1)."""
         return -math.log1p(-t) / (self.kappa * self.gain)
 
+    def tail_mean(self, dist, lo):
+        """E[q(h); h >= lo] in closed form: P(h >= lo) - E[exp(-k h); h >= lo]."""
+        return dist.survival(lo) - dist.laplace_tail(lo, self.kappa * self.gain)
+
 
 @dataclass(frozen=True)
 class LogisticLogCurve:
@@ -176,6 +180,19 @@ class LogisticLogCurve:
     def inverse(self, t):
         """Fade level at which the curve reaches t in (0, 1)."""
         return self.midpoint * (t / (1.0 - t)) ** (1.0 / self.steepness)
+
+    def tail_mean(self, dist, lo):
+        """E[q(h); h >= lo] by adaptive Simpson from lo up to the ``_SIMPSON_TAIL`` cutoff."""
+        m, s, pdf = self.midpoint, self.steepness, dist.pdf
+
+        def integrand(h):
+            if h <= 0.0:
+                return 0.0
+            r = (h / m) ** s
+            return pdf(h) * (r / (1.0 + r))
+
+        hi = dist.upper_cutoff(_SIMPSON_TAIL)
+        return _adaptive_simpson(integrand, max(dist.lower, lo), hi, _SIMPSON_TOL)
 
 
 @dataclass(frozen=True)
@@ -251,27 +268,12 @@ def draw_transmit_sample(policy, ch, samples, rng):
     (K, sum q(h_k)) the exact joint law it has under the full sample, at a
     cost that grows with K instead of ``samples``.
     """
-    if policy.kind != "threshold":
-        raise ValueError(f"Monte Carlo design needs a threshold policy, got {policy.kind!r}")
+    if policy.rate != 1.0:
+        raise ValueError(f"Monte Carlo design needs a threshold policy, got rate {policy.rate!r}")
     tau = policy.threshold
     k = int(rng.binomial(samples, ch.dist.survival(tau)))
     fades = sample_channel(ch, rng, size=k, lower=tau)
     return k / samples, float(np.sum(ch.curve.value(fades))) / samples
-
-
-def _scalar_curve(curve):
-    """Fast float -> float logistic_log curve for the quadrature inner loop."""
-    if isinstance(curve, LogisticLogCurve):
-        m, s = curve.midpoint, curve.steepness
-
-        def q(h):
-            if h <= 0.0:
-                return 0.0
-            r = (h / m) ** s
-            return r / (1.0 + r)
-
-        return q
-    raise TypeError(f"unsupported success curve {type(curve).__name__}")
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
@@ -301,46 +303,18 @@ def _adaptive_simpson(f, a, b, tol):
     return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth=48)
 
 
-def _integration_window(policy, ch):
-    """Fade interval carrying all but ``_SIMPSON_TAIL`` of the policy's mass."""
-    lo = ch.dist.lower
-    if policy.kind == "threshold":
-        lo = max(lo, policy.threshold)
-    hi = ch.dist.upper_cutoff(_SIMPSON_TAIL)
-    return lo, hi
-
-
 def expected_policy_rate(policy, ch):
-    """E[alpha(h)] in [0, 1]: the fade survival at a threshold, or a constant rate."""
-    if policy.kind == "constant":
-        return float(policy.rate)
-    if math.isinf(policy.threshold):
-        return 0.0
-    return float(ch.dist.survival(policy.threshold))
+    """E[alpha(h)] = rate * P(h >= threshold), in [0, 1]."""
+    return policy.rate * ch.dist.survival(policy.threshold)
 
 
 def expected_policy_success(policy, ch):
-    """E[alpha(h) q(h)], the policy's collision-free delivery rate.
+    """E[alpha(h) q(h)] = rate * E[q(h); h >= threshold], the collision-free delivery rate.
 
-    The exp_saturating curve ``q = 1 - exp(-k h)`` gives
-    ``P(h >= lo) - E[exp(-k h); h >= lo]`` in closed form, with lo the
-    bottom of the transmit region; the logistic_log curve is integrated
-    by adaptive Simpson.
+    The curve computes the tail mean itself (``tail_mean``); the result
+    is clipped to [0, 1] against rounding.
     """
-    if policy.kind == "threshold" and math.isinf(policy.threshold):
-        return 0.0
-    if isinstance(ch.curve, SaturatingExpCurve):
-        # survival and laplace_tail clamp lo to the fade support themselves.
-        lo = policy.threshold if policy.kind == "threshold" else 0.0
-        k = ch.curve.kappa * ch.curve.gain
-        val = float(ch.dist.survival(lo)) - ch.dist.laplace_tail(lo, k)
-    else:
-        lo, hi = _integration_window(policy, ch)
-        pdf = ch.dist.pdf
-        q = _scalar_curve(ch.curve)
-        val = _adaptive_simpson(lambda h: pdf(h) * q(h), lo, hi, _SIMPSON_TOL)
-    if policy.kind == "constant":
-        val *= policy.rate
+    val = policy.rate * ch.curve.tail_mean(ch.dist, policy.threshold)
     return min(max(val, 0.0), 1.0)
 
 

@@ -6,9 +6,9 @@ replays designed policies at slot level, and ``pipeline`` chains all
 three into one report. All artifacts land in ``--out`` (or the config's
 ``output_dir``) with deterministic full-precision formatting.
 
-Exit codes: 0 success, 2 config/parse error, 3 infeasible performance
-contract, 4 optimizer divergence or non-convergence, 5 unstable
-simulation.
+Exit codes: 0 success, 2 config/parse error (or a run too large for
+memory), 3 infeasible performance contract, 4 optimizer divergence or
+non-convergence, 5 unstable simulation.
 """
 
 from __future__ import annotations
@@ -155,13 +155,8 @@ def _design(cfg, args, out):
     status = "converged" if result.converged else "did not converge"
     print(f"optimizer {status} after {result.periods} periods")
     for i, pol in enumerate(result.policies):
-        desc = (
-            f"threshold {fmt(pol.threshold)}"
-            if pol.kind == "threshold"
-            else f"constant rate {fmt(pol.rate)}"
-        )
         print(
-            f"loop {i}: {desc}, delivery {fmt(link[i])} "
+            f"loop {i}: threshold {fmt(pol.threshold)}, delivery {fmt(link[i])} "
             f"(requirement {fmt(inst.success_targets[i])})"
         )
     if not result.converged:
@@ -320,6 +315,9 @@ def main(argv=None):
     except UnstableSimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -206,12 +206,15 @@ def _seed(entry, path):
 
 
 def _number(entry, key, default, path):
-    """``entry[key]`` (``default`` if absent) as float() reads it."""
+    """``entry[key]`` (``default`` if absent) as float() reads it, which must be finite."""
     value = entry.get(key, default)
     try:
-        return float(value)
+        number = float(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}.{key}: must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
+    return number
 
 
 def _finite(text):
@@ -362,6 +365,8 @@ def parse_config(path):
         raise ConfigError(f"tx_powers: {exc}") from exc
     if tx_powers.shape[0] != m:
         raise ConfigError(f"tx_powers: expected {m} entries, got {tx_powers.shape[0]}")
+    if not np.all(np.isfinite(tx_powers)):
+        raise ConfigError("tx_powers: all entries must be finite")
     if np.any(tx_powers <= 0.0):
         raise ConfigError("tx_powers: all entries must be positive")
 

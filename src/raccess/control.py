@@ -36,10 +36,12 @@ class InfeasibleContractError(ValueError):
 
 
 def _as_square(value, name):
-    """Coerce a scalar or nested sequence to a float square matrix."""
+    """Coerce a scalar or nested sequence to a finite float square matrix."""
     arr = np.array(value, dtype=float, ndmin=2)  # always a copy of the caller's data
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} entries must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -264,6 +266,8 @@ class PlantControllerPair:
             arr = np.atleast_2d(np.asarray(value, dtype=float)).copy()
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} entries must be finite")
             arr.setflags(write=False)
             return arr
 

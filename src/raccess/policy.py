@@ -1,15 +1,13 @@
 """Random-access policies.
 
-A policy maps the local fade h to a transmit probability alpha(h). Two
-kinds are supported: fade-threshold policies (transmit exactly when
-h >= threshold), which the design loop sets from its duals
-(``optimizer.primal_policies``), and constant-probability policies used
-as baselines.
+A policy maps the local fade h to a transmit probability
+alpha(h) = rate * 1[h >= threshold]. The design loop sets thresholds from
+its duals (``optimizer.primal_policies``); the constant-probability
+baseline is the same rule with threshold 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["AccessPolicy", "threshold_policy", "constant_policy"]
@@ -17,26 +15,21 @@ __all__ = ["AccessPolicy", "threshold_policy", "constant_policy"]
 
 @dataclass(frozen=True)
 class AccessPolicy:
-    """Transmit rule alpha(h); ``kind`` is "threshold" or "constant"."""
+    """Transmit rule alpha(h) = rate * 1[h >= threshold]."""
 
-    kind: str
-    threshold: float = math.nan
-    rate: float = math.nan
+    threshold: float = 0.0
+    rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "threshold":
-            if math.isnan(self.threshold) or self.threshold < 0.0:
-                raise ValueError(
-                    f"threshold must be >= 0 (or +inf), got {self.threshold!r}"
-                )
-        elif self.kind == "constant":
-            if math.isnan(self.rate) or not 0.0 <= self.rate <= 1.0:
-                raise ValueError(f"rate must lie in [0, 1], got {self.rate!r}")
-        else:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+        if not self.threshold >= 0.0:
+            raise ValueError(f"threshold must be >= 0 (or +inf), got {self.threshold!r}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError(f"rate must lie in [0, 1], got {self.rate!r}")
+        if self.threshold > 0.0 and self.rate < 1.0:  # the policies file has no such form
+            raise ValueError(f"a positive threshold needs rate 1, got {self.rate!r}")
 
     def to_dict(self):
-        if self.kind == "threshold":
+        if self.rate == 1.0:
             return {"kind": "threshold", "threshold": self.threshold}
         return {"kind": "constant", "rate": self.rate}
 
@@ -52,9 +45,9 @@ class AccessPolicy:
 
 def threshold_policy(threshold):
     """Transmit exactly when the fade reaches ``threshold`` (inf = never)."""
-    return AccessPolicy(kind="threshold", threshold=float(threshold))
+    return AccessPolicy(threshold=float(threshold))
 
 
 def constant_policy(rate):
     """Transmit with fixed probability ``rate`` regardless of the fade."""
-    return AccessPolicy(kind="constant", rate=float(rate))
+    return AccessPolicy(rate=float(rate))

@@ -86,6 +86,12 @@ class SimConfig:
             )
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        # The float arrays of horizon x m values and of a loop's horizon x n
+        # states must have a byte count NumPy can index.
+        width = max(self.instance.m, *(s.dim for s in self.instance.systems))
+        limit = np.iinfo(np.intp).max // (8 * width)
+        if self.horizon > limit:
+            raise ValueError(f"horizon must be at most {limit} for these loops, got {self.horizon}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         burn = self.horizon // 10 if self.burn_in is None else int(self.burn_in)
@@ -157,10 +163,7 @@ def _transmission_outcomes(policies, channels, qmat, rng, count):
     tx = np.empty((m, count), dtype=bool)
     for i, pol in enumerate(policies):
         rng.random(out=u)
-        if pol.kind == "threshold":
-            tx[i] = h[i] >= pol.threshold
-        else:
-            tx[i] = u < pol.rate
+        tx[i] = (h[i] >= pol.threshold) & (u < pol.rate)
 
     q = qmat.q
     collided = np.zeros((m, count), dtype=bool)
@@ -178,17 +181,15 @@ def _transmission_outcomes(policies, channels, qmat, rng, count):
 
 
 def _draw_gamma(policies, channels, qmat, rng, count):
-    """Transmit and delivery indicators for ``count`` slots, chunked."""
-    tx_parts = []
-    g_parts = []
-    done = 0
-    while done < count:
-        c = min(_CHUNK, count - done)
-        _, tx, gamma = _transmission_outcomes(policies, channels, qmat, rng, c)
-        tx_parts.append(tx)
-        g_parts.append(gamma)
-        done += c
-    return np.concatenate(tx_parts, axis=1), np.concatenate(g_parts, axis=1)
+    """Transmit and delivery indicators for ``count`` slots, filled chunk by chunk."""
+    tx = np.empty((len(policies), count), dtype=bool)
+    gamma = np.empty_like(tx)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        _, tx[:, start:stop], gamma[:, start:stop] = _transmission_outcomes(
+            policies, channels, qmat, rng, stop - start
+        )
+    return tx, gamma
 
 
 def _loop_runs(systems, horizon):

@@ -21,7 +21,7 @@ from raccess import (
     sample_channel,
     threshold_policy,
 )
-from raccess.channel import _adaptive_simpson, _integration_window, delivery_product
+from raccess.channel import _adaptive_simpson, delivery_product
 
 
 def exp_saturating_channel(mean, kappa, gain=1.0):
@@ -91,11 +91,11 @@ def simpson_expectations(policy, ch):
     """E[alpha] and E[alpha q] by adaptive Simpson on the fade density."""
     pdf = ch.dist.pdf
     k = ch.curve.kappa * ch.curve.gain
-    lo, hi = _integration_window(policy, ch)
-    scale = policy.rate if policy.kind == "constant" else 1.0
+    lo = max(ch.dist.lower, policy.threshold)
+    hi = ch.dist.upper_cutoff(1e-13)
     rate = _adaptive_simpson(pdf, lo, hi, 1e-12)
     success = _adaptive_simpson(lambda h: pdf(h) * -math.expm1(-k * h), lo, hi, 1e-12)
-    return scale * rate, scale * success
+    return policy.rate * rate, policy.rate * success
 
 
 # Thresholds below, inside and beyond each support (45 lies past the
@@ -134,6 +134,23 @@ class TestConstantPolicyExpectations:
         want = r * kappa * mean / (1.0 + kappa * mean)
         got = expected_policy_success(constant_policy(r), ch)
         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [ExponentialFading(mean=1.3), UniformFading(low=0.4, high=1.6), UniformFading(0.0, 2.0)],
+    )
+    @pytest.mark.parametrize(
+        "curve", [SaturatingExpCurve(kappa=1.5, gain=0.8), LogisticLogCurve(0.7, 3.0)]
+    )
+    @pytest.mark.parametrize("r", [0.0, 0.35, 1.0])
+    def test_rate_scales_the_always_transmit_values(self, dist, curve, r):
+        # alpha(h) = r 1[h >= 0]: exactly r times the threshold-0 expectations.
+        ch = FadingChannel(dist=dist, curve=curve)
+        always = threshold_policy(0.0)
+        assert expected_policy_rate(constant_policy(r), ch) == r * expected_policy_rate(always, ch)
+        assert expected_policy_success(constant_policy(r), ch) == r * expected_policy_success(
+            always, ch
+        )
 
 
 def mc_draws(policy, ch, samples, count, seed):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import loop_write_csv
+import raccess.cli
 import raccess.serialize
 from raccess.cli import (
     EXIT_CONFIG,
@@ -316,6 +317,66 @@ class TestIntegerBeyondFloatRange:
         code = main(["rates", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert f"non-finite number {self.HUGE}" in capsys.readouterr().err
+
+
+class TestNonFiniteNumberStrings:
+    """A non-finite number written as a string is a config error naming its field."""
+
+    def run(self, tmp_path, capsys, command, raw):
+        raw["optimizer"]["max_periods"] = 800
+        code = main([command, write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_logistic_midpoint(self, tmp_path, capsys):
+        raw = base_config()
+        raw["channels"][1]["curve"] = {"family": "logistic_log", "midpoint": "inf", "steepness": 3.0}
+        code, err = self.run(tmp_path, capsys, "rates", raw)
+        assert code == EXIT_CONFIG
+        assert "channels[1].curve.midpoint: must be finite, got 'inf'" in err
+
+    def test_optimizer_step(self, tmp_path, capsys):
+        raw = base_config()
+        raw["optimizer"]["step_a"] = "inf"
+        code, err = self.run(tmp_path, capsys, "optimize", raw)
+        assert code == EXIT_CONFIG
+        assert "optimizer.step_a: must be finite, got 'inf'" in err
+
+    def test_tx_power(self, tmp_path, capsys):
+        raw = base_config()
+        raw["tx_powers"] = ["inf", 1.0]
+        code, err = self.run(tmp_path, capsys, "optimize", raw)
+        assert code == EXIT_CONFIG
+        assert "tx_powers: all entries must be finite" in err
+
+    def test_square_matrix(self, tmp_path, capsys):
+        raw = base_config()
+        raw["systems"][0]["a_closed"] = "nan"
+        code, err = self.run(tmp_path, capsys, "optimize", raw)
+        assert code == EXIT_CONFIG
+        assert "systems[0]: a_closed entries must be finite" in err
+
+    def test_pair_matrix(self, tmp_path, capsys):
+        raw = base_config()
+        raw["systems"][1] = {
+            "plant_a": 1.1, "plant_b": 1.0, "plant_c": 1.0, "ctrl_f": 0.0,
+            "ctrl_fc": 0.0, "ctrl_g": 0.0, "ctrl_k": 0.0, "ctrl_kc": 0.0,
+            "ctrl_l": [["-inf"]], "process_noise_cov": 1.0,
+            "meas_noise_cov": 0.0, "lyap_matrix": [[1.0, 0.0], [0.0, 1.0]],
+            "decay_rate": 0.8,
+        }
+        code, err = self.run(tmp_path, capsys, "rates", raw)
+        assert code == EXIT_CONFIG
+        assert "systems[1]: ctrl_l entries must be finite" in err
+
+    def test_finite_numeric_strings_still_load(self, tmp_path):
+        raw = base_config()
+        raw["optimizer"]["step_a"] = "2.5"
+        raw["tx_powers"] = ["1.0", 2.0]
+        raw["systems"][0]["a_closed"] = "0.5"
+        cfg = parse_config(write_config(tmp_path, raw))
+        assert cfg.optimizer.schedule.a == 2.5
+        assert cfg.tx_powers.tolist() == [1.0, 2.0]
+        assert cfg.systems[0].a_closed[0, 0] == 0.5
 
 
 class TestConfigShapes:
@@ -649,6 +710,31 @@ class TestCliSimulate:
         code = main(["simulate", cfg, "--policies", pols, "--out", str(tmp_path / "out")])
         assert code == EXIT_UNSTABLE
         assert "does not stabilize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", [1e300, 2**62], ids=["1e300", "2**62"])
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_horizon_beyond_numpy_arrays_exits_2(self, tmp_path, capsys, command, horizon):
+        # Neither run allocates: SimConfig rejects the horizon first.
+        raw = base_config()
+        raw["simulation"]["horizon"] = horizon
+        argv = [command, write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            argv += ["--policies", self._policies_file(tmp_path, [0.35, 0.89])]
+        assert main(argv) == EXIT_CONFIG
+        assert f"horizon must be at most 576460752303423487 for these loops, got {int(horizon)}" in (
+            capsys.readouterr().err
+        )
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(raccess.cli, "run_simulation", no_memory)
+        raw = base_config()
+        pols = self._policies_file(tmp_path, [0.35, 0.89])
+        argv = ["simulate", write_config(tmp_path, raw), "--policies", pols]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "error: out of memory: Unable to allocate 14.6 TiB" in capsys.readouterr().err
 
     def test_wrong_policy_count_exits_2(self, tmp_path, capsys):
         raw = base_config()

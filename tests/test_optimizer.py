@@ -322,7 +322,7 @@ class TestPrimalPolicies:
     def test_interior_threshold_inverts_the_curve(self):
         # Sensor 0's charge 1 + 0.2 * 0.5 against its reward 2: ratio 0.55.
         pol = self.priced([[2.0, 0.0], [0.2, 5.0]])[0]
-        assert pol.kind == "threshold"
+        assert pol.rate == 1.0
         assert pol.threshold == pytest.approx(0.5323384641451812, abs=1e-15)
         assert pol.threshold == reference_channel().curve.inverse(0.55)
 

@@ -250,10 +250,7 @@ def transmission_outcomes_3d(policies, channels, qmat, rng, count):
     u_dec = rng.random((m, count))
     tx = np.empty((m, count), dtype=bool)
     for i, pol in enumerate(policies):
-        if pol.kind == "threshold":
-            tx[i] = h[i] >= pol.threshold
-        else:
-            tx[i] = u_tx[i] < pol.rate
+        tx[i] = (h[i] >= pol.threshold) & (u_tx[i] < pol.rate)
     gamma = np.empty((m, count), dtype=bool)
     for i in range(m):
         alive = tx[i].copy()

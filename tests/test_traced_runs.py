@@ -1,0 +1,67 @@
+"""Traced benchmark runs must match plain ones and account for their time.
+
+``perfbench/run.py --trace 1`` calls ``raccess.cli.main`` with every
+boundary in ``perfbench/tracing.py`` wrapped, and counts a repetition as
+failed when its outputs differ from an untraced run, when the outputs
+fail the workload's checks, or when its spans do not add up to its wall
+time. This runs the same three checks on the ``tiny`` size of each
+workload, in-process, so such a failure shows in the test suite first.
+"""
+
+import contextlib
+import gc
+import importlib.util
+import io
+import os
+import time
+
+import pytest
+
+from raccess.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# perfbench/run.py's TRACE_WALL_TOL_S.
+TRACE_WALL_TOL_S = 2e-3
+
+
+def load(name):
+    """Import ``perfbench/<name>.py`` by path."""
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load("workloads")
+tracing = load("tracing")
+
+
+def run(cli, argv, out_dir):
+    """(exit code, stdout, seconds, {file name: bytes}) of one in-process call."""
+    os.makedirs(out_dir)
+    buf = io.StringIO()
+    gc.collect()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = cli(argv + ["--out", str(out_dir)])
+    elapsed = time.perf_counter() - t0
+    files = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+    return code, buf.getvalue(), elapsed, files
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_traced_run_matches_the_plain_run(tmp_path, workload):
+    config, argv, _ = workloads.build(workload, 1, str(tmp_path), size="tiny")
+    code, stdout, _, files = run(main, argv, tmp_path / "plain")
+    assert code == 0
+    assert workloads.check(workload, str(tmp_path / "plain"), config) == []
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = run(lambda a: tracer.run(0, main, a), argv, tmp_path / "traced")
+    t_code, t_stdout, elapsed, t_files = traced
+    assert t_code == 0
+    assert t_stdout == stdout
+    assert t_files == files
+    assert tracing.span_errors(tracer.spans[0], elapsed, TRACE_WALL_TOL_S) == []
