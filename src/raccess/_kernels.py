@@ -25,7 +25,16 @@ bit. Each loop's states are the same bits whether it runs alone or in a
 batch: the products are per-loop, per-block matrix products either way.
 The cost is O(sqrt(N)) NumPy calls per batch of loops and O(L N n^3)
 arithmetic (the block maps are n x n products). The states are written
-over the noise, so the kernel allocates no N-sized array of its own.
+over the noise; the one N-sized array the kernel allocates is the n = 1
+coefficients below.
+
+The two state dimensions share that structure and differ in how a slot's
+mode acts. At n = 1 each slot's scalar coefficient is gathered once per
+call, ``a = where(gamma, a_closed, a_open)``, so a block step is
+``y *= a; y += w`` and ``phi *= a``: one rounded product per state, the
+same bits as selecting between both products. At n > 1 a row state takes
+both matrix products and keeps the delivered one, and a block map or a
+tail state gathers its mode matrix and takes one product.
 """
 
 import math
@@ -60,36 +69,33 @@ def state_recursion(a_closed, a_open, gamma, noise, x0):
     """
     a_closed = np.asarray(a_closed, dtype=float)
     a_open = np.asarray(a_open, dtype=float)
-    # 0/1 per slot: a mask for np.where and an index into ``modes``.
-    gamma = np.asarray(gamma, dtype=bool).view(np.uint8)
+    gamma = np.asarray(gamma, dtype=bool)
     out = np.require(noise, dtype=float, requirements=["C", "A", "W"])
     n_loops, n_slots, n = out.shape
-    # Loop l's open and closed modes are rows 2l and 2l + 1; ``take`` of
-    # ``pick + gamma`` gathers each block's mode.
-    modes = np.stack([a_open, a_closed], axis=1).reshape(2 * n_loops, n, n)
-    pick = 2 * np.arange(n_loops)[:, None]
-    # A 1 x 1 product is one rounded multiplication either way; the
-    # elementwise one skips matmul's per-matrix dispatch.
-    matmul = np.multiply if n == 1 else np.matmul
+    if n == 1:
+        slot_modes, step_states, step_maps, step_tail = _scalar_modes(a_closed, a_open, gamma)
+        matmul = np.multiply  # a 1 x 1 product is one rounded multiplication
+    else:
+        slot_modes, step_states, step_maps, step_tail = _matrix_modes(a_closed, a_open, gamma)
+        matmul = np.matmul
 
     block = max(math.isqrt(n_slots), 1)
     k = n_slots // block
     head = k * block
     # Views, not copies. Each slot's noise is read before its state is
     # written over it, in pass 3 and in the tail alike.
-    g_blocks = gamma[:, :head].reshape(n_loops, k, block)
+    mode_blocks = slot_modes[:, :head].reshape(n_loops, k, block)
     w_blocks = out[:, :head].reshape(n_loops, k, block, n)
-    closed_t, open_t = a_closed.transpose(0, 2, 1), a_open.transpose(0, 2, 1)
 
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.zeros((n_loops, k, n))
-        phi = np.broadcast_to(np.eye(n), (n_loops, k, n, n))
+        phi = np.empty((n_loops, k, n, n))
+        phi[...] = np.eye(n)
         for t in range(block):
-            g = g_blocks[:, :, t]
-            y = np.where(g[..., None], matmul(y, closed_t), matmul(y, open_t))
+            mode = mode_blocks[:, :, t]
+            y = step_states(mode, y)
             y += w_blocks[:, :, t]
-            # Gathering each block's mode beats computing both products.
-            phi = matmul(modes.take(pick + g, axis=0), phi)
+            phi = step_maps(mode, phi)
 
         starts = np.empty((n_loops, k, n))
         x = np.array(x0, dtype=float)[..., None]
@@ -99,12 +105,59 @@ def state_recursion(a_closed, a_open, gamma, noise, x0):
 
         x = starts
         for t in range(block):
-            g = g_blocks[:, :, t, None]
-            x = np.where(g, matmul(x, closed_t), matmul(x, open_t))
+            x = step_states(mode_blocks[:, :, t], x)
             x += w_blocks[:, :, t]
             w_blocks[:, :, t] = x
 
         for t in range(head, n_slots):  # runs only when head >= 1
-            mode = modes.take(pick[:, 0] + gamma[:, t], axis=0)
-            out[:, t] = matmul(mode, out[:, t - 1, :, None])[..., 0] + out[:, t]
+            out[:, t] = step_tail(slot_modes[:, t], out[:, t - 1]) + out[:, t]
     return out
+
+
+def _scalar_modes(a_closed, a_open, gamma):
+    """n = 1: each slot's mode is its coefficient, gathered once per call.
+
+    Returns the (L, N) coefficients and the one-slot updates they drive:
+    of (L, k, 1) row states and of (L, k, 1, 1) block maps, both in
+    place, and of the tail's (L, 1) states.
+    """
+    coef = np.where(gamma, a_closed.reshape(-1, 1), a_open.reshape(-1, 1))
+
+    def step_states(a, x):
+        x *= a[..., None]
+        return x
+
+    def step_maps(a, phi):
+        phi *= a[..., None, None]
+        return phi
+
+    def step_tail(a, x):
+        return x * a[:, None]
+
+    return coef, step_states, step_maps, step_tail
+
+
+def _matrix_modes(a_closed, a_open, gamma):
+    """n > 1: each slot's mode is its 0/1 delivery, selecting a matrix per step.
+
+    Row states take both products and keep the delivered one; block maps
+    and the tail's column states gather their mode (loop l's open and
+    closed modes are rows 2l and 2l + 1 of a stack) and take one product.
+    """
+    n_loops, n = a_closed.shape[:2]
+    modes = np.stack([a_open, a_closed], axis=1).reshape(2 * n_loops, n, n)
+    pick = 2 * np.arange(n_loops)
+    closed_t, open_t = a_closed.transpose(0, 2, 1), a_open.transpose(0, 2, 1)
+    gamma = gamma.view(np.uint8)  # an index into ``modes`` as well as a mask
+
+    def step_states(g, x):
+        return np.where(g[..., None], np.matmul(x, closed_t), np.matmul(x, open_t))
+
+    def step_maps(g, phi):
+        # Gathering each block's mode beats computing both products.
+        return np.matmul(modes.take(pick[:, None] + g, axis=0), phi)
+
+    def step_tail(g, x):
+        return np.matmul(modes.take(pick + g, axis=0), x[..., None])[..., 0]
+
+    return gamma, step_states, step_maps, step_tail

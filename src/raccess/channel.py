@@ -11,9 +11,10 @@ packet with probability q_ji, independently across pairs and slots, so
 This module owns the fade distributions, the success-curve families, the
 collision matrix, and the expectation operators used everywhere else.
 Under alpha(h) = r 1[h >= tau] they are exact: r P(h >= tau), and
-r E[q(h); h >= tau] from the curve's ``tail_mean``, a closed form except
-on the logistic_log curve, which adaptive Simpson integrates. Under
-``MonteCarlo`` the design loop estimates both for each sensor from one
+r E[q(h); h >= tau] from the curve's ``tail_mean`` (``threshold_success``
+at r = 1), a closed form except on the logistic_log curve, which
+adaptive Simpson integrates. Under ``MonteCarlo`` the design loop
+estimates both for each sensor's threshold from one
 ``draw_transmit_sample`` call. Link success probabilities are exact.
 """
 
@@ -36,6 +37,7 @@ __all__ = [
     "draw_transmit_sample",
     "expected_policy_rate",
     "expected_policy_success",
+    "threshold_success",
     "link_success_probability",
     "delivery_product",
 ]
@@ -259,20 +261,19 @@ def sample_channel(ch, rng, size=None, lower=0.0):
     return ch.dist.sample(rng, size=size, lower=lower)
 
 
-def draw_transmit_sample(policy, ch, samples, rng):
+def draw_transmit_sample(threshold, ch, samples, rng):
     """Monte Carlo estimate (K / samples, sum q(h_k) / samples) of (E[alpha], E[alpha q]).
 
-    Of ``samples`` i.i.d. fades, the number K at or above the threshold tau
-    is Binomial(samples, P(h >= tau)), and given K those fades are i.i.d.
-    from h | h >= tau. Drawing K and then only those K fades gives the pair
-    (K, sum q(h_k)) the exact joint law it has under the full sample, at a
-    cost that grows with K instead of ``samples``.
+    alpha(h) = 1[h >= tau] is the threshold rule at tau = ``threshold``,
+    so these are P(h >= tau) and E[q(h); h >= tau]. Of ``samples`` i.i.d.
+    fades, the number K at or above tau is Binomial(samples, P(h >= tau)),
+    and given K those fades are i.i.d. from h | h >= tau. Drawing K and
+    then only those K fades gives the pair (K, sum q(h_k)) the exact joint
+    law it has under the full sample, at a cost that grows with K instead
+    of ``samples``.
     """
-    if policy.rate != 1.0:
-        raise ValueError(f"Monte Carlo design needs a threshold policy, got rate {policy.rate!r}")
-    tau = policy.threshold
-    k = int(rng.binomial(samples, ch.dist.survival(tau)))
-    fades = sample_channel(ch, rng, size=k, lower=tau)
+    k = int(rng.binomial(samples, ch.dist.survival(threshold)))
+    fades = sample_channel(ch, rng, size=k, lower=threshold)
     return k / samples, float(np.sum(ch.curve.value(fades))) / samples
 
 
@@ -308,14 +309,18 @@ def expected_policy_rate(policy, ch):
     return policy.rate * ch.dist.survival(policy.threshold)
 
 
-def expected_policy_success(policy, ch):
-    """E[alpha(h) q(h)] = rate * E[q(h); h >= threshold], the collision-free delivery rate.
+def threshold_success(threshold, ch):
+    """E[q(h); h >= threshold], the collision-free delivery rate of a threshold rule.
 
     The curve computes the tail mean itself (``tail_mean``); the result
     is clipped to [0, 1] against rounding.
     """
-    val = policy.rate * ch.curve.tail_mean(ch.dist, policy.threshold)
-    return min(max(val, 0.0), 1.0)
+    return min(max(ch.curve.tail_mean(ch.dist, threshold), 0.0), 1.0)
+
+
+def expected_policy_success(policy, ch):
+    """E[alpha(h) q(h)] = rate * E[q(h); h >= threshold] (``threshold_success``)."""
+    return policy.rate * threshold_success(policy.threshold, ch)
 
 
 def delivery_product(own, rates, q):

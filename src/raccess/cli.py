@@ -26,7 +26,7 @@ from .control import InfeasibleContractError, compute_success_requirement, stead
 from .optimizer import DivergenceError, ProblemInstance, run_algorithm1
 from .policy import AccessPolicy
 from .serialize import fmt, write_csv, write_json
-from .simulate import SimConfig, UnstableSimulationError, run_simulation
+from .simulate import SimConfig, UnstableSimulationError, check_settings, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,7 +135,7 @@ def cmd_rates(args):
 
 
 def _design(cfg, args, out):
-    """Design the policies, write rates, trace and policies, print a summary.
+    """Design the policies, write rates, trace, duals and policies, print a summary.
 
     Shared by cmd_optimize and cmd_pipeline; reports non-convergence on
     stderr and leaves the exit code to the caller.
@@ -151,6 +151,7 @@ def _design(cfg, args, out):
     link = link_success_probability(result.policies, cfg.channels, cfg.collision)
     _write_rates(out, inst.success_targets)
     result.trace.to_csv(os.path.join(out, "trace.csv"))
+    result.trace.save_duals(os.path.join(out, "trace_duals.npy"))
     write_json(os.path.join(out, "policies.json"), _policies_doc(result, inst, link))
     status = "converged" if result.converged else "did not converge"
     print(f"optimizer {status} after {result.periods} periods")
@@ -170,24 +171,29 @@ def cmd_optimize(args):
     return EXIT_OK if result.converged else EXIT_DIVERGED
 
 
-def _simulate(cfg, policies, args, out):
-    """Simulate the policies on the config's loops; write and print metrics.
-
-    Returns the metrics and each loop's steady-state cost bound.
-    """
-    horizon = cfg.simulation.horizon if getattr(args, "horizon", None) is None else args.horizon
-    seed = cfg.simulation.seed if args.seed is None else args.seed
+def _sim_settings(cfg, args):
+    """The simulation's horizon, seed, burn-in and thin, checked against the loops."""
+    horizon = getattr(args, "horizon", None)
+    settings = {
+        "horizon": cfg.simulation.horizon if horizon is None else horizon,
+        "seed": cfg.simulation.seed if args.seed is None else args.seed,
+        "burn_in": cfg.simulation.burn_in,
+        "thin": cfg.simulation.thin,
+    }
     try:
-        sim_cfg = SimConfig(
-            instance=cfg,
-            policies=tuple(policies),
-            horizon=horizon,
-            seed=seed,
-            burn_in=cfg.simulation.burn_in,
-            thin=cfg.simulation.thin,
-        )
+        check_settings(cfg, **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return settings
+
+
+def _simulate(cfg, policies, settings, out):
+    """Simulate the policies on the config's loops; write and print metrics.
+
+    ``settings`` come from ``_sim_settings``. Returns the metrics and each
+    loop's steady-state cost bound.
+    """
+    sim_cfg = SimConfig(instance=cfg, policies=tuple(policies), **settings)
     metrics = run_simulation(sim_cfg)
     bounds = [steady_state_cost_bound(s) for s in cfg.systems]
     write_csv(
@@ -232,17 +238,18 @@ def cmd_simulate(args):
         raise ConfigError(
             f"{args.policies}: {len(policies)} policies for {cfg.m} loops"
         )
-    _simulate(cfg, policies, args, out)
+    _simulate(cfg, policies, _sim_settings(cfg, args), out)
     return EXIT_OK
 
 
 def cmd_pipeline(args):
     cfg = parse_config(args.config)
+    settings = _sim_settings(cfg, args)  # a bad setting fails before the design writes
     out = _out_dir(args, cfg)
     inst, result, link = _design(cfg, args, out)
     if not result.converged:
         return EXIT_DIVERGED
-    metrics, bounds = _simulate(cfg, result.policies, args, out)
+    metrics, bounds = _simulate(cfg, result.policies, settings, out)
     report = {
         "requirements": [float(c) for c in inst.success_targets],
         "policies": [p.to_dict() for p in result.policies],

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    delivery_product,
-    draw_transmit_sample,
-    expected_policy_rate,
-    expected_policy_success,
-)
+from .channel import delivery_product, draw_transmit_sample, threshold_success
+
+# Not called here; perfbench's tracer looks both names up in this module.
+from .channel import expected_policy_rate, expected_policy_success  # noqa: F401
 from .policy import threshold_policy
 from .serialize import write_csv
 
@@ -160,8 +158,10 @@ class IterationTrace:
     """Append-only per-period log of the dual loop, one float64 row per period.
 
     The rows fill an array that starts with ``BLOCK`` rows and doubles when
-    full; ``rows`` views the filled part and ``to_csv`` writes ``period`` as
-    an integer.
+    full; ``rows`` views the filled part and ``column`` copies one column
+    out by name. On disk the O(m) columns go to a CSV (``to_csv``, with
+    ``period`` as an integer) and the O(m^2) nu and beta columns to a
+    ``(periods, 2, m, m)`` array (``save_duals``).
     """
 
     BLOCK = 64
@@ -178,6 +178,8 @@ class IterationTrace:
         self.columns += [f"slack_{i}" for i in range(m)]
         self._data = np.empty((self.BLOCK, len(self.columns)))
         self._len = 0
+        # The nu and beta columns, in the order save_duals writes them.
+        self._square = slice(3 + m, 3 + m + 2 * m * m)
 
     def append(self, period, eps, objective, lam, nu, beta, rates, success, link, slack):
         n = self._len
@@ -203,8 +205,32 @@ class IterationTrace:
         return self._len
 
     def to_csv(self, path):
+        """Write every column but the nu and beta ones, one row per period."""
         rows = self.rows
-        write_csv(path, self.columns, [rows[:, 0].astype(np.int64), *rows[:, 1:].T])
+        sq = self._square
+        write_csv(
+            path,
+            self.columns[: sq.start] + self.columns[sq.stop :],
+            [rows[:, 0].astype(np.int64), *rows[:, 1 : sq.start].T, *rows[:, sq.stop :].T],
+        )
+
+    def save_duals(self, path):
+        """Write the nu and beta columns as a ``(periods, 2, m, m)`` float64 ``.npy`` array.
+
+        ``[t, 0, i, j]`` is period t's ``nu_i_j`` and ``[t, 1, i, j]`` its
+        ``beta_i_j``. The rows go out in blocks, so writing holds at most
+        ``BLOCK`` rows' copy beside the trace.
+        """
+        m = self.m
+        header = {
+            "descr": np.lib.format.dtype_to_descr(self._data.dtype),
+            "fortran_order": False,
+            "shape": (self._len, 2, m, m),
+        }
+        with open(path, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for a in range(0, self._len, self.BLOCK):
+                fh.write(self.rows[a : a + self.BLOCK, self._square].tobytes())
 
 
 @dataclass(frozen=True)
@@ -223,6 +249,13 @@ def stepsize(t, schedule=StepSchedule()):
     return schedule.a / (schedule.b + t)
 
 
+def _check_box(box):
+    lo, hi = box
+    if not 0.0 < lo < hi < 1.0:
+        raise ValueError(f"box must satisfy 0 < lo < hi < 1, got [{lo:g}, {hi:g}]")
+    return lo, hi
+
+
 def beta_update(lam, nu, box=DEFAULT_BOX):
     """Boxed closed-form minimizers of the Lagrangian over the shares.
 
@@ -237,15 +270,16 @@ def beta_update(lam, nu, box=DEFAULT_BOX):
     with a zero dual in the denominator clipping to the upper and lower
     edge respectively.
     """
-    lam = np.asarray(lam, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    lo, hi = box
-    if not 0.0 < lo < hi < 1.0:
-        raise ValueError(f"box must satisfy 0 < lo < hi < 1, got [{lo:g}, {hi:g}]")
+    return _shares(np.asarray(lam, dtype=float), np.asarray(nu, dtype=float), *_check_box(box))
+
+
+def _shares(lam, nu, lo, hi):
+    """``beta_update`` on float arrays and a checked box."""
     ratio = np.divide(lam[:, None], nu, out=np.full(nu.shape, np.inf), where=nu != 0.0)
-    beta = (1.0 - ratio.T).clip(lo, hi)
-    beta.flat[:: lam.shape[0] + 1] = ratio.diagonal().clip(lo, hi)  # the diagonal, via .flat
-    return beta
+    beta = np.subtract(1.0, ratio.T)
+    beta.flat[:: lam.shape[0] + 1] = ratio.diagonal()  # the diagonal, via .flat
+    # np.clip's float loop is max-then-min; the ufuncs skip its Python wrapper.
+    return np.minimum(np.maximum(beta, lo, out=beta), hi, out=beta)
 
 
 def primal_policies(state, inst):
@@ -260,15 +294,21 @@ def primal_policies(state, inst):
     a ratio of 1 or more, or a zero reward, prices the sensor out
     (threshold +inf).
     """
+    inverses = [ch.curve.inverse for ch in inst.channels]
+    thresholds = _thresholds(state.nu, inst.tx_powers, inst.collision.q.T, inverses)
+    return tuple(map(threshold_policy, thresholds))
+
+
+def _thresholds(nu, tx_powers, q_t, inverses):
+    """``primal_policies``' thresholds as a list of floats, given q transposed."""
     # q has a zero diagonal, so the j = i term adds nothing.
-    charge = inst.tx_powers + np.add.reduce(state.nu * inst.collision.q.T)
-    policies = []
-    for c, own, ch in zip(charge.tolist(), state.nu.diagonal().tolist(), inst.channels):
+    charge = tx_powers + np.add.reduce(nu * q_t)
+    thresholds = []
+    for c, own, inverse in zip(charge.tolist(), nu.diagonal().tolist(), inverses):
         ratio = c / own if own > 0.0 else math.inf
         # Test the ratio itself: LogisticLogCurve.inverse(1.0) divides by zero.
-        thr = ch.curve.inverse(ratio) if ratio < 1.0 else math.inf
-        policies.append(threshold_policy(thr))
-    return tuple(policies)
+        thresholds.append(inverse(ratio) if ratio < 1.0 else math.inf)
+    return thresholds
 
 
 def subgradient(state, measured_success, measured_rate, inst):
@@ -282,22 +322,49 @@ def subgradient(state, measured_success, measured_rate, inst):
         s_nu[i, i] = beta_ii - E[alpha_i q] and
         s_nu[i, j] = E[alpha_j] q_ji - beta_ji for j != i.
     """
-    beta = state.beta
+    m = state.beta.shape[0]
+    out = np.empty(m + m * m)
+    _subgradient(
+        state.beta,
+        np.asarray(measured_success, dtype=float),
+        np.asarray(measured_rate, dtype=float),
+        np.log(inst.success_targets),
+        inst.collision.q,
+        out,
+    )
+    return out[:m], out[m:].reshape(m, m)
+
+
+def _subgradient(beta, succ, rates, log_c, q, out):
+    """``subgradient`` written into ``out``: s_lambda, then s_nu row by row.
+
+    ``log_c`` holds log c_i.
+    """
+    m = beta.shape[0]
+    diagonal = slice(None, None, m + 1)  # the diagonal, via .flat
     own = beta.diagonal()
-    diagonal = slice(None, None, own.shape[0] + 1)  # the diagonal, via .flat
     log_miss = np.log1p(-beta)
     log_miss.flat[diagonal] = 0.0
-    s_lam = np.log(inst.success_targets) - np.log(own) - np.add.reduce(log_miss)
-    s_nu = (np.asarray(measured_rate, dtype=float)[:, None] * inst.collision.q - beta).T
-    s_nu.flat[diagonal] = own - np.asarray(measured_success, dtype=float)
-    return s_lam, s_nu
+    s_lam = np.subtract(log_c, np.log(own), out=out[:m])
+    s_lam -= np.add.reduce(log_miss)
+    np.subtract(rates[:, None] * q, beta, out=out[m:].reshape(m, m).T)
+    np.subtract(own, succ, out=out[m :: m + 1])  # the diagonal of s_nu
 
 
 def dual_step(state, s_lambda, s_nu, eps):
     """Projected ascent step; multipliers stay in the nonnegative orthant."""
-    lam = np.maximum(state.lam + eps * np.asarray(s_lambda, dtype=float), 0.0)
-    nu = np.maximum(state.nu + eps * np.asarray(s_nu, dtype=float), 0.0)
+    lam = np.array(state.lam, dtype=float)
+    nu = np.array(state.nu, dtype=float)
+    _ascend(lam, np.array(s_lambda, dtype=float), eps)
+    _ascend(nu, np.array(s_nu, dtype=float), eps)
     return DualState(lam=lam, nu=nu, beta=state.beta)
+
+
+def _ascend(duals, step, eps):
+    """``dual_step`` in place: duals = max(duals + eps * step, 0); scales ``step`` too."""
+    step *= eps
+    duals += step
+    np.maximum(duals, 0.0, out=duals)
 
 
 def lagrangian_value(measured_rate, measured_success, beta, lam, nu, inst):
@@ -323,30 +390,21 @@ def lagrangian_value(measured_rate, measured_success, beta, lam, nu, inst):
     return value
 
 
-def _initial_state(inst, box):
-    m = inst.m
-    lam = np.ones(m)
-    nu = np.full((m, m), 0.1)
-    np.fill_diagonal(nu, inst.tx_powers + 1.0)
-    return DualState(lam=lam, nu=nu, beta=beta_update(lam, nu, box))
-
-
-def _measure(policies, inst, mode, rngs):
-    """Per-sensor E[alpha] and E[alpha q] for one period.
+def _measure(thresholds, channels, mode, rngs):
+    """Per-sensor E[alpha] and E[alpha q] of the rules 1[h >= tau] for one period.
 
     Exact when ``mode`` is None; under Monte Carlo, sensor i estimates both
     from its own generator ``rngs[i]``.
     """
-    m = inst.m
-    rates = np.empty(m)
-    succ = np.empty(m)
-    for i, (pol, ch) in enumerate(zip(policies, inst.channels)):
-        if mode is None:
-            rates[i] = expected_policy_rate(pol, ch)
-            succ[i] = expected_policy_success(pol, ch)
-        else:
-            rates[i], succ[i] = draw_transmit_sample(pol, ch, mode.samples, rngs[i])
-    return rates, succ
+    if mode is None:
+        rates = [ch.dist.survival(tau) for tau, ch in zip(thresholds, channels)]
+        succ = [threshold_success(tau, ch) for tau, ch in zip(thresholds, channels)]
+        return np.array(rates), np.array(succ)
+    pairs = [
+        draw_transmit_sample(tau, ch, mode.samples, rng)
+        for tau, ch, rng in zip(thresholds, channels, rngs)
+    ]
+    return np.array(pairs).T.copy()  # contiguous rows, as the exact branch gives
 
 
 def run_algorithm1(
@@ -358,61 +416,73 @@ def run_algorithm1(
 ):
     """Run the dual subgradient loop until the stop rule fires.
 
-    Each period prices the sensors with the current duals, measures the
-    resulting transmit and delivery rates (exactly when ``mode`` is None;
-    under a ``MonteCarlo`` mode sensor i estimates them from
-    ``mode.samples`` fades per period, of which only the transmitting
-    ones are drawn, from the i-th of m streams spawned by
-    ``np.random.SeedSequence(mode.seed)``),
-    refreshes the shares, logs the period as a trace row, and steps the
-    duals along the subgradient. Convergence requires the returned
-    policies' worst constraint slack <= ``stop.slack_tol`` together with
-    duals within ``stop.dual_change_tol`` of the trace row ``stop.window``
-    periods back; the loop aborts if any multiplier passes
+    Each period prices the sensors with the current duals into fade
+    thresholds, measures the resulting transmit and delivery rates
+    (exactly when ``mode`` is None; under a ``MonteCarlo`` mode sensor i
+    estimates them from ``mode.samples`` fades per period, of which only
+    the transmitting ones are drawn, from the i-th of m streams spawned by
+    ``np.random.SeedSequence(mode.seed)``), refreshes the shares, logs the
+    period as a trace row, and steps the duals along the subgradient.
+    Convergence requires the returned policies' worst constraint slack
+    <= ``stop.slack_tol`` together with duals within
+    ``stop.dual_change_tol`` of the trace row ``stop.window`` periods
+    back; the loop aborts if any multiplier passes
     ``stop.divergence_bound``, which signals an infeasible or marginal set
     of requirements.
+
+    The loop keeps lambda and nu as views of one vector laid out like the
+    trace's dual columns (lambda_i, then nu_i_j row by row), steps that
+    vector in place, and carries the policies as a list of thresholds.
+    ``AccessPolicy`` objects are built once, for the result.
 
     Returns
     -------
     OptimizationResult
         Policies from the stopping period (they satisfy the slack test
         when ``converged``), the final dual state, and the full trace.
+        With ``stop.max_periods = 0`` these are the cold start's policies
+        and shares, with an empty trace.
     """
     m = inst.m
-    q = inst.collision.q
-    state = _initial_state(inst, box)
+    lo, hi = _check_box(box)
+    p, q, q_t = inst.tx_powers, inst.collision.q, inst.collision.q.T
+    targets, log_c = inst.success_targets, np.log(inst.success_targets)
+    inverses = [ch.curve.inverse for ch in inst.channels]
     rngs = None
     if mode is not None:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(m)]
     trace = IterationTrace(m)
-    duals = slice(trace.columns.index("lambda_0"), trace.columns.index("beta_0_0"))
-    policies = primal_policies(state, inst)
+    dual_cols = slice(trace.columns.index("lambda_0"), trace.columns.index("beta_0_0"))
+
+    # Cold start: lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1.
+    duals = np.full(m + m * m, 0.1)
+    lam, nu = duals[:m], duals[m:].reshape(m, m)
+    lam[:] = 1.0
+    np.add(p, 1.0, out=duals[m :: m + 1])
+    step = np.empty_like(duals)
 
     for t in range(stop.max_periods):
         eps = stepsize(t, schedule)
-        beta = beta_update(state.lam, state.nu, box)
-        state = DualState(lam=state.lam, nu=state.nu, beta=beta)
-        policies = primal_policies(state, inst)
-        rates, succ = _measure(policies, inst, mode, rngs)
+        beta = _shares(lam, nu, lo, hi)
+        thresholds = _thresholds(nu, p, q_t, inverses)
+        rates, succ = _measure(thresholds, inst.channels, mode, rngs)
 
         link = delivery_product(succ, rates, q)
-        slack = inst.success_targets - link
-        objective = float(np.dot(inst.tx_powers, rates))
-        trace.append(t, eps, objective, state.lam, state.nu, beta, rates, succ, link, slack)
+        slack = targets - link
+        objective = float(np.dot(p, rates))
+        trace.append(t, eps, objective, lam, nu, beta, rates, succ, link, slack)
 
         if (
             t >= stop.window
-            and float(np.max(slack)) <= stop.slack_tol
-            and np.max(np.abs(trace.rows[t, duals] - trace.rows[t - stop.window, duals]))
+            and float(np.maximum.reduce(slack)) <= stop.slack_tol
+            and float(np.maximum.reduce(np.abs(duals - trace.rows[t - stop.window, dual_cols])))
             <= stop.dual_change_tol
         ):
-            return OptimizationResult(
-                policies=policies, state=state, trace=trace, converged=True, periods=t + 1
-            )
+            return _result(thresholds, lam, nu, beta, trace, True, t + 1)
 
-        s_lam, s_nu = subgradient(state, succ, rates, inst)
-        state = dual_step(state, s_lam, s_nu, eps)
-        top = max(float(np.max(state.lam)), float(np.max(state.nu)))
+        _subgradient(beta, succ, rates, log_c, q, step)
+        _ascend(duals, step, eps)
+        top = float(np.maximum.reduce(duals))
         if top > stop.divergence_bound:
             raise DivergenceError(
                 f"dual variables reached {top:g} at period {t}; the delivery "
@@ -420,10 +490,17 @@ def run_algorithm1(
                 "collision configuration"
             )
 
+    if stop.max_periods == 0:  # no period ran: the cold start's shares and prices
+        beta = _shares(lam, nu, lo, hi)
+        thresholds = _thresholds(nu, p, q_t, inverses)
+    return _result(thresholds, lam, nu, beta, trace, False, stop.max_periods)
+
+
+def _result(thresholds, lam, nu, beta, trace, converged, periods):
     return OptimizationResult(
-        policies=policies,
-        state=state,
+        policies=tuple(map(threshold_policy, thresholds)),
+        state=DualState(lam=lam.copy(), nu=nu.copy(), beta=beta),
         trace=trace,
-        converged=False,
-        periods=stop.max_periods,
+        converged=converged,
+        periods=periods,
     )

@@ -27,6 +27,7 @@ __all__ = [
     "UnstableSimulationError",
     "SimConfig",
     "SimMetrics",
+    "check_settings",
     "GammaRateRecord",
     "DriftRecord",
     "run_simulation",
@@ -48,6 +49,31 @@ def _psd_factor(w):
     """Factor F with F F' = W, valid for singular PSD covariances."""
     eigvals, eigvecs = np.linalg.eigh(w)
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def check_settings(instance, horizon, seed, burn_in=None, thin=0):
+    """Check a run's settings against ``instance``'s loops; return the burn-in used.
+
+    These are ``SimConfig``'s checks on everything but the policies, so a
+    caller can run them before it has policies. Raises ValueError naming
+    the bad setting.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    # The float arrays of horizon x m values and of a loop's horizon x n
+    # states must have a byte count NumPy can index.
+    width = max(instance.m, *(s.dim for s in instance.systems))
+    limit = np.iinfo(np.intp).max // (8 * width)
+    if horizon > limit:
+        raise ValueError(f"horizon must be at most {limit} for these loops, got {horizon}")
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+    burn = horizon // 10 if burn_in is None else int(burn_in)
+    if not 0 <= burn < horizon:
+        raise ValueError(f"burn_in must lie in [0, horizon), got {burn} for horizon {horizon}")
+    if thin < 0:
+        raise ValueError(f"thin must be >= 0, got {thin}")
+    return burn
 
 
 @dataclass(frozen=True)
@@ -84,23 +110,7 @@ class SimConfig:
             raise ValueError(
                 f"{len(policies)} policies for {self.instance.m} loops"
             )
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        # The float arrays of horizon x m values and of a loop's horizon x n
-        # states must have a byte count NumPy can index.
-        width = max(self.instance.m, *(s.dim for s in self.instance.systems))
-        limit = np.iinfo(np.intp).max // (8 * width)
-        if self.horizon > limit:
-            raise ValueError(f"horizon must be at most {limit} for these loops, got {self.horizon}")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        burn = self.horizon // 10 if self.burn_in is None else int(self.burn_in)
-        if not 0 <= burn < self.horizon:
-            raise ValueError(
-                f"burn_in must lie in [0, horizon), got {burn} for horizon {self.horizon}"
-            )
-        if self.thin < 0:
-            raise ValueError(f"thin must be >= 0, got {self.thin}")
+        burn = check_settings(self.instance, self.horizon, self.seed, self.burn_in, self.thin)
         factors = tuple(_psd_factor(s.noise_cov) for s in self.instance.systems)
         object.__setattr__(self, "policies", policies)
         object.__setattr__(self, "burn_in", burn)

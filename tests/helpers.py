@@ -77,6 +77,48 @@ def loop_state_recursion(a_closed, a_open, gamma, noise, x0):
     return out
 
 
+def block_scalar_recursion(a_closed, a_open, gamma, noise, x0):
+    """Oracle for ``raccess._kernels.state_recursion`` at n = 1, written with both products.
+
+    The kernel's block arithmetic as it stood before the n = 1 gather:
+    each slot of a block takes both products and keeps the delivered one,
+    and each block map multiplies by its slot's mode. Takes the kernel's
+    batched shapes and returns a new ``(L, N, 1)`` array.
+    """
+    a_c = np.asarray(a_closed, dtype=float).reshape(-1, 1)
+    a_o = np.asarray(a_open, dtype=float).reshape(-1, 1)
+    gamma = np.asarray(gamma, dtype=bool)
+    w = np.asarray(noise, dtype=float)[..., 0]
+    n_loops, n_slots = w.shape
+    block = max(math.isqrt(n_slots), 1)
+    k = n_slots // block
+    head = k * block
+    g_blocks = gamma[:, :head].reshape(n_loops, k, block)
+    w_blocks = w[:, :head].reshape(n_loops, k, block)
+    out = np.empty((n_loops, n_slots))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.zeros((n_loops, k))
+        phi = np.ones((n_loops, k))
+        for t in range(block):
+            g = g_blocks[:, :, t]
+            y = np.where(g, y * a_c, y * a_o) + w_blocks[:, :, t]
+            phi = np.where(g, a_c, a_o) * phi
+        starts = np.empty((n_loops, k))
+        x = np.asarray(x0, dtype=float)[:, 0]
+        for c in range(k):
+            starts[:, c] = x
+            x = phi[:, c] * x + y[:, c]
+        x = starts
+        states = out[:, :head].reshape(n_loops, k, block)
+        for t in range(block):
+            g = g_blocks[:, :, t]
+            x = np.where(g, x * a_c, x * a_o) + w_blocks[:, :, t]
+            states[:, :, t] = x
+        for t in range(head, n_slots):
+            out[:, t] = np.where(gamma[:, t], a_c[:, 0], a_o[:, 0]) * out[:, t - 1] + w[:, t]
+    return out[..., None]
+
+
 def loop_delivery_product(own, rates, q):
     """Loop oracle for ``raccess.channel.delivery_product`` over all m links."""
     m = q.shape[0]

@@ -153,25 +153,24 @@ class TestConstantPolicyExpectations:
         )
 
 
-def mc_draws(policy, ch, samples, count, seed):
+def mc_draws(threshold, ch, samples, count, seed):
     """``count`` Monte Carlo (rate, success) pairs, each from ``samples`` fades."""
     rng = np.random.default_rng(seed)
-    return np.array([draw_transmit_sample(policy, ch, samples, rng) for _ in range(count)])
+    return np.array([draw_transmit_sample(threshold, ch, samples, rng) for _ in range(count)])
 
 
 class TestMonteCarloExpectations:
     def test_agrees_with_quadrature(self):
         ch = reference_channel()
         pol = threshold_policy(0.8)
-        rate, succ = draw_transmit_sample(pol, ch, 200_000, np.random.default_rng(5))
+        rate, succ = draw_transmit_sample(0.8, ch, 200_000, np.random.default_rng(5))
         assert rate == pytest.approx(expected_policy_rate(pol, ch), abs=0.01)
         assert succ == pytest.approx(expected_policy_success(pol, ch), abs=0.01)
 
     def test_seeded_and_reproducible(self):
         ch = reference_channel()
-        pol = threshold_policy(0.8)
         a, b, c = (
-            draw_transmit_sample(pol, ch, 5000, np.random.default_rng(seed))
+            draw_transmit_sample(0.8, ch, 5000, np.random.default_rng(seed))
             for seed in (9, 9, 10)
         )
         assert a == b
@@ -197,8 +196,7 @@ class TestMonteCarloExpectations:
 
         monkeypatch.setattr(raccess.channel, "sample_channel", counting)
         ch = reference_channel()
-        pol = threshold_policy(0.8)
-        rate, succ = draw_transmit_sample(pol, ch, 3000, np.random.default_rng(7))
+        rate, succ = draw_transmit_sample(0.8, ch, 3000, np.random.default_rng(7))
         assert len(draws) == 1
         assert rate == draws[0].size / 3000
         assert succ == float(np.sum(ch.curve.value(draws[0]))) / 3000
@@ -228,7 +226,7 @@ class TestMonteCarloExpectations:
             assert np.array_equal(got[exact], want[exact])
             assert np.all(np.abs(got - want)[~exact] <= 5.0 * se[~exact]), (got, want, se)
 
-        x = mc_draws(pol, ch, n, count, seed=int(10 * thr))
+        x = mc_draws(thr, ch, n, count, seed=int(10 * thr))
         assert_within_5_se(x.mean(axis=0), want_mean, np.sqrt(np.diag(want_cov) / count))
         dev = x - want_mean
         products = dev[:, :, None] * dev[:, None, :]
@@ -242,12 +240,12 @@ class TestMonteCarloExpectations:
     def test_exact_edges(self, dist):
         ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5))
         rng = np.random.default_rng(2)
-        rate, succ = draw_transmit_sample(threshold_policy(0.0), ch, 1000, rng)
+        rate, succ = draw_transmit_sample(0.0, ch, 1000, rng)
         assert rate == 1.0
         assert 0.0 < succ < 1.0
         edges = [math.inf] + ([dist.high, dist.high + 1.0] if isinstance(dist, UniformFading) else [])
         for thr in edges:
-            assert draw_transmit_sample(threshold_policy(thr), ch, 1000, rng) == (0.0, 0.0)
+            assert draw_transmit_sample(thr, ch, 1000, rng) == (0.0, 0.0)
 
     def test_fades_lie_in_the_transmit_region(self):
         for dist in (ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6)):
@@ -259,12 +257,6 @@ class TestMonteCarloExpectations:
                 assert np.all(fades >= dist.lower)
                 if isinstance(dist, UniformFading):
                     assert np.all(fades <= dist.high)
-
-    def test_rejects_a_constant_policy(self):
-        with pytest.raises(ValueError, match="threshold policy"):
-            draw_transmit_sample(
-                constant_policy(0.5), reference_channel(), 100, np.random.default_rng(0)
-            )
 
 
 class TestDeliveryProduct:

@@ -653,6 +653,22 @@ class TestCliOptimize:
         assert doc["converged"] is False
         assert (out / "trace.csv").exists()
 
+    def test_zero_periods_write_empty_traces_and_exit_4(self, tmp_path, capsys):
+        raw = base_config()
+        raw["optimizer"]["max_periods"] = 0
+        out = tmp_path / "out"
+        assert main(["optimize", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_DIVERGED
+        assert "optimizer did not converge after 0 periods" in capsys.readouterr().out
+        header = (out / "trace.csv").read_text()
+        assert header == ",".join(
+            ["period", "stepsize", "objective", "lambda_0", "lambda_1"]
+            + [f"{kind}_{i}" for kind in ("rate", "success", "link_prob", "slack") for i in (0, 1)]
+        ) + "\n"
+        duals = np.load(out / "trace_duals.npy")
+        assert duals.shape == (0, 2, 2, 2) and duals.dtype == np.float64
+        doc = json.loads((out / "policies.json").read_text())
+        assert doc["converged"] is False and doc["periods"] == 0 and doc["objective"] is None
+
     def test_seed_flag_changes_mc_runs_only(self, tmp_path):
         raw = base_config()
         raw["optimizer"]["max_periods"] = 5
@@ -724,6 +740,9 @@ class TestCliSimulate:
         assert f"horizon must be at most 576460752303423487 for these loops, got {int(horizon)}" in (
             capsys.readouterr().err
         )
+        # The pipeline checks the simulation settings before it designs.
+        for name in ("rates.csv", "trace.csv", "trace_duals.npy", "policies.json"):
+            assert not (tmp_path / "out" / name).exists()
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def no_memory(cfg):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loop_state_recursion
+from helpers import block_scalar_recursion, loop_state_recursion
 from raccess._kernels import backend_name, state_recursion
 
 
@@ -80,6 +80,28 @@ class TestKernelAgainstLoopOracle:
         np.testing.assert_allclose(
             out, loop_state_recursion(a_c, a_o, gamma, noise, x0), rtol=0.0, atol=1e-12
         )
+
+
+class TestScalarGather:
+    # 29,999 = 173 blocks of 173 with a tail of 70; 30,000 has a tail of 71.
+    @pytest.mark.parametrize("slots", [1, 17, 29_999, 30_000])
+    @pytest.mark.parametrize("loops", [1, 2, 5])
+    def test_is_the_two_product_block_arithmetic(self, loops, slots):
+        # Gathering each slot's coefficient once keeps every bit of the
+        # block arithmetic that computed both products per slot.
+        args = random_inputs(31 * loops + slots, 1, slots, loops)
+        np.testing.assert_array_equal(run_kernel(*args), block_scalar_recursion(*args))
+
+    def test_keeps_the_bits_of_diverging_loops(self):
+        # Overflow to inf, and inf * 0 = nan, land on the same slots.
+        a_c, a_o, gamma, noise, x0 = random_inputs(3, 1, 5000, 2)
+        a_o = np.array([[[40.0]], [[-35.0]]])
+        a_c[1] = 0.0
+        gamma[1] = 0
+        gamma[1, 4000] = 1  # one delivery after loop 1 has reached -inf or inf
+        out = run_kernel(a_c, a_o, gamma, noise, x0)
+        assert np.isinf(out).any() and np.isnan(out).any()
+        np.testing.assert_array_equal(out, block_scalar_recursion(a_c, a_o, gamma, noise, x0))
 
 
 class TestBatchedCall:

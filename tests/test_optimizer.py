@@ -400,6 +400,31 @@ class TestProblemInstanceValidation:
             )
 
 
+def csv_columns(m):
+    """The trace.csv header: every trace column but the O(m^2) nu and beta ones."""
+    names = ["period", "stepsize", "objective"] + [f"lambda_{i}" for i in range(m)]
+    for kind in ("rate", "success", "link_prob", "slack"):
+        names += [f"{kind}_{i}" for i in range(m)]
+    return names
+
+
+def random_trace(m, periods, seed=4):
+    """A trace of random rows with edge values mixed in."""
+    rng = np.random.default_rng(seed)
+    trace = IterationTrace(m)
+    edges = np.array([0.0, -0.0, math.inf, 5e-324, 1e-05, 1.5e16, 0.1])
+    for t in range(periods):
+        v = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8)
+        v[t % m] = edges[t % edges.size]
+        nu = np.outer(v, v)
+        nu[t % m, (t + 1) % m] = edges[(t + 3) % edges.size]
+        trace.append(
+            t, 1.0 / (t + 1), float(v.sum()), v, nu, rng.random((m, m)),
+            rng.random(m), rng.random(m), rng.random(m), -v,
+        )
+    return trace
+
+
 class TestIterationTrace:
     def test_columns_and_round_trip(self, tmp_path):
         trace = IterationTrace(2)
@@ -425,8 +450,13 @@ class TestIterationTrace:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         header, row = path.read_text().splitlines()
-        assert header.split(",") == trace.columns
-        assert len(row.split(",")) == len(trace.columns)
+        assert header.split(",") == csv_columns(2)
+        assert row == "0,0.1,1.0,1.0,2.0,0.6,0.4,0.4,0.2,0.35,0.18,0.07,0.05"
+        trace.save_duals(tmp_path / "trace_duals.npy")
+        duals = np.load(tmp_path / "trace_duals.npy")
+        assert duals.shape == (1, 2, 2, 2) and duals.dtype == np.float64
+        np.testing.assert_array_equal(duals[0, 0], np.arange(4.0).reshape(2, 2))
+        np.testing.assert_array_equal(duals[0, 1], np.full((2, 2), 0.5))
 
     def test_grows_past_one_block(self, tmp_path):
         m, periods = 2, 2 * IterationTrace.BLOCK + 3
@@ -449,24 +479,32 @@ class TestIterationTrace:
 
     def test_to_csv_matches_the_row_list_oracle(self, tmp_path):
         # The bytes of the writer that formatted ``rows.tolist()`` with the
-        # period cast to int, on random rows with edge values mixed in.
+        # period cast to int, on the O(m) columns of random rows with edge
+        # values mixed in.
         m, periods = 3, IterationTrace.BLOCK + 5
-        rng = np.random.default_rng(4)
-        trace = IterationTrace(m)
-        edges = np.array([0.0, -0.0, math.inf, 5e-324, 1e-05, 1.5e16, 0.1])
-        for t in range(periods):
-            v = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8)
-            v[t % m] = edges[t % edges.size]
-            trace.append(
-                t, 1.0 / (t + 1), float(v.sum()), v, np.outer(v, v), rng.random((m, m)),
-                rng.random(m), rng.random(m), rng.random(m), -v,
-            )
+        trace = random_trace(m, periods)
         trace.to_csv(tmp_path / "new.csv")
-        rows = trace.rows.tolist()
+        kept = [trace.columns.index(name) for name in csv_columns(m)]
+        rows = trace.rows[:, kept].tolist()
         for row in rows:
             row[0] = int(row[0])
-        loop_write_csv(tmp_path / "old.csv", trace.columns, rows)
+        loop_write_csv(tmp_path / "old.csv", csv_columns(m), rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("periods", [0, 1, IterationTrace.BLOCK, 2 * IterationTrace.BLOCK + 5])
+    def test_save_duals_holds_the_nu_and_beta_columns(self, tmp_path, periods):
+        m = 3
+        trace = random_trace(m, periods)
+        trace.save_duals(tmp_path / "trace_duals.npy")
+        duals = np.load(tmp_path / "trace_duals.npy")
+        assert duals.shape == (periods, 2, m, m) and duals.dtype == np.float64
+        # Bit for bit, so -0.0 and the subnormal keep their signs and bits.
+        want = np.stack(
+            [trace.column(f"{kind}_{i}_{j}") for kind in ("nu", "beta")
+             for i in range(m) for j in range(m)],
+            axis=1,
+        )
+        assert duals.reshape(periods, 2 * m * m).tobytes() == want.tobytes()
 
     def test_column_is_a_copy(self):
         trace = IterationTrace(1)
@@ -541,6 +579,23 @@ class TestRunAlgorithm1:
         assert not result.converged
         assert result.periods == 10
         assert len(result.trace) == 10
+
+    @pytest.mark.parametrize("mode", [None, MonteCarlo(samples=100, seed=0)], ids=["exact", "mc"])
+    def test_zero_periods_return_the_cold_start(self, mode):
+        inst = reference_instance()
+        result = run_algorithm1(inst, mode=mode, stop=StopRule(max_periods=0))
+        assert not result.converged
+        assert result.periods == 0
+        assert len(result.trace) == 0
+        lam = np.ones(2)
+        nu = np.array([[2.0, 0.1], [0.1, 2.0]])  # nu_ii = p_i + 1, nu_ij = 0.1
+        beta = beta_update(lam, nu)
+        np.testing.assert_array_equal(result.state.lam, lam)
+        np.testing.assert_array_equal(result.state.nu, nu)
+        np.testing.assert_array_equal(result.state.beta, beta)
+        cold = primal_policies(DualState(lam=lam, nu=nu, beta=beta), inst)
+        assert result.policies == cold
+        assert 0.0 < cold[0].threshold < math.inf
 
     def test_mc_design_follows_the_mode_seed(self):
         inst = one_loop_instance(0.3)
