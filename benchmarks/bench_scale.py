@@ -30,6 +30,14 @@ Every timing is repeated 5 times and stored as its median and quartiles,
 ``{"median", "q1", "q3"}``. Runs recorded before ``per-cell-writer`` hold
 one timing per field instead.
 
+The host's speed drifts by tens of percent over minutes, so each process
+also times a fixed mix of interpreter and NumPy work (``speed_probe``,
+the same mix as perfbench's): ``PROBES`` probes when it starts, one
+before every timed repeat and ``PROBES`` when it ends. Their median is
+its entries' ``reference_s``, and every timing also carries ``x_ref``,
+its median as a multiple of that reference (the long entry:
+``wall_x_ref``). Runs recorded before ``fill-draws`` have no reference.
+
 A last entry runs the default stop rule (at most 5,000 periods) in
 quadrature on 64 identical (1.0, 0.4) loops, which does not converge,
 and records its wall time and peak RSS, once.
@@ -87,6 +95,7 @@ SLOTS = 20_000
 THIN = 10
 GRID_N = 4
 MIXED = ((1.1, 0.5), (1.0, 0.4))
+PROBES = 11
 
 
 def instance(m, loops, n=1):
@@ -131,9 +140,35 @@ def timed_run(inst, mode, stop):
     return result, time.perf_counter() - start
 
 
+def speed_probe():
+    """Seconds taken by a fixed mix of interpreter and NumPy work."""
+    t0 = time.perf_counter()
+    acc = 0.0
+    for i in range(20_000):
+        acc += (i * 0.5) ** 0.5
+    a = np.arange(20_000.0)
+    for _ in range(50):
+        a = np.sqrt(a + 1.0)
+    return time.perf_counter() - t0
+
+
 def spread(samples):
     q1, median, q3 = np.percentile(samples, [25, 50, 75])
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def add_reference(entries, probes):
+    """Probe ``PROBES`` more times; store the median as ``reference_s`` and each ``x_ref``."""
+    probes += [speed_probe() for _ in range(PROBES)]
+    ref = float(np.median(probes))
+    for entry in entries:
+        entry["reference_s"] = ref
+        for block in (entry, entry.get("simulation", {})):
+            for key, timing in block.items():
+                if isinstance(timing, dict) and "median" in timing:
+                    unit = 1e-3 if key.endswith("_ms_per_period") else 1.0
+                    timing["x_ref"] = timing["median"] * unit / ref
+    return entries
 
 
 @contextlib.contextmanager
@@ -175,7 +210,7 @@ def simulation_split(inst):
     return [draw[0], kernel[0], rest, total], metrics.trajectory
 
 
-def simulation_entry(inst):
+def simulation_entry(inst, probes):
     """The simulation split and the ``trajectory.csv`` write, REPEATS times."""
     names = (
         "outcome_draw_s",
@@ -187,6 +222,7 @@ def simulation_entry(inst):
     samples = {name: [] for name in names}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(REPEATS):
+            probes.append(speed_probe())
             split, trajectory = simulation_split(inst)
             gc.collect()
             start = time.perf_counter()
@@ -207,12 +243,14 @@ def simulation_entry(inst):
 
 def scaling_entries(m):
     """The scalar entry of m loops, then the simulation-only n = 4 entry."""
+    probes = [speed_probe() for _ in range(PROBES)]
     inst = instance(m, MIXED)
     stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
     entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
     for name, mode in (("quadrature", None), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
         per_period = []
         for _ in range(REPEATS):
+            probes.append(speed_probe())
             result, wall = timed_run(inst, mode, stop)
             per_period.append(1e3 * wall / result.periods)
         entry[f"{name}_ms_per_period"] = spread(per_period)
@@ -226,15 +264,16 @@ def scaling_entries(m):
     entry["trace_bytes_per_period"] = (kept - tracemalloc.get_traced_memory()[0]) / PERIODS
     tracemalloc.stop()
     entry["peak_rss_mb"] = peak_rss_mb()
-    entry["simulation"] = simulation_entry(inst)
+    entry["simulation"] = simulation_entry(inst, probes)
     grid = {"m": m, "n": GRID_N, "repeats": REPEATS}
-    grid["simulation"] = simulation_entry(instance(m, MIXED, n=GRID_N))
-    return [entry, grid]
+    grid["simulation"] = simulation_entry(instance(m, MIXED, n=GRID_N), probes)
+    return add_reference([entry, grid], probes)
 
 
 def long_entry():
+    probes = [speed_probe() for _ in range(PROBES)]
     result, wall = timed_run(instance(LONG_M, ((1.0, 0.4),)), None, StopRule())
-    return {
+    entry = {
         "m": LONG_M,
         "n": 1,
         "loops": "identical (1.0, 0.4)",
@@ -243,6 +282,9 @@ def long_entry():
         "wall_s": wall,
         "peak_rss_mb": peak_rss_mb(),
     }
+    add_reference([entry], probes)
+    entry["wall_x_ref"] = wall / entry["reference_s"]
+    return entry
 
 
 def run_child(extra):

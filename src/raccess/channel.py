@@ -59,8 +59,17 @@ class ExponentialFading:
             raise ValueError(f"mean must be positive, got {self.mean:g}")
 
     def sample(self, rng, size=None, lower=0.0):
-        """I.i.d. fades given h >= lower: lower + Exp(mean), as the law is memoryless."""
-        h = rng.exponential(self.mean, size=size)
+        """I.i.d. fades given h >= lower: lower + Exp(mean), as the law is memoryless.
+
+        Fills ``standard_exponential(size)`` and scales and shifts it in
+        place. NumPy defines ``exponential(mean)`` as ``mean *
+        standard_exponential()``, so the values and the generator's
+        position are those of ``rng.exponential(self.mean, size)`` (plus
+        lower when lower > 0), and the draw allocates only its ``size``
+        floats.
+        """
+        h = rng.standard_exponential(size)
+        h *= self.mean
         if lower > 0.0:
             h += lower
         return h
@@ -96,14 +105,26 @@ class UniformFading:
     high: float
 
     def __post_init__(self):
-        if not 0.0 <= self.low < self.high:
+        # A finite high also keeps sample's (high - lo) * u from giving inf or nan.
+        if not 0.0 <= self.low < self.high < math.inf:
             raise ValueError(
-                f"need 0 <= low < high, got low={self.low:g} high={self.high:g}"
+                f"need 0 <= low < high < inf, got low={self.low:g} high={self.high:g}"
             )
 
     def sample(self, rng, size=None, lower=0.0):
-        """I.i.d. fades given h >= lower: uniform on [max(lower, low), high]."""
-        return rng.uniform(min(max(lower, self.low), self.high), self.high, size=size)
+        """I.i.d. fades given h >= lower: uniform on [max(lower, low), high].
+
+        Fills ``random(size)`` and scales and shifts it in place. NumPy
+        defines ``uniform(lo, high)`` as ``lo + (high - lo) * random()``,
+        so the values and the generator's position are those of
+        ``rng.uniform(lo, high, size)``, and the draw allocates only its
+        ``size`` floats. At lower >= high every fade is ``high``.
+        """
+        lo = min(max(lower, self.low), self.high)
+        h = rng.random(size)
+        h *= self.high - lo
+        h += lo
+        return h
 
     def pdf(self, h):
         """Density at the float fade level h."""
@@ -148,8 +169,20 @@ class SaturatingExpCurve:
             raise ValueError(f"gain must be positive, got {self.gain:g}")
 
     def value(self, h):
+        """q(h) elementwise, in a new array."""
         h = np.asarray(h, dtype=float)
         return -np.expm1(-self.kappa * self.gain * h)
+
+    def sum_values(self, h):
+        """Sum of q(h) over the float array h, computed in h's buffer, which it overwrites.
+
+        The same bits as ``np.sum(self.value(h))``: the sum of -expm1 is
+        0.0 minus the sum of expm1, as negation is exact, and ``0.0 - s``
+        gives +0.0, not -0.0, on an empty h.
+        """
+        h *= -self.kappa * self.gain
+        np.expm1(h, out=h)
+        return 0.0 - float(h.sum())
 
     def inverse(self, t):
         """Fade level at which the curve reaches t in (0, 1)."""
@@ -174,10 +207,22 @@ class LogisticLogCurve:
             raise ValueError(f"steepness must be positive, got {self.steepness:g}")
 
     def value(self, h):
+        """q(h) elementwise, in a new array."""
         # Fades are >= 0 and 0**s = 0 for s > 0, so h = 0 needs no guard.
         h = np.asarray(h, dtype=float)
         r = np.power(h / self.midpoint, self.steepness)
         return r / (1.0 + r)
+
+    def sum_values(self, h):
+        """Sum of q(h) over the float array h, computed in h's buffer, which it overwrites.
+
+        The same bits as ``np.sum(self.value(h))``; the denominator
+        1 + r is the one temporary array.
+        """
+        h /= self.midpoint
+        np.power(h, self.steepness, out=h)
+        np.divide(h, h + 1.0, out=h)
+        return float(h.sum())
 
     def inverse(self, t):
         """Fade level at which the curve reaches t in (0, 1)."""
@@ -270,11 +315,14 @@ def draw_transmit_sample(threshold, ch, samples, rng):
     and given K those fades are i.i.d. from h | h >= tau. Drawing K and
     then only those K fades gives the pair (K, sum q(h_k)) the exact joint
     law it has under the full sample, at a cost that grows with K instead
-    of ``samples``.
+    of ``samples``. The K fades come from ``sample_channel``, and the
+    curve's ``sum_values`` turns them into sum q(h_k) in their own buffer,
+    so a call allocates those K floats (and, on the logistic_log curve,
+    one K-float temporary) and nothing that grows with ``samples``.
     """
     k = int(rng.binomial(samples, ch.dist.survival(threshold)))
     fades = sample_channel(ch, rng, size=k, lower=threshold)
-    return k / samples, float(np.sum(ch.curve.value(fades))) / samples
+    return k / samples, ch.curve.sum_values(fades) / samples
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

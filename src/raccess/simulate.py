@@ -39,6 +39,8 @@ _CHUNK = 65536
 # Noise floats (loops x slots x n) the kernel advances in one call.
 _RUN_CELLS = 1 << 20
 _NORM_LIMIT = 1e12
+# Slots per block of the n > 1 reduction (see _quadratic_form).
+_REDUCE_ROWS = 4096
 
 
 class UnstableSimulationError(RuntimeError):
@@ -220,6 +222,25 @@ def _loop_runs(systems, horizon):
         start = stop
 
 
+def _quadratic_form(x, p):
+    """v_k = x_k' P x_k for the states x of shape (slots, n).
+
+    At n > 1 the product x P comes first, one block of ``_REDUCE_ROWS``
+    slots at a time so that its temporary stays small: about 7x faster
+    than the three-operand ``einsum`` on 30k slots at n = 4, and different
+    from it in the last bits. Each slot's value does not depend on the
+    blocks. At n = 1 the three-operand form is faster and gives the same
+    bits.
+    """
+    if x.shape[1] == 1:
+        return np.einsum("kn,nl,kl->k", x, p, x)
+    v = np.empty(len(x))
+    for start in range(0, len(x), _REDUCE_ROWS):
+        block = x[start : start + _REDUCE_ROWS]
+        np.einsum("kl,kl->k", block @ p, block, out=v[start : start + _REDUCE_ROWS])
+    return v
+
+
 def run_simulation(cfg):
     """Simulate the full horizon from x_0 = 0 and average the quadratic cost.
 
@@ -277,7 +298,7 @@ def run_simulation(cfg):
                         f"{k + 1} of {cfg.horizon}; its access policy does not "
                         "stabilize it"
                     )
-                v = np.einsum("kn,nl,kl->k", x, sys.lyap_matrix, x)
+                v = _quadratic_form(x, sys.lyap_matrix)
             costs[i] = float(np.mean(v[cfg.burn_in :]))
             tx_rates[i] = float(np.mean(tx[i, cfg.burn_in :]))
             success_rates[i] = float(np.mean(gamma[i, cfg.burn_in :]))

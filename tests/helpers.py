@@ -259,13 +259,23 @@ def loop_interference_prices(nu, q):
     return out
 
 
-def loop_simulation(cfg):
+def lyapunov_values(x, p):
+    """v_k = x_k' P x_k of states x (k, n), in ``run_simulation``'s n > 1 form."""
+    return np.einsum("kl,kl->k", x @ p, x)
+
+
+def three_operand_lyapunov_values(x, p):
+    """v_k = x_k' P x_k in the three-operand ``einsum`` the simulation used first."""
+    return np.einsum("kn,nl,kl->k", x, p, x)
+
+
+def loop_simulation(cfg, quadratic=lyapunov_values):
     """Per-loop oracle for ``run_simulation(cfg)`` on stable loops.
 
     Replays the run's draws from ``cfg.seed``, runs the kernel on one loop
-    at a time, and builds the trajectory from one ``(slot, system, v, tx,
-    gamma)`` row per kept slot of each loop in turn, sorted, then split
-    into columns.
+    at a time, reduces its states to v with ``quadratic(states, P)``, and
+    builds the trajectory from one ``(slot, system, v, tx, gamma)`` row
+    per kept slot of each loop in turn, sorted, then split into columns.
     """
     inst = cfg.instance
     rng = np.random.default_rng(cfg.seed)
@@ -278,7 +288,7 @@ def loop_simulation(cfg):
             sys.a_closed[None], sys.a_open[None], gamma[i : i + 1], noise[None],
             np.zeros((1, sys.dim)),
         )[0]
-        v = np.einsum("kn,nl,kl->k", states, sys.lyap_matrix, states)
+        v = quadratic(states, sys.lyap_matrix)
         costs.append(float(np.mean(v[cfg.burn_in :])))
         tx_rates.append(float(np.mean(tx[i, cfg.burn_in :])))
         success_rates.append(float(np.mean(gamma[i, cfg.burn_in :])))
@@ -317,3 +327,33 @@ def loop_write_csv(path, header, rows):
         lines.append(",".join(cells))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def allocating_sample(dist, rng, size=None, lower=0.0):
+    """The fade laws' ``sample`` as first written, on NumPy's allocating draws.
+
+    An oracle for the fill-based ``sample``: the same values and the same
+    generator position, bit for bit.
+    """
+    if isinstance(dist, ExponentialFading):
+        h = rng.exponential(dist.mean, size=size)
+        if lower > 0.0:
+            h += lower
+        return h
+    return rng.uniform(min(max(lower, dist.low), dist.high), dist.high, size=size)
+
+
+def allocating_value(curve, h):
+    """q(h) of each success curve in its first, allocating form."""
+    h = np.asarray(h, dtype=float)
+    if isinstance(curve, SaturatingExpCurve):
+        return -np.expm1(-curve.kappa * curve.gain * h)
+    r = np.power(h / curve.midpoint, curve.steepness)
+    return r / (1.0 + r)
+
+
+def allocating_transmit_sample(threshold, ch, samples, rng):
+    """``draw_transmit_sample`` on the allocating draw and curve oracles above."""
+    k = int(rng.binomial(samples, ch.dist.survival(threshold)))
+    fades = allocating_sample(ch.dist, rng, size=k, lower=threshold)
+    return k / samples, float(np.sum(allocating_value(ch.curve, fades))) / samples

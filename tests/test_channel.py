@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import raccess.channel
-from helpers import loop_delivery_product, random_shared_channel_setup, reference_channel
+from helpers import (
+    allocating_sample,
+    allocating_transmit_sample,
+    allocating_value,
+    loop_delivery_product,
+    random_shared_channel_setup,
+    reference_channel,
+)
 from raccess import (
     CollisionMatrix,
     ExponentialFading,
@@ -191,7 +198,7 @@ class TestMonteCarloExpectations:
 
         def counting(ch, rng, size=None, lower=0.0):
             fades = real(ch, rng, size=size, lower=lower)
-            draws.append(fades)
+            draws.append(fades.copy())
             return fades
 
         monkeypatch.setattr(raccess.channel, "sample_channel", counting)
@@ -364,6 +371,8 @@ class TestFadingDistributions:
             UniformFading(low=1.0, high=1.0)
         with pytest.raises(ValueError):
             UniformFading(low=-0.1, high=1.0)
+        with pytest.raises(ValueError, match="high < inf"):
+            UniformFading(low=0.0, high=math.inf)
 
 
 class TestLinkSuccessProbability:
@@ -429,3 +438,79 @@ class TestSampleChannel:
         ch = reference_channel()
         xs = sample_channel(ch, np.random.default_rng(0), size=100_000)
         assert float(np.mean(xs)) == pytest.approx(1.0, abs=0.02)
+
+
+FADE_LAWS = (ExponentialFading(mean=0.9), UniformFading(low=0.4, high=1.6))
+CURVES = (
+    SaturatingExpCurve(kappa=1.5),
+    SaturatingExpCurve(kappa=0.7, gain=2.3),
+    LogisticLogCurve(midpoint=0.8, steepness=2.5),
+)
+# 0, an interior level, the uniform law's top and beyond it, and +inf.
+THRESHOLDS = (0.0, 0.7, 1.6, 2.5, math.inf)
+
+
+class TestDrawsKeepTheirBits:
+    """The fill-based draws against the allocating forms they replaced.
+
+    Each pair draws from two generators of one seed and must agree bit
+    for bit and leave both generators at the same position. This also
+    catches a NumPy build whose ``uniform`` or ``exponential`` rounds
+    differently from its fill-then-scale definition (a fused multiply-add).
+    """
+
+    @pytest.mark.parametrize("dist", FADE_LAWS)
+    @pytest.mark.parametrize("lower", THRESHOLDS)
+    @pytest.mark.parametrize("size", [0, 1, 7, 5000])
+    def test_sample_matches_the_allocating_draw(self, dist, lower, size):
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = dist.sample(got_rng, size=size, lower=lower)
+        want = allocating_sample(dist, want_rng, size=size, lower=lower)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("dist", FADE_LAWS)
+    @pytest.mark.parametrize("lower", [0.0, 0.7])
+    def test_sample_without_a_size_is_a_float(self, dist, lower):
+        got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = dist.sample(got_rng, lower=lower)
+        assert isinstance(got, float)
+        assert got == allocating_sample(dist, want_rng, lower=lower)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("curve", CURVES)
+    @pytest.mark.parametrize("size", [0, 1, 7, 5000])
+    def test_sum_values_is_the_allocating_sum(self, curve, size):
+        h = np.random.default_rng(size).exponential(1.3, size=size)
+        h[: size // 3] = 0.0
+        h[size // 3 : size // 2] *= 40.0
+        want = float(np.sum(allocating_value(curve, h)))
+        np.testing.assert_array_equal(curve.value(h), allocating_value(curve, h))
+        got = curve.sum_values(h.copy())
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_sum_values_of_zero_fades_is_positive_zero(self, curve):
+        got = curve.sum_values(np.zeros(3))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        assert math.copysign(1.0, float(np.sum(allocating_value(curve, np.zeros(3))))) == 1.0
+
+    @pytest.mark.parametrize("dist", FADE_LAWS)
+    @pytest.mark.parametrize("curve", CURVES)
+    @pytest.mark.parametrize("thr", THRESHOLDS)
+    def test_transmit_sample_matches_the_allocating_draw(self, dist, curve, thr):
+        ch = FadingChannel(dist=dist, curve=curve)
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = draw_transmit_sample(thr, ch, 3000, got_rng)
+        assert got == allocating_transmit_sample(thr, ch, 3000, want_rng)
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("dist", FADE_LAWS)
+    @pytest.mark.parametrize("curve", CURVES)
+    def test_no_fade_at_the_threshold_gives_positive_zeros(self, dist, curve):
+        rate, succ = draw_transmit_sample(
+            math.inf, FadingChannel(dist=dist, curve=curve), 100, np.random.default_rng(0)
+        )
+        assert (rate, succ) == (0.0, 0.0)
+        assert math.copysign(1.0, rate) == math.copysign(1.0, succ) == 1.0

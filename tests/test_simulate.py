@@ -14,6 +14,7 @@ from helpers import (
     reference_channel,
     reference_instance,
     scalar_system,
+    three_operand_lyapunov_values,
 )
 from raccess import (
     CollisionMatrix,
@@ -237,6 +238,31 @@ class TestLoopRuns:
         assert calls == ([1, 1, 1, 1] if cells == 300 else [1, 1, 2])
         monkeypatch.setattr(raccess._kernels, "state_recursion", kernel)
         assert_same_run(met, loop_simulation(cfg))
+
+
+class TestReduction:
+    def test_two_operand_form_matches_the_three_operand_form(self, monkeypatch):
+        # v = x'Px as einsum("kl,kl->k", x @ P, x) moves last bits against
+        # the three-operand einsum at n > 1, and none at n = 1, where the
+        # simulation keeps the three-operand form. Blocks of 700 slots cut
+        # the 2,000 into two full blocks and a partial one, which must give
+        # the bits of one product over all slots (the oracle's).
+        monkeypatch.setattr(raccess.simulate, "_REDUCE_ROWS", 700)
+        dims = (1, 2, 3, 4)
+        inst = mixed_instance(dims, seed=31)
+        policies = tuple(threshold_policy(0.0) for _ in dims)
+        cfg = SimConfig(instance=inst, policies=policies, horizon=2000, seed=2, thin=1)
+        met = run_simulation(cfg)
+        assert_same_run(met, loop_simulation(cfg))
+        got = met.trajectory
+        want = loop_simulation(cfg, quadratic=three_operand_lyapunov_values).trajectory
+        np.testing.assert_array_equal(got[1], want[1])
+        for i, n in enumerate(dims):
+            v, w = got[2][got[1] == i], want[2][want[1] == i]
+            if n == 1:
+                np.testing.assert_array_equal(v, w)
+            else:
+                np.testing.assert_allclose(v, w, rtol=1e-14, atol=0.0)
 
 
 def transmission_outcomes_3d(policies, channels, qmat, rng, count):
