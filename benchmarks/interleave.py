@@ -15,10 +15,14 @@ side's median and quartiles,
 the median of the per-round ratios change / baseline, and the number of
 rounds in which the change was faster.
 
+With ``--pairs 0`` it times nothing: it runs each side once, compares
+their artifacts and stdout (``run.digest``) and exits 1 if they differ.
+
 From the root of a checkout, against the parent commit:
 
     mkdir -p /tmp/base && git archive HEAD~1 src/raccess | tar -x -C /tmp/base
     python benchmarks/interleave.py /tmp/base/src --workload wide-mc --pairs 40
+    python benchmarks/interleave.py /tmp/base/src --workload certify --seed 2 --pairs 0
 """
 
 import argparse
@@ -73,22 +77,27 @@ def main():
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--warmup", type=int, default=3, help="untimed calls per side first")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < 0:
+        parser.error("--pairs must be at least 0")
 
     sides = {"baseline": load_baseline(os.path.abspath(args.baseline)), "change": load_tree()}
     times = {name: [] for name in sides}
     with tempfile.TemporaryDirectory() as work:
         _, argv, _ = workloads.build(args.workload, args.seed, work)
         out = {name: os.path.join(work, name) for name in sides}
-        for _ in range(args.warmup):
+        for _ in range(args.warmup if args.pairs else 0):
             for name, cli in sides.items():
                 run.run_cli(cli, argv, out[name])
         digests = {}
         for name, cli in sides.items():
             code, stdout, _ = run.run_cli(cli, argv, out[name])
             digests[name] = (code, run.digest(out[name], stdout))
-        if digests["baseline"] != digests["change"]:
+        same = digests["baseline"] == digests["change"]
+        if args.pairs == 0:
+            verdict = "identical" if same else "different"
+            print(f"workload {args.workload}, seed {args.seed}: artifacts and stdout {verdict}")
+            sys.exit(0 if same else 1)
+        if not same:
             print("note: the two sides write different artifacts", file=sys.stderr)
         for r in range(args.pairs):
             order = ("baseline", "change") if r % 2 == 0 else ("change", "baseline")

@@ -14,19 +14,20 @@ non-convergence, 5 unstable simulation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .channel import MonteCarlo, link_success_probability
+from .channel import link_success_probability
 from .config import ConfigError, parse_config
 from .control import InfeasibleContractError, compute_success_requirement, steady_state_cost_bound
 from .optimizer import DivergenceError, ProblemInstance, run_algorithm1
 from .policy import AccessPolicy
 from .serialize import fmt, write_csv, write_json
-from .simulate import SimConfig, UnstableSimulationError, check_settings, run_simulation
+from .simulate import SimConfig, UnstableSimulationError, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,8 +73,8 @@ def _instance(cfg, targets):
 def _expectation_mode(cfg, args):
     mode = cfg.optimizer.expectation_mode if args.mode is None else args.mode
     if mode == "mc":
-        seed = cfg.optimizer.seed if args.seed is None else args.seed
-        return MonteCarlo(samples=cfg.optimizer.mc_samples, seed=seed)
+        mc = cfg.optimizer.mc
+        return mc if args.seed is None else dataclasses.replace(mc, seed=args.seed)
     return None  # exact expectations
 
 
@@ -171,29 +172,20 @@ def cmd_optimize(args):
     return EXIT_OK if result.converged else EXIT_DIVERGED
 
 
-def _sim_settings(cfg, args):
-    """The simulation's horizon, seed, burn-in and thin, checked against the loops."""
-    horizon = getattr(args, "horizon", None)
-    settings = {
-        "horizon": cfg.simulation.horizon if horizon is None else horizon,
-        "seed": cfg.simulation.seed if args.seed is None else args.seed,
-        "burn_in": cfg.simulation.burn_in,
-        "thin": cfg.simulation.thin,
-    }
-    try:
-        check_settings(cfg, **settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return settings
-
-
-def _simulate(cfg, policies, settings, out):
+def _simulate(cfg, policies, args, out):
     """Simulate the policies on the config's loops; write and print metrics.
 
-    ``settings`` come from ``_sim_settings``. Returns the metrics and each
-    loop's steady-state cost bound.
+    The settings are the config's, with ``--horizon`` and ``--seed`` applied.
+    Returns the metrics and each loop's steady-state cost bound.
     """
-    sim_cfg = SimConfig(instance=cfg, policies=tuple(policies), **settings)
+    settings = dataclasses.asdict(cfg.simulation)
+    for key in ("horizon", "seed"):
+        if getattr(args, key, None) is not None:
+            settings[key] = getattr(args, key)
+    try:
+        sim_cfg = SimConfig(instance=cfg, policies=tuple(policies), **settings)
+    except ValueError as exc:  # a --horizon out of range or a wrong policy count
+        raise ConfigError(str(exc)) from exc
     metrics = run_simulation(sim_cfg)
     bounds = [steady_state_cost_bound(s) for s in cfg.systems]
     write_csv(
@@ -233,23 +225,17 @@ def _simulate(cfg, policies, settings, out):
 def cmd_simulate(args):
     cfg = parse_config(args.config)
     out = _out_dir(args, cfg)
-    policies = load_policies(args.policies)
-    if len(policies) != cfg.m:
-        raise ConfigError(
-            f"{args.policies}: {len(policies)} policies for {cfg.m} loops"
-        )
-    _simulate(cfg, policies, _sim_settings(cfg, args), out)
+    _simulate(cfg, load_policies(args.policies), args, out)
     return EXIT_OK
 
 
 def cmd_pipeline(args):
     cfg = parse_config(args.config)
-    settings = _sim_settings(cfg, args)  # a bad setting fails before the design writes
     out = _out_dir(args, cfg)
     inst, result, link = _design(cfg, args, out)
     if not result.converged:
         return EXIT_DIVERGED
-    metrics, bounds = _simulate(cfg, result.policies, settings, out)
+    metrics, bounds = _simulate(cfg, result.policies, args, out)
     report = {
         "requirements": [float(c) for c in inst.success_targets],
         "policies": [p.to_dict() for p in result.policies],

@@ -21,11 +21,13 @@ from .channel import (
     ExponentialFading,
     FadingChannel,
     LogisticLogCurve,
+    MonteCarlo,
     SaturatingExpCurve,
     UniformFading,
 )
 from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop
-from .optimizer import DEFAULT_BOX, StepSchedule, StopRule
+from .optimizer import DEFAULT_BOX, StepSchedule, StopRule, _check_box
+from .simulate import check_settings
 
 __all__ = [
     "ConfigError",
@@ -48,21 +50,12 @@ _TOP_KEYS = {
     "simulation",
     "output_dir",
 }
-_OPT_KEYS = {
-    "step_a",
-    "step_b",
-    "beta_min",
-    "beta_max",
-    "max_periods",
-    "slack_tol",
-    "dual_change_tol",
-    "window",
-    "divergence_bound",
-    "expectation_mode",
-    "mc_samples",
-    "seed",
-}
-_SIM_KEYS = {"horizon", "seed", "burn_in", "thin"}
+# The optimizer keys of the StepSchedule and MonteCarlo fields named otherwise.
+_RENAMED = {"a": "step_a", "b": "step_b", "samples": "mc_samples"}
+_BOX_KEYS = ("beta_min", "beta_max")
+_OPT_KEYS = frozenset(f.name for f in dataclasses.fields(StopRule)).union(
+    _RENAMED.values(), _BOX_KEYS, ("seed", "expectation_mode")
+)
 
 
 class ConfigError(ValueError):
@@ -120,20 +113,30 @@ _PAIR_SYSTEM_KEYS = _keys(
 
 @dataclass(frozen=True)
 class OptimizerSettings:
+    """The design loop's settings, each checked by its own type.
+
+    ``mc`` sets the sample size and seed when ``expectation_mode`` is
+    ``"mc"``; under ``"quadrature"`` the expectations are exact.
+    """
+
     schedule: StepSchedule = StepSchedule()
     stop: StopRule = StopRule()
     box: tuple = DEFAULT_BOX
     expectation_mode: str = "quadrature"
-    mc_samples: int = 10_000
-    seed: int = 0
+    mc: MonteCarlo = MonteCarlo()
 
 
 @dataclass(frozen=True)
 class SimulationSettings:
+    """``SimConfig``'s settings; ``check_settings`` checks them against the loops."""
+
     horizon: int = 200_000
     seed: int = 0
     burn_in: int = None
     thin: int = 0
+
+
+_SIM_KEYS = _keys(SimulationSettings)
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def _parse_family(entry, table, path):
     cls = table[family]
     _object(entry, _FAMILY_KEYS[cls], path)
     try:
-        return cls(**{key: _number(entry, key, None, path) for key in entry if key != "family"})
+        return cls(**{k: _number(v, f"{path}.{k}") for k, v in entry.items() if k != "family"})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -198,22 +201,14 @@ def _integer(value, field):
     raise ConfigError(f"{field}: must be an integer, got {value!r}")
 
 
-def _seed(entry, path):
-    seed = _integer(entry.get("seed", 0), f"{path}.seed")
-    if seed < 0:
-        raise ConfigError(f"{path}.seed: must be >= 0, got {seed}")
-    return seed
-
-
-def _number(entry, key, default, path):
-    """``entry[key]`` (``default`` if absent) as float() reads it, which must be finite."""
-    value = entry.get(key, default)
+def _number(value, field):
+    """``value`` as float() reads it, which must be finite."""
     try:
         number = float(value)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}.{key}: must be a number, got {value!r}") from exc
+        raise ConfigError(f"{field}: must be a number, got {value!r}") from exc
     if not math.isfinite(number):
-        raise ConfigError(f"{path}.{key}: must be finite, got {value!r}")
+        raise ConfigError(f"{field}: must be finite, got {value!r}")
     return number
 
 
@@ -231,71 +226,59 @@ def _finite_int(text):
     return int(text)
 
 
+def _settings(cls, entry, path):
+    """``cls`` built from the fields ``entry`` gives; the others keep their defaults.
+
+    A field with a float default is read as a number, any other as an
+    integer; a null asks for the default where that is None (``burn_in``,
+    whose default is horizon // 10). ``cls`` checks the values; its
+    ValueError, whose message starts with the field's name, becomes a
+    ConfigError naming the key.
+    """
+    fields = {}
+    for f in dataclasses.fields(cls):
+        key = _RENAMED.get(f.name, f.name)
+        if key in entry and not (entry[key] is None and f.default is None):
+            read = _number if isinstance(f.default, float) else _integer
+            fields[f.name] = read(entry[key], f"{path}.{key}")
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(":")
+        raise ConfigError(f"{path}.{_RENAMED.get(name, name)}:{rest}") from exc
+
+
 def _parse_optimizer(entry):
     path = "optimizer"
     _check_keys(entry, _OPT_KEYS, path)
-    a = _number(entry, "step_a", StepSchedule.a, path)
-    b = _number(entry, "step_b", StepSchedule.b, path)
+    box = [_number(entry.get(k, v), f"{path}.{k}") for k, v in zip(_BOX_KEYS, DEFAULT_BOX)]
     try:
-        schedule = StepSchedule(a=a, b=b)
+        box = _check_box(box)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    stop_fields = {
-        key: _number(entry, key, getattr(StopRule, key), path)
-        for key in ("slack_tol", "dual_change_tol", "divergence_bound")
-    }
-    for key in ("max_periods", "window"):
-        stop_fields[key] = _integer(entry.get(key, getattr(StopRule, key)), f"{path}.{key}")
-    try:
-        stop = StopRule(**stop_fields)
-    except ValueError as exc:  # the message starts with the field name
-        raise ConfigError(f"{path}.{exc}") from exc
-    box = (_number(entry, "beta_min", DEFAULT_BOX[0], path),
-           _number(entry, "beta_max", DEFAULT_BOX[1], path))
-    if not 0.0 < box[0] < box[1] < 1.0:
-        raise ConfigError(
-            f"{path}: beta box must satisfy 0 < beta_min < beta_max < 1, got {box}"
-        )
-    mode = entry.get("expectation_mode", "quadrature")
+        raise ConfigError(f"{path}.beta_min and {path}.beta_max: {exc}") from exc
+    mode = entry.get("expectation_mode", OptimizerSettings.expectation_mode)
     if mode not in ("quadrature", "mc"):
         raise ConfigError(
             f"{path}.expectation_mode: must be 'quadrature' or 'mc', got {mode!r}"
         )
-    samples = _integer(entry.get("mc_samples", 10_000), f"{path}.mc_samples")
-    if samples < 1:
-        raise ConfigError(f"{path}.mc_samples: must be >= 1")
     return OptimizerSettings(
-        schedule=schedule,
-        stop=stop,
+        schedule=_settings(StepSchedule, entry, path),
+        stop=_settings(StopRule, entry, path),
         box=box,
         expectation_mode=mode,
-        mc_samples=samples,
-        seed=_seed(entry, path),
+        mc=_settings(MonteCarlo, entry, path),
     )
 
 
-def _parse_simulation(entry):
+def _parse_simulation(entry, systems):
+    """The ``simulation`` section, checked against the loops ``systems``."""
     path = "simulation"
-    _check_keys(entry, _SIM_KEYS, path)
-    horizon = _integer(entry.get("horizon", 200_000), f"{path}.horizon")
-    if horizon < 1:
-        raise ConfigError(f"{path}.horizon: must be >= 1, got {horizon}")
-    burn = entry.get("burn_in", None)
-    if burn is not None:
-        burn = _integer(burn, f"{path}.burn_in")
-        if not 0 <= burn < horizon:
-            raise ConfigError(
-                f"{path}.burn_in: must lie in [0, horizon), got {burn}"
-            )
-    thin = _integer(entry.get("thin", 0), f"{path}.thin")
-    if thin < 0:
-        raise ConfigError(f"{path}.thin: must be >= 0, got {thin}")
-    return SimulationSettings(
-        horizon=horizon,
-        seed=_seed(entry, path),
-        burn_in=burn,
-        thin=thin,
-    )
+    settings = _settings(SimulationSettings, _object(entry, _SIM_KEYS, path), path)
+    try:
+        check_settings(systems, **dataclasses.asdict(settings))
+    except ValueError as exc:  # the message starts with the setting's name
+        raise ConfigError(f"{path}.{exc}") from exc
+    return settings
 
 
 def parse_config(path):
@@ -371,7 +354,7 @@ def parse_config(path):
         raise ConfigError("tx_powers: all entries must be positive")
 
     optimizer = _parse_optimizer(raw.get("optimizer", {}))
-    simulation = _parse_simulation(raw.get("simulation", {}))
+    simulation = _parse_simulation(raw.get("simulation", {}), systems)
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")

@@ -129,8 +129,9 @@ class StepSchedule:
     b: float = 20.0
 
     def __post_init__(self):
-        if not self.a > 0.0 or not self.b > 0.0:
-            raise ValueError("stepsize constants must be positive")
+        for name in ("a", "b"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name}: must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,11 @@ class StopRule:
     divergence_bound: float = 1e6
 
     def __post_init__(self):
-        for name in ("max_periods", "window"):
+        for name in ("max_periods", "window", "dual_change_tol"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        if not self.divergence_bound > 0.0:
+            raise ValueError(f"divergence_bound: must be > 0, got {self.divergence_bound}")
 
 
 class IterationTrace:

@@ -53,18 +53,19 @@ def _psd_factor(w):
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def check_settings(instance, horizon, seed, burn_in=None, thin=0):
-    """Check a run's settings against ``instance``'s loops; return the burn-in used.
+def check_settings(systems, horizon, seed, burn_in=None, thin=0):
+    """Check a run's settings against the loops ``systems``; return the burn-in used.
 
-    These are ``SimConfig``'s checks on everything but the policies, so a
-    caller can run them before it has policies. Raises ValueError naming
-    the bad setting.
+    These are ``SimConfig``'s checks on everything but the policies, so
+    ``parse_config`` runs them on a config's ``simulation`` section before
+    any policy exists. Raises ValueError whose message starts with the bad
+    setting's name, as ``horizon must be >= 1, got 0``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     # The float arrays of horizon x m values and of a loop's horizon x n
     # states must have a byte count NumPy can index.
-    width = max(instance.m, *(s.dim for s in instance.systems))
+    width = max(len(systems), *(s.dim for s in systems))
     limit = np.iinfo(np.intp).max // (8 * width)
     if horizon > limit:
         raise ValueError(f"horizon must be at most {limit} for these loops, got {horizon}")
@@ -112,7 +113,7 @@ class SimConfig:
             raise ValueError(
                 f"{len(policies)} policies for {self.instance.m} loops"
             )
-        burn = check_settings(self.instance, self.horizon, self.seed, self.burn_in, self.thin)
+        burn = check_settings(self.instance.systems, self.horizon, self.seed, self.burn_in, self.thin)
         factors = tuple(_psd_factor(s.noise_cov) for s in self.instance.systems)
         object.__setattr__(self, "policies", policies)
         object.__setattr__(self, "burn_in", burn)

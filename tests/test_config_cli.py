@@ -19,7 +19,15 @@ from raccess.cli import (
     load_policies,
     main,
 )
-from raccess.config import _CURVES, _FADES, ConfigError, parse_config
+from raccess.channel import MonteCarlo
+from raccess.config import (
+    _CURVES,
+    _FADES,
+    ConfigError,
+    OptimizerSettings,
+    SimulationSettings,
+    parse_config,
+)
 from raccess.serialize import fmt, write_csv
 
 REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "twoloop.json")
@@ -66,6 +74,14 @@ class TestParseConfig:
         assert cfg.simulation.horizon == 200_000
         assert cfg.simulation.seed == 7
         assert cfg.output_dir == "results"
+
+    def test_absent_sections_take_the_types_defaults(self, tmp_path):
+        raw = base_config()
+        del raw["optimizer"], raw["simulation"]
+        cfg = parse_config(write_config(tmp_path, raw))
+        assert cfg.optimizer == OptimizerSettings()
+        assert cfg.simulation == SimulationSettings()
+        assert cfg.optimizer.mc == MonteCarlo()
 
     def test_explicit_step_constants_override_the_defaults(self, tmp_path):
         raw = base_config()
@@ -196,13 +212,48 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=rf"{section}\.seed: must be >= 0"):
             parse_config(write_config(tmp_path, raw))
 
-    @pytest.mark.parametrize("field", ["max_periods", "window"])
-    def test_negative_stop_count_exits_2_naming_its_path(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("max_periods", -1, ">= 0"),
+            ("window", -1, ">= 0"),
+            ("dual_change_tol", -1, ">= 0"),
+            ("divergence_bound", 0, "> 0"),
+        ],
+        ids=["max_periods", "window", "dual_change_tol", "divergence_bound"],
+    )
+    def test_negative_stop_count_exits_2_naming_its_path(
+        self, tmp_path, capsys, field, value, rule
+    ):
         raw = base_config()
-        raw["optimizer"][field] = -1
+        raw["optimizer"][field] = value
         code = main(["optimize", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert f"optimizer.{field}: must be >= 0" in capsys.readouterr().err
+        assert f"optimizer.{field}: must be {rule}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, settings, message",
+        [
+            ("simulation", {"horizon": 0}, "simulation.horizon must be >= 1"),
+            ("simulation", {"horizon": 2**62}, "simulation.horizon must be at most"),
+            ("simulation", {"burn_in": 20000}, "simulation.burn_in must lie in [0, horizon)"),
+            ("simulation", {"thin": -1}, "simulation.thin must be >= 0"),
+            ("optimizer", {"mc_samples": 0}, "optimizer.mc_samples: must be >= 1"),
+            ("optimizer", {"beta_min": 0.6, "beta_max": 0.4}, "optimizer.beta_min"),
+        ],
+        ids=["horizon-0", "horizon-2**62", "burn_in-horizon", "thin", "mc_samples", "box"],
+    )
+    def test_out_of_range_setting_exits_2_naming_its_path(
+        self, tmp_path, capsys, section, settings, message
+    ):
+        # Each setting is checked as the config loads, so even rates,
+        # which neither designs nor simulates, rejects it.
+        raw = base_config()
+        raw[section].update(settings)
+        out = tmp_path / "out"
+        assert main(["rates", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -291,7 +342,7 @@ class TestParseConfig:
         cfg = parse_config(write_config(tmp_path, raw))
         sim, opt = cfg.simulation, cfg.optimizer
         values = (sim.horizon, sim.burn_in, sim.thin, sim.seed,
-                  opt.stop.max_periods, opt.stop.window, opt.mc_samples, opt.seed)
+                  opt.stop.max_periods, opt.stop.window, opt.mc.samples, opt.mc.seed)
         assert values == (20000, 1000, 10, 7, 5000, 100, 2000, 0)
         assert all(type(v) is int for v in values)
 
@@ -304,8 +355,8 @@ class TestIntegerBeyondFloatRange:
         ["tx_powers.0", "systems.0.decay_rate", "systems.1.a_open", "simulation.horizon"],
     )
     def test_exits_2_naming_the_literal(self, tmp_path, capsys, place):
-        # json reads an integer literal as a Python int, however long; a
-        # huge horizon would load, since rates never simulates.
+        # json reads an integer literal as a Python int, however long; the
+        # hook rejects it before any field check sees it.
         raw = base_config()
         *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
         target = raw
@@ -684,6 +735,31 @@ class TestCliOptimize:
         assert t1 != (out3 / "trace.csv").read_text()
 
     @pytest.mark.parametrize(
+        "flags, mode",
+        [
+            ([], None),
+            (["--mode", "mc"], MonteCarlo(samples=300, seed=5)),
+            (["--mode", "mc", "--seed", "9"], MonteCarlo(samples=300, seed=9)),
+        ],
+        ids=["config", "mode-flag", "seed-flag"],
+    )
+    def test_mode_flag_takes_the_configs_sample(self, tmp_path, monkeypatch, flags, mode):
+        # The config asks for quadrature; --mode mc uses its mc_samples and
+        # seed, and --seed replaces the seed alone.
+        modes = []
+        design = raccess.cli.run_algorithm1
+
+        def spy(inst, **kwargs):
+            modes.append(kwargs["mode"])
+            return design(inst, **kwargs)
+
+        monkeypatch.setattr(raccess.cli, "run_algorithm1", spy)
+        raw = base_config()
+        raw["optimizer"].update(max_periods=5, mc_samples=300, seed=5)
+        main(["optimize", write_config(tmp_path, raw), "--out", str(tmp_path / "out")] + flags)
+        assert modes == [mode]
+
+    @pytest.mark.parametrize(
         "argv", [["optimize", "--mode", "mc"], ["pipeline"]], ids=["design", "simulation"]
     )
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, argv):
@@ -728,9 +804,9 @@ class TestCliSimulate:
         assert "does not stabilize" in capsys.readouterr().err
 
     @pytest.mark.parametrize("horizon", [1e300, 2**62], ids=["1e300", "2**62"])
-    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "pipeline"])
     def test_horizon_beyond_numpy_arrays_exits_2(self, tmp_path, capsys, command, horizon):
-        # Neither run allocates: SimConfig rejects the horizon first.
+        # No run allocates: parse_config rejects the horizon first.
         raw = base_config()
         raw["simulation"]["horizon"] = horizon
         argv = [command, write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
@@ -740,7 +816,7 @@ class TestCliSimulate:
         assert f"horizon must be at most 576460752303423487 for these loops, got {int(horizon)}" in (
             capsys.readouterr().err
         )
-        # The pipeline checks the simulation settings before it designs.
+        # Nor does optimize or the pipeline design first.
         for name in ("rates.csv", "trace.csv", "trace_duals.npy", "policies.json"):
             assert not (tmp_path / "out" / name).exists()
 
@@ -761,6 +837,7 @@ class TestCliSimulate:
         pols = self._policies_file(tmp_path, [0.5])
         code = main(["simulate", cfg, "--policies", pols, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+        assert "1 policies for 2 loops" in capsys.readouterr().err
 
     def test_rejects_wrong_policies_schema(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -61,10 +61,19 @@ class TestStepSchedule:
 
 
 class TestStopRule:
-    @pytest.mark.parametrize("field", ["max_periods", "window"])
-    def test_rejects_negative_counts(self, field):
-        with pytest.raises(ValueError, match=f"{field}: must be >= 0"):
-            StopRule(**{field: -1})
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("max_periods", -1, ">= 0"),
+            ("window", -1, ">= 0"),
+            ("dual_change_tol", -1, ">= 0"),
+            ("divergence_bound", 0, "> 0"),
+        ],
+        ids=["max_periods", "window", "dual_change_tol", "divergence_bound"],
+    )
+    def test_rejects_negative_counts(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"{field}: must be {rule}"):
+            StopRule(**{field: value})
 
 
 class TestBetaUpdate:
