@@ -42,6 +42,14 @@ A last entry runs the default stop rule (at most 5,000 periods) in
 quadrature on 64 identical (1.0, 0.4) loops, which does not converge,
 and records its wall time and peak RSS, once.
 
+The ``rates`` entries time the control layer, what ``raccess rates``
+does before it writes: ``parse_config`` (``parse_s``, which builds and
+checks every loop) and the delivery requirements (``requirements_s``,
+``cli._requirements``), and their sum, ``RATES_REPEATS`` times after one
+untimed call. The config is perfbench's ``certify`` config at seed 1
+with m in {64, 256} random loops whose state dimension cycles through
+2, 3, 4. Runs recorded before ``8dc0194-rates-parent`` have none.
+
 Each m runs in a process of its own, so its scalar entry's peak RSS is
 its own.
 From the root of a checkout:
@@ -68,6 +76,7 @@ import tracemalloc
 import numpy as np
 
 import raccess._kernels
+import raccess.cli
 import raccess.simulate
 from raccess import (
     CollisionMatrix,
@@ -84,7 +93,12 @@ from raccess import (
     run_simulation,
     threshold_policy,
 )
+from raccess.config import parse_config
 from raccess.serialize import write_csv
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import workloads  # noqa: E402  (perfbench's config generators; NumPy only)
 
 SIZES = (2, 8, 32, 128)
 PERIODS = 100
@@ -96,6 +110,9 @@ THIN = 10
 GRID_N = 4
 MIXED = ((1.1, 0.5), (1.0, 0.4))
 PROBES = 11
+RATES_SIZES = (64, 256)
+RATES_REPEATS = 21
+RATES_SEED = 1
 
 
 def instance(m, loops, n=1):
@@ -287,6 +304,33 @@ def long_entry():
     return entry
 
 
+def rates_entry(m):
+    """``parse_config`` and the requirements of the m-loop certify config, timed."""
+    probes = [speed_probe() for _ in range(PROBES)]
+    names = ("parse_s", "requirements_s", "total_s")
+    samples = {name: [] for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "wb") as fh:
+            fh.write(workloads.config_bytes(workloads.certify_config(RATES_SEED, m)))
+        raccess.cli._requirements(parse_config(path))
+        for _ in range(RATES_REPEATS):
+            probes.append(speed_probe())
+            gc.collect()
+            start = time.perf_counter()
+            cfg = parse_config(path)
+            parsed = time.perf_counter()
+            raccess.cli._requirements(cfg)
+            done = time.perf_counter()
+            for name, seconds in zip(names, (parsed - start, done - parsed, done - start)):
+                samples[name].append(seconds)
+    entry = {"m": m, "n": [2, 3, 4], "config": f"certify, seed {RATES_SEED}"}
+    entry["repeats"] = RATES_REPEATS
+    entry.update({name: spread(v) for name, v in samples.items()})
+    entry["peak_rss_mb"] = peak_rss_mb()
+    return add_reference([entry], probes)
+
+
 def run_child(extra):
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), *extra],
@@ -303,7 +347,11 @@ def main():
     parser.add_argument("--out", default="BENCH_scale.json")
     parser.add_argument("--m", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--long", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--rates", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.rates is not None:
+        print(json.dumps(rates_entry(args.rates)))
+        return
     if args.m is not None or args.long:
         print(json.dumps(long_entry() if args.long else scaling_entries(args.m)))
         return
@@ -314,6 +362,10 @@ def main():
         print(json.dumps(scaling[-2:]), file=sys.stderr)
     long = run_child(["--long"])
     print(json.dumps(long), file=sys.stderr)
+    rates = []
+    for m in RATES_SIZES:
+        rates += run_child(["--rates", str(m)])
+        print(json.dumps(rates[-1]), file=sys.stderr)
 
     doc = {"runs": {}}
     if os.path.exists(args.out):
@@ -328,6 +380,7 @@ def main():
         },
         "scaling": scaling,
         "long": long,
+        "rates": rates,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -31,6 +31,7 @@ from .control import (
     expected_lyapunov_next,
     lmi_slack,
     steady_state_cost_bound,
+    success_requirements,
 )
 from .optimizer import (
     DivergenceError,

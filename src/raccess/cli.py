@@ -23,11 +23,14 @@ import numpy as np
 
 from .channel import link_success_probability
 from .config import ConfigError, parse_config
-from .control import InfeasibleContractError, compute_success_requirement, steady_state_cost_bound
+from .control import InfeasibleContractError, steady_state_cost_bound, success_requirements
+
+# Not called here; perfbench's tracer looks this name up in this module.
+from .control import compute_success_requirement  # noqa: F401
 from .optimizer import DivergenceError, ProblemInstance, run_algorithm1
 from .policy import AccessPolicy
 from .serialize import fmt, write_csv, write_json
-from .simulate import SimConfig, UnstableSimulationError, run_simulation
+from .simulate import SimConfig, UnstableSimulationError, check_settings, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,13 +48,10 @@ def _out_dir(args, cfg):
 
 
 def _requirements(cfg):
-    reqs = []
-    for i, system in enumerate(cfg.systems):
-        try:
-            reqs.append(compute_success_requirement(system))
-        except InfeasibleContractError as exc:
-            raise InfeasibleContractError(f"loop {i}: {exc}") from exc
-    return np.asarray(reqs)
+    try:
+        return success_requirements(cfg.systems)
+    except InfeasibleContractError as exc:
+        raise InfeasibleContractError(f"loop {exc.loop}: {exc}") from exc
 
 
 def _instance(cfg, targets):
@@ -179,12 +179,15 @@ def _simulate(cfg, policies, args, out):
     Returns the metrics and each loop's steady-state cost bound.
     """
     settings = dataclasses.asdict(cfg.simulation)
-    for key in ("horizon", "seed"):
-        if getattr(args, key, None) is not None:
-            settings[key] = getattr(args, key)
+    flags = {k: getattr(args, k) for k in ("horizon", "seed") if getattr(args, k, None) is not None}
+    settings.update(flags)
+    try:  # the config's own settings passed as it loaded, so a failure is a flag's
+        check_settings(cfg.systems, **settings)
+    except ValueError as exc:
+        raise ConfigError(" ".join(f"--{k} {v}" for k, v in flags.items()) + f": {exc}") from exc
     try:
         sim_cfg = SimConfig(instance=cfg, policies=tuple(policies), **settings)
-    except ValueError as exc:  # a --horizon out of range or a wrong policy count
+    except ValueError as exc:  # a wrong policy count
         raise ConfigError(str(exc)) from exc
     metrics = run_simulation(sim_cfg)
     bounds = [steady_state_cost_bound(s) for s in cfg.systems]

@@ -26,7 +26,7 @@ from .channel import (
     UniformFading,
 )
 from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop
-from .optimizer import DEFAULT_BOX, StepSchedule, StopRule, _check_box
+from .optimizer import DEFAULT_BOX, StepSchedule, StopRule, _check_box, _check_entries
 from .simulate import check_settings
 
 __all__ = [
@@ -343,15 +343,9 @@ def parse_config(path):
 
     powers_raw = _require(raw, "tx_powers", "top level")
     try:
-        tx_powers = np.asarray(powers_raw, dtype=float).reshape(-1)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"tx_powers: {exc}") from exc
-    if tx_powers.shape[0] != m:
-        raise ConfigError(f"tx_powers: expected {m} entries, got {tx_powers.shape[0]}")
-    if not np.all(np.isfinite(tx_powers)):
-        raise ConfigError("tx_powers: all entries must be finite")
-    if np.any(tx_powers <= 0.0):
-        raise ConfigError("tx_powers: all entries must be positive")
+        tx_powers = _check_entries(powers_raw, m, "tx_powers")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     optimizer = _parse_optimizer(raw.get("optimizer", {}))
     simulation = _parse_simulation(raw.get("simulation", {}), systems)

@@ -11,10 +11,17 @@ satisfies the expected one-step contract
 exactly when the per-slot delivery probability is at least a threshold
 ``c`` that depends only on (A_c, A_o, P, rho). This module computes that
 threshold and the quantities around it.
+
+``success_requirements`` computes many loops' thresholds at once: the
+loops of each state dimension n go through every step together as
+``(k, n, n)`` stacks, one LAPACK call per dimension and step. A stacked
+call runs the same routine on each matrix as a call on it alone, so each
+threshold has the bits of the loop-by-loop computation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,30 +33,42 @@ __all__ = [
     "assemble_example_loop",
     "lmi_slack",
     "compute_success_requirement",
+    "success_requirements",
     "expected_lyapunov_next",
     "steady_state_cost_bound",
 ]
 
 
 class InfeasibleContractError(ValueError):
-    """Raised when no delivery probability can certify the contract."""
+    """Raised when no delivery probability can certify the contract.
+
+    ``loop`` is the failing loop's index in ``success_requirements``' list.
+    """
+
+    def __init__(self, message, loop=0):
+        super().__init__(message)
+        self.loop = loop
 
 
-def _as_square(value, name):
-    """Coerce a scalar or nested sequence to a finite float square matrix."""
+def _as_matrix(value, name, square=True):
+    """Coerce a scalar or nested sequence to a read-only finite float matrix."""
     arr = np.array(value, dtype=float, ndmin=2)  # always a copy of the caller's data
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"{name} must be {'square' if square else '2-D'}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
     arr.setflags(write=False)
     return arr
 
 
-def _require_symmetric(arr, name):
-    scale = max(1.0, float(np.abs(arr).max()))
-    if np.abs(arr - arr.T).max() > 1e-8 * scale:
-        raise ValueError(f"{name} must be symmetric")
+def _require_symmetric(stack, names):
+    """Raise naming the first matrix of ``stack``, one per name, that is not symmetric."""
+    flat = (len(names), -1)
+    scale = np.abs(stack).reshape(flat).max(axis=1)
+    skew = np.abs(stack - np.swapaxes(stack, -2, -1)).reshape(flat).max(axis=1)
+    for name, bad in zip(names, skew > 1e-8 * np.maximum(scale, 1.0)):
+        if bad:
+            raise ValueError(f"{name} must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -75,32 +94,24 @@ class SwitchedSystem:
     decay_rate: float
 
     def __post_init__(self):
-        ac = _as_square(self.a_closed, "a_closed")
-        ao = _as_square(self.a_open, "a_open")
-        w = _as_square(self.noise_cov, "noise_cov")
-        p = _as_square(self.lyap_matrix, "lyap_matrix")
-        n = ac.shape[0]
-        for name, arr in (("a_open", ao), ("noise_cov", w), ("lyap_matrix", p)):
-            if arr.shape != (n, n):
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {(n, n)}"
-                )
-        _require_symmetric(w, "noise_cov")
-        _require_symmetric(p, "lyap_matrix")
+        names = ("a_closed", "a_open", "noise_cov", "lyap_matrix")
+        ac, _, w, p = mats = [_as_matrix(getattr(self, k), k) for k in names]
+        for name, arr in zip(names[1:], mats[1:]):
+            if arr.shape != ac.shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {ac.shape}")
+        covs = np.array((w, p))
+        _require_symmetric(covs, names[2:])
         # PD / PSD checks via eigenvalues; scaled floor for the PSD case.
-        p_eigs = np.linalg.eigvalsh(p)
+        w_eigs, p_eigs = np.linalg.eigvalsh(covs)
         if p_eigs[0] <= 0.0:
             raise ValueError(f"lyap_matrix must be positive definite, min eig {p_eigs[0]:g}")
-        w_eigs = np.linalg.eigvalsh(w)
         if w_eigs[0] < -1e-10 * max(1.0, abs(w_eigs[-1])):
             raise ValueError(f"noise_cov must be PSD, min eig {w_eigs[0]:g}")
         rho = float(self.decay_rate)
         if not 0.0 < rho < 1.0:
             raise ValueError(f"decay_rate must lie in (0, 1), got {rho:g}")
-        object.__setattr__(self, "a_closed", ac)
-        object.__setattr__(self, "a_open", ao)
-        object.__setattr__(self, "noise_cov", w)
-        object.__setattr__(self, "lyap_matrix", p)
+        for name, arr in zip(names, mats):
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "decay_rate", rho)
 
     @property
@@ -146,62 +157,81 @@ def lmi_slack(theta, sys):
 
 
 def compute_success_requirement(sys):
-    """Minimum delivery probability certifying the expected decay contract.
+    """The requirement of the one loop ``sys`` (see ``success_requirements``), as a float."""
+    return float(success_requirements((sys,))[0])
+
+
+def _factor(stack):
+    """Lower Cholesky factors of a stack of matrices, NaN for one that has none."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:  # a matrix is singular: factor each alone to find it
+        if stack.ndim == 2:
+            return np.full_like(stack, np.nan)
+        return np.array([_factor(m) for m in stack])
+
+
+def success_requirements(systems):
+    """Each loop's minimum delivery probability certifying its decay contract.
 
     With ``A = Go - rho P`` and ``B = Gc - rho P`` the slack at mixing
     weight theta is ``lambda_max((1 - theta) A + theta B)``. When B is
     negative definite, factor ``-B = L L'``: the mix is negative
     semidefinite exactly when ``(1 - theta) L^-1 A L^-T <= theta I``, so
     the left zero crossing of the slack is ``lam / (1 + lam)`` with
-    ``lam = lambda_max(L^-1 A L^-T)``.
+    ``lam = lambda_max(L^-1 A L^-T)``. Each step runs once per state
+    dimension, on the stack of that dimension's loops.
 
-    Parameters
-    ----------
-    sys : SwitchedSystem
-
-    Returns
-    -------
-    float
-        Requirement c in [0, 1); 0.0 when even the never-delivered mix is
-        already contractive.
+    Returns an array of the requirements c in [0, 1) of the sequence
+    ``systems``, 0.0 where even the never-delivered mix is contractive.
 
     Raises
     ------
     InfeasibleContractError
-        If the closed-loop admissibility assumption A_c' P A_c <= rho P
-        fails, i.e. lmi_slack(1, sys) > 0, or holds only on its boundary
-        (B singular), where the requirement would be a delivery
-        probability of 1.
+        For the first loop, in order, whose closed-loop admissibility
+        A_c' P A_c <= rho P fails (lmi_slack(1, sys) > 0) or holds only
+        on its boundary (B singular), where the requirement would be a
+        delivery probability of 1. Its ``loop`` is that loop's index.
     """
-    rho_p = sys.decay_rate * sys.lyap_matrix
-    a = sys.gram_open() - rho_p
-    b = sys.gram_closed() - rho_p
-    if np.linalg.eigvalsh(a)[-1] <= 0.0:
-        return 0.0
-    slack_closed = float(np.linalg.eigvalsh(b)[-1])
-    if slack_closed > 0.0:
-        raise InfeasibleContractError(
-            "closed-loop admissibility fails: A_c' P A_c <= rho P does not "
-            f"hold (slack {slack_closed:g}); no delivery probability can "
-            "certify the contract"
-        )
-    try:
-        ell = np.linalg.cholesky(-b)
-    except np.linalg.LinAlgError:
-        c = 1.0
-    else:
+    boundary = (
+        "closed-loop admissibility holds only on its boundary: A_c' P A_c - rho P is "
+        "singular, so the contract needs every packet delivered (requirement 1)"
+    )
+    reqs = np.zeros(len(systems))
+    failures = {}  # loop index -> message
+    groups = {}
+    for i, s in enumerate(systems):
+        groups.setdefault(s.dim, []).append(i)
+    for idx in map(np.array, groups.values()):
+        loops = [systems[i] for i in idx]
+        p = np.array([s.lyap_matrix for s in loops])
+        rho_p = np.array([s.decay_rate for s in loops])[:, None, None] * p
+        a_o, a_c = np.array([s.a_open for s in loops]), np.array([s.a_closed for s in loops])
+        a = a_o.transpose(0, 2, 1) @ p @ a_o - rho_p
+        b = a_c.transpose(0, 2, 1) @ p @ a_c - rho_p
+        keep = ~(np.linalg.eigvalsh(a)[:, -1] <= 0.0)  # the others need nothing: c = 0
+        idx, a, b = idx[keep], a[keep], b[keep]
+        slack = np.linalg.eigvalsh(b)[:, -1]
+        for i, value in zip(idx[slack > 0.0], slack[slack > 0.0]):
+            failures[i] = (
+                "closed-loop admissibility fails: A_c' P A_c <= rho P does not hold "
+                f"(slack {value:g}); no delivery probability can certify the contract"
+            )
+        keep = ~(slack > 0.0)
+        idx, a, ell = idx[keep], a[keep], _factor(-b[keep])
+        keep = ~np.isnan(ell[:, 0, 0])
+        failures.update(dict.fromkeys(idx[~keep], boundary))
+        idx, a, ell = idx[keep], a[keep], ell[keep]
         # L^-1 A L^-T; A is symmetric, so (L^-1 A)' = A L^-T.
-        whitened = np.linalg.solve(ell, np.linalg.solve(ell, a).T)
-        lam = float(np.linalg.eigvalsh(whitened)[-1])
-        c = lam / (1.0 + lam)
-    # Also catches a nan from an overflowing whitened pencil.
-    if not c < 1.0:
-        raise InfeasibleContractError(
-            "closed-loop admissibility holds only on its boundary: "
-            "A_c' P A_c - rho P is singular, so the contract needs every "
-            "packet delivered (requirement 1)"
-        )
-    return c
+        whitened = np.linalg.solve(ell, np.linalg.solve(ell, a).transpose(0, 2, 1))
+        lam = np.linalg.eigvalsh(whitened)[:, -1]
+        reqs[idx] = c = lam / (1.0 + lam)
+        # Also catches a nan from an overflowing whitened pencil.
+        failures.update(dict.fromkeys(idx[~(c < 1.0)], boundary))
+    if failures:
+        first = min(failures)
+        raise InfeasibleContractError(failures[first], loop=int(first))
+    return reqs
 
 
 def expected_lyapunov_next(sys, x, success_prob):
@@ -262,55 +292,28 @@ class PlantControllerPair:
     meas_noise_cov: np.ndarray
 
     def __post_init__(self):
-        def as2d(value, name):
-            arr = np.atleast_2d(np.asarray(value, dtype=float)).copy()
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} entries must be finite")
-            arr.setflags(write=False)
-            return arr
-
-        a = as2d(self.plant_a, "plant_a")
-        b = as2d(self.plant_b, "plant_b")
-        c = as2d(self.plant_c, "plant_c")
-        f = as2d(self.ctrl_f, "ctrl_f")
-        fc = as2d(self.ctrl_fc, "ctrl_fc")
-        g = as2d(self.ctrl_g, "ctrl_g")
-        k = as2d(self.ctrl_k, "ctrl_k")
-        kc = as2d(self.ctrl_kc, "ctrl_kc")
-        ll = as2d(self.ctrl_l, "ctrl_l")
-        w = as2d(self.process_noise_cov, "process_noise_cov")
-        v = as2d(self.meas_noise_cov, "meas_noise_cov")
-
-        n = a.shape[0]
-        nu = b.shape[1]
-        p = c.shape[0]
-        nz = f.shape[0]
-        checks = [
-            ("plant_a", a, (n, n)),
-            ("plant_b", b, (n, nu)),
-            ("plant_c", c, (p, n)),
-            ("ctrl_f", f, (nz, nz)),
-            ("ctrl_fc", fc, (nz, nz)),
-            ("ctrl_g", g, (nz, p)),
-            ("ctrl_k", k, (nu, nz)),
-            ("ctrl_kc", kc, (nu, nz)),
-            ("ctrl_l", ll, (nu, p)),
-            ("process_noise_cov", w, (n, n)),
-            ("meas_noise_cov", v, (p, p)),
-        ]
-        for name, arr, shape in checks:
-            if arr.shape != shape:
+        arrs = {
+            f.name: _as_matrix(getattr(self, f.name), f.name, square=False)
+            for f in dataclasses.fields(self)
+        }
+        n = arrs["plant_a"].shape[0]
+        nu = arrs["plant_b"].shape[1]
+        p = arrs["plant_c"].shape[0]
+        nz = arrs["ctrl_f"].shape[0]
+        shapes = {
+            "plant_a": (n, n), "plant_b": (n, nu), "plant_c": (p, n),
+            "ctrl_f": (nz, nz), "ctrl_fc": (nz, nz), "ctrl_g": (nz, p),
+            "ctrl_k": (nu, nz), "ctrl_kc": (nu, nz), "ctrl_l": (nu, p),
+            "process_noise_cov": (n, n), "meas_noise_cov": (p, p),
+        }
+        for name, arr in arrs.items():
+            if arr.shape != shapes[name]:
                 raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {shape}"
+                    f"{name} has shape {arr.shape}, expected {shapes[name]}"
                 )
-        _require_symmetric(w, "process_noise_cov")
-        _require_symmetric(v, "meas_noise_cov")
-        for name, arr in (("plant_a", a), ("plant_b", b), ("plant_c", c),
-                          ("ctrl_f", f), ("ctrl_fc", fc), ("ctrl_g", g),
-                          ("ctrl_k", k), ("ctrl_kc", kc), ("ctrl_l", ll),
-                          ("process_noise_cov", w), ("meas_noise_cov", v)):
+        _require_symmetric(arrs["process_noise_cov"], ("process_noise_cov",))
+        _require_symmetric(arrs["meas_noise_cov"], ("meas_noise_cov",))
+        for name, arr in arrs.items():
             object.__setattr__(self, name, arr)
 
     @property
@@ -383,7 +386,7 @@ def assemble_example_loop(pc, lyap_matrix, decay_rate, noise_mode="closed"):
     w_closed = m_closed @ noise_joint @ m_closed.T
     w_open = m_open @ noise_joint @ m_open.T
 
-    p_mat = _as_square(lyap_matrix, "lyap_matrix")
+    p_mat = _as_matrix(lyap_matrix, "lyap_matrix")
     if p_mat.shape != a_closed.shape:
         raise ValueError(
             f"lyap_matrix has shape {p_mat.shape}, expected {a_closed.shape}"

@@ -63,7 +63,7 @@ class ProblemInstance:
     channels : list of FadingChannel
     collision : CollisionMatrix
     tx_powers : array_like
-        Positive per-transmission energy prices p_i.
+        Finite positive per-transmission energy prices p_i.
     success_targets : array_like
         Delivery requirements c_i, strictly inside (0, 1).
     """
@@ -86,20 +86,12 @@ class ProblemInstance:
             raise ValueError(
                 f"collision matrix is {self.collision.m}x{self.collision.m} for m={m}"
             )
-        p = np.asarray(self.tx_powers, dtype=float).reshape(-1).copy()
-        c = np.asarray(self.success_targets, dtype=float).reshape(-1).copy()
-        if p.shape[0] != m or c.shape[0] != m:
-            raise ValueError("tx_powers and success_targets must have one entry per loop")
-        if np.any(p <= 0.0):
-            raise ValueError("tx_powers must be positive")
-        if np.any((c <= 0.0) | (c >= 1.0)):
-            raise ValueError("success_targets must lie strictly inside (0, 1)")
-        p.setflags(write=False)
-        c.setflags(write=False)
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "tx_powers", p)
-        object.__setattr__(self, "success_targets", c)
+        object.__setattr__(self, "tx_powers", _check_entries(self.tx_powers, m, "tx_powers"))
+        object.__setattr__(
+            self, "success_targets", _check_entries(self.success_targets, m, "success_targets", 1.0)
+        )
 
     @property
     def m(self):
@@ -250,6 +242,26 @@ def stepsize(t, schedule=StepSchedule()):
     if t < 0:
         raise ValueError(f"period must be >= 0, got {t}")
     return schedule.a / (schedule.b + t)
+
+
+def _check_entries(values, m, name, top=math.inf):
+    """``values`` as a new read-only vector of ``m`` finite floats inside (0, ``top``).
+
+    The ValueError's message starts with ``name``, as config errors do.
+    """
+    try:
+        v = np.array(values, dtype=float).reshape(-1)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if v.shape[0] != m:
+        raise ValueError(f"{name}: expected {m} entries, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name}: all entries must be finite")
+    if not ((v > 0.0) & (v < top)).all():
+        inside = "be positive" if top == math.inf else f"lie strictly inside (0, {top:g})"
+        raise ValueError(f"{name}: all entries must {inside}")
+    v.setflags(write=False)
+    return v
 
 
 def _check_box(box):

@@ -8,6 +8,7 @@ from raccess import (
     CollisionMatrix,
     ExponentialFading,
     FadingChannel,
+    InfeasibleContractError,
     LogisticLogCurve,
     ProblemInstance,
     SaturatingExpCurve,
@@ -156,6 +157,41 @@ def random_admissible_system(rng, dims=(2, 3, 4)):
     return SwitchedSystem(
         a_closed=a_c, a_open=a_o, noise_cov=w, lyap_matrix=p, decay_rate=rho
     )
+
+
+def loop_success_requirement(sys):
+    """Per-loop oracle for ``raccess.control.success_requirements``: one loop's requirement.
+
+    The arithmetic of the one-loop form, with its 2-D LAPACK calls; raises
+    InfeasibleContractError with the same messages.
+    """
+    rho_p = sys.decay_rate * sys.lyap_matrix
+    a = sys.gram_open() - rho_p
+    b = sys.gram_closed() - rho_p
+    if np.linalg.eigvalsh(a)[-1] <= 0.0:
+        return 0.0
+    slack_closed = float(np.linalg.eigvalsh(b)[-1])
+    if slack_closed > 0.0:
+        raise InfeasibleContractError(
+            "closed-loop admissibility fails: A_c' P A_c <= rho P does not "
+            f"hold (slack {slack_closed:g}); no delivery probability can "
+            "certify the contract"
+        )
+    try:
+        ell = np.linalg.cholesky(-b)
+    except np.linalg.LinAlgError:
+        c = 1.0
+    else:
+        whitened = np.linalg.solve(ell, np.linalg.solve(ell, a).T)
+        lam = float(np.linalg.eigvalsh(whitened)[-1])
+        c = lam / (1.0 + lam)
+    if not c < 1.0:
+        raise InfeasibleContractError(
+            "closed-loop admissibility holds only on its boundary: "
+            "A_c' P A_c - rho P is singular, so the contract needs every "
+            "packet delivered (requirement 1)"
+        )
+    return c
 
 
 def random_channel(rng):

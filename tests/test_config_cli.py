@@ -165,6 +165,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="tx_powers"):
             parse_config(write_config(tmp_path, raw))
 
+    @pytest.mark.parametrize(
+        "powers, message",
+        [
+            ([1.0], "tx_powers: expected 2 entries, got 1"),
+            ([1.0, 0.0], "tx_powers: all entries must be positive"),
+            ([1.0, -2.0], "tx_powers: all entries must be positive"),
+            (["nan", 1.0], "tx_powers: all entries must be finite"),
+            ([1.0, "x"], "tx_powers: could not convert string to float: 'x'"),
+        ],
+        ids=["count", "zero", "negative", "nan-string", "not-a-number"],
+    )
+    def test_tx_powers_messages(self, tmp_path, powers, message):
+        raw = base_config()
+        raw["tx_powers"] = powers
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_config(tmp_path, raw))
+        assert str(err.value) == message
+
     def test_plant_controller_form_assembles(self, tmp_path):
         raw = base_config()
         raw["systems"][0] = {
@@ -845,6 +863,34 @@ class TestCliSimulate:
         with pytest.raises(ConfigError, match="schema_version"):
             load_policies(str(path))
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--horizon", "0"], "error: --horizon 0: horizon must be >= 1, got 0"),
+            (["--horizon", "-4"], "error: --horizon -4: horizon must be >= 1, got -4"),
+            (
+                ["--horizon", str(2**62)],
+                f"error: --horizon {2**62}: horizon must be at most 576460752303423487 "
+                f"for these loops, got {2**62}",
+            ),
+            (
+                ["--horizon", "500", "--seed", "3"],
+                "error: --horizon 500 --seed 3: burn_in must lie in [0, horizon), "
+                "got 1000 for horizon 500",
+            ),
+            (["--seed", "-1"], "error: --seed: must be >= 0, got -1"),
+        ],
+        ids=["horizon-0", "horizon-negative", "horizon-too-large", "burn_in-past-horizon", "seed"],
+    )
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flags, message):
+        raw = base_config()
+        raw["simulation"]["burn_in"] = 1000
+        pols = self._policies_file(tmp_path, [0.35, 0.89])
+        argv = ["simulate", write_config(tmp_path, raw), "--policies", pols]
+        assert main(argv + ["--out", str(tmp_path / "out")] + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_horizon_flag_overrides_the_config(self, tmp_path):
         raw = base_config()
         cfg = write_config(tmp_path, raw)
@@ -891,6 +937,48 @@ class TestCliEdgeRequirements:
         assert main(self._argv(tmp_path, command, self.BOUNDARY)) == EXIT_INFEASIBLE
         err = capsys.readouterr().err
         assert "loop 0" in err and "boundary" in err
+
+    # A 2 x 2 loop on the boundary and a scalar loop that fails admissibility:
+    # they are computed in different dimension groups.
+    BOUNDARY_2X2 = {
+        "a_closed": [[0.5, 0.0], [0.0, 0.3]],
+        "a_open": [[1.1, 0.0], [0.0, 1.1]],
+        "noise_cov": [[1.0, 0.0], [0.0, 1.0]],
+        "lyap_matrix": [[1.0, 0.0], [0.0, 1.0]],
+        "decay_rate": 0.25,
+    }
+    INADMISSIBLE = {"a_closed": 1.05, "a_open": 1.1, "noise_cov": 1.0, "lyap_matrix": 1.0, "decay_rate": 0.8}
+
+    @pytest.mark.parametrize(
+        "failing, message",
+        [
+            (
+                (BOUNDARY_2X2, INADMISSIBLE),
+                "error: loop 1: closed-loop admissibility holds only on its boundary: "
+                "A_c' P A_c - rho P is singular, so the contract needs every packet "
+                "delivered (requirement 1)\n",
+            ),
+            (
+                (INADMISSIBLE, BOUNDARY_2X2),
+                "error: loop 1: closed-loop admissibility fails: A_c' P A_c <= rho P "
+                "does not hold (slack 0.3025); no delivery probability can certify "
+                "the contract\n",
+            ),
+        ],
+        ids=["boundary-first", "inadmissible-first"],
+    )
+    @pytest.mark.parametrize("command", ["rates", "optimize", "pipeline"])
+    def test_first_failing_loop_in_config_order_is_named(
+        self, tmp_path, capsys, command, failing, message
+    ):
+        raw = base_config()
+        raw["systems"] = [raw["systems"][0], *failing]
+        raw["channels"].append(raw["channels"][0])
+        raw["collision"] = [[0.0 if i == j else 0.1 for j in range(3)] for i in range(3)]
+        raw["tx_powers"] = [1.0, 1.0, 1.0]
+        argv = [command, write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("loop", [ZERO, BOUNDARY], ids=["zero", "boundary"])
     def test_simulate_does_not_need_the_requirements(self, tmp_path, loop):

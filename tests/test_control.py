@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_admissible_system, scalar_system
+from helpers import loop_success_requirement, random_admissible_system, scalar_system
 from raccess import (
     InfeasibleContractError,
     PlantControllerPair,
@@ -13,6 +13,7 @@ from raccess import (
     expected_lyapunov_next,
     lmi_slack,
     steady_state_cost_bound,
+    success_requirements,
 )
 
 
@@ -75,6 +76,57 @@ class TestSwitchedSystemValidation:
     def test_rejects_decay_rate_outside_unit_interval(self, rho):
         with pytest.raises(ValueError):
             scalar_system(1.1, 0.5, rho=rho)
+
+    @staticmethod
+    def _matrices(n=2):
+        return {
+            "a_closed": 0.5 * np.eye(n),
+            "a_open": 1.1 * np.eye(n),
+            "noise_cov": np.eye(n),
+            "lyap_matrix": np.eye(n),
+        }
+
+    @pytest.mark.parametrize("name", ["a_closed", "a_open", "noise_cov", "lyap_matrix"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_entry_naming_its_matrix(self, name, value):
+        mats = self._matrices()
+        mats[name] = mats[name].copy()
+        mats[name][1, 0] = value
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            SwitchedSystem(decay_rate=0.8, **mats)
+
+    @pytest.mark.parametrize(
+        "name, matrix, message",
+        [
+            ("noise_cov", [[1.0, 0.5], [0.0, 1.0]], "noise_cov must be symmetric"),
+            ("lyap_matrix", [[1.0, 0.5], [0.0, 1.0]], "lyap_matrix must be symmetric"),
+            ("lyap_matrix", [[1.0, 0.0], [0.0, -1.0]], "lyap_matrix must be positive definite, min eig -1"),
+            ("lyap_matrix", [[1.0, 0.0], [0.0, 0.0]], "lyap_matrix must be positive definite, min eig 0"),
+            ("noise_cov", [[1.0, 0.0], [0.0, -1.0]], "noise_cov must be PSD, min eig -1"),
+            ("noise_cov", [[1.0, 2.0], [2.0, 1.0]], "noise_cov must be PSD, min eig -1"),
+        ],
+        ids=["asym-noise", "asym-lyap", "indefinite-lyap", "singular-lyap", "neg-noise", "indefinite-noise"],
+    )
+    def test_stacked_covariance_checks_name_their_matrix(self, name, matrix, message):
+        mats = self._matrices()
+        mats[name] = np.array(matrix)
+        with pytest.raises(ValueError) as err:
+            SwitchedSystem(decay_rate=0.8, **mats)
+        assert str(err.value) == message
+
+    def test_both_covariances_bad_reports_noise_symmetry_then_lyap_definiteness(self):
+        # Symmetry is checked on both before definiteness, noise_cov first;
+        # then lyap_matrix's definiteness before noise_cov's.
+        asym = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^noise_cov must be symmetric$"):
+            SwitchedSystem(
+                0.5 * np.eye(2), np.eye(2), noise_cov=asym, lyap_matrix=asym, decay_rate=0.8
+            )
+        neg = -np.eye(2)
+        with pytest.raises(ValueError, match="^lyap_matrix must be positive definite"):
+            SwitchedSystem(
+                0.5 * np.eye(2), np.eye(2), noise_cov=neg, lyap_matrix=neg, decay_rate=0.8
+            )
 
     def test_admissibility_not_required_at_construction(self):
         # An inadmissible closed loop is representable; the requirement
@@ -143,6 +195,117 @@ class TestSuccessRequirement:
         s2 = scalar_system(1.0, 0.4)
         assert abs(compute_success_requirement(s1) - 41.0 / 96.0) <= 1e-12
         assert abs(compute_success_requirement(s2) - 5.0 / 21.0) <= 1e-12
+
+
+def zero_requirement_system(rng, n):
+    """A loop whose open mode already meets the contract (requirement 0)."""
+    s = random_admissible_system(rng, dims=(n,))
+    return SwitchedSystem(
+        a_closed=s.a_closed,
+        a_open=0.9 * s.a_closed,
+        noise_cov=s.noise_cov,
+        lyap_matrix=s.lyap_matrix,
+        decay_rate=s.decay_rate,
+    )
+
+
+def random_pair_system(rng):
+    """A plant/controller pair assembled into a 2-state loop with requirement in (0, 1)."""
+    pair = PlantControllerPair(
+        plant_a=[[rng.uniform(1.0, 1.1)]],
+        plant_b=[[1.0]],
+        plant_c=[[1.0]],
+        ctrl_f=[[rng.uniform(0.1, 0.3)]],
+        ctrl_fc=[[0.0]],
+        ctrl_g=[[rng.uniform(0.05, 0.15)]],
+        ctrl_k=[[0.0]],
+        ctrl_kc=[[0.0]],
+        ctrl_l=[[rng.uniform(-0.7, -0.5)]],
+        process_noise_cov=[[0.5]],
+        meas_noise_cov=[[0.2]],
+    )
+    system, _, _ = assemble_example_loop(pair, lyap_matrix=np.eye(2), decay_rate=0.9)
+    return system
+
+
+def mixed_loops(rng, count):
+    """A shuffled list of random loops: n in {1, 2, 3, 4}, requirement-0 and pair-form ones too."""
+    loops = [random_admissible_system(rng, dims=(1, 2, 3, 4)) for _ in range(count)]
+    loops += [zero_requirement_system(rng, n) for n in (1, 2, 3, 4)]
+    loops += [random_pair_system(rng) for _ in range(4)]
+    return [loops[k] for k in rng.permutation(len(loops))]
+
+
+def boundary_system(n):
+    """Admissible only with equality: A_c' P A_c - rho P is singular (requirement 1)."""
+    a_closed = np.diag([0.5] + [0.3] * (n - 1))
+    return SwitchedSystem(
+        a_closed=a_closed, a_open=1.1 * np.eye(n), noise_cov=np.eye(n),
+        lyap_matrix=np.eye(n), decay_rate=0.25,
+    )
+
+
+class TestStackedRequirements:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_equal_to_the_per_loop_form(self, seed):
+        loops = mixed_loops(np.random.default_rng(seed), 40)
+        want = [loop_success_requirement(s) for s in loops]
+        assert {s.dim for s in loops} == {1, 2, 3, 4}
+        assert 0.0 in want
+        got = success_requirements(loops)
+        np.testing.assert_array_equal(got, want)
+        assert [compute_success_requirement(s) for s in loops] == want
+
+    def test_no_loops(self):
+        assert success_requirements(()).shape == (0,)
+
+    def test_one_dimension_with_every_loop_at_zero(self):
+        rng = np.random.default_rng(3)
+        loops = [zero_requirement_system(rng, 3) for _ in range(3)]
+        np.testing.assert_array_equal(success_requirements(loops), 0.0)
+
+    @pytest.mark.parametrize(
+        "order, first",
+        [
+            (("ok", "inadmissible", "boundary"), "inadmissible"),
+            (("ok", "boundary", "inadmissible"), "boundary"),
+            (("inadmissible", "ok", "boundary"), "inadmissible"),
+            (("boundary", "inadmissible", "boundary"), "boundary"),
+        ],
+    )
+    def test_first_failing_loop_in_order_is_named(self, order, first):
+        # The inadmissible loop is scalar and the boundary loop is 2 x 2,
+        # so the two failures sit in different dimension groups.
+        rng = np.random.default_rng(11)
+        make = {
+            "ok": lambda: random_admissible_system(rng, dims=(2,)),
+            "inadmissible": lambda: scalar_system(1.1, 1.05, rho=0.8),
+            "boundary": lambda: boundary_system(2),
+        }
+        loops = [make[kind]() for kind in order]
+        index = order.index(first)
+        with pytest.raises(InfeasibleContractError) as err:
+            success_requirements(loops)
+        assert err.value.loop == index
+        with pytest.raises(InfeasibleContractError) as want:
+            loop_success_requirement(loops[index])
+        assert str(err.value) == str(want.value)
+
+    def test_boundary_loop_found_inside_its_group(self):
+        # Only the factor of the boundary loop fails; the loops around it in
+        # the same stack keep their per-loop values up to the error.
+        rng = np.random.default_rng(12)
+        loops = [random_admissible_system(rng, dims=(3,)) for _ in range(4)]
+        loops.insert(2, boundary_system(3))
+        with pytest.raises(InfeasibleContractError, match="boundary") as err:
+            success_requirements(loops)
+        assert err.value.loop == 2
+
+    def test_single_loop_message_has_no_loop_prefix(self):
+        with pytest.raises(InfeasibleContractError) as err:
+            compute_success_requirement(boundary_system(2))
+        assert str(err.value).startswith("closed-loop admissibility holds only on its boundary")
+        assert err.value.loop == 0
 
 
 class TestExpectedLyapunovNext:

@@ -397,6 +397,44 @@ class TestProblemInstanceValidation:
                 success_targets=[0.4],
             )
 
+    @pytest.mark.parametrize(
+        "powers, targets, message",
+        [
+            ([math.nan], [0.4], "tx_powers: all entries must be finite"),
+            ([math.inf], [0.4], "tx_powers: all entries must be finite"),
+            ([-math.inf], [0.4], "tx_powers: all entries must be finite"),
+            ([1.0], [math.nan], "success_targets: all entries must be finite"),
+            ([1.0], [math.inf], "success_targets: all entries must be finite"),
+            ([0.0], [0.4], "tx_powers: all entries must be positive"),
+            ([1.0], [1.0], r"success_targets: all entries must lie strictly inside \(0, 1\)"),
+            ([1.0, 1.0], [0.4], "tx_powers: expected 1 entries, got 2"),
+            ([1.0], [0.4, 0.4], "success_targets: expected 1 entries, got 2"),
+        ],
+    )
+    def test_rejects_bad_entries_naming_the_field(self, powers, targets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProblemInstance(
+                systems=(scalar_system(1.1, 0.5),),
+                channels=(reference_channel(),),
+                collision=CollisionMatrix.none(1),
+                tx_powers=powers,
+                success_targets=targets,
+            )
+
+    def test_fields_are_read_only_copies(self):
+        powers, targets = np.array([2.0]), np.array([0.4])
+        inst = ProblemInstance(
+            systems=(scalar_system(1.1, 0.5),),
+            channels=(reference_channel(),),
+            collision=CollisionMatrix.none(1),
+            tx_powers=powers,
+            success_targets=targets,
+        )
+        powers[0], targets[0] = 3.0, 0.5
+        assert inst.tx_powers.tolist() == [2.0] and inst.success_targets.tolist() == [0.4]
+        with pytest.raises(ValueError):
+            inst.tx_powers[0] = 1.0
+
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, 1.3])
     def test_rejects_targets_outside_open_interval(self, target):
         with pytest.raises(ValueError):
