@@ -27,6 +27,7 @@ from .control import (
     PlantControllerPair,
     SwitchedSystem,
     assemble_example_loop,
+    check_loops,
     compute_success_requirement,
     expected_lyapunov_next,
     lmi_slack,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .channel import (
     SaturatingExpCurve,
     UniformFading,
 )
-from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop
+from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop, check_loops
 from .optimizer import DEFAULT_BOX, StepSchedule, StopRule, _check_box, _check_entries
 from .simulate import check_settings
 
@@ -45,7 +46,7 @@ _TOP_KEYS = {
     "channels",
     "collision",
     "tx_powers",
-    "requirement_tol",  # accepted so older configs load; has no effect
+    "requirement_tol",  # read as a number so older configs load; has no effect
     "optimizer",
     "simulation",
     "output_dir",
@@ -104,6 +105,7 @@ _FAMILY_KEYS = {
 }
 _CHANNEL_KEYS = _keys(FadingChannel)
 _RAW_SYSTEM_KEYS = _keys(SwitchedSystem)
+_RAW_SYSTEM_FIELDS = operator.itemgetter(*(f.name for f in dataclasses.fields(SwitchedSystem)))
 # The pair form also gives assemble_example_loop's keyword arguments.
 _ASSEMBLY_KEYS = ("lyap_matrix", "decay_rate", "noise_mode")
 _PAIR_SYSTEM_KEYS = _keys(
@@ -154,17 +156,47 @@ class ExperimentConfig:
         return len(self.systems)
 
 
-def _parse_system(entry, path):
-    pair = isinstance(entry, dict) and "plant_a" in entry
-    loop = dict(_object(entry, _PAIR_SYSTEM_KEYS if pair else _RAW_SYSTEM_KEYS, path))
+def _parse_pair(entry, path):
+    """A loop given as a plant/controller pair, assembled into its SwitchedSystem."""
+    loop = dict(_object(entry, _PAIR_SYSTEM_KEYS, path))
+    assembly = {key: loop.pop(key) for key in _ASSEMBLY_KEYS if key in loop}
     try:
-        if pair:
-            assembly = {key: loop.pop(key) for key in _ASSEMBLY_KEYS if key in loop}
-            system, _, _ = assemble_example_loop(PlantControllerPair(**loop), **assembly)
-            return system
-        return SwitchedSystem(**loop)
+        system, _, _ = assemble_example_loop(PlantControllerPair(**loop), **assembly)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    return system
+
+
+def _parse_systems(entries):
+    """The ``systems`` list: pairs assembled one by one, raw loops checked in stacks.
+
+    The raw-form loops go through ``check_loops`` together, one stacked
+    pass per state dimension. The error raised is that of the first bad
+    loop in config order, whichever phase finds it.
+    """
+    systems, raw, at = [], [], []
+    first_bad = None
+    for k, entry in enumerate(entries):
+        path = f"systems[{k}]"
+        try:
+            if isinstance(entry, dict) and "plant_a" in entry:
+                systems.append(_parse_pair(entry, path))
+                continue
+            raw.append(_RAW_SYSTEM_FIELDS(_object(entry, _RAW_SYSTEM_KEYS, path)))
+        except ConfigError as exc:
+            first_bad = exc
+            break  # no later loop can come first
+        at.append(k)
+        systems.append(None)
+    checked, failures = check_loops(raw)
+    if failures:
+        i = min(failures)
+        raise ConfigError(f"systems[{at[i]}]: {failures[i]}") from failures[i]
+    if first_bad is not None:
+        raise first_bad
+    for k, system in zip(at, checked):
+        systems[k] = system
+    return tuple(systems)
 
 
 def _parse_family(entry, table, path):
@@ -212,18 +244,35 @@ def _number(value, field):
     return number
 
 
+_NON_FINITE = "non-finite number {}: every config number must be finite"
+
+
 def _finite(text):
     """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals are errors."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {text}: every config number must be finite")
+        raise ConfigError(_NON_FINITE.format(text))
     return value
 
 
 def _finite_int(text):
     """JSON integer hook: an integer beyond the float range is an error, as ``1e400`` is."""
-    _finite(text)
+    if not math.isfinite(float(text)):
+        raise ConfigError(_NON_FINITE.format(text))
     return int(text)
+
+
+def _load(path, parse_float=None):
+    """The JSON document at ``path``; ``NaN``, ``Infinity`` and huge integers are errors."""
+    try:
+        with open(path) as fh:
+            return json.load(
+                fh, parse_float=parse_float, parse_int=_finite_int, parse_constant=_finite
+            )
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _settings(cls, entry, path):
@@ -296,28 +345,31 @@ def parse_config(path):
         validation; the message names the field path.
     """
     try:
-        with open(path) as fh:
-            raw = json.load(
-                fh, parse_float=_finite, parse_int=_finite_int, parse_constant=_finite
-            )
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        return _build(_load(path))
+    except ConfigError:
+        # Floats are read natively, so a literal beyond the float range such
+        # as 1e400 became inf, which the check of its field rejected (or the
+        # JSON broke further on). Read again with the float hook, which
+        # names that literal instead.
+        _load(path, parse_float=_finite)
+        raise
 
+
+def _build(raw):
+    """The ExperimentConfig of a loaded JSON document."""
     _check_keys(raw, _TOP_KEYS, "top level")
     version = _require(raw, "schema_version", "top level")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
+    if "requirement_tol" in raw:
+        _number(raw["requirement_tol"], "requirement_tol")
 
     systems_raw = _require(raw, "systems", "top level")
     if not isinstance(systems_raw, list) or not systems_raw:
         raise ConfigError("systems: expected a non-empty list")
-    systems = tuple(
-        _parse_system(entry, f"systems[{k}]") for k, entry in enumerate(systems_raw)
-    )
+    systems = _parse_systems(systems_raw)
     m = len(systems)
 
     channels_raw = _require(raw, "channels", "top level")

@@ -16,12 +16,15 @@ threshold and the quantities around it.
 loops of each state dimension n go through every step together as
 ``(k, n, n)`` stacks, one LAPACK call per dimension and step. A stacked
 call runs the same routine on each matrix as a call on it alone, so each
-threshold has the bits of the loop-by-loop computation.
+threshold has the bits of the loop-by-loop computation. ``check_loops``
+checks many loops' matrices the same way, one stacked pass per state
+dimension; ``SwitchedSystem`` is its one-loop case.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,7 @@ import numpy as np
 __all__ = [
     "InfeasibleContractError",
     "SwitchedSystem",
+    "check_loops",
     "PlantControllerPair",
     "assemble_example_loop",
     "lmi_slack",
@@ -61,14 +65,16 @@ def _as_matrix(value, name, square=True):
     return arr
 
 
-def _require_symmetric(stack, names):
-    """Raise naming the first matrix of ``stack``, one per name, that is not symmetric."""
-    flat = (len(names), -1)
-    scale = np.abs(stack).reshape(flat).max(axis=1)
-    skew = np.abs(stack - np.swapaxes(stack, -2, -1)).reshape(flat).max(axis=1)
-    for name, bad in zip(names, skew > 1e-8 * np.maximum(scale, 1.0)):
-        if bad:
-            raise ValueError(f"{name} must be symmetric")
+def _asymmetric(stack):
+    """Which matrices of ``stack`` (any leading axes) are not symmetric, to a relative 1e-8."""
+    scale = np.abs(stack).max(axis=(-2, -1))
+    skew = np.abs(stack - np.swapaxes(stack, -2, -1)).max(axis=(-2, -1))
+    return skew > 1e-8 * np.maximum(scale, 1.0)
+
+
+_MATRICES = ("a_closed", "a_open", "noise_cov", "lyap_matrix")
+# What coercing a value to a float can raise (OverflowError: an int beyond its range).
+_COERCION_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,9 @@ class SwitchedSystem:
         Symmetric positive definite P defining V(x) = x' P x.
     decay_rate : float
         Contract decay rho, strictly inside (0, 1).
+
+    The arguments are checked by ``check_loops``, of which this is the
+    one-loop case; the first failing check raises.
     """
 
     a_closed: np.ndarray
@@ -94,25 +103,12 @@ class SwitchedSystem:
     decay_rate: float
 
     def __post_init__(self):
-        names = ("a_closed", "a_open", "noise_cov", "lyap_matrix")
-        ac, _, w, p = mats = [_as_matrix(getattr(self, k), k) for k in names]
-        for name, arr in zip(names[1:], mats[1:]):
-            if arr.shape != ac.shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {ac.shape}")
-        covs = np.array((w, p))
-        _require_symmetric(covs, names[2:])
-        # PD / PSD checks via eigenvalues; scaled floor for the PSD case.
-        w_eigs, p_eigs = np.linalg.eigvalsh(covs)
-        if p_eigs[0] <= 0.0:
-            raise ValueError(f"lyap_matrix must be positive definite, min eig {p_eigs[0]:g}")
-        if w_eigs[0] < -1e-10 * max(1.0, abs(w_eigs[-1])):
-            raise ValueError(f"noise_cov must be PSD, min eig {w_eigs[0]:g}")
-        rho = float(self.decay_rate)
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"decay_rate must lie in (0, 1), got {rho:g}")
-        for name, arr in zip(names, mats):
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "decay_rate", rho)
+        (checked,), failures = check_loops(
+            [(self.a_closed, self.a_open, self.noise_cov, self.lyap_matrix, self.decay_rate)]
+        )
+        if failures:
+            raise failures[0]
+        _fill(self, [getattr(checked, name) for name in _MATRICES], checked.decay_rate)
 
     @property
     def dim(self):
@@ -125,6 +121,155 @@ class SwitchedSystem:
     def gram_open(self):
         """A_o' P A_o."""
         return self.a_open.T @ self.lyap_matrix @ self.a_open
+
+
+def _first_nonfinite(mats):
+    """The error naming the first of ``mats``, in ``_MATRICES`` order, with a non-finite entry."""
+    for name, arr in zip(_MATRICES, mats):
+        if not np.isfinite(arr).all():
+            return ValueError(f"{name} entries must be finite")
+    return None
+
+
+def _coerce(values):
+    """One loop's four matrices as one ``(4, n, n)`` float array.
+
+    Raises the error of the loop's first failing coercion or shape check
+    (square and not empty, then matching ``a_closed``). The matrices are checked one by
+    one in ``_MATRICES`` order, finite entries included, so a non-finite
+    matrix before the failing one is named instead. Finite entries are
+    otherwise left to the stacked checks.
+    """
+    try:
+        mats = np.array(values, dtype=float)
+    except _COERCION_ERRORS:
+        pass  # ragged or not numbers: the matrix-by-matrix pass names the culprit
+    else:
+        if mats.ndim == 3 and mats.shape[1] == mats.shape[2] and mats.size:
+            return mats
+        if mats.ndim < 3 and mats.size == 4:  # scalars or 1-entry rows: n = 1
+            return mats.reshape(4, 1, 1)
+    mats = []
+    for name, value in zip(_MATRICES, values):
+        try:
+            arr = np.array(value, dtype=float, ndmin=2)
+        except _COERCION_ERRORS as exc:
+            raise _first_nonfinite(mats) or exc
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise _first_nonfinite(mats) or ValueError(
+                f"{name} must be square, got shape {arr.shape}"
+            )
+        if not arr.size:
+            raise _first_nonfinite(mats) or ValueError(f"{name} must not be empty")
+        mats.append(arr)
+    for name, arr in zip(_MATRICES[1:], mats[1:]):
+        if arr.shape != mats[0].shape:
+            raise _first_nonfinite(mats) or ValueError(
+                f"{name} has shape {arr.shape}, expected {mats[0].shape}"
+            )
+    return np.array(mats)
+
+
+# The messages of _stack_failures' checks after finite entries, in order.
+_STACK_CHECKS = (
+    "noise_cov must be symmetric",
+    "lyap_matrix must be symmetric",
+    "lyap_matrix must be positive definite, min eig {p:g}",
+    "noise_cov must be PSD, min eig {w:g}",
+    "decay_rate must lie in (0, 1), got {rho:g}",
+)
+
+
+def _stack_failures(index, stack, rates, rate_errors):
+    """The first failing check of each loop of one state dimension, as {loop: error}.
+
+    ``stack`` is the loops' ``(k, 4, n, n)`` stack, ``index`` their indices
+    and ``rates`` their decay rates, NaN where ``rate_errors`` (by index)
+    holds the error of reading one. The checks run in ``SwitchedSystem``'s
+    order: finite entries matrix by matrix, symmetric ``noise_cov`` then
+    ``lyap_matrix``, ``lyap_matrix`` positive definite, ``noise_cov`` PSD
+    (a floor scaled by its largest eigenvalue), then ``0 < rho < 1``.
+    """
+    failures = {}
+    finite = np.isfinite(stack).all(axis=(2, 3))
+    for row, j in zip(*np.nonzero(~finite)):  # row-major: each loop's first matrix first
+        failures.setdefault(int(index[row]), ValueError(f"{_MATRICES[j]} entries must be finite"))
+    rows = np.flatnonzero(finite.all(axis=1))
+    if not rows.size:
+        return failures
+    covs = stack[rows, 2:]
+    eigs = np.linalg.eigvalsh(covs)
+    p_min, w_min, w_max = eigs[:, 1, 0], eigs[:, 0, 0], eigs[:, 0, -1]
+    rho = rates[rows]
+    bad = np.column_stack(
+        (
+            _asymmetric(covs),
+            p_min <= 0.0,
+            w_min < -1e-10 * np.maximum(1.0, np.abs(w_max)),
+            ~((0.0 < rho) & (rho < 1.0)),
+        )
+    )
+    for r in np.flatnonzero(bad.any(axis=1)):
+        i, check = int(index[rows[r]]), int(bad[r].argmax())
+        if check == len(_STACK_CHECKS) - 1 and i in rate_errors:
+            failures[i] = rate_errors[i]  # the rate was not a number
+        else:
+            failures[i] = ValueError(
+                _STACK_CHECKS[check].format(p=p_min[r], w=w_min[r], rho=rho[r])
+            )
+    return failures
+
+
+def check_loops(loops):
+    """Check loops given as ``(a_closed, a_open, noise_cov, lyap_matrix, decay_rate)``.
+
+    Each loop's matrices are coerced to one ``(4, n, n)`` float array, and
+    must be square with ``a_closed``'s shape. The loops of each state
+    dimension n are then checked together on their ``(k, 4, n, n)`` stack,
+    with one symmetry test and one ``eigvalsh`` call per dimension: finite
+    entries, symmetric covariances, ``lyap_matrix`` positive definite,
+    ``noise_cov`` PSD, and ``0 < decay_rate < 1``.
+
+    Returns
+    -------
+    systems : list
+        A ``SwitchedSystem`` per loop that passes, None for one that fails.
+        Its matrices are views of its dimension's read-only stack, not
+        checked again.
+    failures : dict
+        Loop index -> the error (ValueError, or what coercing a value to a
+        float raised) of that loop's first failing check, in
+        ``SwitchedSystem``'s order.
+    """
+    members, failures, rate_errors = {}, {}, {}
+    for i, (*mats, rate) in enumerate(loops):
+        try:
+            mats = _coerce(mats)
+        except _COERCION_ERRORS as exc:
+            failures[i] = exc
+            continue
+        try:
+            rate = float(rate)
+        except _COERCION_ERRORS as exc:
+            rate, rate_errors[i] = math.nan, exc
+        members.setdefault(mats.shape[-1], []).append((i, mats, rate))
+    systems = [None] * len(loops)
+    for group in members.values():
+        index, stack, rates = map(np.array, zip(*group))
+        stack.setflags(write=False)
+        failures.update(_stack_failures(index, stack, rates, rate_errors))
+        for i, mats, rate in zip(index.tolist(), stack, rates.tolist()):
+            if i not in failures:
+                systems[i] = _fill(object.__new__(SwitchedSystem), mats, rate)
+    return systems, failures
+
+
+def _fill(system, mats, rate):
+    """``system`` with its fields set to checked matrices and rate, as a frozen dataclass sets them."""
+    for name, arr in zip(_MATRICES, mats):
+        object.__setattr__(system, name, arr)
+    object.__setattr__(system, "decay_rate", rate)
+    return system
 
 
 def lmi_slack(theta, sys):
@@ -311,8 +456,9 @@ class PlantControllerPair:
                 raise ValueError(
                     f"{name} has shape {arr.shape}, expected {shapes[name]}"
                 )
-        _require_symmetric(arrs["process_noise_cov"], ("process_noise_cov",))
-        _require_symmetric(arrs["meas_noise_cov"], ("meas_noise_cov",))
+        for name in ("process_noise_cov", "meas_noise_cov"):
+            if _asymmetric(arrs[name]):
+                raise ValueError(f"{name} must be symmetric")
         for name, arr in arrs.items():
             object.__setattr__(self, name, arr)
 

@@ -159,6 +159,99 @@ def random_admissible_system(rng, dims=(2, 3, 4)):
     )
 
 
+MATRIX_NAMES = ("a_closed", "a_open", "noise_cov", "lyap_matrix")
+
+
+def loop_check_system(a_closed, a_open, noise_cov, lyap_matrix, decay_rate):
+    """Per-loop oracle for ``raccess.control.check_loops``: one loop, matrix by matrix.
+
+    Raises the error of the loop's first failing check, in the order
+    ``SwitchedSystem`` checks them; returns the four coerced matrices and
+    the decay rate otherwise.
+    """
+    mats = []
+    for name, value in zip(MATRIX_NAMES, (a_closed, a_open, noise_cov, lyap_matrix)):
+        arr = np.array(value, dtype=float, ndmin=2)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"{name} must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} entries must be finite")
+        mats.append(arr)
+    for name, arr in zip(MATRIX_NAMES[1:], mats[1:]):
+        if arr.shape != mats[0].shape:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {mats[0].shape}")
+    w, p = mats[2:]
+    for name, arr in (("noise_cov", w), ("lyap_matrix", p)):
+        if np.abs(arr - arr.T).max() > 1e-8 * max(np.abs(arr).max(), 1.0):
+            raise ValueError(f"{name} must be symmetric")
+    w_eigs, p_eigs = np.linalg.eigvalsh(w), np.linalg.eigvalsh(p)
+    if p_eigs[0] <= 0.0:
+        raise ValueError(f"lyap_matrix must be positive definite, min eig {p_eigs[0]:g}")
+    if w_eigs[0] < -1e-10 * max(1.0, abs(w_eigs[-1])):
+        raise ValueError(f"noise_cov must be PSD, min eig {w_eigs[0]:g}")
+    rho = float(decay_rate)
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"decay_rate must lie in (0, 1), got {rho:g}")
+    return mats, rho
+
+
+def loop_fields(system, rng=None):
+    """A SwitchedSystem's five fields as a config's raw-form loop: nested lists and a float.
+
+    Given ``rng``, a 1 x 1 matrix is written at random as a number, a
+    one-entry list or a nested list, as a config may give it.
+    """
+    fields = {}
+    for name in MATRIX_NAMES:
+        value = getattr(system, name).tolist()
+        if rng is not None and system.dim == 1:
+            value = (value[0][0], value[0], value)[rng.integers(3)]
+        fields[name] = value
+    return dict(fields, decay_rate=system.decay_rate)
+
+
+LOOP_BREAKS = (
+    "asymmetric", "indefinite", "non-finite", "a_open shape", "non-square",
+    "ragged", "text", "rate out of range", "rate not a number",
+)
+
+
+def break_loop(loop, rng, kinds):
+    """A copy of the raw-form ``loop`` (nested lists) broken in each of the ways ``kinds``.
+
+    Each way replaces one value of the loop with a bad one. Non-finite entries are written as strings, which a JSON config can
+    carry and NumPy reads as nan or inf. At n = 1 an "asymmetric" matrix
+    is a 2 x 2 one, so it breaks the shapes instead.
+    """
+    out = dict(loop)
+    n = (np.shape(out["a_closed"]) or (1,))[0]
+    for kind in kinds:
+        name = str(rng.choice(MATRIX_NAMES))
+        cov = str(rng.choice(MATRIX_NAMES[2:]))
+        if kind == "asymmetric":
+            out[cov] = (np.eye(max(n, 2)) + np.triu(np.full((max(n, 2),) * 2, 0.5), 1)).tolist()
+        elif kind == "indefinite":
+            out[cov] = (-np.eye(n)).tolist()
+        elif kind == "non-finite":
+            out[name] = np.eye(n).tolist()
+            out[name][rng.integers(n)][rng.integers(n)] = str(rng.choice(["nan", "inf", "-inf"]))
+        elif kind == "a_open shape":
+            out["a_open"] = [[1.1]] if n > 1 else np.eye(2).tolist()
+        elif kind == "non-square":
+            out[name] = [[0.5] * (n + 1)] * n
+        elif kind == "ragged":
+            out[name] = [[0.5] * n, [0.5] * (n + 1)]
+        elif kind == "text":
+            out[name] = [["abc"] * n] * n
+        elif kind == "rate out of range":
+            out["decay_rate"] = float(rng.choice([0.0, 1.0, -0.2, 1.7]))
+        elif kind == "rate not a number":
+            out["decay_rate"] = ["abc", "nan", [0.5]][rng.integers(3)]
+        else:
+            raise ValueError(f"unknown way to break a loop: {kind!r}")
+    return out
+
+
 def loop_success_requirement(sys):
     """Per-loop oracle for ``raccess.control.success_requirements``: one loop's requirement.
 

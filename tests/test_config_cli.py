@@ -6,8 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from helpers import loop_write_csv
+from helpers import (
+    LOOP_BREAKS,
+    break_loop,
+    loop_check_system,
+    loop_fields,
+    loop_write_csv,
+    random_admissible_system,
+)
 import raccess.cli
+import raccess.config
 import raccess.serialize
 from raccess.cli import (
     EXIT_CONFIG,
@@ -446,6 +454,235 @@ class TestNonFiniteNumberStrings:
         assert cfg.optimizer.schedule.a == 2.5
         assert cfg.tx_powers.tolist() == [1.0, 2.0]
         assert cfg.systems[0].a_closed[0, 0] == 0.5
+
+
+PAIR_LOOP = {
+    "plant_a": 1.1, "plant_b": 1.0, "plant_c": 1.0, "ctrl_f": 0.0,
+    "ctrl_fc": 0.0, "ctrl_g": 0.0, "ctrl_k": 0.0, "ctrl_kc": 0.0,
+    "ctrl_l": -0.6, "process_noise_cov": 1.0, "meas_noise_cov": 0.0,
+    "lyap_matrix": [[1.0, 0.0], [0.0, 1.0]], "decay_rate": 0.8,
+}
+
+
+def config_of_loops(loops):
+    """``base_config()`` with the given ``systems`` and as many channels, powers and collision rows."""
+    raw = base_config()
+    m = len(loops)
+    raw.update(
+        systems=loops,
+        channels=[raw["channels"][0]] * m,
+        collision=[[0.0] * m for _ in range(m)],
+        tx_powers=[1.0] * m,
+    )
+    return raw
+
+
+RAW_KEYS = {"a_closed", "a_open", "noise_cov", "lyap_matrix", "decay_rate"}
+
+
+def first_loop_error(loops):
+    """The error named for the first bad entry of ``systems``: raw loops by the loop oracle.
+
+    A pair-form loop here is ``PAIR_LOOP``, bad only with a non-finite ``ctrl_l``.
+    """
+    for k, loop in enumerate(loops):
+        if "plant_a" in loop:
+            if loop["ctrl_l"] != PAIR_LOOP["ctrl_l"]:
+                return f"systems[{k}]: ctrl_l entries must be finite"
+        elif set(loop) != RAW_KEYS:
+            return f"unknown key '{min(set(loop) - RAW_KEYS)}' at systems[{k}]"
+        else:
+            try:
+                loop_check_system(**loop)
+            except (TypeError, ValueError) as exc:
+                return f"systems[{k}]: {exc}"
+    return None
+
+
+class TestFirstBadLoop:
+    """The raw loops are checked in stacks by dimension; the first bad loop in config order is named."""
+
+    def run_rates(self, tmp_path, capsys, loops):
+        path = write_config(tmp_path, config_of_loops(loops))
+        code = main(["rates", path, "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_shuffled_mix_names_the_oracle_first_bad_loop(self, tmp_path, capsys, seed):
+        rng = np.random.default_rng(100 + seed)
+        m = int(rng.integers(4, 14))
+        loops = [
+            loop_fields(random_admissible_system(rng, dims=(1, 2, 3, 4)), rng) for _ in range(m)
+        ]
+        loops.insert(int(rng.integers(m + 1)), dict(PAIR_LOOP))
+        for k in rng.choice(len(loops), size=1 + seed % 2, replace=False):
+            if "plant_a" in loops[k]:
+                loops[k] = dict(loops[k], ctrl_l=[["-inf"]])  # the pair's own check names it
+                continue
+            if rng.random() < 0.15:
+                loops[k] = dict(loops[k], gain=1.0)
+            else:
+                kinds = rng.choice(LOOP_BREAKS, size=int(rng.integers(1, 3)), replace=False)
+                loops[k] = break_loop(loops[k], rng, kinds)
+        want = first_loop_error(loops)
+        assert want is not None
+        code, err = self.run_rates(tmp_path, capsys, loops)
+        assert (code, err) == (EXIT_CONFIG, f"error: {want}\n")
+
+    def test_asymmetric_loop_4_comes_before_a_bad_shape_at_loop_9(self, tmp_path, capsys):
+        # Loop 4 (n = 3) is in a later dimension group than loop 9 (n = 2).
+        rng = np.random.default_rng(1)
+        loops = [loop_fields(random_admissible_system(rng, dims=(2 + k % 3,))) for k in range(12)]
+        loops[4] = break_loop(loops[4], rng, ["asymmetric"])
+        loops[9] = dict(loops[9], a_open=[[1.1]])
+        code, err = self.run_rates(tmp_path, capsys, loops)
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: systems[4]: ") and err.endswith(" must be symmetric\n")
+
+    def test_key_error_after_a_stacked_failure_loses(self, tmp_path, capsys):
+        loops = [loop_fields(random_admissible_system(np.random.default_rng(k), dims=(2,))) for k in range(4)]
+        loops[1] = dict(loops[1], decay_rate=1.5)
+        loops[3] = dict(loops[3], gain=1.0)
+        code, err = self.run_rates(tmp_path, capsys, loops)
+        assert (code, err) == (EXIT_CONFIG, "error: systems[1]: decay_rate must lie in (0, 1), got 1.5\n")
+        loops[1] = dict(loops[1], decay_rate=0.5)
+        code, err = self.run_rates(tmp_path, capsys, loops)
+        assert (code, err) == (EXIT_CONFIG, "error: unknown key 'gain' at systems[3]\n")
+
+    def test_bad_pair_before_a_bad_raw_loop_wins(self, tmp_path, capsys):
+        loops = [loop_fields(random_admissible_system(np.random.default_rng(k), dims=(3,))) for k in range(3)]
+        loops[2] = dict(loops[2], noise_cov=(-np.eye(3)).tolist())
+        loops.insert(1, dict(PAIR_LOOP, ctrl_l=[["-inf"]]))
+        code, err = self.run_rates(tmp_path, capsys, loops)
+        assert (code, err) == (EXIT_CONFIG, "error: systems[1]: ctrl_l entries must be finite\n")
+
+
+def valid_certify_like_config(m=64):
+    """``m`` random admissible raw loops whose state dimension cycles through 2, 3, 4."""
+    rng = np.random.default_rng(5)
+    return config_of_loops(
+        [loop_fields(random_admissible_system(rng, dims=(2 + k % 3,))) for k in range(m)]
+    )
+
+
+class TestStackedReader:
+    """What keeps ``parse_config`` stacked: one eigvalsh per dimension, floats parsed natively."""
+
+    def test_one_eigvalsh_call_per_state_dimension(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, valid_certify_like_config())
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            "raccess.control.np.linalg.eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a)
+        )
+        cfg = parse_config(path)
+        assert cfg.m == 64
+        assert sorted(calls) == sorted([(22, 2, 2, 2), (21, 2, 3, 3), (21, 2, 4, 4)])
+
+    def test_float_hook_runs_only_after_an_error(self, tmp_path, monkeypatch):
+        texts = []
+        finite = raccess.config._finite
+        monkeypatch.setattr(raccess.config, "_finite", lambda t: texts.append(t) or finite(t))
+        raw = valid_certify_like_config()
+        parse_config(write_config(tmp_path, raw))
+        assert texts == []
+        raw["tx_powers"][0] = -1.0
+        with pytest.raises(ConfigError, match="^tx_powers: all entries must be positive$"):
+            parse_config(write_config(tmp_path, raw, "bad.json"))
+        assert "-1.0" in texts  # read again with the hook, which finds nothing to name
+
+    def test_loaded_values_keep_their_bits(self, tmp_path):
+        raw = valid_certify_like_config(12)
+        cfg = parse_config(write_config(tmp_path, raw))
+        for loop, system in zip(raw["systems"], cfg.systems):
+            mats, rho = loop_check_system(**loop)
+            for arr, name in zip(mats, ("a_closed", "a_open", "noise_cov", "lyap_matrix")):
+                np.testing.assert_array_equal(getattr(system, name), arr, strict=True)
+            assert system.decay_rate == rho
+
+
+class TestTopLevelNumbers:
+    def run_rates(self, tmp_path, capsys, raw, replace=None):
+        path = tmp_path / "cfg.json"
+        text = json.dumps(raw)
+        if replace:
+            text = text.replace(*replace)
+        path.write_text(text)
+        code = main(["rates", str(path), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", [1, 2], None])
+    def test_requirement_tol_must_be_a_number(self, tmp_path, capsys, value):
+        raw = dict(base_config(), requirement_tol=value)
+        code, err = self.run_rates(tmp_path, capsys, raw)
+        assert (code, err) == (EXIT_CONFIG, f"error: requirement_tol: must be a number, got {value!r}\n")
+
+    def test_numeric_requirement_tol_still_loads(self, tmp_path, capsys):
+        raw = dict(base_config(), requirement_tol="1e-9")
+        assert self.run_rates(tmp_path, capsys, raw)[0] == EXIT_OK
+        raw = dict(base_config(), requirement_tol=1e-9)
+        assert self.run_rates(tmp_path, capsys, raw)[0] == EXIT_OK
+
+    def test_overflowing_requirement_tol_names_the_literal(self, tmp_path, capsys):
+        raw = dict(base_config(), requirement_tol="HUGE")
+        code, err = self.run_rates(tmp_path, capsys, raw, ('"HUGE"', "1e400"))
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: non-finite number 1e400")
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_schema_version_rejects_bools(self, tmp_path, capsys, value):
+        raw = dict(base_config(), schema_version=value)
+        code, err = self.run_rates(tmp_path, capsys, raw)
+        assert (code, err) == (EXIT_CONFIG, f"error: schema_version: expected 1, got {value!r}\n")
+
+    def test_integral_float_schema_version_still_loads(self, tmp_path, capsys):
+        raw = dict(base_config(), schema_version=1.0)
+        assert self.run_rates(tmp_path, capsys, raw)[0] == EXIT_OK
+
+
+class TestOverflowWinsOverOtherErrors:
+    """An overflowing literal is named wherever it sits, as when the hook read every float."""
+
+    @pytest.mark.parametrize(
+        "break_config",
+        [
+            lambda raw: raw.update(surplus=1),
+            lambda raw: raw["systems"][0].update(lyap_matrix=[[1.0, 2.0], [0.0, 1.0]]),
+            lambda raw: raw["systems"][1].update(gain=1.0),
+            lambda raw: raw["optimizer"].update(step_a="abc"),
+            lambda raw: raw.update(schema_version=2),
+        ],
+        ids=["unknown-key", "bad-matrix", "unknown-loop-key", "bad-number", "schema"],
+    )
+    @pytest.mark.parametrize("place", ["tx_powers.1", "systems.1.a_open", "simulation.horizon"])
+    @pytest.mark.parametrize("literal", ["1e400", "-2.5e999"])
+    def test_literal_is_named(self, tmp_path, capsys, break_config, place, literal):
+        raw = base_config()
+        break_config(raw)
+        *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
+        target = raw
+        for key in outer:
+            target = target[key]
+        target[last] = "OVERFLOW"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw).replace('"OVERFLOW"', literal))
+        code = main(["rates", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: non-finite number {literal}: every config number must be finite\n"
+        )
+
+    def test_invalid_json_after_the_literal_still_names_it(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": 1, "requirement_tol": 1e400, "systems": [')
+        assert main(["rates", str(path)]) == EXIT_CONFIG
+        assert "non-finite number 1e400" in capsys.readouterr().err
+
+    def test_invalid_json_before_the_literal_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": 1,, "requirement_tol": 1e400}')
+        assert main(["rates", str(path)]) == EXIT_CONFIG
+        assert "invalid JSON" in capsys.readouterr().err
 
 
 class TestConfigShapes:

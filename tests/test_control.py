@@ -3,12 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import loop_success_requirement, random_admissible_system, scalar_system
+from helpers import (
+    LOOP_BREAKS,
+    break_loop,
+    loop_check_system,
+    loop_fields,
+    loop_success_requirement,
+    random_admissible_system,
+    scalar_system,
+)
 from raccess import (
     InfeasibleContractError,
     PlantControllerPair,
     SwitchedSystem,
     assemble_example_loop,
+    check_loops,
     compute_success_requirement,
     expected_lyapunov_next,
     lmi_slack,
@@ -134,6 +143,89 @@ class TestSwitchedSystemValidation:
         s = scalar_system(1.1, 1.05, rho=0.8)
         with pytest.raises(InfeasibleContractError):
             compute_success_requirement(s)
+
+
+def oracle_outcome(loop):
+    """The loop oracle's (matrices, rate) for a raw-form loop, or the error it raises."""
+    try:
+        return loop_check_system(**loop)
+    except (TypeError, ValueError) as exc:
+        return exc
+
+
+def broken_mix(rng, m, bad_count):
+    """``m`` raw-form loops, n in {1, 2, 3, 4}, ``bad_count`` of them broken in one or two ways."""
+    loops = [
+        loop_fields(random_admissible_system(rng, dims=(1, 2, 3, 4)), rng) for _ in range(m)
+    ]
+    for k in rng.choice(m, size=bad_count, replace=False):
+        kinds = rng.choice(LOOP_BREAKS, size=int(rng.integers(1, 3)), replace=False)
+        loops[k] = break_loop(loops[k], rng, kinds)
+    return loops
+
+
+class TestCheckLoops:
+    """``check_loops`` against the matrix-by-matrix oracle in ``tests/helpers.py``."""
+
+    @staticmethod
+    def assert_matches_oracle(loops):
+        systems, failures = check_loops([tuple(loop.values()) for loop in loops])
+        for k, loop in enumerate(loops):
+            want = oracle_outcome(loop)
+            if isinstance(want, Exception):
+                assert systems[k] is None
+                assert (type(failures[k]), str(failures[k])) == (type(want), str(want)), k
+                continue
+            assert k not in failures
+            mats, rho = want
+            for name, arr in zip(("a_closed", "a_open", "noise_cov", "lyap_matrix"), mats):
+                got = getattr(systems[k], name)
+                np.testing.assert_array_equal(got, arr, strict=True)
+                assert not got.flags.writeable
+            assert type(systems[k].decay_rate) is float and systems[k].decay_rate == rho
+        return failures
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_shuffled_mixes_with_bad_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        failures = self.assert_matches_oracle(broken_mix(rng, int(rng.integers(2, 13)), 1 + seed % 2))
+        assert failures
+
+    def test_valid_loops_pass_with_their_values(self):
+        rng = np.random.default_rng(7)
+        loops = broken_mix(rng, 24, 0)
+        assert self.assert_matches_oracle(loops) == {}
+
+    @pytest.mark.parametrize("kind", LOOP_BREAKS)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_switched_system_raises_as_the_oracle(self, kind, n):
+        rng = np.random.default_rng(n)
+        loop = break_loop(loop_fields(random_admissible_system(rng, dims=(n,))), rng, [kind])
+        want = oracle_outcome(loop)
+        with pytest.raises(type(want)) as err:
+            SwitchedSystem(**loop)
+        assert str(err.value) == str(want)
+
+    def test_non_finite_matrix_before_a_shape_error_is_named_first(self):
+        # The matrices are checked one by one, so a_closed's nan comes before
+        # a_open's shape, and lyap_matrix's inf before the shapes are compared.
+        with pytest.raises(ValueError, match="^a_closed entries must be finite$"):
+            SwitchedSystem([[math.nan, 0.0], [0.0, 0.5]], [[1.0, 2.0]], np.eye(2), np.eye(2), 0.8)
+        with pytest.raises(ValueError, match="^lyap_matrix entries must be finite$"):
+            SwitchedSystem(np.eye(2), 1.1, np.eye(2), [[math.inf, 0.0], [0.0, 1.0]], 0.8)
+
+    def test_empty_matrices_are_named(self):
+        empty = np.empty((0, 0))
+        with pytest.raises(ValueError, match="^a_closed must not be empty$"):
+            SwitchedSystem(empty, empty, empty, empty, 0.8)
+        with pytest.raises(ValueError, match="^noise_cov must not be empty$"):
+            SwitchedSystem(0.5, 1.1, empty, 1.0, 0.8)
+
+    def test_rate_that_is_not_a_number_keeps_its_error(self):
+        with pytest.raises(TypeError, match="not 'list'"):
+            scalar_system(1.1, 0.5, rho=[0.5])
+        with pytest.raises(ValueError, match="^decay_rate must lie in \\(0, 1\\), got nan$"):
+            scalar_system(1.1, 0.5, rho="nan")
 
 
 class TestLmiSlack:
