@@ -8,6 +8,15 @@ records:
 - ms per dual period over a fixed 100 periods (``dual_change_tol = 0``,
   so the stop rule cannot fire), in quadrature and in Monte Carlo
   (10k fades per sensor and period, seed 0);
+- the same runs split by phase (``dual_split``), in a separate pass so
+  that the figures above stay unwrapped: ms per period in pricing
+  (``primal_policies``), update (``beta_update``, ``subgradient`` and
+  ``dual_step``), measurement (``_measure``), the trace
+  (``IterationTrace.append``) and the rest of the period, each phase timed
+  by wrapping the name the loop calls. The wrappers' own cost lands in
+  the phases, so compare the phases with each other rather than their
+  sum with the unwrapped period. Runs recorded before ``step-functions``
+  have no split;
 - the trace's bytes per period: the memory freed by dropping the trace
   of a 100-period quadrature run, as counted by ``tracemalloc``;
 - the peak RSS of the process after the dual-loop runs;
@@ -77,6 +86,7 @@ import numpy as np
 
 import raccess._kernels
 import raccess.cli
+import raccess.optimizer
 import raccess.simulate
 from raccess import (
     CollisionMatrix,
@@ -180,7 +190,7 @@ def add_reference(entries, probes):
     ref = float(np.median(probes))
     for entry in entries:
         entry["reference_s"] = ref
-        for block in (entry, entry.get("simulation", {})):
+        for block in (entry, entry.get("simulation", {}), entry.get("dual_split", {})):
             for key, timing in block.items():
                 if isinstance(timing, dict) and "median" in timing:
                     unit = 1e-3 if key.endswith("_ms_per_period") else 1.0
@@ -206,6 +216,32 @@ def stopwatch(module, name):
         yield seconds
     finally:
         setattr(module, name, inner)
+
+
+# The dual period's phases and the names the loop calls for each.
+DUAL_PHASES = {
+    "pricing": ((raccess.optimizer, "primal_policies"),),
+    "update": (
+        (raccess.optimizer, "beta_update"),
+        (raccess.optimizer, "subgradient"),
+        (raccess.optimizer, "dual_step"),
+    ),
+    "measure": ((raccess.optimizer, "_measure"),),
+    "trace": ((raccess.optimizer.IterationTrace, "append"),),
+}
+
+
+def dual_split(inst, mode, stop):
+    """One run with every phase timed: ms per period by phase, and the rest."""
+    with contextlib.ExitStack() as stack:
+        watches = {
+            phase: [stack.enter_context(stopwatch(owner, name)) for owner, name in names]
+            for phase, names in DUAL_PHASES.items()
+        }
+        result, wall = timed_run(inst, mode, stop)
+    ms = {phase: 1e3 * sum(w[0] for w in ws) / result.periods for phase, ws in watches.items()}
+    ms["rest"] = 1e3 * wall / result.periods - sum(ms.values())
+    return ms
 
 
 def simulation_split(inst):
@@ -264,13 +300,23 @@ def scaling_entries(m):
     inst = instance(m, MIXED)
     stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
     entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
-    for name, mode in (("quadrature", None), ("mc", MonteCarlo(samples=SAMPLES, seed=0))):
+    modes = (("quadrature", None), ("mc", MonteCarlo(samples=SAMPLES, seed=0)))
+    for name, mode in modes:
         per_period = []
         for _ in range(REPEATS):
             probes.append(speed_probe())
             result, wall = timed_run(inst, mode, stop)
             per_period.append(1e3 * wall / result.periods)
         entry[f"{name}_ms_per_period"] = spread(per_period)
+    entry["dual_split"] = {}
+    for name, mode in modes:
+        splits = []
+        for _ in range(REPEATS):
+            probes.append(speed_probe())
+            splits.append(dual_split(inst, mode, stop))
+        for phase in splits[0]:
+            samples = [split[phase] for split in splits]
+            entry["dual_split"][f"{name}_{phase}_ms_per_period"] = spread(samples)
 
     tracemalloc.start()
     trace = timed_run(inst, None, stop)[0].trace

@@ -283,13 +283,10 @@ def beta_update(lam, nu, box=DEFAULT_BOX):
         beta[j, i] = clip(1 - lam[i] / nu[i, j]),   j != i,
 
     with a zero dual in the denominator clipping to the upper and lower
-    edge respectively.
+    edge respectively. ``lam`` and ``nu`` are float arrays and ``box`` a
+    ``(lo, hi)`` already checked to satisfy 0 < lo < hi < 1.
     """
-    return _shares(np.asarray(lam, dtype=float), np.asarray(nu, dtype=float), *_check_box(box))
-
-
-def _shares(lam, nu, lo, hi):
-    """``beta_update`` on float arrays and a checked box."""
+    lo, hi = box
     ratio = np.divide(lam[:, None], nu, out=np.full(nu.shape, np.inf), where=nu != 0.0)
     beta = np.subtract(1.0, ratio.T)
     beta.flat[:: lam.shape[0] + 1] = ratio.diagonal()  # the diagonal, via .flat
@@ -297,8 +294,8 @@ def _shares(lam, nu, lo, hi):
     return np.minimum(np.maximum(beta, lo, out=beta), hi, out=beta)
 
 
-def primal_policies(state, inst):
-    """Per-sensor threshold policies minimizing the priced Lagrangian.
+def primal_policies(nu, tx_powers, q_t, inverses):
+    """Per-sensor fade thresholds minimizing the priced Lagrangian, as a list of floats.
 
     Sensor i is rewarded nu[i, i] per unit of own delivery and charged
     its transmit power p_i plus sum_{j != i} nu[j, i] q[i, j] for the
@@ -307,15 +304,9 @@ def primal_policies(state, inst):
     up. Every success curve rises from q(0) = 0 toward sup q = 1 and the
     charge is positive, so a ratio below 1 has an interior threshold, and
     a ratio of 1 or more, or a zero reward, prices the sensor out
-    (threshold +inf).
+    (threshold +inf). ``q_t`` is the collision matrix transposed and
+    ``inverses[i]`` sensor i's ``curve.inverse``.
     """
-    inverses = [ch.curve.inverse for ch in inst.channels]
-    thresholds = _thresholds(state.nu, inst.tx_powers, inst.collision.q.T, inverses)
-    return tuple(map(threshold_policy, thresholds))
-
-
-def _thresholds(nu, tx_powers, q_t, inverses):
-    """``primal_policies``' thresholds as a list of floats, given q transposed."""
     # q has a zero diagonal, so the j = i term adds nothing.
     charge = tx_powers + np.add.reduce(nu * q_t)
     thresholds = []
@@ -326,57 +317,27 @@ def _thresholds(nu, tx_powers, q_t, inverses):
     return thresholds
 
 
-def subgradient(state, measured_success, measured_rate, inst):
-    """Dual subgradients at the current primal measurements.
+def subgradient(beta, succ, rates, log_c, q, out):
+    """Dual subgradients at the current primal measurements, written into ``out``.
 
-    Returns
-    -------
-    (ndarray, ndarray)
-        s_lambda with s_lambda[i] = log c_i - log beta_ii
-        - sum_{j != i} log(1 - beta_ji), and s_nu with
-        s_nu[i, i] = beta_ii - E[alpha_i q] and
-        s_nu[i, j] = E[alpha_j] q_ji - beta_ji for j != i.
-    """
-    m = state.beta.shape[0]
-    out = np.empty(m + m * m)
-    _subgradient(
-        state.beta,
-        np.asarray(measured_success, dtype=float),
-        np.asarray(measured_rate, dtype=float),
-        np.log(inst.success_targets),
-        inst.collision.q,
-        out,
-    )
-    return out[:m], out[m:].reshape(m, m)
-
-
-def _subgradient(beta, succ, rates, log_c, q, out):
-    """``subgradient`` written into ``out``: s_lambda, then s_nu row by row.
-
-    ``log_c`` holds log c_i.
+    ``log_c`` holds log c_i. ``out`` is packed like the dual vector:
+    s_lambda, with s_lambda[i] = log c_i - log beta_ii
+    - sum_{j != i} log(1 - beta_ji), then s_nu row by row, with
+    s_nu[i, i] = beta_ii - E[alpha_i q] and
+    s_nu[i, j] = E[alpha_j] q_ji - beta_ji for j != i.
     """
     m = beta.shape[0]
-    diagonal = slice(None, None, m + 1)  # the diagonal, via .flat
     own = beta.diagonal()
     log_miss = np.log1p(-beta)
-    log_miss.flat[diagonal] = 0.0
+    log_miss.flat[:: m + 1] = 0.0  # the diagonal, via .flat
     s_lam = np.subtract(log_c, np.log(own), out=out[:m])
     s_lam -= np.add.reduce(log_miss)
     np.subtract(rates[:, None] * q, beta, out=out[m:].reshape(m, m).T)
     np.subtract(own, succ, out=out[m :: m + 1])  # the diagonal of s_nu
 
 
-def dual_step(state, s_lambda, s_nu, eps):
-    """Projected ascent step; multipliers stay in the nonnegative orthant."""
-    lam = np.array(state.lam, dtype=float)
-    nu = np.array(state.nu, dtype=float)
-    _ascend(lam, np.array(s_lambda, dtype=float), eps)
-    _ascend(nu, np.array(s_nu, dtype=float), eps)
-    return DualState(lam=lam, nu=nu, beta=state.beta)
-
-
-def _ascend(duals, step, eps):
-    """``dual_step`` in place: duals = max(duals + eps * step, 0); scales ``step`` too."""
+def dual_step(duals, step, eps):
+    """Projected ascent in place: duals = max(duals + eps * step, 0); scales ``step`` too."""
     step *= eps
     duals += step
     np.maximum(duals, 0.0, out=duals)
@@ -445,10 +406,12 @@ def run_algorithm1(
     ``stop.divergence_bound``, which signals an infeasible or marginal set
     of requirements.
 
-    The loop keeps lambda and nu as views of one vector laid out like the
-    trace's dual columns (lambda_i, then nu_i_j row by row), steps that
-    vector in place, and carries the policies as a list of thresholds.
-    ``AccessPolicy`` objects are built once, for the result.
+    Each period calls ``beta_update`` and ``primal_policies`` and, unless
+    it stops the loop, ``subgradient`` and ``dual_step``, by their module
+    names. lambda and nu are views of one vector laid out like the trace's
+    dual columns (lambda_i, then nu_i_j row by row), which ``dual_step``
+    steps in place. ``box`` is checked once, here, and ``AccessPolicy``
+    objects are built once, for the result.
 
     Returns
     -------
@@ -459,7 +422,7 @@ def run_algorithm1(
         and shares, with an empty trace.
     """
     m = inst.m
-    lo, hi = _check_box(box)
+    box = _check_box(box)
     p, q, q_t = inst.tx_powers, inst.collision.q, inst.collision.q.T
     targets, log_c = inst.success_targets, np.log(inst.success_targets)
     inverses = [ch.curve.inverse for ch in inst.channels]
@@ -478,8 +441,8 @@ def run_algorithm1(
 
     for t in range(stop.max_periods):
         eps = stepsize(t, schedule)
-        beta = _shares(lam, nu, lo, hi)
-        thresholds = _thresholds(nu, p, q_t, inverses)
+        beta = beta_update(lam, nu, box)
+        thresholds = primal_policies(nu, p, q_t, inverses)
         rates, succ = _measure(thresholds, inst.channels, mode, rngs)
 
         link = delivery_product(succ, rates, q)
@@ -495,8 +458,8 @@ def run_algorithm1(
         ):
             return _result(thresholds, lam, nu, beta, trace, True, t + 1)
 
-        _subgradient(beta, succ, rates, log_c, q, step)
-        _ascend(duals, step, eps)
+        subgradient(beta, succ, rates, log_c, q, step)
+        dual_step(duals, step, eps)
         top = float(np.maximum.reduce(duals))
         if top > stop.divergence_bound:
             raise DivergenceError(
@@ -506,8 +469,8 @@ def run_algorithm1(
             )
 
     if stop.max_periods == 0:  # no period ran: the cold start's shares and prices
-        beta = _shares(lam, nu, lo, hi)
-        thresholds = _thresholds(nu, p, q_t, inverses)
+        beta = beta_update(lam, nu, box)
+        thresholds = primal_policies(nu, p, q_t, inverses)
     return _result(thresholds, lam, nu, beta, trace, False, stop.max_periods)
 
 

@@ -1,8 +1,9 @@
 """Random-access policies.
 
 A policy maps the local fade h to a transmit probability
-alpha(h) = rate * 1[h >= threshold]. The design loop sets thresholds from
-its duals (``optimizer.primal_policies``); the constant-probability
+alpha(h) = rate * 1[h >= threshold]. The design loop prices each sensor
+into a float threshold (``optimizer.primal_policies``) and makes
+``threshold_policy`` objects only for its result; the constant-probability
 baseline is the same rule with threshold 0.
 """
 

@@ -326,7 +326,7 @@ def random_shared_channel_setup(rng, m):
 
 
 def loop_beta_update(lam, nu, box):
-    """Loop oracle for ``raccess.optimizer.beta_update``."""
+    """Loop oracle for ``raccess.optimizer.beta_update(lam, nu, box)``: beta, entry by entry."""
     m = lam.shape[0]
     lo, hi = box
     beta = np.empty((m, m))
@@ -343,7 +343,11 @@ def loop_beta_update(lam, nu, box):
 
 
 def loop_subgradient(beta, succ, rate, targets, q):
-    """Loop oracle for ``raccess.optimizer.subgradient``: (s_lambda, s_nu)."""
+    """Loop oracle for ``raccess.optimizer.subgradient``: (s_lambda, s_nu).
+
+    These are the two halves of the vector that ``subgradient`` writes into
+    its ``out``: s_lambda first, then s_nu row by row.
+    """
     m = beta.shape[0]
     s_lam = np.empty(m)
     s_nu = np.empty((m, m))
@@ -360,23 +364,27 @@ def loop_subgradient(beta, succ, rate, targets, q):
 
 
 def loop_threshold_from_prices(own_price, interference_price, tx_power, ch):
-    """Branching oracle for one sensor's policy in ``primal_policies``.
+    """Branching oracle for one sensor's float threshold in ``primal_policies``.
 
     Every success curve rises from q(0) = 0 toward sup q = 1.
     """
     cost = tx_power + interference_price
     if own_price == 0.0 or not math.isfinite(cost):
-        return threshold_policy(math.inf)
+        return math.inf
     ratio = cost / own_price
     if ratio >= 1.0:
-        return threshold_policy(math.inf)
+        return math.inf
     if ratio <= 0.0:
-        return threshold_policy(0.0)
-    return threshold_policy(ch.curve.inverse(ratio))
+        return 0.0
+    return ch.curve.inverse(ratio)
 
 
 def loop_interference_prices(nu, q):
-    """Loop oracle for each sensor's interference price in ``primal_policies``."""
+    """Loop oracle for each sensor's interference price in ``primal_policies``.
+
+    Sensor i's price is sum_{j != i} nu[j, i] q[i, j], which
+    ``primal_policies`` reads as ``nu * q_t`` summed over rows.
+    """
     m = q.shape[0]
     out = np.empty(m)
     for i in range(m):

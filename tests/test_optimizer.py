@@ -17,10 +17,10 @@ from helpers import (
     reference_instance,
     scalar_system,
 )
+import raccess.optimizer
 from raccess import (
     CollisionMatrix,
     DivergenceError,
-    DualState,
     ProblemInstance,
     MonteCarlo,
     StepSchedule,
@@ -29,6 +29,7 @@ from raccess import (
     expected_policy_rate,
     expected_policy_success,
     run_algorithm1,
+    threshold_policy,
 )
 from raccess.optimizer import (
     DEFAULT_BOX,
@@ -40,6 +41,20 @@ from raccess.optimizer import (
     stepsize,
     subgradient,
 )
+
+
+def priced_thresholds(nu, inst):
+    """``primal_policies`` at duals ``nu`` on ``inst``'s powers, collisions and curves."""
+    inverses = [ch.curve.inverse for ch in inst.channels]
+    return primal_policies(nu, inst.tx_powers, inst.collision.q.T, inverses)
+
+
+def subgradients(beta, succ, rate, inst):
+    """``subgradient`` on ``inst``'s targets and collisions, unpacked to (s_lambda, s_nu)."""
+    m = inst.m
+    out = np.empty(m + m * m)
+    subgradient(beta, succ, rate, np.log(inst.success_targets), inst.collision.q, out)
+    return out[:m], out[m:].reshape(m, m)
 
 
 class TestStepSchedule:
@@ -95,12 +110,6 @@ class TestBetaUpdate:
         beta = beta_update(np.array([2.0]), np.array([[1.0]]), box=(0.1, 0.6))
         assert beta[0, 0] == 0.6
 
-    def test_rejects_bad_box(self):
-        with pytest.raises(ValueError):
-            beta_update(np.array([1.0]), np.array([[1.0]]), box=(0.0, 0.9))
-        with pytest.raises(ValueError):
-            beta_update(np.array([1.0]), np.array([[1.0]]), box=(0.5, 0.4))
-
     def test_entries_minimize_the_lagrangian(self):
         # Per-entry objectives are convex, so the clipped stationary
         # points must beat any grid value entry by entry.
@@ -131,12 +140,9 @@ class TestSubgradient:
             success_targets=[0.43, 0.3],
         )
         beta = np.array([[0.5, 0.2], [0.8, 0.6]])
-        state = DualState(
-            lam=np.ones(2), nu=np.ones((2, 2)), beta=beta
-        )
         succ = np.array([0.45, 0.33])
         rate = np.array([0.7, 0.4])
-        s_lam, s_nu = subgradient(state, succ, rate, inst)
+        s_lam, s_nu = subgradients(beta, succ, rate, inst)
         assert s_lam[0] == pytest.approx(
             math.log(0.43) - math.log(0.5) - math.log(1.0 - 0.8)
         )
@@ -159,9 +165,8 @@ class TestSubgradient:
             lam0 = rng.uniform(0.1, 3.0, size=2)
             nu0 = rng.uniform(0.1, 3.0, size=(2, 2))
             beta0 = beta_update(lam0, nu0)
-            state0 = DualState(lam=lam0, nu=nu0, beta=beta0)
             g0 = lagrangian_value(rate, succ, beta0, lam0, nu0, inst)
-            s_lam, s_nu = subgradient(state0, succ, rate, inst)
+            s_lam, s_nu = subgradients(beta0, succ, rate, inst)
             lam1 = rng.uniform(0.1, 3.0, size=2)
             nu1 = rng.uniform(0.1, 3.0, size=(2, 2))
             g1 = lagrangian_value(rate, succ, beta_update(lam1, nu1), lam1, nu1, inst)
@@ -216,7 +221,7 @@ class TestAgreesWithTheLoopForms:
     def test_subgradient(self, m, box):
         inst, lam, nu, rate, succ = self.case(m)
         beta = beta_update(lam, nu, box)
-        s_lam, s_nu = subgradient(DualState(lam=lam, nu=nu, beta=beta), succ, rate, inst)
+        s_lam, s_nu = subgradients(beta, succ, rate, inst)
         want_lam, want_nu = loop_subgradient(
             beta, succ, rate, inst.success_targets, inst.collision.q
         )
@@ -238,28 +243,24 @@ class TestAgreesWithTheLoopForms:
             loop_threshold_from_prices(nu[i, i], prices[i], inst.tx_powers[i], ch)
             for i, ch in enumerate(inst.channels)
         ]
-        state = DualState(lam=lam, nu=nu, beta=beta_update(lam, nu))
-        assert primal_policies(state, inst) == tuple(want)
-        assert want[0].threshold == want[1].threshold == math.inf  # nu_ii = 0
-        assert want[2].threshold == math.inf
-        assert all(0.0 < pol.threshold < math.inf for pol in want[3:])
+        assert priced_thresholds(nu, inst) == want
+        assert want[0] == want[1] == math.inf  # nu_ii = 0
+        assert want[2] == math.inf
+        assert all(0.0 < thr < math.inf for thr in want[3:])
 
 
 class TestDualStep:
+    # One loop's packed duals: (lambda_0, nu_0_0).
     def test_projects_to_the_nonnegative_orthant(self):
-        state = DualState(lam=np.array([0.2]), nu=np.array([[0.1]]), beta=np.array([[0.5]]))
-        nxt = dual_step(state, np.array([-5.0]), np.array([[-5.0]]), 0.1)
-        assert nxt.lam[0] == 0.0
-        assert nxt.nu[0, 0] == 0.0
-        np.testing.assert_array_equal(nxt.beta, state.beta)
+        duals = np.array([0.2, 0.1])
+        dual_step(duals, np.array([-5.0, -5.0]), 0.1)
+        assert duals.tolist() == [0.0, 0.0]
 
     def test_moves_along_the_subgradient(self):
-        state = DualState(
-            lam=np.array([1.0]), nu=np.array([[2.0]]), beta=np.array([[0.5]])
-        )
-        nxt = dual_step(state, np.array([0.5]), np.array([[-0.25]]), 0.2)
-        assert nxt.lam[0] == pytest.approx(1.1)
-        assert nxt.nu[0, 0] == pytest.approx(1.95)
+        duals, step = np.array([1.0, 2.0]), np.array([0.5, -0.25])
+        dual_step(duals, step, 0.2)
+        np.testing.assert_allclose(duals, [1.1, 1.95])
+        np.testing.assert_allclose(step, [0.1, -0.05])  # scaled by eps
 
 
 class TestLagrangianValue:
@@ -310,14 +311,12 @@ class TestPrimalPolicies:
         inst = reference_instance()
         if channel is not None:
             inst = dataclasses.replace(inst, channels=(channel, channel))
-        nu = np.array(nu)
-        state = DualState(lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu))
-        return primal_policies(state, inst)
+        return priced_thresholds(np.array(nu), inst)
 
     def test_priced_out_when_reward_is_zero(self):
-        pols = self.priced([[0.0, 0.0], [0.4, 5.0]])
-        assert pols[0].threshold == math.inf
-        assert pols[1].threshold < math.inf
+        thr = self.priced([[0.0, 0.0], [0.4, 5.0]])
+        assert thr[0] == math.inf
+        assert thr[1] < math.inf
 
     @pytest.mark.parametrize("curve", ["exp_saturating", "logistic_log"])
     def test_priced_out_when_the_charge_reaches_the_reward(self, curve):
@@ -325,45 +324,36 @@ class TestPrimalPolicies:
         # charge 1 exceeds its reward 0.8. logistic_log's inverse(1)
         # would divide by zero.
         channel = logistic_channel() if curve == "logistic_log" else None
-        pols = self.priced([[1.25, 0.0], [0.5, 0.8]], channel)
-        assert pols[0].threshold == pols[1].threshold == math.inf
+        thr = self.priced([[1.25, 0.0], [0.5, 0.8]], channel)
+        assert thr[0] == thr[1] == math.inf
 
     def test_interior_threshold_inverts_the_curve(self):
         # Sensor 0's charge 1 + 0.2 * 0.5 against its reward 2: ratio 0.55.
-        pol = self.priced([[2.0, 0.0], [0.2, 5.0]])[0]
-        assert pol.rate == 1.0
-        assert pol.threshold == pytest.approx(0.5323384641451812, abs=1e-15)
-        assert pol.threshold == reference_channel().curve.inverse(0.55)
+        thr = self.priced([[2.0, 0.0], [0.2, 5.0]])[0]
+        assert thr == pytest.approx(0.5323384641451812, abs=1e-15)
+        assert thr == reference_channel().curve.inverse(0.55)
 
     def test_threshold_rises_with_interference_price(self):
         # Sensor 0 pays nu[1, 0] * 0.5 = 0, 0.5 and 1 for loop 1's erasures.
-        thr = [self.priced([[4.0, 0.0], [nu10, 5.0]])[0].threshold for nu10 in (0.0, 1.0, 2.0)]
+        thr = [self.priced([[4.0, 0.0], [nu10, 5.0]])[0] for nu10 in (0.0, 1.0, 2.0)]
         assert thr[0] < thr[1] < thr[2]
 
     def test_prices_follow_the_duals(self):
         inst = reference_instance()
-        nu = np.array([[4.0, 0.5], [2.0, 5.0]])
-        state = DualState(
-            lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu)
-        )
-        pols = primal_policies(state, inst)
+        thr = priced_thresholds(np.array([[4.0, 0.5], [2.0, 5.0]]), inst)
         ch = inst.channels[0]
         # Sensor 0 pays its tx power plus nu[1, 0] q[0, 1] for loop 1's
         # erasures, and earns nu[0, 0] per delivery.
         ratio0 = (1.0 + 2.0 * 0.5) / 4.0
         ratio1 = (1.0 + 0.5 * 0.5) / 5.0
-        assert pols[0].threshold == pytest.approx(ch.curve.inverse(ratio0), rel=1e-12)
-        assert pols[1].threshold == pytest.approx(ch.curve.inverse(ratio1), rel=1e-12)
+        assert thr[0] == pytest.approx(ch.curve.inverse(ratio0), rel=1e-12)
+        assert thr[1] == pytest.approx(ch.curve.inverse(ratio1), rel=1e-12)
 
     def test_low_reward_prices_a_sensor_out(self):
         inst = reference_instance()
-        nu = np.array([[0.5, 0.0], [0.0, 5.0]])
-        state = DualState(
-            lam=np.ones(2), nu=nu, beta=beta_update(np.ones(2), nu)
-        )
-        pols = primal_policies(state, inst)
-        assert pols[0].threshold == math.inf
-        assert pols[1].threshold < math.inf
+        thr = priced_thresholds(np.array([[0.5, 0.0], [0.0, 5.0]]), inst)
+        assert thr[0] == math.inf
+        assert thr[1] < math.inf
 
 
 class TestProblemInstanceValidation:
@@ -640,9 +630,9 @@ class TestRunAlgorithm1:
         np.testing.assert_array_equal(result.state.lam, lam)
         np.testing.assert_array_equal(result.state.nu, nu)
         np.testing.assert_array_equal(result.state.beta, beta)
-        cold = primal_policies(DualState(lam=lam, nu=nu, beta=beta), inst)
-        assert result.policies == cold
-        assert 0.0 < cold[0].threshold < math.inf
+        cold = priced_thresholds(nu, inst)
+        assert result.policies == tuple(map(threshold_policy, cold))
+        assert 0.0 < cold[0] < math.inf
 
     def test_mc_design_follows_the_mode_seed(self):
         inst = one_loop_instance(0.3)
@@ -680,10 +670,8 @@ class TestRunAlgorithm1:
             rates = np.stack([trace.column(f"rate_{i}") for i in range(m)], axis=1)
             exact = [
                 [
-                    expected_policy_rate(pol, ch)
-                    for pol, ch in zip(
-                        primal_policies(DualState(lam=None, nu=nu, beta=None), inst), inst.channels
-                    )
+                    expected_policy_rate(threshold_policy(thr), ch)
+                    for thr, ch in zip(priced_thresholds(nu, inst), inst.channels)
                 ]
                 for nu in nus
             ]
@@ -714,6 +702,46 @@ class TestRunAlgorithm1:
         rates = np.stack([result.trace.column(f"rate_{i}") for i in range(m)], axis=1)
         assert sum(drawn) == int(np.rint(rates * samples).sum())
         assert 0 < sum(drawn) < result.periods * m * samples
+
+    @pytest.mark.parametrize("mc", [False, True], ids=["exact", "mc"])
+    def test_periods_call_the_public_step_functions(self, monkeypatch, mc):
+        # perfbench's optimizer.pricing and optimizer.update spans wrap these
+        # module globals, so the loop must look them up there each period.
+        calls = dict.fromkeys(("beta_update", "primal_policies", "subgradient", "dual_step"), 0)
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                raccess.optimizer, name, counting(name, getattr(raccess.optimizer, name))
+            )
+        if mc:
+            result = run_algorithm1(
+                self.mc_instance(3),
+                mode=MonteCarlo(samples=2000, seed=1),
+                stop=StopRule(max_periods=40),
+            )
+            assert not result.converged
+        else:
+            result = run_algorithm1(reference_instance())
+            assert result.converged  # the stopping period takes no step
+        stepped = result.periods - result.converged
+        assert calls == {
+            "beta_update": result.periods,
+            "primal_policies": result.periods,
+            "subgradient": stepped,
+            "dual_step": stepped,
+        }
+
+    @pytest.mark.parametrize("box", [(0.0, 0.9), (0.5, 0.4)])
+    def test_rejects_bad_box(self, box):
+        with pytest.raises(ValueError, match="box must satisfy 0 < lo < hi < 1"):
+            run_algorithm1(reference_instance(), box=box)
 
     def test_unreachable_targets_diverge(self):
         inst = ProblemInstance(

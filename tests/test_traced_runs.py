@@ -65,3 +65,24 @@ def test_traced_run_matches_the_plain_run(tmp_path, workload):
     assert t_stdout == stdout
     assert t_files == files
     assert tracing.span_errors(tracer.spans[0], elapsed, TRACE_WALL_TOL_S) == []
+
+
+# Every workload but certify runs ``raccess pipeline``; certify runs ``raccess rates``.
+PIPELINE_WORKLOADS = tuple(w for w in workloads.WORKLOADS if w != "certify")
+
+
+@pytest.mark.parametrize("workload", PIPELINE_WORKLOADS)
+def test_traced_design_loop_has_pricing_and_update_spans(tmp_path, workload):
+    # The design loop must call the functions the tracer wraps, or the
+    # traced optimizer.pricing_s and optimizer.update_s read 0.
+    _, argv, _ = workloads.build(workload, 1, str(tmp_path), size="tiny")
+    assert argv[0] == "pipeline"
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = run(lambda a: tracer.run(0, main, a), argv, tmp_path / "traced")[0]
+    assert code == 0
+    names = [span[0] for span in tracer.spans[0]]
+    periods = tracer.counts[0]["optimizer.periods"]
+    assert periods > 0
+    assert names.count("optimizer.pricing") >= periods
+    assert "optimizer.update" in names
