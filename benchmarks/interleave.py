@@ -18,11 +18,23 @@ rounds in which the change was faster.
 With ``--pairs 0`` it times nothing: it runs each side once, compares
 their artifacts and stdout (``run.digest``) and exits 1 if they differ.
 
+With ``--setup`` it times start-up instead, which in-process calls cannot
+see: each round runs one fresh interpreter per side that imports raccess
+and parses the workload's config (``run.SETUP_CODE``), each followed at
+once by a reference interpreter that only imports NumPy, and scores the
+side as perfbench's ``setup_s`` does, its time over the reference's times
+``run.REFERENCE_START_S``. Compilation is part of start-up, so give both
+trees the same state: with ``PYTHONDONTWRITEBYTECODE=1`` set and no
+``__pycache__`` under either ``raccess`` directory every interpreter
+compiles the sources, as in a fresh checkout; a note on standard error
+says when only one side has a ``__pycache__``.
+
 From the root of a checkout, against the parent commit:
 
     mkdir -p /tmp/base && git archive HEAD~1 src/raccess | tar -x -C /tmp/base
     python benchmarks/interleave.py /tmp/base/src --workload wide-mc --pairs 40
     python benchmarks/interleave.py /tmp/base/src --workload certify --seed 2 --pairs 0
+    PYTHONDONTWRITEBYTECODE=1 python benchmarks/interleave.py /tmp/base/src --workload twoloop --setup --pairs 21
 """
 
 import argparse
@@ -30,8 +42,10 @@ import importlib
 import importlib.util
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -64,6 +78,33 @@ def load_tree():
     return raccess.cli.main
 
 
+def timed_interpreter(src, *args):
+    """Seconds a fresh interpreter with ``src`` first on its path takes to run ``args``."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src), check=True)
+    return time.perf_counter() - t0
+
+
+def setup_times(srcs, config_path, pairs, warmup):
+    """Each side's perfbench-style set-up time in every round, the sides alternating first."""
+    cached = {name: os.path.isdir(os.path.join(src, "raccess", "__pycache__")) for name, src in srcs.items()}
+    if len(set(cached.values())) > 1:
+        print("note: only one side has a raccess/__pycache__ to skip compiling", file=sys.stderr)
+
+    def setup_s(src):
+        raw = timed_interpreter(src, "-c", run.SETUP_CODE, config_path)
+        return raw / timed_interpreter(src, "-c", run.REFERENCE_CODE) * run.REFERENCE_START_S
+
+    for _ in range(warmup):
+        for src in srcs.values():
+            setup_s(src)
+    times = {name: [] for name in srcs}
+    for r in range(pairs):
+        for name in ("baseline", "change") if r % 2 == 0 else ("change", "baseline"):
+            times[name].append(setup_s(srcs[name]))
+    return times
+
+
 def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4)
     return f"median {med * 1e3:.2f} ms [q1 {q1 * 1e3:.2f}, q3 {q3 * 1e3:.2f}]"
@@ -76,9 +117,23 @@ def main():
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--warmup", type=int, default=3, help="untimed calls per side first")
+    parser.add_argument(
+        "--setup", action="store_true", help="time fresh-interpreter start-up, not CLI calls"
+    )
     args = parser.parse_args()
-    if args.pairs < 0:
-        parser.error("--pairs must be at least 0")
+    least = 1 if args.setup else 0
+    if args.pairs < least:
+        parser.error(f"--pairs must be at least {least}")
+
+    if args.setup:
+        srcs = {"baseline": os.path.abspath(args.baseline), "change": os.path.join(ROOT, "src")}
+        if not os.path.isfile(os.path.join(srcs["baseline"], "raccess", "__init__.py")):
+            sys.exit(f"error: no raccess package under {args.baseline}")
+        with tempfile.TemporaryDirectory() as work:
+            _, argv, _ = workloads.build(args.workload, args.seed, work)
+            times = setup_times(srcs, argv[1], args.pairs, args.warmup)
+        report(args, times, "start-up")
+        return
 
     sides = {"baseline": load_baseline(os.path.abspath(args.baseline)), "change": load_tree()}
     times = {name: [] for name in sides}
@@ -103,10 +158,14 @@ def main():
             order = ("baseline", "change") if r % 2 == 0 else ("change", "baseline")
             for name in order:
                 times[name].append(run.run_cli(sides[name], argv, out[name])[2])
+    report(args, times, "CLI call")
 
+
+def report(args, times, what):
+    """Each side's median and quartiles, the median pair ratio and the change's wins."""
     ratios = [c / b for b, c in zip(times["baseline"], times["change"])]
     lower = sum(c < b for b, c in zip(times["baseline"], times["change"]))
-    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
+    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs, {what}")
     for name, xs in times.items():
         print(f"{name:9s} {quartiles(xs) if len(xs) > 1 else f'{xs[0] * 1e3:.2f} ms'}")
     print(f"median pair ratio change / baseline {statistics.median(ratios):.3f}")

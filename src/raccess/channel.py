@@ -21,9 +21,10 @@ estimates both for each sensor's threshold from one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._frozen import Frozen, frozen
 
 __all__ = [
     "ExponentialFading",
@@ -46,10 +47,12 @@ __all__ = [
 # error over the fades up to the point whose tail mass is _SIMPSON_TAIL.
 _SIMPSON_TOL = 1e-10
 _SIMPSON_TAIL = 1e-13
+# The largest sample size Generator.binomial takes (its n is a C long).
+_MAX_SAMPLES = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class ExponentialFading:
+@frozen
+class ExponentialFading(Frozen):
     """Exponential fade magnitude with the given mean."""
 
     mean: float = 1.0
@@ -97,8 +100,8 @@ class ExponentialFading:
         return 0.0
 
 
-@dataclass(frozen=True)
-class UniformFading:
+@frozen
+class UniformFading(Frozen):
     """Bounded fade magnitude, uniform on [low, high]."""
 
     low: float
@@ -151,8 +154,8 @@ class UniformFading:
         return self.low
 
 
-@dataclass(frozen=True)
-class SaturatingExpCurve:
+@frozen
+class SaturatingExpCurve(Frozen):
     """Decode probability q(h) = 1 - exp(-kappa * gain * h).
 
     Strictly increasing from q(0) = 0 toward 1; ``gain`` scales the fade
@@ -193,8 +196,8 @@ class SaturatingExpCurve:
         return dist.survival(lo) - dist.laplace_tail(lo, self.kappa * self.gain)
 
 
-@dataclass(frozen=True)
-class LogisticLogCurve:
+@frozen
+class LogisticLogCurve(Frozen):
     """Decode probability logistic in log-fade: q(h) = h^s / (h^s + m^s)."""
 
     midpoint: float
@@ -207,22 +210,31 @@ class LogisticLogCurve:
             raise ValueError(f"steepness must be positive, got {self.steepness:g}")
 
     def value(self, h):
-        """q(h) elementwise, in a new array."""
+        """q(h) elementwise, in a new array.
+
+        q is r / (1 + r) with r = (h/m)^s, and 1 where r overflows to inf,
+        which r / (1 + r) would turn into inf / inf = nan; ``fmin`` keeps
+        every other value, all at most 1.
+        """
         # Fades are >= 0 and 0**s = 0 for s > 0, so h = 0 needs no guard.
         h = np.asarray(h, dtype=float)
         r = np.power(h / self.midpoint, self.steepness)
-        return r / (1.0 + r)
+        return np.fmin(r / (1.0 + r), 1.0)
 
     def sum_values(self, h):
         """Sum of q(h) over the float array h, computed in h's buffer, which it overwrites.
 
         The same bits as ``np.sum(self.value(h))``; the denominator
-        1 + r is the one temporary array.
+        1 + r is the one temporary array. Only a nan sum, where some r
+        overflowed, takes a second pass to set those q to 1.
         """
         h /= self.midpoint
         np.power(h, self.steepness, out=h)
         np.divide(h, h + 1.0, out=h)
-        return float(h.sum())
+        total = float(h.sum())
+        if math.isnan(total):
+            total = float(np.fmin(h, 1.0, out=h).sum())
+        return total
 
     def inverse(self, t):
         """Fade level at which the curve reaches t in (0, 1)."""
@@ -235,23 +247,27 @@ class LogisticLogCurve:
         def integrand(h):
             if h <= 0.0:
                 return 0.0
-            r = (h / m) ** s
-            return pdf(h) * (r / (1.0 + r))
+            try:
+                r = (h / m) ** s
+            except OverflowError:
+                r = math.inf
+            # q saturates at 1 where r overflows (r / (1 + r) would be nan).
+            return pdf(h) * (r / (1.0 + r) if r < math.inf else 1.0)
 
         hi = dist.upper_cutoff(_SIMPSON_TAIL)
         return _adaptive_simpson(integrand, max(dist.lower, lo), hi, _SIMPSON_TOL)
 
 
-@dataclass(frozen=True)
-class FadingChannel:
+@frozen
+class FadingChannel(Frozen):
     """One link's fade distribution paired with its success curve."""
 
     dist: object
     curve: object
 
 
-@dataclass(frozen=True)
-class CollisionMatrix:
+@frozen
+class CollisionMatrix(Frozen):
     """Pairwise erasure probabilities q[j, i] = P(j's transmission kills link i).
 
     Entries lie in [0, 1]; the diagonal is unused by every formula here
@@ -282,8 +298,8 @@ class CollisionMatrix:
         return cls(q=np.zeros((m, m)))
 
 
-@dataclass(frozen=True)
-class MonteCarlo:
+@frozen
+class MonteCarlo(Frozen):
     """Expectation from a finite seeded sample of fades.
 
     The design loop estimates each sensor's rate and delivery from
@@ -297,6 +313,8 @@ class MonteCarlo:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples: must be >= 1, got {self.samples}")
+        if self.samples > _MAX_SAMPLES:
+            raise ValueError(f"samples: must be at most {_MAX_SAMPLES}, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
 

@@ -13,10 +13,10 @@ import dataclasses
 import json
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, frozen, make
 from .channel import (
     CollisionMatrix,
     ExponentialFading,
@@ -113,8 +113,8 @@ _PAIR_SYSTEM_KEYS = _keys(
 )
 
 
-@dataclass(frozen=True)
-class OptimizerSettings:
+@frozen
+class OptimizerSettings(Frozen):
     """The design loop's settings, each checked by its own type.
 
     ``mc`` sets the sample size and seed when ``expectation_mode`` is
@@ -128,8 +128,8 @@ class OptimizerSettings:
     mc: MonteCarlo = MonteCarlo()
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
+@frozen
+class SimulationSettings(Frozen):
     """``SimConfig``'s settings; ``check_settings`` checks them against the loops."""
 
     horizon: int = 200_000
@@ -141,8 +141,10 @@ class SimulationSettings:
 _SIM_KEYS = _keys(SimulationSettings)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@frozen
+class ExperimentConfig(Frozen):
+    """A parsed and validated experiment config (``parse_config``)."""
+
     systems: tuple
     channels: tuple
     collision: CollisionMatrix
@@ -211,16 +213,19 @@ def _parse_family(entry, table, path):
     cls = table[family]
     _object(entry, _FAMILY_KEYS[cls], path)
     try:
-        return cls(**{k: _number(v, f"{path}.{k}") for k, v in entry.items() if k != "family"})
+        return make(cls, {k: _number(v, f"{path}.{k}") for k, v in entry.items() if k != "family"})
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_channel(entry, path):
     _object(entry, _CHANNEL_KEYS, path)
-    return FadingChannel(
-        dist=_parse_family(entry["dist"], _FADES, f"{path}.dist"),
-        curve=_parse_family(entry["curve"], _CURVES, f"{path}.curve"),
+    return make(
+        FadingChannel,
+        {
+            "dist": _parse_family(entry["dist"], _FADES, f"{path}.dist"),
+            "curve": _parse_family(entry["curve"], _CURVES, f"{path}.curve"),
+        },
     )
 
 

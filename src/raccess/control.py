@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._frozen import Frozen, frozen
 
 __all__ = [
     "InfeasibleContractError",
@@ -77,8 +78,8 @@ _MATRICES = ("a_closed", "a_open", "noise_cov", "lyap_matrix")
 _COERCION_ERRORS = (TypeError, ValueError, OverflowError)
 
 
-@dataclass(frozen=True)
-class SwitchedSystem:
+@frozen
+class SwitchedSystem(Frozen):
     """One loop's two closed/open dynamics plus its performance contract.
 
     Parameters
@@ -265,7 +266,7 @@ def check_loops(loops):
 
 
 def _fill(system, mats, rate):
-    """``system`` with its fields set to checked matrices and rate, as a frozen dataclass sets them."""
+    """``system`` with its fields set to checked matrices and rate, past the frozen ``__setattr__``."""
     for name, arr in zip(_MATRICES, mats):
         object.__setattr__(system, name, arr)
     object.__setattr__(system, "decay_rate", rate)
@@ -414,8 +415,8 @@ def steady_state_cost_bound(sys):
     )
 
 
-@dataclass(frozen=True)
-class PlantControllerPair:
+@frozen
+class PlantControllerPair(Frozen):
     """Plant and output-feedback controller blocks for one loop.
 
     The plant is ``x+ = A x + B u + w``, ``y = C x + v``; the controller

@@ -18,10 +18,10 @@ the duals ascend along subgradients with diminishing steps a/(b+t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen, frozen
 from .channel import delivery_product, draw_transmit_sample, threshold_success
 
 # Not called here; perfbench's tracer looks both names up in this module.
@@ -53,8 +53,8 @@ class DivergenceError(RuntimeError):
     """Raised when the dual iterates blow up (requirements likely infeasible)."""
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
+@frozen
+class ProblemInstance(Frozen):
     """One shared-channel design problem.
 
     Parameters
@@ -98,8 +98,8 @@ class ProblemInstance:
         return len(self.systems)
 
 
-@dataclass(frozen=True)
-class DualState:
+@frozen
+class DualState(Frozen):
     """Dual multipliers and the matching auxiliary shares at one period."""
 
     lam: np.ndarray
@@ -107,8 +107,8 @@ class DualState:
     beta: np.ndarray
 
 
-@dataclass(frozen=True)
-class StepSchedule:
+@frozen
+class StepSchedule(Frozen):
     """Diminishing stepsize eps(t) = a / (b + t).
 
     Any positive constants keep the schedule square-summable with a
@@ -126,8 +126,8 @@ class StepSchedule:
                 raise ValueError(f"{name}: must be > 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class StopRule:
+@frozen
+class StopRule(Frozen):
     """Combined stopping and divergence guards for the dual loop.
 
     Convergence requires both the worst constraint slack
@@ -228,8 +228,10 @@ class IterationTrace:
                 fh.write(self.rows[a : a + self.BLOCK, self._square].tobytes())
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+@frozen
+class OptimizationResult(Frozen):
+    """The designed policies, the final dual state, the trace, and whether the loop converged."""
+
     policies: tuple
     state: DualState
     trace: IterationTrace

@@ -9,13 +9,13 @@ baseline is the same rule with threshold 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._frozen import Frozen, frozen
 
 __all__ = ["AccessPolicy", "threshold_policy", "constant_policy"]
 
 
-@dataclass(frozen=True)
-class AccessPolicy:
+@frozen
+class AccessPolicy(Frozen):
     """Transmit rule alpha(h) = rate * 1[h >= threshold]."""
 
     threshold: float = 0.0

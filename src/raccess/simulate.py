@@ -16,11 +16,11 @@ dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._frozen import Frozen, frozen
 from .channel import link_success_probability
 
 __all__ = [
@@ -79,8 +79,8 @@ def check_settings(systems, horizon, seed, burn_in=None, thin=0):
     return burn
 
 
-@dataclass(frozen=True)
-class SimConfig:
+@frozen
+class SimConfig(Frozen):
     """Inputs fixing one reproducible simulation run.
 
     Parameters
@@ -120,8 +120,8 @@ class SimConfig:
         object.__setattr__(self, "_noise_factors", factors)
 
 
-@dataclass(frozen=True)
-class SimMetrics:
+@frozen
+class SimMetrics(Frozen):
     """Post-burn-in averages of one run, plus the optional thinned trace.
 
     ``trajectory`` holds the five columns ``(slot, system, v, tx, gamma)``
@@ -137,16 +137,20 @@ class SimMetrics:
     trajectory: tuple = None
 
 
-@dataclass(frozen=True)
-class GammaRateRecord:
+@frozen
+class GammaRateRecord(Frozen):
+    """One link's empirical and analytic delivery rates and the z-score of their difference."""
+
     link: int
     empirical: float
     analytic: float
     z_score: float
 
 
-@dataclass(frozen=True)
-class DriftRecord:
+@frozen
+class DriftRecord(Frozen):
+    """One loop's sampled E[V(x+)] at its probe state against the contract bound."""
+
     system: int
     sample_mean: float
     bound: float

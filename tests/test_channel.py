@@ -192,6 +192,14 @@ class TestMonteCarloExpectations:
         with pytest.raises(ValueError, match=r"seed: must be >= 0, got -3"):
             MonteCarlo(samples=100, seed=-3)
 
+    def test_takes_every_sample_size_binomial_takes(self):
+        largest = MonteCarlo(samples=2**63 - 1)
+        k, _ = draw_transmit_sample(50.0, reference_channel(), largest.samples, np.random.default_rng(0))
+        assert k >= 0.0
+        for samples in (2**63, 10**300):
+            with pytest.raises(ValueError, match=r"samples: must be at most 9223372036854775807"):
+                MonteCarlo(samples=samples)
+
     def test_rate_and_success_share_one_draw(self, monkeypatch):
         draws = []
         real = raccess.channel.sample_channel
@@ -336,6 +344,51 @@ class TestSuccessCurves:
             LogisticLogCurve(midpoint=0.0, steepness=2.0)
         with pytest.raises(ValueError):
             LogisticLogCurve(midpoint=1.0, steepness=-1.0)
+
+
+# (h/m)^s overflows to inf above h = 17.1 here; r / (1 + r) would be nan there.
+STEEP = LogisticLogCurve(midpoint=1.0, steepness=250.0)
+
+
+class TestSteepLogisticCurve:
+    """q is 1 where the power overflows, and every finite power keeps its bits."""
+
+    def test_value_saturates_where_the_power_overflows(self):
+        h = np.array([0.0, 0.5, 1.0, 2.0, 17.0, 17.5, 20.0, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = allocating_value(STEEP, h)
+            got = STEEP.value(h)
+        finite = ~np.isnan(old)
+        assert list(finite) == [True] * 5 + [False] * 3
+        assert np.array_equal(got[finite], old[finite])
+        assert np.array_equal(got[~finite], [1.0, 1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert STEEP.value(20.0) == 1.0
+
+    @pytest.mark.parametrize("size", [1, 7, 5000])
+    def test_sum_values_saturates_as_value_does(self, size):
+        h = np.random.default_rng(size).exponential(10.0, size=size)
+        h[0] = 20.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.sum(STEEP.value(h)))
+            got = STEEP.sum_values(h.copy())
+        assert math.isfinite(got) and got == want
+
+    def test_monte_carlo_estimate_above_the_overflow(self):
+        # Every fade drawn at or above tau = 20 has q = 1, so sum q = K.
+        ch = FadingChannel(dist=ExponentialFading(mean=10.0), curve=STEEP)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rate, success = draw_transmit_sample(20.0, ch, 4000, np.random.default_rng(3))
+        assert rate > 0.0 and success == rate
+
+    @pytest.mark.parametrize(
+        "curve", [STEEP, LogisticLogCurve(midpoint=1e-300, steepness=1e300)], ids=["s250", "s1e300"]
+    )
+    def test_exact_tail_mean_above_the_overflow_is_the_tail_mass(self, curve):
+        dist = ExponentialFading(mean=10.0)
+        assert curve.tail_mean(dist, 20.0) == pytest.approx(dist.survival(20.0), abs=1e-9)
+        ch = FadingChannel(dist=dist, curve=curve)
+        assert 0.0 < expected_policy_success(threshold_policy(20.0), ch) <= 1.0
 
 
 class TestFadingDistributions:

@@ -266,8 +266,28 @@ class TestParseConfig:
             ("simulation", {"thin": -1}, "simulation.thin must be >= 0"),
             ("optimizer", {"mc_samples": 0}, "optimizer.mc_samples: must be >= 1"),
             ("optimizer", {"beta_min": 0.6, "beta_max": 0.4}, "optimizer.beta_min"),
+            # Generator.binomial takes no sample size beyond a C long.
+            (
+                "optimizer",
+                {"expectation_mode": "mc", "mc_samples": 2**63},
+                "optimizer.mc_samples: must be at most 9223372036854775807, got 9223372036854775808",
+            ),
+            (
+                "optimizer",
+                {"expectation_mode": "mc", "mc_samples": 1e300},
+                "optimizer.mc_samples: must be at most 9223372036854775807",
+            ),
         ],
-        ids=["horizon-0", "horizon-2**62", "burn_in-horizon", "thin", "mc_samples", "box"],
+        ids=[
+            "horizon-0",
+            "horizon-2**62",
+            "burn_in-horizon",
+            "thin",
+            "mc_samples",
+            "box",
+            "mc_samples-2**63",
+            "mc_samples-1e300",
+        ],
     )
     def test_out_of_range_setting_exits_2_naming_its_path(
         self, tmp_path, capsys, section, settings, message
@@ -1013,6 +1033,22 @@ class TestCliOptimize:
         raw["optimizer"].update(max_periods=5, mc_samples=300, seed=5)
         main(["optimize", write_config(tmp_path, raw), "--out", str(tmp_path / "out")] + flags)
         assert modes == [mode]
+
+    @pytest.mark.parametrize("mode", ["quadrature", "mc"])
+    def test_designs_through_a_curve_whose_power_overflows(self, tmp_path, mode):
+        # At m = 1e-300 and s = 1e300, (h/m)^s overflows at every fade h > 0.
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["channels"][0]["curve"] = {
+            "family": "logistic_log", "midpoint": 1e-300, "steepness": 1e300
+        }
+        raw["optimizer"].update(max_periods=20, expectation_mode=mode)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["pipeline", write_config(tmp_path, raw), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert trace.shape[0] == 20 and np.isfinite(trace).all()
 
     @pytest.mark.parametrize(
         "argv", [["optimize", "--mode", "mc"], ["pipeline"]], ids=["design", "simulation"]

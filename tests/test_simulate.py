@@ -18,6 +18,9 @@ from helpers import (
 )
 from raccess import (
     CollisionMatrix,
+    ExponentialFading,
+    FadingChannel,
+    LogisticLogCurve,
     ProblemInstance,
     SimConfig,
     UnstableSimulationError,
@@ -312,6 +315,26 @@ class TestTransmissionOutcomes:
         for row in block:
             rng.random(out=buf)
             np.testing.assert_array_equal(buf, row)
+
+
+def test_a_steep_curve_delivers_where_its_power_overflows():
+    # Above h = 17.1 the logistic_log power (h/1)^250 overflows. q is 1
+    # there, so with no interferer every transmission at tau = 20 delivers.
+    ch = FadingChannel(
+        dist=ExponentialFading(mean=10.0), curve=LogisticLogCurve(midpoint=1.0, steepness=250.0)
+    )
+    inst = ProblemInstance(
+        systems=(scalar_system(0.9, 0.5),),
+        channels=(ch,),
+        collision=CollisionMatrix.none(1),
+        tx_powers=[1.0],
+        success_targets=[0.1],
+    )
+    cfg = SimConfig(instance=inst, policies=(threshold_policy(20.0),), horizon=20_000, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics = run_simulation(cfg)
+    assert metrics.empirical_tx_rate[0] > 0.1
+    assert metrics.empirical_success_rate[0] == metrics.empirical_tx_rate[0]
 
 
 class TestInstability:
