@@ -18,7 +18,9 @@ records:
   sum with the unwrapped period. Runs recorded before ``step-functions``
   have no split;
 - the trace's bytes per period: the memory freed by dropping the trace
-  of a 100-period quadrature run, as counted by ``tracemalloc``;
+  of a 100-period quadrature run, as counted by ``tracemalloc``. The
+  trace holds O(m) floats per period; runs recorded before
+  ``ring-duals`` also held each period's nu and beta, O(m^2);
 - the peak RSS of the process after the dual-loop runs;
 - a 20k-slot ``run_simulation`` of fade-threshold policies at 0.1 with
   ``thin = 10``, split into the outcome draw (``_draw_gamma``), the
@@ -47,9 +49,11 @@ its entries' ``reference_s``, and every timing also carries ``x_ref``,
 its median as a multiple of that reference (the long entry:
 ``wall_x_ref``). Runs recorded before ``fill-draws`` have no reference.
 
-A last entry runs the default stop rule (at most 5,000 periods) in
-quadrature on 64 identical (1.0, 0.4) loops, which does not converge,
-and records its wall time and peak RSS, once.
+The ``long`` entries run the default stop rule (at most 5,000 periods)
+in quadrature, each once and in a process of its own, and record the
+periods, wall time and peak RSS: on 64 identical (1.0, 0.4) loops and
+on 256 mixed loops, neither of which converges. Runs recorded before
+``ring-duals`` hold the m = 64 entry alone, not a list.
 
 The ``rates`` entries time the control layer, what ``raccess rates``
 does before it writes: ``parse_config`` (``parse_s``, which builds and
@@ -112,13 +116,14 @@ import workloads  # noqa: E402  (perfbench's config generators; NumPy only)
 
 SIZES = (2, 8, 32, 128)
 PERIODS = 100
-LONG_M = 64
 SAMPLES = 10_000
 REPEATS = 5
 SLOTS = 20_000
 THIN = 10
 GRID_N = 4
 MIXED = ((1.1, 0.5), (1.0, 0.4))
+# The long runs' loops, by m.
+LONG_LOOPS = {64: ((1.0, 0.4),), 256: MIXED}
 PROBES = 11
 RATES_SIZES = (64, 256)
 RATES_REPEATS = 21
@@ -333,13 +338,14 @@ def scaling_entries(m):
     return add_reference([entry, grid], probes)
 
 
-def long_entry():
+def long_entry(m):
     probes = [speed_probe() for _ in range(PROBES)]
-    result, wall = timed_run(instance(LONG_M, ((1.0, 0.4),)), None, StopRule())
+    loops = LONG_LOOPS[m]
+    result, wall = timed_run(instance(m, loops), None, StopRule())
     entry = {
-        "m": LONG_M,
+        "m": m,
         "n": 1,
-        "loops": "identical (1.0, 0.4)",
+        "loops": f"identical {loops[0]}" if len(loops) == 1 else "mixed",
         "periods": result.periods,
         "converged": result.converged,
         "wall_s": wall,
@@ -392,22 +398,27 @@ def main():
     parser.add_argument("--label", default="latest", help="name of this run in the output file")
     parser.add_argument("--out", default="BENCH_scale.json")
     parser.add_argument("--m", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--long", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--long", type=int, choices=tuple(LONG_LOOPS), help=argparse.SUPPRESS)
     parser.add_argument("--rates", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.rates is not None:
         print(json.dumps(rates_entry(args.rates)))
         return
-    if args.m is not None or args.long:
-        print(json.dumps(long_entry() if args.long else scaling_entries(args.m)))
+    if args.long is not None:
+        print(json.dumps(long_entry(args.long)))
+        return
+    if args.m is not None:
+        print(json.dumps(scaling_entries(args.m)))
         return
 
     scaling = []
     for m in SIZES:
         scaling += run_child(["--m", str(m)])
         print(json.dumps(scaling[-2:]), file=sys.stderr)
-    long = run_child(["--long"])
-    print(json.dumps(long), file=sys.stderr)
+    long = []
+    for m in LONG_LOOPS:
+        long.append(run_child(["--long", str(m)]))
+        print(json.dumps(long[-1]), file=sys.stderr)
     rates = []
     for m in RATES_SIZES:
         rates += run_child(["--rates", str(m)])

@@ -22,13 +22,13 @@ import sys
 import numpy as np
 
 from .channel import link_success_probability
-from .config import ConfigError, parse_config
+from .config import ConfigError, _check_keys, _json_number, _require, _schema_version, parse_config
 from .control import InfeasibleContractError, steady_state_cost_bound, success_requirements
 
 # Not called here; perfbench's tracer looks this name up in this module.
 from .control import compute_success_requirement  # noqa: F401
 from .optimizer import DivergenceError, ProblemInstance, run_algorithm1
-from .policy import AccessPolicy
+from .policy import constant_policy, threshold_policy
 from .serialize import fmt, write_csv, write_json
 from .simulate import SimConfig, UnstableSimulationError, check_settings, run_simulation
 
@@ -39,6 +39,11 @@ EXIT_DIVERGED = 4
 EXIT_UNSTABLE = 5
 
 POLICIES_SCHEMA_VERSION = 1
+# Each policy kind's one number in the policies file, and its constructor.
+_POLICY_KINDS = {
+    "threshold": ("threshold", threshold_policy),
+    "constant": ("rate", constant_policy),
+}
 
 
 def _out_dir(args, cfg):
@@ -109,19 +114,30 @@ def load_policies(path):
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read policies: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     entries = doc.get("policies") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise ConfigError(f"{path}: expected an object with a 'policies' list of objects")
-    if doc.get("schema_version") != POLICIES_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: schema_version must be {POLICIES_SCHEMA_VERSION}"
-        )
     try:
-        return [AccessPolicy.from_dict(d) for d in entries]
-    except (ValueError, TypeError, KeyError) as exc:
+        _schema_version(doc, POLICIES_SCHEMA_VERSION)
+        return [_read_policy(d, f"policies[{i}]") for i, d in enumerate(entries)]
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_policy(entry, path):
+    """A policies-file entry: its ``kind`` and that kind's number, and no other key."""
+    kind = _require(entry, "kind", path)
+    if not isinstance(kind, str) or kind not in _POLICY_KINDS:
+        raise ConfigError(f"{path}.kind: must be 'threshold' or 'constant', got {kind!r}")
+    field, make_policy = _POLICY_KINDS[kind]
+    _check_keys(entry, ("kind", field), path)
+    value = _json_number(_require(entry, field, path), f"{path}.{field}")
+    try:
+        return make_policy(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{field}: {exc}") from exc
 
 
 def cmd_rates(args):
@@ -136,7 +152,7 @@ def cmd_rates(args):
 
 
 def _design(cfg, args, out):
-    """Design the policies, write rates, trace, duals and policies, print a summary.
+    """Design the policies, write rates, trace and policies, print a summary.
 
     Shared by cmd_optimize and cmd_pipeline; reports non-convergence on
     stderr and leaves the exit code to the caller.
@@ -152,7 +168,6 @@ def _design(cfg, args, out):
     link = link_success_probability(result.policies, cfg.channels, cfg.collision)
     _write_rates(out, inst.success_targets)
     result.trace.to_csv(os.path.join(out, "trace.csv"))
-    result.trace.save_duals(os.path.join(out, "trace_duals.npy"))
     write_json(os.path.join(out, "policies.json"), _policies_doc(result, inst, link))
     status = "converged" if result.converged else "did not converge"
     print(f"optimizer {status} after {result.periods} periods")

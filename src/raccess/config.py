@@ -249,6 +249,23 @@ def _number(value, field):
     return number
 
 
+def _json_number(value, field):
+    """``value`` as a float if the JSON gave a number, not a string, a bool or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{field}: must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ConfigError(f"{field}: must lie within the float range") from exc
+
+
+def _schema_version(doc, expected):
+    """Check that ``doc`` gives ``schema_version`` ``expected``, and not as a bool."""
+    version = _require(doc, "schema_version", "top level")
+    if isinstance(version, bool) or version != expected:
+        raise ConfigError(f"schema_version: expected {expected}, got {version!r}")
+
+
 _NON_FINITE = "non-finite number {}: every config number must be finite"
 
 
@@ -363,11 +380,7 @@ def parse_config(path):
 def _build(raw):
     """The ExperimentConfig of a loaded JSON document."""
     _check_keys(raw, _TOP_KEYS, "top level")
-    version = _require(raw, "schema_version", "top level")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
-        )
+    _schema_version(raw, SCHEMA_VERSION)
     if "requirement_tol" in raw:
         _number(raw["requirement_tol"], "requirement_tol")
 

@@ -152,40 +152,32 @@ class StopRule(Frozen):
 class IterationTrace:
     """Append-only per-period log of the dual loop, one float64 row per period.
 
-    The rows fill an array that starts with ``BLOCK`` rows and doubles when
-    full; ``rows`` views the filled part and ``column`` copies one column
-    out by name. On disk the O(m) columns go to a CSV (``to_csv``, with
-    ``period`` as an integer) and the O(m^2) nu and beta columns to a
-    ``(periods, 2, m, m)`` array (``save_duals``).
+    A row holds the period's O(m) columns: ``period``, ``stepsize``,
+    ``objective``, then ``lambda_i``, ``rate_i``, ``success_i``,
+    ``link_prob_i`` and ``slack_i`` for each sensor. The rows fill an array
+    that starts with ``BLOCK`` rows and doubles when full; ``rows`` views
+    the filled part, ``column`` copies one column out by name, and
+    ``to_csv`` writes them all, with ``period`` as an integer. The nu and
+    beta matrices are not kept: the result's ``state`` holds the last ones.
     """
 
     BLOCK = 64
 
     def __init__(self, m):
-        self.m = m
         self.columns = ["period", "stepsize", "objective"]
-        self.columns += [f"lambda_{i}" for i in range(m)]
-        self.columns += [f"nu_{i}_{j}" for i in range(m) for j in range(m)]
-        self.columns += [f"beta_{i}_{j}" for i in range(m) for j in range(m)]
-        self.columns += [f"rate_{i}" for i in range(m)]
-        self.columns += [f"success_{i}" for i in range(m)]
-        self.columns += [f"link_prob_{i}" for i in range(m)]
-        self.columns += [f"slack_{i}" for i in range(m)]
+        for kind in ("lambda", "rate", "success", "link_prob", "slack"):
+            self.columns += [f"{kind}_{i}" for i in range(m)]
         self._data = np.empty((self.BLOCK, len(self.columns)))
         self._len = 0
-        # The nu and beta columns, in the order save_duals writes them.
-        self._square = slice(3 + m, 3 + m + 2 * m * m)
 
-    def append(self, period, eps, objective, lam, nu, beta, rates, success, link, slack):
+    def append(self, period, eps, objective, lam, rates, success, link, slack):
         n = self._len
         if n == self._data.shape[0]:
             grown = np.empty((2 * n, self._data.shape[1]))
             grown[:n] = self._data
             self._data = grown
         np.concatenate(
-            ((period, eps, objective), lam, nu.reshape(-1), beta.reshape(-1),
-             rates, success, link, slack),
-            out=self._data[n],
+            ((period, eps, objective), lam, rates, success, link, slack), out=self._data[n]
         )
         self._len = n + 1
 
@@ -200,32 +192,9 @@ class IterationTrace:
         return self._len
 
     def to_csv(self, path):
-        """Write every column but the nu and beta ones, one row per period."""
+        """Write every column, one row per period."""
         rows = self.rows
-        sq = self._square
-        write_csv(
-            path,
-            self.columns[: sq.start] + self.columns[sq.stop :],
-            [rows[:, 0].astype(np.int64), *rows[:, 1 : sq.start].T, *rows[:, sq.stop :].T],
-        )
-
-    def save_duals(self, path):
-        """Write the nu and beta columns as a ``(periods, 2, m, m)`` float64 ``.npy`` array.
-
-        ``[t, 0, i, j]`` is period t's ``nu_i_j`` and ``[t, 1, i, j]`` its
-        ``beta_i_j``. The rows go out in blocks, so writing holds at most
-        ``BLOCK`` rows' copy beside the trace.
-        """
-        m = self.m
-        header = {
-            "descr": np.lib.format.dtype_to_descr(self._data.dtype),
-            "fortran_order": False,
-            "shape": (self._len, 2, m, m),
-        }
-        with open(path, "wb") as fh:
-            np.lib.format.write_array_header_1_0(fh, header)
-            for a in range(0, self._len, self.BLOCK):
-                fh.write(self.rows[a : a + self.BLOCK, self._square].tobytes())
+        write_csv(path, self.columns, [rows[:, 0].astype(np.int64), *rows[:, 1:].T])
 
 
 @frozen
@@ -403,23 +372,24 @@ def run_algorithm1(
     period as a trace row, and steps the duals along the subgradient.
     Convergence requires the returned policies' worst constraint slack
     <= ``stop.slack_tol`` together with duals within
-    ``stop.dual_change_tol`` of the trace row ``stop.window`` periods
-    back; the loop aborts if any multiplier passes
-    ``stop.divergence_bound``, which signals an infeasible or marginal set
-    of requirements.
+    ``stop.dual_change_tol`` of those ``stop.window`` periods back; the
+    loop aborts if any multiplier passes ``stop.divergence_bound``, which
+    signals an infeasible or marginal set of requirements.
 
     Each period calls ``beta_update`` and ``primal_policies`` and, unless
     it stops the loop, ``subgradient`` and ``dual_step``, by their module
-    names. lambda and nu are views of one vector laid out like the trace's
-    dual columns (lambda_i, then nu_i_j row by row), which ``dual_step``
-    steps in place. ``box`` is checked once, here, and ``AccessPolicy``
-    objects are built once, for the result.
+    names. lambda and nu are views of one vector (lambda_i, then nu_i_j
+    row by row), which ``dual_step`` steps in place. The stop rule keeps
+    the last ``stop.window + 1`` of these vectors in a ring, or one when
+    ``stop.window >= stop.max_periods`` and the test cannot fire, so a run
+    holds O(periods * m + window * m^2) floats. ``box`` is checked once,
+    here, and ``AccessPolicy`` objects are built once, for the result.
 
     Returns
     -------
     OptimizationResult
         Policies from the stopping period (they satisfy the slack test
-        when ``converged``), the final dual state, and the full trace.
+        when ``converged``), the final dual state, and the O(m) trace.
         With ``stop.max_periods = 0`` these are the cold start's policies
         and shares, with an empty trace.
     """
@@ -432,7 +402,6 @@ def run_algorithm1(
     if mode is not None:
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(m)]
     trace = IterationTrace(m)
-    dual_cols = slice(trace.columns.index("lambda_0"), trace.columns.index("beta_0_0"))
 
     # Cold start: lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1.
     duals = np.full(m + m * m, 0.1)
@@ -440,6 +409,9 @@ def run_algorithm1(
     lam[:] = 1.0
     np.add(p, 1.0, out=duals[m :: m + 1])
     step = np.empty_like(duals)
+    # Period t's duals go to row t % rows; the next row holds period t - window's.
+    rows = stop.window + 1 if stop.window < stop.max_periods else 1
+    ring = np.empty((rows, duals.size))
 
     for t in range(stop.max_periods):
         eps = stepsize(t, schedule)
@@ -450,12 +422,13 @@ def run_algorithm1(
         link = delivery_product(succ, rates, q)
         slack = targets - link
         objective = float(np.dot(p, rates))
-        trace.append(t, eps, objective, lam, nu, beta, rates, succ, link, slack)
+        trace.append(t, eps, objective, lam, rates, succ, link, slack)
+        ring[t % rows] = duals
 
         if (
             t >= stop.window
             and float(np.maximum.reduce(slack)) <= stop.slack_tol
-            and float(np.maximum.reduce(np.abs(duals - trace.rows[t - stop.window, dual_cols])))
+            and float(np.maximum.reduce(np.abs(duals - ring[(t + 1) % rows])))
             <= stop.dual_change_tol
         ):
             return _result(thresholds, lam, nu, beta, trace, True, t + 1)

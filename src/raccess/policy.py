@@ -34,15 +34,6 @@ class AccessPolicy(Frozen):
             return {"kind": "threshold", "threshold": self.threshold}
         return {"kind": "constant", "rate": self.rate}
 
-    @classmethod
-    def from_dict(cls, d):
-        kind = d.get("kind")
-        if kind == "threshold":
-            return threshold_policy(float(d["threshold"]))
-        if kind == "constant":
-            return constant_policy(float(d["rate"]))
-        raise ValueError(f"unknown policy kind {kind!r}")
-
 
 def threshold_policy(threshold):
     """Transmit exactly when the fade reaches ``threshold`` (inf = never)."""

@@ -19,6 +19,7 @@ from raccess import (
     constant_policy,
     threshold_policy,
 )
+import raccess.optimizer
 from raccess.serialize import fmt
 from raccess.simulate import SimMetrics, _draw_gamma
 
@@ -340,6 +341,47 @@ def loop_beta_update(lam, nu, box):
             else:
                 beta[j, i] = min(max(1.0 - lam[i] / nu[i, j], lo), hi)
     return beta
+
+
+class DualRecorder:
+    """Copies of the duals that ``run_algorithm1`` hands ``beta_update``.
+
+    The loop calls ``raccess.optimizer.beta_update`` once per period on
+    that period's lambda and nu (and once more after a zero-period run),
+    so ``duals`` row t is period t's dual vector, packed as the loop
+    holds it: lambda_i, then nu_i_j row by row.
+    """
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        real = raccess.optimizer.beta_update
+
+        def recording(lam, nu, box):
+            self.rows.append(np.concatenate((lam, nu.reshape(-1))))
+            return real(lam, nu, box)
+
+        monkeypatch.setattr(raccess.optimizer, "beta_update", recording)
+
+    @property
+    def duals(self):
+        return np.array(self.rows)
+
+
+def loop_stop_period(duals, slack, window, slack_tol, dual_change_tol):
+    """Oracle for ``run_algorithm1``'s stop test on a full history of its periods.
+
+    ``duals[t]`` and ``slack[t]`` are period t's packed duals and slacks.
+    Returns the number of periods run when the test first fires: the
+    worst slack is within ``slack_tol`` and no dual moved more than
+    ``dual_change_tol`` since period t - ``window``. None if it never does.
+    """
+    for t in range(window, len(duals)):
+        if max(slack[t]) > slack_tol:
+            continue
+        change = max(abs(a - b) for a, b in zip(duals[t].tolist(), duals[t - window].tolist()))
+        if change <= dual_change_tol:
+            return t + 1
+    return None
 
 
 def loop_subgradient(beta, succ, rate, targets, q):

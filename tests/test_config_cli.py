@@ -990,10 +990,20 @@ class TestCliOptimize:
             ["period", "stepsize", "objective", "lambda_0", "lambda_1"]
             + [f"{kind}_{i}" for kind in ("rate", "success", "link_prob", "slack") for i in (0, 1)]
         ) + "\n"
-        duals = np.load(out / "trace_duals.npy")
-        assert duals.shape == (0, 2, 2, 2) and duals.dtype == np.float64
+        assert sorted(os.listdir(out)) == ["policies.json", "rates.csv", "trace.csv"]
         doc = json.loads((out / "policies.json").read_text())
         assert doc["converged"] is False and doc["periods"] == 0 and doc["objective"] is None
+        assert doc["duals"]["nu"] == [[2.0, 0.1], [0.1, 2.0]]  # the cold start's
+
+    def test_window_beyond_max_periods_exits_4(self, tmp_path, capsys):
+        # The stop test cannot fire, and its ring of past duals must not try
+        # to hold window + 1 of them.
+        raw = base_config()
+        raw["optimizer"].update(max_periods=50, window=1e12)
+        out = tmp_path / "out"
+        assert main(["optimize", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_DIVERGED
+        assert "optimizer did not converge after 50 periods" in capsys.readouterr().out
+        assert len((out / "trace.csv").read_text().splitlines()) == 51
 
     def test_seed_flag_changes_mc_runs_only(self, tmp_path):
         raw = base_config()
@@ -1108,8 +1118,7 @@ class TestCliSimulate:
             capsys.readouterr().err
         )
         # Nor does optimize or the pipeline design first.
-        for name in ("rates.csv", "trace.csv", "trace_duals.npy", "policies.json"):
-            assert not (tmp_path / "out" / name).exists()
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
         def no_memory(cfg):
@@ -1129,6 +1138,65 @@ class TestCliSimulate:
         code = main(["simulate", cfg, "--policies", pols, "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert "1 policies for 2 loops" in capsys.readouterr().err
+
+    T = {"kind": "threshold", "threshold": 0.35}
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"schema_version": True, "policies": [T, T]}, "schema_version: expected 1, got True"),
+            (
+                {"schema_version": 1, "policies": [T, {"kind": "threshold", "threshold": "0.3"}]},
+                "policies[1].threshold: must be a number, got '0.3'",
+            ),
+            (
+                {"schema_version": 1, "policies": [{"kind": "threshold", "threshold": "inf"}, T]},
+                "policies[0].threshold: must be a number, got 'inf'",
+            ),
+            (
+                {"schema_version": 1, "policies": [{"kind": "threshold", "threshold": True}, T]},
+                "policies[0].threshold: must be a number, got True",
+            ),
+            (
+                {"schema_version": 1, "policies": [T, {"kind": "constant", "rate": True}]},
+                "policies[1].rate: must be a number, got True",
+            ),
+            (
+                {"schema_version": 1,
+                 "policies": [{"kind": "threshold", "threshold": 0.3, "rate": 0.2}, T]},
+                "unknown key 'rate' at policies[0]",
+            ),
+            (
+                {"schema_version": 1, "policies": [{"kind": "constant", "rate": 1.5}, T]},
+                "policies[0].rate: rate must lie in [0, 1], got 1.5",
+            ),
+            (
+                {"schema_version": 1, "policies": [T, {"kind": "constant"}]},
+                "missing required key 'rate' at policies[1]",
+            ),
+        ],
+        ids=["bool-version", "string-number", "string-inf", "bool-threshold",
+             "bool-rate", "unknown-key", "rate-above-1", "missing-rate"],
+    )
+    def test_bad_policies_file_exits_2_naming_the_field(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "policies.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", write_config(tmp_path, base_config()), "--policies", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "policies.json"
+        huge = '{"kind": "threshold", "threshold": 1' + "0" * 5000 + "}"
+        path.write_text(f'{{"schema_version": 1, "policies": [{huge}, {json.dumps(self.T)}]}}')
+        argv = ["simulate", write_config(tmp_path, base_config()), "--policies", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: Exceeds the limit")
+
+    def test_infinite_threshold_still_loads(self, tmp_path):
+        pols = load_policies(self._policies_file(tmp_path, [math.inf, 0.5]))
+        assert [p.threshold for p in pols] == [math.inf, 0.5]
 
     def test_rejects_wrong_policies_schema(self, tmp_path):
         path = tmp_path / "bad.json"

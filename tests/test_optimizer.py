@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from scipy.optimize import brentq
 
 import raccess.channel
 from helpers import (
+    DualRecorder,
     loop_beta_update,
     loop_interference_prices,
+    loop_stop_period,
     loop_subgradient,
     logistic_channel,
     loop_threshold_from_prices,
@@ -438,7 +441,7 @@ class TestProblemInstanceValidation:
 
 
 def csv_columns(m):
-    """The trace.csv header: every trace column but the O(m^2) nu and beta ones."""
+    """The trace.csv header, the trace's columns."""
     names = ["period", "stepsize", "objective"] + [f"lambda_{i}" for i in range(m)]
     for kind in ("rate", "success", "link_prob", "slack"):
         names += [f"{kind}_{i}" for i in range(m)]
@@ -453,29 +456,21 @@ def random_trace(m, periods, seed=4):
     for t in range(periods):
         v = rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8)
         v[t % m] = edges[t % edges.size]
-        nu = np.outer(v, v)
-        nu[t % m, (t + 1) % m] = edges[(t + 3) % edges.size]
-        trace.append(
-            t, 1.0 / (t + 1), float(v.sum()), v, nu, rng.random((m, m)),
-            rng.random(m), rng.random(m), rng.random(m), -v,
-        )
+        link = rng.random(m)
+        link[(t + 1) % m] = edges[(t + 3) % edges.size]
+        trace.append(t, 1.0 / (t + 1), float(v.sum()), v, rng.random(m), rng.random(m), link, -v)
     return trace
 
 
 class TestIterationTrace:
     def test_columns_and_round_trip(self, tmp_path):
         trace = IterationTrace(2)
-        assert trace.columns[:3] == ["period", "stepsize", "objective"]
-        assert "lambda_1" in trace.columns
-        assert "nu_1_0" in trace.columns
-        assert "slack_1" in trace.columns
+        assert trace.columns == csv_columns(2)  # O(m) columns only: no nu or beta
         trace.append(
             0,
             0.1,
             1.0,
             np.array([1.0, 2.0]),
-            np.arange(4.0).reshape(2, 2),
-            np.full((2, 2), 0.5),
             np.array([0.6, 0.4]),
             np.array([0.4, 0.2]),
             np.array([0.35, 0.18]),
@@ -483,17 +478,12 @@ class TestIterationTrace:
         )
         assert len(trace) == 1
         assert trace.column("lambda_1")[0] == 2.0
-        assert trace.column("nu_0_1")[0] == 1.0
+        assert trace.column("link_prob_0")[0] == 0.35
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         header, row = path.read_text().splitlines()
         assert header.split(",") == csv_columns(2)
         assert row == "0,0.1,1.0,1.0,2.0,0.6,0.4,0.4,0.2,0.35,0.18,0.07,0.05"
-        trace.save_duals(tmp_path / "trace_duals.npy")
-        duals = np.load(tmp_path / "trace_duals.npy")
-        assert duals.shape == (1, 2, 2, 2) and duals.dtype == np.float64
-        np.testing.assert_array_equal(duals[0, 0], np.arange(4.0).reshape(2, 2))
-        np.testing.assert_array_equal(duals[0, 1], np.full((2, 2), 0.5))
 
     def test_grows_past_one_block(self, tmp_path):
         m, periods = 2, 2 * IterationTrace.BLOCK + 3
@@ -501,12 +491,12 @@ class TestIterationTrace:
         for t in range(periods):
             v = t + 0.5
             trace.append(
-                t, 1.0 / (t + 1), v, np.full(m, v), np.full((m, m), v), np.full((m, m), 0.5),
-                np.full(m, 0.6), np.full(m, 0.4), np.full(m, 0.3), np.full(m, -v),
+                t, 1.0 / (t + 1), v, np.full(m, v), np.full(m, 0.6), np.full(m, 0.4),
+                np.full(m, 0.3), np.full(m, -v),
             )
         assert len(trace) == periods
-        assert trace.rows.shape == (periods, len(trace.columns))
-        np.testing.assert_array_equal(trace.column("nu_1_0"), np.arange(periods) + 0.5)
+        assert trace.rows.shape == (periods, 3 + 5 * m)
+        np.testing.assert_array_equal(trace.column("lambda_1"), np.arange(periods) + 0.5)
         np.testing.assert_array_equal(trace.column("slack_1"), -(np.arange(periods) + 0.5))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
@@ -516,37 +506,20 @@ class TestIterationTrace:
 
     def test_to_csv_matches_the_row_list_oracle(self, tmp_path):
         # The bytes of the writer that formatted ``rows.tolist()`` with the
-        # period cast to int, on the O(m) columns of random rows with edge
-        # values mixed in.
+        # period cast to int, on random rows with edge values mixed in.
         m, periods = 3, IterationTrace.BLOCK + 5
         trace = random_trace(m, periods)
         trace.to_csv(tmp_path / "new.csv")
-        kept = [trace.columns.index(name) for name in csv_columns(m)]
-        rows = trace.rows[:, kept].tolist()
+        rows = trace.rows.tolist()
         for row in rows:
             row[0] = int(row[0])
         loop_write_csv(tmp_path / "old.csv", csv_columns(m), rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("periods", [0, 1, IterationTrace.BLOCK, 2 * IterationTrace.BLOCK + 5])
-    def test_save_duals_holds_the_nu_and_beta_columns(self, tmp_path, periods):
-        m = 3
-        trace = random_trace(m, periods)
-        trace.save_duals(tmp_path / "trace_duals.npy")
-        duals = np.load(tmp_path / "trace_duals.npy")
-        assert duals.shape == (periods, 2, m, m) and duals.dtype == np.float64
-        # Bit for bit, so -0.0 and the subnormal keep their signs and bits.
-        want = np.stack(
-            [trace.column(f"{kind}_{i}_{j}") for kind in ("nu", "beta")
-             for i in range(m) for j in range(m)],
-            axis=1,
-        )
-        assert duals.reshape(periods, 2 * m * m).tobytes() == want.tobytes()
-
     def test_column_is_a_copy(self):
         trace = IterationTrace(1)
         one = np.ones(1)
-        trace.append(0, 0.1, 1.0, one, one.reshape(1, 1), one.reshape(1, 1), one, one, one, one)
+        trace.append(0, 0.1, 1.0, one, one, one, one, one)
         col = trace.column("lambda_0")
         col[0] = -7.0
         assert trace.column("lambda_0")[0] == 1.0
@@ -596,19 +569,17 @@ class TestRunAlgorithm1:
                 trace.column(f"slack_{i}")[last], abs=1e-15
             )
 
-    def test_settled_duals_at_the_stop(self, reference_run):
-        result = reference_run["result"]
-        trace = result.trace
+    def test_settled_duals_at_the_stop(self, reference_run, monkeypatch):
+        recorder = DualRecorder(monkeypatch)
+        result = run_algorithm1(reference_run["instance"])
+        assert result.periods == reference_run["result"].periods
+        duals = recorder.duals
         stop_window = 100
         last = result.periods - 1
         first = last - stop_window
-        for i in range(2):
-            col = trace.column(f"lambda_{i}")
-            assert abs(col[last] - col[first]) <= 1e-3
-        for i in range(2):
-            for j in range(2):
-                col = trace.column(f"nu_{i}_{j}")
-                assert abs(col[last] - col[first]) <= 1e-3
+        np.testing.assert_array_equal(duals[:, :2], result.trace.rows[:, 3:5])  # lambda_i
+        np.testing.assert_array_equal(duals[last, 2:], result.state.nu.reshape(-1))
+        assert np.abs(duals[last] - duals[first]).max() <= 1e-3
 
     def test_non_convergence_is_reported_not_raised(self):
         inst = one_loop_instance(0.3)
@@ -654,26 +625,29 @@ class TestRunAlgorithm1:
             success_targets=[compute_success_requirement(s) for s in systems],
         )
 
-    def test_mc_seeds_m_apart_draw_uncorrelated_rates(self):
+    def test_mc_seeds_m_apart_draw_uncorrelated_rates(self, monkeypatch):
         # Each period's Monte Carlo rate error, rate - P(h >= threshold),
         # is fresh sampling noise. Seeds s and s + m must not share it, not
         # even one period apart (as streams seeded s + t*m + i would).
         m = 2
         inst = self.mc_instance(m)
         stop = StopRule(max_periods=300, dual_change_tol=0.0)
+        priced = []  # each period's thresholds, as primal_policies returns them
+        real = raccess.optimizer.primal_policies
+
+        def recording(*args):
+            priced.append(real(*args))
+            return priced[-1]
+
+        monkeypatch.setattr(raccess.optimizer, "primal_policies", recording)
 
         def rate_errors(seed):
+            priced.clear()
             trace = run_algorithm1(inst, mode=MonteCarlo(samples=1000, seed=seed), stop=stop).trace
-            nus = np.stack(
-                [trace.column(f"nu_{i}_{j}") for i in range(m) for j in range(m)], axis=1
-            ).reshape(-1, m, m)
             rates = np.stack([trace.column(f"rate_{i}") for i in range(m)], axis=1)
             exact = [
-                [
-                    expected_policy_rate(threshold_policy(thr), ch)
-                    for thr, ch in zip(priced_thresholds(nu, inst), inst.channels)
-                ]
-                for nu in nus
+                [expected_policy_rate(threshold_policy(t), ch) for t, ch in zip(ts, inst.channels)]
+                for ts in priced
             ]
             return rates - np.array(exact)
 
@@ -737,6 +711,62 @@ class TestRunAlgorithm1:
             "subgradient": stepped,
             "dual_step": stepped,
         }
+
+    # The parent's stopping periods, from a stop test that read the full
+    # trace, under dual_change_tol = 5e-3.
+    STOP_PERIODS = {
+        (0.0, 0): 206, (0.0, 1): 206, (0.0, 3): 206, (0.0, 100): 302,
+        (0.1, 0): 1, (0.1, 1): 64, (0.1, 3): 88, (0.1, 100): 302,
+    }
+
+    @pytest.mark.parametrize("slack_tol, window", list(STOP_PERIODS))
+    def test_stop_period_matches_the_full_history_oracle(self, monkeypatch, slack_tol, window):
+        inst, tol = reference_instance(), 5e-3
+        recorder = DualRecorder(monkeypatch)
+        full = run_algorithm1(inst, stop=StopRule(max_periods=400, dual_change_tol=0.0))
+        assert not full.converged
+        slack = full.trace.rows[:, -inst.m :].tolist()
+        want = loop_stop_period(recorder.duals, slack, window, slack_tol, tol)
+        stop = StopRule(slack_tol=slack_tol, dual_change_tol=tol, window=window)
+        result = run_algorithm1(inst, stop=stop)
+        assert result.converged
+        assert result.periods == want == self.STOP_PERIODS[slack_tol, window]
+        np.testing.assert_array_equal(result.trace.rows, full.trace.rows[: result.periods])
+
+    def test_window_beyond_max_periods_runs_them_all(self):
+        # The stop test cannot fire, so the ring keeps one row, not 10**12 + 1.
+        result = run_algorithm1(reference_instance(), stop=StopRule(max_periods=50, window=10**12))
+        assert (result.converged, result.periods, len(result.trace)) == (False, 50, 50)
+
+    def test_design_memory_is_linear_in_m_per_period(self):
+        # Traced peak of a 400-period m = 32 run: the stop rule's ring of
+        # window + 1 dual vectors, plus the O(m) trace while it doubles to
+        # its capacity, not periods x m^2 floats.
+        m, periods, window = 32, 400, 100
+        systems = tuple(scalar_system(*(1.1, 0.5) if i % 2 else (1.0, 0.4)) for i in range(m))
+        q = np.full((m, m), 0.3 / m)
+        np.fill_diagonal(q, 0.0)
+        inst = ProblemInstance(
+            systems=systems,
+            channels=(reference_channel(),) * m,
+            collision=CollisionMatrix(q=q),
+            tx_powers=np.ones(m),
+            success_targets=[compute_success_requirement(s) for s in systems],
+        )
+        stop = StopRule(max_periods=periods, dual_change_tol=0.0, window=window)
+        run_algorithm1(inst, stop=StopRule(max_periods=2))  # first-call set-up, untraced
+        tracemalloc.start()
+        try:
+            result = run_algorithm1(inst, stop=stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.periods == periods and not result.converged
+        capacity = IterationTrace.BLOCK
+        while capacity < periods:
+            capacity *= 2
+        floats = (window + 1) * (m + m * m) + 2 * capacity * (3 + 5 * m)
+        assert peak < 8 * floats + 2**18
 
     @pytest.mark.parametrize("box", [(0.0, 0.9), (0.5, 0.4)])
     def test_rejects_bad_box(self, box):

@@ -3,6 +3,8 @@ import math
 import pytest
 
 from raccess import AccessPolicy, constant_policy, threshold_policy
+from raccess.cli import _read_policy
+from raccess.config import ConfigError
 
 
 class TestAccessPolicyValidation:
@@ -30,14 +32,14 @@ class TestAccessPolicyValidation:
 class TestPolicyEvaluation:
     def test_round_trip_through_dict(self):
         for pol in (threshold_policy(0.8), threshold_policy(math.inf), constant_policy(0.25)):
-            assert AccessPolicy.from_dict(pol.to_dict()) == pol
+            assert _read_policy(pol.to_dict(), "policies[0]") == pol
 
     def test_constant_one_is_threshold_zero(self):
         pol = constant_policy(1.0)
         assert pol == threshold_policy(0.0) == AccessPolicy()
         assert pol.to_dict() == {"kind": "threshold", "threshold": 0.0}
-        assert AccessPolicy.from_dict(pol.to_dict()) == pol
+        assert _read_policy(pol.to_dict(), "policies[0]") == pol
 
-    def test_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            AccessPolicy.from_dict({"kind": "adaptive"})
+    def test_reader_rejects_unknown_kind(self):
+        with pytest.raises(ConfigError, match=r"^policies\[2\]\.kind: must be 'threshold' or"):
+            _read_policy({"kind": "adaptive"}, "policies[2]")
