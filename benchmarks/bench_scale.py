@@ -99,7 +99,7 @@ from raccess import (
     MonteCarlo,
     ProblemInstance,
     SaturatingExpCurve,
-    SimConfig,
+    SimulationSettings,
     StopRule,
     SwitchedSystem,
     compute_success_requirement,
@@ -251,18 +251,13 @@ def dual_split(inst, mode, stop):
 
 def simulation_split(inst):
     """One timed 20k-slot run: draw, kernel, rest and total seconds, and the record."""
-    cfg = SimConfig(
-        instance=inst,
-        policies=(threshold_policy(0.1),) * inst.m,
-        horizon=SLOTS,
-        seed=0,
-        thin=THIN,
-    )
+    policies = (threshold_policy(0.1),) * inst.m
+    settings = SimulationSettings(horizon=SLOTS, seed=0, thin=THIN)
     with stopwatch(raccess.simulate, "_draw_gamma") as draw, stopwatch(
         raccess._kernels, "state_recursion"
     ) as kernel:
         start = time.perf_counter()
-        metrics = run_simulation(cfg)
+        metrics = run_simulation(inst, policies, settings)
         total = time.perf_counter() - start
     rest = total - draw[0] - kernel[0]
     return [draw[0], kernel[0], rest, total], metrics.trajectory

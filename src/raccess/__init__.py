@@ -49,8 +49,8 @@ from .policy import (
     threshold_policy,
 )
 from .simulate import (
-    SimConfig,
     SimMetrics,
+    SimulationSettings,
     UnstableSimulationError,
     empirical_gamma_rate_check,
     lyapunov_drift_check,

@@ -25,6 +25,7 @@ builds three objects per channel.
 """
 
 import dataclasses
+import functools
 from dataclasses import FrozenInstanceError
 from reprlib import recursive_repr
 
@@ -130,32 +131,16 @@ def _bind(cls, args, kwargs):
         or not kwargs.keys().isdisjoint(names[: len(args)])
         or any(name not in kwargs for name in names[len(args) : n_required])
     ):
-        raise _argument_error(cls, args, kwargs)
+        _generated(cls)(*args, **kwargs)  # raises the TypeError a generated __init__ raises
     return values
 
 
-def _argument_error(cls, args, kwargs):
-    """The TypeError a generated ``__init__`` raises for these arguments."""
-    _, _, names, _, n_required = cls._value_spec
-    where = f"{cls.__qualname__}.__init__()"
-    for key in kwargs:
-        if key not in names:
-            return TypeError(f"{where} got an unexpected keyword argument {key!r}")
-        if names.index(key) < len(args):
-            return TypeError(f"{where} got multiple values for argument {key!r}")
-    if len(args) > len(names):
-        takes = f"from {n_required + 1} to " if n_required < len(names) else ""
-        return TypeError(
-            f"{where} takes {takes}{len(names) + 1} positional arguments"
-            f" but {len(args) + 1} were given"
-        )
-    missing = [repr(name) for name in names[len(args) : n_required] if name not in kwargs]
-    listed = (
-        missing[0]
-        if len(missing) == 1
-        else f"{', '.join(missing[:-1])}{',' if len(missing) > 2 else ''} and {missing[-1]}"
-    )
-    plural = "s" if len(missing) > 1 else ""
-    return TypeError(
-        f"{where} missing {len(missing)} required positional argument{plural}: {listed}"
-    )
+@functools.cache
+def _generated(cls):
+    """A frozen dataclass with ``cls``'s name and fields and a generated ``__init__``.
+
+    ``_bind`` calls it only with arguments it rejects, to raise this Python's own TypeError.
+    """
+    fields = dataclasses.fields(cls)
+    fields = [(f.name, f.type, dataclasses.field(default=f.default)) for f in fields]
+    return dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True, repr=False, eq=False)

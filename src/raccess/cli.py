@@ -30,7 +30,7 @@ from .control import compute_success_requirement  # noqa: F401
 from .optimizer import DivergenceError, ProblemInstance, run_algorithm1
 from .policy import constant_policy, threshold_policy
 from .serialize import fmt, write_csv, write_json
-from .simulate import SimConfig, UnstableSimulationError, check_settings, run_simulation
+from .simulate import UnstableSimulationError, run_simulation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,18 +193,15 @@ def _simulate(cfg, policies, args, out):
     The settings are the config's, with ``--horizon`` and ``--seed`` applied.
     Returns the metrics and each loop's steady-state cost bound.
     """
-    settings = dataclasses.asdict(cfg.simulation)
     flags = {k: getattr(args, k) for k in ("horizon", "seed") if getattr(args, k, None) is not None}
-    settings.update(flags)
     try:  # the config's own settings passed as it loaded, so a failure is a flag's
-        check_settings(cfg.systems, **settings)
+        settings = dataclasses.replace(cfg.simulation, **flags)
+        settings.check_horizon(cfg.systems)
     except ValueError as exc:
         raise ConfigError(" ".join(f"--{k} {v}" for k, v in flags.items()) + f": {exc}") from exc
-    try:
-        sim_cfg = SimConfig(instance=cfg, policies=tuple(policies), **settings)
-    except ValueError as exc:  # a wrong policy count
-        raise ConfigError(str(exc)) from exc
-    metrics = run_simulation(sim_cfg)
+    if len(policies) != cfg.m:  # only a policies file can give another count
+        raise ConfigError(f"{len(policies)} policies for {cfg.m} loops")
+    metrics = run_simulation(cfg, policies, settings)
     bounds = [steady_state_cost_bound(s) for s in cfg.systems]
     write_csv(
         os.path.join(out, "metrics.csv"),

@@ -28,7 +28,7 @@ from .channel import (
 )
 from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop, check_loops
 from .optimizer import DEFAULT_BOX, StepSchedule, StopRule, _check_box, _check_entries
-from .simulate import check_settings
+from .simulate import SimulationSettings
 
 __all__ = [
     "ConfigError",
@@ -126,16 +126,6 @@ class OptimizerSettings(Frozen):
     box: tuple = DEFAULT_BOX
     expectation_mode: str = "quadrature"
     mc: MonteCarlo = MonteCarlo()
-
-
-@frozen
-class SimulationSettings(Frozen):
-    """``SimConfig``'s settings; ``check_settings`` checks them against the loops."""
-
-    horizon: int = 200_000
-    seed: int = 0
-    burn_in: int = None
-    thin: int = 0
 
 
 _SIM_KEYS = _keys(SimulationSettings)
@@ -239,7 +229,9 @@ def _integer(value, field):
 
 
 def _number(value, field):
-    """``value`` as float() reads it, which must be finite."""
+    """``value`` as float() reads it, which must be finite; a bool is not a number."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{field}: must be a number, got {value!r}")
     try:
         number = float(value)
     except (ValueError, TypeError) as exc:
@@ -303,8 +295,9 @@ def _settings(cls, entry, path):
     A field with a float default is read as a number, any other as an
     integer; a null asks for the default where that is None (``burn_in``,
     whose default is horizon // 10). ``cls`` checks the values; its
-    ValueError, whose message starts with the field's name, becomes a
-    ConfigError naming the key.
+    ValueError, whose message starts with the field's name (``a: must be
+    > 0, ...`` or ``horizon must be >= 1, ...``), becomes a ConfigError
+    naming the key.
     """
     fields = {}
     for f in dataclasses.fields(cls):
@@ -315,8 +308,9 @@ def _settings(cls, entry, path):
     try:
         return cls(**fields)
     except ValueError as exc:
-        name, _, rest = str(exc).partition(":")
-        raise ConfigError(f"{path}.{_RENAMED.get(name, name)}:{rest}") from exc
+        text = str(exc)
+        name = text.split()[0].rstrip(":")
+        raise ConfigError(f"{path}.{_RENAMED.get(name, name)}{text[len(name):]}") from exc
 
 
 def _parse_optimizer(entry):
@@ -346,8 +340,8 @@ def _parse_simulation(entry, systems):
     path = "simulation"
     settings = _settings(SimulationSettings, _object(entry, _SIM_KEYS, path), path)
     try:
-        check_settings(systems, **dataclasses.asdict(settings))
-    except ValueError as exc:  # the message starts with the setting's name
+        settings.check_horizon(systems)
+    except ValueError as exc:
         raise ConfigError(f"{path}.{exc}") from exc
     return settings
 

@@ -25,9 +25,8 @@ from .channel import link_success_probability
 
 __all__ = [
     "UnstableSimulationError",
-    "SimConfig",
+    "SimulationSettings",
     "SimMetrics",
-    "check_settings",
     "GammaRateRecord",
     "DriftRecord",
     "run_simulation",
@@ -53,71 +52,65 @@ def _psd_factor(w):
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def check_settings(systems, horizon, seed, burn_in=None, thin=0):
-    """Check a run's settings against the loops ``systems``; return the burn-in used.
-
-    These are ``SimConfig``'s checks on everything but the policies, so
-    ``parse_config`` runs them on a config's ``simulation`` section before
-    any policy exists. Raises ValueError whose message starts with the bad
-    setting's name, as ``horizon must be >= 1, got 0``.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    # The float arrays of horizon x m values and of a loop's horizon x n
-    # states must have a byte count NumPy can index.
-    width = max(len(systems), *(s.dim for s in systems))
-    limit = np.iinfo(np.intp).max // (8 * width)
-    if horizon > limit:
-        raise ValueError(f"horizon must be at most {limit} for these loops, got {horizon}")
-    if seed < 0:
-        raise ValueError(f"seed: must be >= 0, got {seed}")
-    burn = horizon // 10 if burn_in is None else int(burn_in)
-    if not 0 <= burn < horizon:
-        raise ValueError(f"burn_in must lie in [0, horizon), got {burn} for horizon {horizon}")
-    if thin < 0:
-        raise ValueError(f"thin must be >= 0, got {thin}")
-    return burn
-
-
 @frozen
-class SimConfig(Frozen):
-    """Inputs fixing one reproducible simulation run.
+class SimulationSettings(Frozen):
+    """The settings of one reproducible simulation run, checked when built.
 
     Parameters
     ----------
-    instance : ProblemInstance or ExperimentConfig
-        The loops and the channel: ``m``, ``systems``, ``channels`` and
-        ``collision`` are read. Only ``lyapunov_drift_check`` also needs
-        a ProblemInstance's ``success_targets``.
-    policies : sequence of AccessPolicy
     horizon : int
         Number of slots.
     seed : int
-        Base seed; identical configs reproduce bit-identical metrics.
+        Base seed; identical runs reproduce bit-identical metrics.
     burn_in : int or None
-        Slots dropped from every metric (defaults to horizon // 10).
+        Slots dropped from every metric. None, the default, drops
+        horizon // 10: it stays None, so ``replace(settings, horizon=h)`` drops h // 10.
     thin : int
         Keep every thin-th slot in the trajectory record (0 disables).
+
+    A bad setting raises ValueError whose message starts with its name, as
+    ``horizon must be >= 1, got 0``; ``check_horizon`` checks the horizon
+    against the loops.
     """
 
-    instance: object
-    policies: tuple
-    horizon: int
-    seed: int
+    horizon: int = 200_000
+    seed: int = 0
     burn_in: int = None
     thin: int = 0
 
     def __post_init__(self):
-        policies = tuple(self.policies)
-        if len(policies) != self.instance.m:
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
+        if not 0 <= self.burn < self.horizon:
             raise ValueError(
-                f"{len(policies)} policies for {self.instance.m} loops"
+                f"burn_in must lie in [0, horizon), got {self.burn} for horizon {self.horizon}"
             )
-        burn = check_settings(self.instance.systems, self.horizon, self.seed, self.burn_in, self.thin)
-        factors = tuple(_psd_factor(s.noise_cov) for s in self.instance.systems)
-        object.__setattr__(self, "policies", policies)
-        object.__setattr__(self, "burn_in", burn)
-        object.__setattr__(self, "_noise_factors", factors)
+        if self.thin < 0:
+            raise ValueError(f"thin must be >= 0, got {self.thin}")
+
+    @property
+    def burn(self):
+        """The slots a run drops: ``burn_in``, or horizon // 10 if that is None."""
+        return self.horizon // 10 if self.burn_in is None else int(self.burn_in)
+
+    def check_horizon(self, systems):
+        """Raise ValueError unless a run over the loops ``systems`` fits NumPy's indices."""
+        # The float arrays of horizon x m values and of a loop's horizon x n
+        # states must have a byte count NumPy can index.
+        width = max(len(systems), *(s.dim for s in systems))
+        limit = np.iinfo(np.intp).max // (8 * width)
+        if self.horizon > limit:
+            raise ValueError(f"horizon must be at most {limit} for these loops, got {self.horizon}")
+
+
+def _checked_policies(instance, policies):
+    """``policies`` as a tuple, which must hold one policy per loop of ``instance``."""
+    policies = tuple(policies)
+    if len(policies) != instance.m:
+        raise ValueError(f"{len(policies)} policies for {instance.m} loops")
+    return policies
 
 
 @frozen
@@ -246,8 +239,11 @@ def _quadratic_form(x, p):
     return v
 
 
-def run_simulation(cfg):
+def run_simulation(instance, policies, settings=SimulationSettings()):
     """Simulate the full horizon from x_0 = 0 and average the quadratic cost.
+
+    ``instance`` gives the loops and the channel (``m``, ``systems``,
+    ``channels``, ``collision``: a ProblemInstance or an ExperimentConfig).
 
     Each run of consecutive loops of one state dimension goes through the
     kernel in one call. The noise is still drawn loop by loop, in loop
@@ -263,27 +259,27 @@ def run_simulation(cfg):
         If any state norm passes 1e12 (reported with the first such
         system, in loop order, and its slot).
     """
-    inst = cfg.instance
-    m = inst.m
-    rng = np.random.default_rng(cfg.seed)
-    tx, gamma = _draw_gamma(
-        cfg.policies, inst.channels, inst.collision, rng, cfg.horizon
-    )
+    policies = _checked_policies(instance, policies)
+    settings.check_horizon(instance.systems)
+    m = instance.m
+    horizon, burn, thin = settings.horizon, settings.burn, settings.thin
+    rng = np.random.default_rng(settings.seed)
+    tx, gamma = _draw_gamma(policies, instance.channels, instance.collision, rng, horizon)
 
     costs = np.empty(m)
     tx_rates = np.empty(m)
     success_rates = np.empty(m)
-    kept = np.arange(cfg.thin - 1, cfg.horizon, cfg.thin) if cfg.thin else np.arange(0)
+    kept = np.arange(thin - 1, horizon, thin) if thin else np.arange(0)
     v_kept = np.empty((kept.size, m))
 
-    for start, stop in _loop_runs(inst.systems, cfg.horizon):
-        systems = inst.systems[start:stop]
+    for start, stop in _loop_runs(instance.systems, horizon):
+        systems = instance.systems[start:stop]
         n = systems[0].dim
-        noise = np.empty((stop - start, cfg.horizon, n))
-        z = np.empty((cfg.horizon, n))
-        for j in range(stop - start):
+        noise = np.empty((stop - start, horizon, n))
+        z = np.empty((horizon, n))
+        for j, sys in enumerate(systems):
             rng.standard_normal(out=z)
-            np.matmul(z, cfg._noise_factors[start + j].T, out=noise[j])
+            np.matmul(z, _psd_factor(sys.noise_cov).T, out=noise[j])
         del z
         states = _kernels.state_recursion(
             np.stack([s.a_closed for s in systems]),
@@ -300,17 +296,17 @@ def run_simulation(cfg):
                     k = int(np.argmax(escaped))
                     raise UnstableSimulationError(
                         f"loop {i} state norm passed {_NORM_LIMIT:g} at slot "
-                        f"{k + 1} of {cfg.horizon}; its access policy does not "
+                        f"{k + 1} of {horizon}; its access policy does not "
                         "stabilize it"
                     )
                 v = _quadratic_form(x, sys.lyap_matrix)
-            costs[i] = float(np.mean(v[cfg.burn_in :]))
-            tx_rates[i] = float(np.mean(tx[i, cfg.burn_in :]))
-            success_rates[i] = float(np.mean(gamma[i, cfg.burn_in :]))
+            costs[i] = float(np.mean(v[burn:]))
+            tx_rates[i] = float(np.mean(tx[i, burn:]))
+            success_rates[i] = float(np.mean(gamma[i, burn:]))
             v_kept[:, i] = v[kept]
 
     trajectory = None
-    if cfg.thin:
+    if thin:
         trajectory = (
             np.repeat(kept + 1, m),
             np.tile(np.arange(m), kept.size),
@@ -322,25 +318,24 @@ def run_simulation(cfg):
         empirical_cost=costs,
         empirical_tx_rate=tx_rates,
         empirical_success_rate=success_rates,
-        horizon=cfg.horizon,
-        burn_in=cfg.burn_in,
+        horizon=horizon,
+        burn_in=burn,
         trajectory=trajectory,
     )
 
 
-def empirical_gamma_rate_check(cfg, n_slots, seed=None):
+def empirical_gamma_rate_check(instance, policies, n_slots, seed):
     """Compare slot-frequency deliveries against the analytic product form.
 
     Returns one record per link with the empirical frequency over
     ``n_slots``, the quadrature value, and the binomial z-score of their
-    difference.
+    difference. ``instance`` and ``policies`` are read as in
+    ``run_simulation``; ``seed`` seeds the draws.
     """
-    inst = cfg.instance
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    _, gamma = _draw_gamma(
-        cfg.policies, inst.channels, inst.collision, rng, n_slots
-    )
-    analytic = link_success_probability(cfg.policies, inst.channels, inst.collision)
+    policies = _checked_policies(instance, policies)
+    rng = np.random.default_rng(seed)
+    _, gamma = _draw_gamma(policies, instance.channels, instance.collision, rng, n_slots)
+    analytic = link_success_probability(policies, instance.channels, instance.collision)
     records = []
     for i, ana in enumerate(analytic.tolist()):
         emp = float(np.mean(gamma[i]))
@@ -355,7 +350,7 @@ def empirical_gamma_rate_check(cfg, n_slots, seed=None):
     return records
 
 
-def lyapunov_drift_check(cfg, x_probe, n_replications, seed=None):
+def lyapunov_drift_check(instance, policies, x_probe, n_replications, seed):
     """Monte Carlo check of the expected one-step contract at probe states.
 
     Requires the policies to meet every link's delivery requirement
@@ -365,12 +360,13 @@ def lyapunov_drift_check(cfg, x_probe, n_replications, seed=None):
 
     Parameters
     ----------
-    cfg : SimConfig
+    instance : ProblemInstance
+    policies : sequence of AccessPolicy
+        One per loop.
     x_probe : sequence of ndarray
         One probe state per loop.
     n_replications : int
-    seed : int or None
-        Defaults to cfg.seed.
+    seed : int
 
     Returns
     -------
@@ -378,30 +374,28 @@ def lyapunov_drift_check(cfg, x_probe, n_replications, seed=None):
         Sample mean, bound, standard error, z-score, and the 4-sigma
         verdict per loop.
     """
-    inst = cfg.instance
-    if len(x_probe) != inst.m:
-        raise ValueError(f"{len(x_probe)} probe states for {inst.m} loops")
-    link = link_success_probability(cfg.policies, inst.channels, inst.collision)
+    policies = _checked_policies(instance, policies)
+    if len(x_probe) != instance.m:
+        raise ValueError(f"{len(x_probe)} probe states for {instance.m} loops")
+    link = link_success_probability(policies, instance.channels, instance.collision)
     for i, prob in enumerate(link.tolist()):
-        if prob < inst.success_targets[i] - 1e-9:
+        if prob < instance.success_targets[i] - 1e-9:
             raise ValueError(
                 f"policies deliver {prob:.6f} on link {i}, below its "
-                f"requirement {inst.success_targets[i]:.6f}; the drift bound "
+                f"requirement {instance.success_targets[i]:.6f}; the drift bound "
                 "does not apply"
             )
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    _, gamma = _draw_gamma(
-        cfg.policies, inst.channels, inst.collision, rng, n_replications
-    )
+    rng = np.random.default_rng(seed)
+    _, gamma = _draw_gamma(policies, instance.channels, instance.collision, rng, n_replications)
     records = []
-    for i, sys in enumerate(inst.systems):
+    for i, sys in enumerate(instance.systems):
         x = np.asarray(x_probe[i], dtype=float).reshape(-1)
         if x.shape[0] != sys.dim:
             raise ValueError(
                 f"probe state for loop {i} has length {x.shape[0]}, expected {sys.dim}"
             )
         z = rng.standard_normal((n_replications, sys.dim))
-        noise = z @ cfg._noise_factors[i].T
+        noise = z @ _psd_factor(sys.noise_cov).T
         base_closed = sys.a_closed @ x
         base_open = sys.a_open @ x
         nxt = np.where(gamma[i][:, None], base_closed, base_open) + noise

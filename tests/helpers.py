@@ -21,7 +21,7 @@ from raccess import (
 )
 import raccess.optimizer
 from raccess.serialize import fmt
-from raccess.simulate import SimMetrics, _draw_gamma
+from raccess.simulate import SimMetrics, _draw_gamma, _psd_factor
 
 
 def scalar_system(a_open, a_closed, rho=0.8, w=1.0, p=1.0):
@@ -448,34 +448,34 @@ def three_operand_lyapunov_values(x, p):
     return np.einsum("kn,nl,kl->k", x, p, x)
 
 
-def loop_simulation(cfg, quadratic=lyapunov_values):
-    """Per-loop oracle for ``run_simulation(cfg)`` on stable loops.
+def loop_simulation(instance, policies, settings, quadratic=lyapunov_values):
+    """Per-loop oracle for ``run_simulation(instance, policies, settings)`` on stable loops.
 
-    Replays the run's draws from ``cfg.seed``, runs the kernel on one loop
+    Replays the run's draws from ``settings.seed``, runs the kernel on one loop
     at a time, reduces its states to v with ``quadratic(states, P)``, and
     builds the trajectory from one ``(slot, system, v, tx, gamma)`` row
     per kept slot of each loop in turn, sorted, then split into columns.
     """
-    inst = cfg.instance
-    rng = np.random.default_rng(cfg.seed)
-    tx, gamma = _draw_gamma(cfg.policies, inst.channels, inst.collision, rng, cfg.horizon)
+    horizon, burn, thin = settings.horizon, settings.burn, settings.thin
+    rng = np.random.default_rng(settings.seed)
+    tx, gamma = _draw_gamma(policies, instance.channels, instance.collision, rng, horizon)
     costs, tx_rates, success_rates, rows = [], [], [], []
-    for i, sys in enumerate(inst.systems):
-        z = rng.standard_normal((cfg.horizon, sys.dim))
-        noise = z @ cfg._noise_factors[i].T
+    for i, sys in enumerate(instance.systems):
+        z = rng.standard_normal((horizon, sys.dim))
+        noise = z @ _psd_factor(sys.noise_cov).T
         states = _kernels.state_recursion(
             sys.a_closed[None], sys.a_open[None], gamma[i : i + 1], noise[None],
             np.zeros((1, sys.dim)),
         )[0]
         v = quadratic(states, sys.lyap_matrix)
-        costs.append(float(np.mean(v[cfg.burn_in :])))
-        tx_rates.append(float(np.mean(tx[i, cfg.burn_in :])))
-        success_rates.append(float(np.mean(gamma[i, cfg.burn_in :])))
-        if cfg.thin:
-            for k in range(cfg.thin - 1, cfg.horizon, cfg.thin):
+        costs.append(float(np.mean(v[burn:])))
+        tx_rates.append(float(np.mean(tx[i, burn:])))
+        success_rates.append(float(np.mean(gamma[i, burn:])))
+        if thin:
+            for k in range(thin - 1, horizon, thin):
                 rows.append((k + 1, i, float(v[k]), bool(tx[i, k]), bool(gamma[i, k])))
     trajectory = None
-    if cfg.thin:
+    if thin:
         rows.sort()
         dtypes = (np.int64, np.int64, np.float64, bool, bool)
         trajectory = tuple(
@@ -485,8 +485,8 @@ def loop_simulation(cfg, quadratic=lyapunov_values):
         empirical_cost=np.array(costs),
         empirical_tx_rate=np.array(tx_rates),
         empirical_success_rate=np.array(success_rates),
-        horizon=cfg.horizon,
-        burn_in=cfg.burn_in,
+        horizon=horizon,
+        burn_in=burn,
         trajectory=trajectory,
     )
 

@@ -20,7 +20,7 @@ from helpers import (
 )
 from raccess import (
     ProblemInstance,
-    SimConfig,
+    SimulationSettings,
     compute_success_requirement,
     constant_policy,
     empirical_gamma_rate_check,
@@ -139,8 +139,7 @@ def test_link_success_matches_slot_frequency():
             tx_powers=np.ones(m),
             success_targets=np.full(m, 0.5),
         )
-        cfg = SimConfig(instance=inst, policies=policies, horizon=1, seed=0)
-        for rec in empirical_gamma_rate_check(cfg, 100_000, seed=1000 + k):
+        for rec in empirical_gamma_rate_check(inst, policies, 100_000, seed=1000 + k):
             assert abs(rec.z_score) <= 4.0
             links_checked += 1
     assert links_checked >= 40
@@ -181,8 +180,7 @@ def test_closed_loop_cost_meets_bound(reference_run):
     t0 = time.perf_counter()
     inst = reference_run["instance"]
     policies = reference_run["result"].policies
-    cfg = SimConfig(instance=inst, policies=policies, horizon=200_000, seed=7)
-    metrics = run_simulation(cfg)
+    metrics = run_simulation(inst, policies, SimulationSettings(horizon=200_000, seed=7))
 
     # Both long-run costs sit within 10% of the guaranteed value 5.0 and
     # within 10% of each other.
@@ -209,13 +207,12 @@ def test_one_step_drift_bound_at_random_probes(reference_run):
     t0 = time.perf_counter()
     inst = reference_run["instance"]
     policies = reference_run["result"].policies
-    cfg = SimConfig(instance=inst, policies=policies, horizon=1, seed=11)
     rng = np.random.default_rng(42)
     for k in range(10):
         probes = [
             rng.normal(scale=0.5 + k, size=system.dim) for system in inst.systems
         ]
-        for rec in lyapunov_drift_check(cfg, probes, 100_000, seed=500 + k):
+        for rec in lyapunov_drift_check(inst, policies, probes, 100_000, seed=500 + k):
             assert rec.ok
     assert time.perf_counter() - t0 < 120.0
 

@@ -264,6 +264,12 @@ class TestParseConfig:
             ("simulation", {"horizon": 2**62}, "simulation.horizon must be at most"),
             ("simulation", {"burn_in": 20000}, "simulation.burn_in must lie in [0, horizon)"),
             ("simulation", {"thin": -1}, "simulation.thin must be >= 0"),
+            # Both fail: the loop-free check of burn_in comes first.
+            (
+                "simulation",
+                {"horizon": 2**62, "burn_in": -1},
+                f"simulation.burn_in must lie in [0, horizon), got -1 for horizon {2**62}",
+            ),
             ("optimizer", {"mc_samples": 0}, "optimizer.mc_samples: must be >= 1"),
             ("optimizer", {"beta_min": 0.6, "beta_max": 0.4}, "optimizer.beta_min"),
             # Generator.binomial takes no sample size beyond a C long.
@@ -283,6 +289,7 @@ class TestParseConfig:
             "horizon-2**62",
             "burn_in-horizon",
             "thin",
+            "horizon-2**62-and-burn_in",
             "mc_samples",
             "box",
             "mc_samples-2**63",
@@ -340,14 +347,19 @@ class TestParseConfig:
                 "optimizer.divergence_bound",
                 "optimizer.beta_min",
                 "optimizer.beta_max",
+                "channels[0].dist.mean",
             )
-            for value in ("abc", None, [0.5])
+            for value in ("abc", None, [0.5], True, False)
         ],
     )
     def test_non_number_field_exits_2_naming_its_path(self, tmp_path, capsys, field, value):
         raw = base_config()
-        section, key = field.split(".")
-        raw[section][key] = value
+        *outer, key = (int(k) if k.isdigit() else k for k in field.replace("]", "").split("."))
+        target = raw
+        for part in outer:
+            name, _, index = part.partition("[")
+            target = target[name][int(index)] if index else target[name]
+        target[key] = value
         code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert f"{field}: must be a number, got {value!r}" in capsys.readouterr().err
@@ -631,7 +643,7 @@ class TestTopLevelNumbers:
         code = main(["rates", str(path), "--out", str(tmp_path / "out")])
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", [1, 2], None])
+    @pytest.mark.parametrize("value", ["abc", [1, 2], None, True, False])
     def test_requirement_tol_must_be_a_number(self, tmp_path, capsys, value):
         raw = dict(base_config(), requirement_tol=value)
         code, err = self.run_rates(tmp_path, capsys, raw)
@@ -1060,6 +1072,16 @@ class TestCliOptimize:
         trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         assert trace.shape[0] == 20 and np.isfinite(trace).all()
 
+    def test_dual_divergence_exits_4(self, tmp_path, capsys):
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["optimizer"]["divergence_bound"] = 1.0
+        out = tmp_path / "out"
+        assert main(["optimize", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith(
+            "error: dual variables reached 2.01033 at period 0"
+        )
+
     @pytest.mark.parametrize(
         "argv", [["optimize", "--mode", "mc"], ["pipeline"]], ids=["design", "simulation"]
     )
@@ -1121,7 +1143,7 @@ class TestCliSimulate:
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
     def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
-        def no_memory(cfg):
+        def no_memory(instance, policies, settings):
             raise MemoryError("Unable to allocate 14.6 TiB")
 
         monkeypatch.setattr(raccess.cli, "run_simulation", no_memory)
@@ -1243,6 +1265,15 @@ class TestCliSimulate:
             ["simulate", cfg, "--policies", pols, "--out", str(out), "--horizon", "500"]
         )
         assert code == EXIT_OK
+
+    def test_horizon_flag_derives_the_default_burn_in_from_itself(self, tmp_path, capsys):
+        # The config gives no burn_in, so the run drops a tenth of the
+        # flag's horizon, not of the config's 20,000 slots.
+        cfg = write_config(tmp_path, base_config())
+        pols = self._policies_file(tmp_path, [0.34934006025424225, 0.8881000386856908])
+        argv = ["simulate", cfg, "--policies", pols, "--out", str(tmp_path / "out")]
+        assert main(argv + ["--horizon", "2000"]) == EXIT_OK
+        assert "simulated 2000 slots (burn-in 200)\n" in capsys.readouterr().out
 
 
 class TestCliEdgeRequirements:

@@ -33,8 +33,8 @@ from raccess import (
     PlantControllerPair,
     ProblemInstance,
     SaturatingExpCurve,
-    SimConfig,
     SimMetrics,
+    SimulationSettings,
     StepSchedule,
     StopRule,
     SwitchedSystem,
@@ -43,7 +43,7 @@ from raccess import (
     threshold_policy,
 )
 from raccess._frozen import Frozen, make
-from raccess.config import ExperimentConfig, OptimizerSettings, SimulationSettings, parse_config
+from raccess.config import ExperimentConfig, OptimizerSettings, parse_config
 from raccess.optimizer import IterationTrace
 from raccess.simulate import DriftRecord, GammaRateRecord
 
@@ -97,9 +97,6 @@ def samples():
             )
         ],
         AccessPolicy: [threshold_policy(0.7), constant_policy(0.3)],
-        SimConfig: [
-            SimConfig(instance=reference_instance(), policies=policies, horizon=1000, seed=0)
-        ],
         SimMetrics: [
             SimMetrics(
                 empirical_cost=np.ones(2), empirical_tx_rate=np.zeros(2),
@@ -165,7 +162,7 @@ def outcome(call):
 def test_every_public_value_type_is_sampled():
     frozen = {cls for cls in raccess_classes() if issubclass(cls, Frozen) and cls is not Frozen}
     assert frozen == set(SAMPLES)
-    assert len(SAMPLES) == 22
+    assert len(SAMPLES) == 21
 
 
 def test_no_class_carries_a_generated_method():

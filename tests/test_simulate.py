@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -22,7 +23,7 @@ from raccess import (
     FadingChannel,
     LogisticLogCurve,
     ProblemInstance,
-    SimConfig,
+    SimulationSettings,
     UnstableSimulationError,
     constant_policy,
     empirical_gamma_rate_check,
@@ -53,72 +54,58 @@ def reference_policies():
     return tuple(threshold_policy(t) for t in REF_THRESHOLDS)
 
 
-class TestSimConfigValidation:
+class TestSimulationSettings:
     def test_policy_count_must_match(self):
-        with pytest.raises(ValueError):
-            SimConfig(
-                instance=one_loop_instance(),
-                policies=(threshold_policy(0.5), threshold_policy(0.5)),
-                horizon=100,
-                seed=0,
-            )
+        policies = (threshold_policy(0.5), threshold_policy(0.5))
+        with pytest.raises(ValueError, match=r"^2 policies for 1 loops$"):
+            run_simulation(one_loop_instance(), policies, SimulationSettings(horizon=100))
+        with pytest.raises(ValueError, match=r"^2 policies for 1 loops$"):
+            empirical_gamma_rate_check(one_loop_instance(), policies, 100, seed=0)
+        with pytest.raises(ValueError, match=r"^2 policies for 1 loops$"):
+            lyapunov_drift_check(one_loop_instance(), policies, [np.zeros(1)], 100, seed=0)
 
     def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SimConfig(
-                instance=one_loop_instance(),
-                policies=(threshold_policy(0.5),),
-                horizon=0,
-                seed=0,
-            )
+        with pytest.raises(ValueError, match=r"^horizon must be >= 1, got 0$"):
+            SimulationSettings(horizon=0, seed=0)
 
     def test_burn_in_must_fit_inside_the_horizon(self):
-        with pytest.raises(ValueError):
-            SimConfig(
-                instance=one_loop_instance(),
-                policies=(threshold_policy(0.5),),
-                horizon=100,
-                seed=0,
-                burn_in=100,
-            )
+        with pytest.raises(
+            ValueError, match=r"^burn_in must lie in \[0, horizon\), got 100 for horizon 100$"
+        ):
+            SimulationSettings(horizon=100, seed=0, burn_in=100)
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ValueError, match=r"seed: must be >= 0, got -1"):
-            SimConfig(
-                instance=one_loop_instance(),
-                policies=(threshold_policy(0.5),),
-                horizon=100,
-                seed=-1,
-            )
+            SimulationSettings(horizon=100, seed=-1)
 
     def test_thin_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            SimConfig(
-                instance=one_loop_instance(),
-                policies=(threshold_policy(0.5),),
-                horizon=100,
-                seed=0,
-                thin=-1,
-            )
+        with pytest.raises(ValueError, match=r"^thin must be >= 0, got -1$"):
+            SimulationSettings(horizon=100, seed=0, thin=-1)
 
     def test_default_burn_in_is_a_tenth(self):
-        cfg = SimConfig(
-            instance=one_loop_instance(),
-            policies=(threshold_policy(0.5),),
-            horizon=250,
-            seed=0,
-        )
-        assert cfg.burn_in == 25
+        settings = SimulationSettings(horizon=250, seed=0)
+        assert settings.burn_in is None and settings.burn == 25
+        met = run_simulation(one_loop_instance(), (threshold_policy(0.5),), settings)
+        assert met.burn_in == 25
+        # burn_in stays None, so a replaced horizon drops its own tenth.
+        assert dataclasses.replace(settings, horizon=2000).burn == 200
+
+    def test_horizon_past_the_index_limit_is_checked_against_the_loops(self):
+        # One scalar loop: horizon x 1 float64s must have a byte count NumPy can index.
+        settings = SimulationSettings(horizon=2**62)
+        message = rf"^horizon must be at most 1152921504606846975 for these loops, got {2**62}$"
+        with pytest.raises(ValueError, match=message):
+            settings.check_horizon(one_loop_instance().systems)
+        with pytest.raises(ValueError, match=message):
+            run_simulation(one_loop_instance(), (threshold_policy(0.5),), settings)
 
 
 class TestRunSimulationDeterminism:
     def test_same_seed_reproduces_exactly(self):
         inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=5000, seed=42, thin=7
-        )
-        m1 = run_simulation(cfg)
-        m2 = run_simulation(cfg)
+        sim = (inst, reference_policies(), SimulationSettings(horizon=5000, seed=42, thin=7))
+        m1 = run_simulation(*sim)
+        m2 = run_simulation(*sim)
         np.testing.assert_array_equal(m1.empirical_cost, m2.empirical_cost)
         np.testing.assert_array_equal(m1.empirical_tx_rate, m2.empirical_tx_rate)
         np.testing.assert_array_equal(m1.empirical_success_rate, m2.empirical_success_rate)
@@ -127,9 +114,8 @@ class TestRunSimulationDeterminism:
 
     def test_different_seeds_differ(self):
         inst = reference_instance()
-        base = dict(instance=inst, policies=reference_policies(), horizon=5000)
-        m1 = run_simulation(SimConfig(seed=1, **base))
-        m2 = run_simulation(SimConfig(seed=2, **base))
+        m1 = run_simulation(inst, reference_policies(), SimulationSettings(horizon=5000, seed=1))
+        m2 = run_simulation(inst, reference_policies(), SimulationSettings(horizon=5000, seed=2))
         assert not np.array_equal(m1.empirical_cost, m2.empirical_cost)
 
 
@@ -162,11 +148,8 @@ def assert_same_run(got, want):
 
 class TestTrajectoryRecord:
     def test_rows_reproduce_the_metrics(self):
-        inst = one_loop_instance()
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(0.8),), horizon=500, seed=11, thin=1
-        )
-        met = run_simulation(cfg)
+        settings = SimulationSettings(horizon=500, seed=11, thin=1)
+        met = run_simulation(one_loop_instance(), (threshold_policy(0.8),), settings)
         slot, system, v, tx, gamma = met.trajectory
         assert slot.size == 500
         kept = slot > met.burn_in
@@ -177,28 +160,22 @@ class TestTrajectoryRecord:
         )
 
     def test_delivery_requires_a_transmission(self):
-        inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=2000, seed=5, thin=1
-        )
-        _, _, _, tx, gamma = run_simulation(cfg).trajectory
+        settings = SimulationSettings(horizon=2000, seed=5, thin=1)
+        _, _, _, tx, gamma = run_simulation(
+            reference_instance(), reference_policies(), settings
+        ).trajectory
         assert np.any(gamma)
         assert not np.any(gamma & ~tx)
 
     def test_thinning_keeps_every_kth_slot(self):
-        inst = one_loop_instance()
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(0.8),), horizon=100, seed=0, thin=10
-        )
-        met = run_simulation(cfg)
+        settings = SimulationSettings(horizon=100, seed=0, thin=10)
+        met = run_simulation(one_loop_instance(), (threshold_policy(0.8),), settings)
         assert met.trajectory[0].tolist() == list(range(10, 101, 10))
 
     def test_disabled_by_default(self):
-        inst = one_loop_instance()
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(0.8),), horizon=100, seed=0
-        )
-        assert run_simulation(cfg).trajectory is None
+        settings = SimulationSettings(horizon=100, seed=0)
+        met = run_simulation(one_loop_instance(), (threshold_policy(0.8),), settings)
+        assert met.trajectory is None
 
     @pytest.mark.parametrize("thin", [1, 7, 200, 205])
     def test_rows_match_the_per_slot_oracle(self, thin):
@@ -206,13 +183,13 @@ class TestTrajectoryRecord:
         # horizon, and thin = 205 keeps no slot at all.
         inst = mixed_instance((1, 4, 2))
         policies = (constant_policy(0.9), threshold_policy(0.0), constant_policy(0.8))
-        cfg = SimConfig(instance=inst, policies=policies, horizon=200, seed=3, thin=thin)
-        met = run_simulation(cfg)
+        sim = (inst, policies, SimulationSettings(horizon=200, seed=3, thin=thin))
+        met = run_simulation(*sim)
         assert met.trajectory[0].size == 3 * (200 // thin)
         assert [col.dtype for col in met.trajectory] == [
             np.int64, np.int64, np.float64, np.bool_, np.bool_
         ]
-        assert_same_run(met, loop_simulation(cfg))
+        assert_same_run(met, loop_simulation(*sim))
 
 
 class TestLoopRuns:
@@ -228,7 +205,7 @@ class TestLoopRuns:
             threshold_policy(0.2), constant_policy(0.9), threshold_policy(0.0),
             constant_policy(0.7),
         )
-        cfg = SimConfig(instance=inst, policies=policies, horizon=300, seed=4, thin=3)
+        sim = (inst, policies, SimulationSettings(horizon=300, seed=4, thin=3))
         calls = []
         kernel = raccess._kernels.state_recursion
 
@@ -237,10 +214,10 @@ class TestLoopRuns:
             return kernel(*args)
 
         monkeypatch.setattr(raccess._kernels, "state_recursion", counted)
-        met = run_simulation(cfg)
+        met = run_simulation(*sim)
         assert calls == ([1, 1, 1, 1] if cells == 300 else [1, 1, 2])
         monkeypatch.setattr(raccess._kernels, "state_recursion", kernel)
-        assert_same_run(met, loop_simulation(cfg))
+        assert_same_run(met, loop_simulation(*sim))
 
 
 class TestReduction:
@@ -254,11 +231,11 @@ class TestReduction:
         dims = (1, 2, 3, 4)
         inst = mixed_instance(dims, seed=31)
         policies = tuple(threshold_policy(0.0) for _ in dims)
-        cfg = SimConfig(instance=inst, policies=policies, horizon=2000, seed=2, thin=1)
-        met = run_simulation(cfg)
-        assert_same_run(met, loop_simulation(cfg))
+        sim = (inst, policies, SimulationSettings(horizon=2000, seed=2, thin=1))
+        met = run_simulation(*sim)
+        assert_same_run(met, loop_simulation(*sim))
         got = met.trajectory
-        want = loop_simulation(cfg, quadratic=three_operand_lyapunov_values).trajectory
+        want = loop_simulation(*sim, quadratic=three_operand_lyapunov_values).trajectory
         np.testing.assert_array_equal(got[1], want[1])
         for i, n in enumerate(dims):
             v, w = got[2][got[1] == i], want[2][want[1] == i]
@@ -330,37 +307,33 @@ def test_a_steep_curve_delivers_where_its_power_overflows():
         tx_powers=[1.0],
         success_targets=[0.1],
     )
-    cfg = SimConfig(instance=inst, policies=(threshold_policy(20.0),), horizon=20_000, seed=3)
+    settings = SimulationSettings(horizon=20_000, seed=3)
     with np.errstate(over="ignore", invalid="ignore"):
-        metrics = run_simulation(cfg)
+        metrics = run_simulation(inst, (threshold_policy(20.0),), settings)
     assert metrics.empirical_tx_rate[0] > 0.1
     assert metrics.empirical_success_rate[0] == metrics.empirical_tx_rate[0]
 
 
 class TestInstability:
     def test_unhelped_unstable_loop_is_reported_with_its_slot(self):
-        inst = one_loop_instance()
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(math.inf),), horizon=1000, seed=3
-        )
+        settings = SimulationSettings(horizon=1000, seed=3)
         with pytest.raises(UnstableSimulationError, match=r"loop 0 .* at slot \d+ of 1000"):
-            run_simulation(cfg)
+            run_simulation(one_loop_instance(), (threshold_policy(math.inf),), settings)
 
     @pytest.mark.parametrize("threshold", [math.inf, 3.0])
     def test_reported_slot_matches_the_loop_oracle(self, threshold, monkeypatch):
         # The state passes the norm limit a few blocks into the horizon;
         # the blocked kernel must name the slot the per-slot loop names.
-        cfg = SimConfig(
-            instance=one_loop_instance(),
-            policies=(threshold_policy(threshold),),
-            horizon=5000,
-            seed=3,
+        sim = (
+            one_loop_instance(),
+            (threshold_policy(threshold),),
+            SimulationSettings(horizon=5000, seed=3),
         )
         with pytest.raises(UnstableSimulationError) as kernel_err:
-            run_simulation(cfg)
+            run_simulation(*sim)
         monkeypatch.setattr(raccess._kernels, "state_recursion", loop_state_recursion)
         with pytest.raises(UnstableSimulationError) as oracle_err:
-            run_simulation(cfg)
+            run_simulation(*sim)
         assert str(kernel_err.value) == str(oracle_err.value)
         slot = int(re.search(r"at slot (\d+)", str(kernel_err.value)).group(1))
         assert math.isqrt(5000) < slot < 5000
@@ -378,7 +351,6 @@ class TestInstability:
             success_targets=[0.3] * 3,
         )
         policies = (threshold_policy(math.inf), threshold_policy(0.5), threshold_policy(math.inf))
-        cfg = SimConfig(instance=inst, policies=policies, horizon=3000, seed=3)
         states = []
         kernel = raccess._kernels.state_recursion
 
@@ -388,7 +360,7 @@ class TestInstability:
 
         monkeypatch.setattr(raccess._kernels, "state_recursion", kept)
         with pytest.raises(UnstableSimulationError) as err:
-            run_simulation(cfg)
+            run_simulation(inst, policies, SimulationSettings(horizon=3000, seed=3))
         (out,) = states
         with np.errstate(over="ignore", invalid="ignore"):
             escaped = ~(np.abs(out[:, :, 0]) <= 1e12)
@@ -400,21 +372,15 @@ class TestInstability:
         )
 
     def test_stabilized_loop_survives_the_same_horizon(self):
-        inst = one_loop_instance()
-        cfg = SimConfig(
-            instance=inst, policies=(threshold_policy(0.5),), horizon=1000, seed=3
-        )
-        met = run_simulation(cfg)
+        settings = SimulationSettings(horizon=1000, seed=3)
+        met = run_simulation(one_loop_instance(), (threshold_policy(0.5),), settings)
         assert np.isfinite(met.empirical_cost[0])
 
 
 class TestEmpiricalGammaRateCheck:
     def test_reference_policies_match_the_product_form(self):
         inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=100, seed=0
-        )
-        records = empirical_gamma_rate_check(cfg, n_slots=30_000, seed=17)
+        records = empirical_gamma_rate_check(inst, reference_policies(), n_slots=30_000, seed=17)
         assert len(records) == 2
         for rec in records:
             assert abs(rec.z_score) <= 4.0
@@ -438,8 +404,7 @@ class TestEmpiricalGammaRateCheck:
             tx_powers=[1.0] * m,
             success_targets=[0.05] * m,
         )
-        cfg = SimConfig(instance=inst, policies=policies, horizon=100, seed=0)
-        records = empirical_gamma_rate_check(cfg, n_slots=30_000, seed=23)
+        records = empirical_gamma_rate_check(inst, policies, n_slots=30_000, seed=23)
         for rec in records:
             assert abs(rec.z_score) <= 4.0
 
@@ -447,13 +412,12 @@ class TestEmpiricalGammaRateCheck:
 class TestLyapunovDriftCheck:
     def test_contract_holds_at_random_probes(self):
         inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=100, seed=0
-        )
         rng = np.random.default_rng(2)
         for trial in range(3):
             probes = [rng.uniform(-4.0, 4.0, size=1) for _ in range(2)]
-            records = lyapunov_drift_check(cfg, probes, n_replications=20_000, seed=trial)
+            records = lyapunov_drift_check(
+                inst, reference_policies(), probes, n_replications=20_000, seed=trial
+            )
             for rec in records:
                 assert rec.ok
                 assert rec.sample_mean <= rec.bound + 4.0 * rec.std_error
@@ -461,19 +425,15 @@ class TestLyapunovDriftCheck:
     def test_infeasible_policies_are_rejected_up_front(self):
         inst = reference_instance()
         weak = (threshold_policy(2.0), threshold_policy(2.0))
-        cfg = SimConfig(instance=inst, policies=weak, horizon=100, seed=0)
         with pytest.raises(ValueError, match="below its"):
-            lyapunov_drift_check(cfg, [np.zeros(1), np.zeros(1)], n_replications=100)
+            lyapunov_drift_check(inst, weak, [np.zeros(1), np.zeros(1)], n_replications=100, seed=0)
 
     def test_probe_shape_validation(self):
-        inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=100, seed=0
-        )
+        sim = (reference_instance(), reference_policies())
         with pytest.raises(ValueError):
-            lyapunov_drift_check(cfg, [np.zeros(1)], n_replications=100)
+            lyapunov_drift_check(*sim, [np.zeros(1)], n_replications=100, seed=0)
         with pytest.raises(ValueError):
-            lyapunov_drift_check(cfg, [np.zeros(2), np.zeros(1)], n_replications=100)
+            lyapunov_drift_check(*sim, [np.zeros(2), np.zeros(1)], n_replications=100, seed=0)
 
 
 class TestAgainstAnalyticBound:
@@ -482,10 +442,8 @@ class TestAgainstAnalyticBound:
         # cost under tr(P W) / (1 - rho) once the policies meet their
         # delivery requirements.
         inst = reference_instance()
-        cfg = SimConfig(
-            instance=inst, policies=reference_policies(), horizon=60_000, seed=7
-        )
-        met = run_simulation(cfg)
+        settings = SimulationSettings(horizon=60_000, seed=7)
+        met = run_simulation(inst, reference_policies(), settings)
         for i in range(2):
             assert met.empirical_cost[i] <= 5.0 * 1.1
             assert met.empirical_tx_rate[i] > inst.success_targets[i]
