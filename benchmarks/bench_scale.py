@@ -63,8 +63,19 @@ untimed call. The config is perfbench's ``certify`` config at seed 1
 with m in {64, 256} random loops whose state dimension cycles through
 2, 3, 4. Runs recorded before ``8dc0194-rates-parent`` have none.
 
+The ``logistic`` entry times the quadrature design on the one curve
+without a closed-form tail mean: 300 periods (``dual_change_tol = 0``)
+of the worked example, the (1.1, 0.5) and (1.0, 0.4) loops with
+collision probability 0.5, with both curves ``logistic_log`` (0.8, 3) on
+exponential fades of mean 1 (``quadrature_s``, ``REPEATS`` runs); and
+the µs per ``LogisticLogCurve.tail_mean`` call on exponential (mean 1)
+and uniform (0.2, 1.8) fades, averaged over 200 thresholds from 0 to 2
+(``exponential_tail_mean_us_per_call``,
+``uniform_tail_mean_us_per_call``). Runs recorded before
+``d8e2dd8-simpson`` have none.
+
 Each m runs in a process of its own, so its scalar entry's peak RSS is
-its own.
+its own; so do the long, rates and logistic entries.
 From the root of a checkout:
 
     PYTHONPATH=src python benchmarks/bench_scale.py --label after
@@ -75,6 +86,7 @@ so one file keeps the runs of successive changes side by side.
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import json
 import os
@@ -96,12 +108,14 @@ from raccess import (
     CollisionMatrix,
     ExponentialFading,
     FadingChannel,
+    LogisticLogCurve,
     MonteCarlo,
     ProblemInstance,
     SaturatingExpCurve,
     SimulationSettings,
     StopRule,
     SwitchedSystem,
+    UniformFading,
     compute_success_requirement,
     run_algorithm1,
     run_simulation,
@@ -128,6 +142,10 @@ PROBES = 11
 RATES_SIZES = (64, 256)
 RATES_REPEATS = 21
 RATES_SEED = 1
+LOGISTIC = LogisticLogCurve(midpoint=0.8, steepness=3.0)
+LOGISTIC_PERIODS = 300
+TAIL_FADES = {"exponential": ExponentialFading(mean=1.0), "uniform": UniformFading(0.2, 1.8)}
+TAIL_THRESHOLDS = np.linspace(0.0, 2.0, 200).tolist()
 
 
 def instance(m, loops, n=1):
@@ -198,7 +216,8 @@ def add_reference(entries, probes):
         for block in (entry, entry.get("simulation", {}), entry.get("dual_split", {})):
             for key, timing in block.items():
                 if isinstance(timing, dict) and "median" in timing:
-                    unit = 1e-3 if key.endswith("_ms_per_period") else 1.0
+                    ms, us = key.endswith("_ms_per_period"), key.endswith("_us_per_call")
+                    unit = 1e-3 if ms else 1e-6 if us else 1.0
                     timing["x_ref"] = timing["median"] * unit / ref
     return entries
 
@@ -378,6 +397,37 @@ def rates_entry(m):
     return add_reference([entry], probes)
 
 
+def logistic_entry():
+    """The worked example's quadrature design on logistic_log curves, and one tail mean, timed."""
+    probes = [speed_probe() for _ in range(PROBES)]
+    channel = FadingChannel(dist=TAIL_FADES["exponential"], curve=LOGISTIC)
+    inst = dataclasses.replace(
+        instance(2, MIXED),
+        channels=(channel, channel),
+        collision=CollisionMatrix(q=np.array([[0.0, 0.5], [0.5, 0.0]])),
+    )
+    stop = StopRule(max_periods=LOGISTIC_PERIODS, dual_change_tol=0.0)
+    walls = []
+    for _ in range(REPEATS):
+        probes.append(speed_probe())
+        result, wall = timed_run(inst, None, stop)
+        walls.append(wall)
+    entry = {"m": 2, "curve": "logistic_log (0.8, 3)", "periods": result.periods}
+    entry["repeats"] = REPEATS
+    entry["quadrature_s"] = spread(walls)
+    for name, dist in TAIL_FADES.items():
+        per_call = []
+        for _ in range(REPEATS):
+            probes.append(speed_probe())
+            start = time.perf_counter()
+            for tau in TAIL_THRESHOLDS:
+                LOGISTIC.tail_mean(dist, tau)
+            per_call.append(1e6 * (time.perf_counter() - start) / len(TAIL_THRESHOLDS))
+        entry[f"{name}_tail_mean_us_per_call"] = spread(per_call)
+    entry["peak_rss_mb"] = peak_rss_mb()
+    return add_reference([entry], probes)
+
+
 def run_child(extra):
     proc = subprocess.run(
         [sys.executable, os.path.abspath(__file__), *extra],
@@ -395,7 +445,11 @@ def main():
     parser.add_argument("--m", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--long", type=int, choices=tuple(LONG_LOOPS), help=argparse.SUPPRESS)
     parser.add_argument("--rates", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--logistic", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.logistic:
+        print(json.dumps(logistic_entry()))
+        return
     if args.rates is not None:
         print(json.dumps(rates_entry(args.rates)))
         return
@@ -418,6 +472,8 @@ def main():
     for m in RATES_SIZES:
         rates += run_child(["--rates", str(m)])
         print(json.dumps(rates[-1]), file=sys.stderr)
+    logistic = run_child(["--logistic"])
+    print(json.dumps(logistic), file=sys.stderr)
 
     doc = {"runs": {}}
     if os.path.exists(args.out):
@@ -433,6 +489,7 @@ def main():
         "scaling": scaling,
         "long": long,
         "rates": rates,
+        "logistic": logistic,
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

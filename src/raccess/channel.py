@@ -12,10 +12,11 @@ This module owns the fade distributions, the success-curve families, the
 collision matrix, and the expectation operators used everywhere else.
 Under alpha(h) = r 1[h >= tau] they are exact: r P(h >= tau), and
 r E[q(h); h >= tau] from the curve's ``tail_mean`` (``threshold_success``
-at r = 1), a closed form except on the logistic_log curve, which
-adaptive Simpson integrates. Under ``MonteCarlo`` the design loop
-estimates both for each sensor's threshold from one
-``draw_transmit_sample`` call. Link success probabilities are exact.
+at r = 1), a closed form except on the logistic_log curve, which a fixed
+composite Gauss-Legendre rule in log-fade integrates. Under
+``MonteCarlo`` the design loop estimates both for each sensor's threshold
+from one ``draw_transmit_sample`` call. Link success probabilities are
+exact.
 """
 
 from __future__ import annotations
@@ -43,10 +44,22 @@ __all__ = [
     "delivery_product",
 ]
 
-# Adaptive Simpson (logistic_log curve only) integrates to this absolute
-# error over the fades up to the point whose tail mass is _SIMPSON_TAIL.
-_SIMPSON_TOL = 1e-10
-_SIMPSON_TAIL = 1e-13
+# Where LogisticLogCurve.tail_mean's panels end and break.
+_TAIL_MASS = 1e-13
+_KNEE_STEPS = (0, 1, -1, 2, -2, 4, -4, 8, -8, 16, -16, 32, -32)
+_FADE_MASSES = (0.99, 0.9, 0.5, 0.1, 1e-2, 1e-4, 1e-8)
+# 16-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(16)
+# gives it: the positive nodes and their weights, mirrored below.
+_GL_NODES = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_NODES = np.concatenate((-_GL_NODES[::-1], _GL_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_WEIGHTS[::-1], _GL_WEIGHTS))
 # The largest sample size Generator.binomial takes (its n is a C long).
 _MAX_SAMPLES = 2**63 - 1
 
@@ -78,9 +91,9 @@ class ExponentialFading(Frozen):
         return h
 
     def pdf(self, h):
-        """Density at the float fade level h."""
+        """Density at the float or ndarray fade levels h, elementwise; 0 below 0."""
         inv = 1.0 / self.mean
-        return inv * math.exp(-h * inv) if h >= 0.0 else 0.0
+        return np.where(h >= 0.0, inv * np.exp(-h * inv), 0.0)
 
     def survival(self, h):
         """P(fade >= h) at the float fade level h."""
@@ -130,9 +143,8 @@ class UniformFading(Frozen):
         return h
 
     def pdf(self, h):
-        """Density at the float fade level h."""
-        dens = 1.0 / (self.high - self.low)
-        return dens if self.low <= h <= self.high else 0.0
+        """Density at the float or ndarray fade levels h, elementwise; 0 off [low, high]."""
+        return np.where((self.low <= h) & (h <= self.high), 1.0 / (self.high - self.low), 0.0)
 
     def survival(self, h):
         """P(fade >= h) at the float fade level h."""
@@ -241,21 +253,32 @@ class LogisticLogCurve(Frozen):
         return self.midpoint * (t / (1.0 - t)) ** (1.0 / self.steepness)
 
     def tail_mean(self, dist, lo):
-        """E[q(h); h >= lo] by adaptive Simpson from lo up to the ``_SIMPSON_TAIL`` cutoff."""
-        m, s, pdf = self.midpoint, self.steepness, dist.pdf
+        """E[q(h); h >= lo] by a composite 16-point Gauss-Legendre rule in u = log h.
 
-        def integrand(h):
-            if h <= 0.0:
-                return 0.0
-            try:
-                r = (h / m) ** s
-            except OverflowError:
-                r = math.inf
-            # q saturates at 1 where r overflows (r / (1 + r) would be nan).
-            return pdf(h) * (r / (1.0 + r) if r < math.inf else 1.0)
-
-        hi = dist.upper_cutoff(_SIMPSON_TAIL)
-        return _adaptive_simpson(integrand, max(dist.lower, lo), hi, _SIMPSON_TOL)
+        The integrand is pdf(e^u) q e^u, with q written as
+        (1 + tanh(s (u - log m) / 2)) / 2. The panels run from u_lo =
+        max(log max(lower, lo), log m - 40/s, u_hi - 60), below which q
+        or the fade mass is negligible, up to u_hi = log
+        upper_cutoff(``_TAIL_MASS``), and break at the curve's knee and
+        at the fade law's cutoffs (``_KNEE_STEPS``, ``_FADE_MASSES``), so
+        that no panel steps over a steep part of the integrand.
+        """
+        s, log_m = self.steepness, math.log(self.midpoint)
+        u_hi = math.log(dist.upper_cutoff(_TAIL_MASS))
+        start = max(dist.lower, lo)
+        u_lo = max(math.log(start) if start > 0.0 else -math.inf, log_m - 40.0 / s, u_hi - 60.0)
+        if not u_lo < u_hi:
+            return 0.0
+        cuts = [log_m + k / s for k in _KNEE_STEPS]
+        cuts += [math.log(dist.upper_cutoff(eps)) for eps in _FADE_MASSES]
+        edges = np.array(sorted({u_lo, u_hi, *(min(max(u, u_lo), u_hi) for u in cuts)}))
+        half = 0.5 * np.diff(edges)
+        u = (edges[:-1] + half)[:, None] + half[:, None] * _GL_NODES
+        h = np.exp(u)
+        # tanh is 1.0 to the last bit from s z / 2 = 20 on; the cap keeps s z finite for any s.
+        z = np.minimum(u - log_m, 40.0 / s)
+        q = 0.5 + 0.5 * np.tanh(0.5 * s * z)
+        return float(half @ ((dist.pdf(h) * q * h) @ _GL_WEIGHTS))
 
 
 @frozen
@@ -341,33 +364,6 @@ def draw_transmit_sample(threshold, ch, samples, rng):
     k = int(rng.binomial(samples, ch.dist.survival(threshold)))
     fades = sample_channel(ch, rng, size=k, lower=threshold)
     return k / samples, ch.curve.sum_values(fades) / samples
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    return _simpson_rec(
-        f, a, mid, fa, flm, fm, left, 0.5 * tol, depth - 1
-    ) + _simpson_rec(f, mid, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-
-
-def _adaptive_simpson(f, a, b, tol):
-    if not b > a:
-        return 0.0
-    fa = f(a)
-    fb = f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth=48)
 
 
 def expected_policy_rate(policy, ch):

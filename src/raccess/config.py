@@ -202,8 +202,10 @@ def _parse_family(entry, table, path):
         )
     cls = table[family]
     _object(entry, _FAMILY_KEYS[cls], path)
+    # Read outside the try: a number's own error already names its full path.
+    values = {k: _number(v, f"{path}.{k}") for k, v in entry.items() if k != "family"}
     try:
-        return make(cls, {k: _number(v, f"{path}.{k}") for k, v in entry.items() if k != "family"})
+        return make(cls, values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

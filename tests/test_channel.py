@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 import raccess.channel
 from helpers import (
@@ -28,7 +33,7 @@ from raccess import (
     sample_channel,
     threshold_policy,
 )
-from raccess.channel import _adaptive_simpson, delivery_product
+from raccess.channel import _GL_NODES, _GL_WEIGHTS, delivery_product
 
 
 def exp_saturating_channel(mean, kappa, gain=1.0):
@@ -94,14 +99,16 @@ class TestThresholdExpectationsUniform:
         assert got_succ == pytest.approx(want_succ, abs=1e-9)
 
 
-def simpson_expectations(policy, ch):
-    """E[alpha] and E[alpha q] by adaptive Simpson on the fade density."""
+def quad_expectations(policy, ch):
+    """E[alpha] and E[alpha q] by SciPy ``quad`` on the fade density."""
     pdf = ch.dist.pdf
     k = ch.curve.kappa * ch.curve.gain
     lo = max(ch.dist.lower, policy.threshold)
     hi = ch.dist.upper_cutoff(1e-13)
-    rate = _adaptive_simpson(pdf, lo, hi, 1e-12)
-    success = _adaptive_simpson(lambda h: pdf(h) * -math.expm1(-k * h), lo, hi, 1e-12)
+    if not hi > lo:
+        return 0.0, 0.0
+    rate = quad(pdf, lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
+    success = quad(lambda h: pdf(h) * -math.expm1(-k * h), lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
     return policy.rate * rate, policy.rate * success
 
 
@@ -120,9 +127,9 @@ CLOSED_FORM_CASES = [
 
 
 @pytest.mark.parametrize("dist,policy", CLOSED_FORM_CASES)
-def test_closed_forms_match_simpson(dist, policy):
+def test_closed_forms_match_quad(dist, policy):
     ch = FadingChannel(dist=dist, curve=SaturatingExpCurve(kappa=1.5, gain=0.8))
-    want_rate, want_succ = simpson_expectations(policy, ch)
+    want_rate, want_succ = quad_expectations(policy, ch)
     assert abs(expected_policy_rate(policy, ch) - want_rate) <= 1e-10
     assert abs(expected_policy_success(policy, ch) - want_succ) <= 1e-10
 
@@ -391,6 +398,111 @@ class TestSteepLogisticCurve:
         assert 0.0 < expected_policy_success(threshold_policy(20.0), ch) <= 1.0
 
 
+def logistic_oracle(dist, curve, lo):
+    """E[q(h); h >= lo] by SciPy ``quad`` in u = log h, split at 81 points across the knee.
+
+    Independent of the code under test: its own density and curve, and
+    it integrates exponential fades up to the tail mass 1e-17 rather
+    than the rule's 1e-13.
+    """
+    log_m, s = math.log(curve.midpoint), curve.steepness
+    if isinstance(dist, ExponentialFading):
+        mean = dist.mean
+        start, top = max(lo, 0.0), -mean * math.log(1e-17)
+
+        def pdf(h):
+            return math.exp(-h / mean) / mean
+
+        scale = [-mean * math.log(p) for p in (0.999, 0.99, 0.9, 0.5, 0.1, 1e-3, 1e-6, 1e-10)]
+    else:
+        start, top = max(lo, dist.low), dist.high
+
+        def pdf(h):
+            return 1.0 / (dist.high - dist.low)
+
+        scale = []
+    if not start < top:
+        return 0.0
+    u_top = math.log(top)
+    u_start = max(math.log(start) if start > 0.0 else -math.inf, log_m - 60.0 / s, u_top - 80.0)
+
+    def integrand(u):
+        h = math.exp(u)
+        return pdf(h) * 0.5 * (1.0 + math.tanh(0.5 * s * (u - log_m))) * h
+
+    cuts = [log_m + k / (2.0 * s) for k in range(-80, 81, 2)] + [math.log(h) for h in scale]
+    edges = [u_start, *sorted(u for u in set(cuts) if u_start < u < u_top), u_top]
+    return sum(
+        quad(integrand, a, b, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+ORACLE_DISTS = [
+    ExponentialFading(mean=0.05),
+    ExponentialFading(mean=1.0),
+    ExponentialFading(mean=3.0),
+    UniformFading(low=0.0, high=2.0),
+    UniformFading(low=1.0, high=40.0),
+]
+
+
+class TestLogisticTailMean:
+    """The fixed Gauss-Legendre rule against an independent quadrature."""
+
+    @pytest.mark.parametrize("steepness", [0.2, 1.0, 3.0, 40.0, 250.0, 1e4])
+    @pytest.mark.parametrize("dist", ORACLE_DISTS, ids=repr)
+    def test_matches_the_oracle(self, dist, steepness):
+        worst = 0.0
+        for midpoint in (0.05, 0.2, 0.8, 5.0, 30.0):
+            curve = LogisticLogCurve(midpoint=midpoint, steepness=steepness)
+            # At 0, at the knee, at the fade law's median and beyond its support.
+            for lo in (0.0, midpoint, dist.upper_cutoff(0.5), 2.0 * dist.upper_cutoff(1e-14)):
+                worst = max(worst, abs(curve.tail_mean(dist, lo) - logistic_oracle(dist, curve, lo)))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dist, curve, lo, want",
+        [
+            (ExponentialFading(mean=0.3), LogisticLogCurve(midpoint=5.0, steepness=250.0), 0.5,
+             5.817588246198e-8),
+            (ExponentialFading(mean=0.05), LogisticLogCurve(midpoint=0.8, steepness=1e4), 0.1,
+             1.125355189916e-7),
+        ],
+    )
+    def test_a_narrow_knee_far_in_the_tail(self, dist, curve, lo, want):
+        # An adaptive rule whose first samples miss the knee returns about 1e-9 here.
+        got = curve.tail_mean(dist, lo)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert abs(got - logistic_oracle(dist, curve, lo)) <= 1e-12
+
+    def test_nodes_and_weights_are_leggauss(self):
+        nodes, weights = leggauss(16)
+        assert np.max(np.abs(_GL_NODES - nodes)) <= 1e-15
+        assert np.max(np.abs(_GL_WEIGHTS - weights)) <= 1e-15
+
+    def test_imports_neither_scipy_nor_numpy_polynomial(self):
+        # Either would raise the CLI's start-up time and peak RSS.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = (
+            "import sys, raccess\n"
+            "from raccess.config import parse_config\n"
+            f"parse_config({os.path.join(root, 'configs', 'twoloop.json')!r})\n"
+            "raccess.LogisticLogCurve(0.8, 3.0).tail_mean(raccess.ExponentialFading(1.0), 0.2)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+        )
+        path = os.pathsep.join(filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert proc.stdout == "[]\n"
+
+
 class TestFadingDistributions:
     def test_exponential_survival_and_cutoff(self):
         d = ExponentialFading(mean=2.0)
@@ -408,7 +520,7 @@ class TestFadingDistributions:
     def test_pdf_normalization(self):
         for d in (ExponentialFading(mean=0.7), UniformFading(low=0.2, high=1.9)):
             hs = np.linspace(d.lower, d.upper_cutoff(1e-15), 200_001)
-            mass = np.trapezoid([d.pdf(h) for h in hs], hs)
+            mass = np.trapezoid(d.pdf(hs), hs)
             assert mass == pytest.approx(1.0, abs=1e-5)
 
     def test_sampling_matches_mean(self):

@@ -840,6 +840,22 @@ class TestFamilySchema:
         with pytest.raises(ConfigError, match=r"channels\[1\]\.dist\.mean: must be a number"):
             parse_config(write_config(tmp_path, raw))
 
+    @pytest.mark.parametrize(
+        "part, entry",
+        [
+            ("dist", {"family": "exponential", "mean": "abc"}),
+            ("curve", {"family": "logistic_log", "midpoint": 0.8, "steepness": "abc"}),
+        ],
+    )
+    def test_bad_parameter_names_its_path_once(self, tmp_path, capsys, part, entry):
+        key = next(k for k, v in entry.items() if v == "abc")
+        raw = with_channel_part(part, entry)
+        code = main(["rates", write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_CONFIG,
+            f"error: channels[1].{part}.{key}: must be a number, got 'abc'\n",
+        )
+
 
 def as_rows(columns):
     """The oracle's rows: one tuple per row, bools as the ints 0 and 1."""
