@@ -19,9 +19,7 @@ the TypeError a generated ``__init__`` would and then calls
 between objects of one class; ``repr`` is ``Name(field=value, ...)``; and
 assigning or deleting an attribute raises ``FrozenInstanceError``.
 ``__post_init__`` sets normalized fields with ``object.__setattr__``, as
-on a frozen dataclass. ``make`` builds an object from a dict of all its
-fields without binding call arguments, for the config reader, which
-builds three objects per channel.
+on a frozen dataclass.
 """
 
 import dataclasses
@@ -29,13 +27,12 @@ import functools
 from dataclasses import FrozenInstanceError
 from reprlib import recursive_repr
 
-__all__ = ["Frozen", "frozen", "make"]
+__all__ = ["Frozen", "frozen"]
 
 # Fields are set past Frozen.__setattr__ into the object's own storage:
 # filling a materialized __dict__ would be cheaper, but then CPython 3.11
 # cannot specialize method calls on the object, which the design loop
 # makes on channels, fade laws and curves every period.
-_new = object.__new__
 _set = object.__setattr__
 
 
@@ -96,27 +93,6 @@ def frozen(cls):
         len(names) - len(defaults),  # a field with a default comes last
     )
     return cls
-
-
-def make(cls, values):
-    """``cls(**values)`` for a dict ``values``, without binding call arguments.
-
-    When ``values`` names every field, as a config reader that has
-    checked its keys gives them, the object is filled from it directly
-    and checked by its ``__post_init__``. That skips packing and binding
-    the call's arguments, the part of ``Frozen.__init__`` that a
-    generated ``__init__`` does not pay. Any other ``values`` go through
-    ``cls(**values)``.
-    """
-    fields, post, _, _, _ = cls._value_spec
-    if values.keys() != fields:
-        return cls(**values)
-    self = _new(cls)
-    for name, value in values.items():
-        _set(self, name, value)
-    if post:
-        self.__post_init__()
-    return self
 
 
 def _bind(cls, args, kwargs):

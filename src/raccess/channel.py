@@ -230,8 +230,9 @@ class LogisticLogCurve(Frozen):
         """
         # Fades are >= 0 and 0**s = 0 for s > 0, so h = 0 needs no guard.
         h = np.asarray(h, dtype=float)
-        r = np.power(h / self.midpoint, self.steepness)
-        return np.fmin(r / (1.0 + r), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.power(h / self.midpoint, self.steepness)
+            return np.fmin(r / (1.0 + r), 1.0)
 
     def sum_values(self, h):
         """Sum of q(h) over the float array h, computed in h's buffer, which it overwrites.
@@ -240,17 +241,21 @@ class LogisticLogCurve(Frozen):
         1 + r is the one temporary array. Only a nan sum, where some r
         overflowed, takes a second pass to set those q to 1.
         """
-        h /= self.midpoint
-        np.power(h, self.steepness, out=h)
-        np.divide(h, h + 1.0, out=h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h /= self.midpoint
+            np.power(h, self.steepness, out=h)
+            np.divide(h, h + 1.0, out=h)
         total = float(h.sum())
         if math.isnan(total):
             total = float(np.fmin(h, 1.0, out=h).sum())
         return total
 
     def inverse(self, t):
-        """Fade level at which the curve reaches t in (0, 1)."""
-        return self.midpoint * (t / (1.0 - t)) ** (1.0 / self.steepness)
+        """Fade level at which the curve reaches t in (0, 1); inf where no float holds it."""
+        try:
+            return self.midpoint * (t / (1.0 - t)) ** (1.0 / self.steepness)
+        except OverflowError:  # float ** raises where * and / give inf
+            return math.inf
 
     def tail_mean(self, dist, lo):
         """E[q(h); h >= lo] by a composite 16-point Gauss-Legendre rule in u = log h.

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .channel import link_success_probability
-from .config import ConfigError, _check_keys, _json_number, _require, _schema_version, parse_config
+from .config import ConfigError, _check_keys, _load, _number, _require, _schema_version, parse_config
 from .control import InfeasibleContractError, steady_state_cost_bound, success_requirements
 
 # Not called here; perfbench's tracer looks this name up in this module.
@@ -44,6 +44,8 @@ _POLICY_KINDS = {
     "threshold": ("threshold", threshold_policy),
     "constant": ("rate", constant_policy),
 }
+# How json reads NaN and ±Infinity, but with the literal Infinity as math.inf itself.
+_CONSTANTS = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 
 
 def _out_dir(args, cfg):
@@ -109,13 +111,7 @@ def _policies_doc(result, inst, link):
 
 def load_policies(path):
     """Read a policies JSON file back into AccessPolicy objects."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read policies: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    doc = _load(path, "policies", parse_constant=_CONSTANTS.__getitem__)
     entries = doc.get("policies") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not all(isinstance(d, dict) for d in entries):
         raise ConfigError(f"{path}: expected an object with a 'policies' list of objects")
@@ -133,7 +129,9 @@ def _read_policy(entry, path):
         raise ConfigError(f"{path}.kind: must be 'threshold' or 'constant', got {kind!r}")
     field, make_policy = _POLICY_KINDS[kind]
     _check_keys(entry, ("kind", field), path)
-    value = _json_number(_require(entry, field, path), f"{path}.{field}")
+    # A threshold may be the literal Infinity, never transmit; 1e400 reads as another inf.
+    value = _require(entry, field, path)
+    value = _number(value, f"{path}.{field}", finite=kind != "threshold" or value is not math.inf)
     try:
         return make_policy(value)
     except ValueError as exc:

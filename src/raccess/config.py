@@ -13,10 +13,11 @@ import dataclasses
 import json
 import math
 import operator
+from itertools import chain, groupby
 
 import numpy as np
 
-from ._frozen import Frozen, frozen, make
+from ._frozen import Frozen, frozen
 from .channel import (
     CollisionMatrix,
     ExponentialFading,
@@ -148,9 +149,16 @@ class ExperimentConfig(Frozen):
         return len(self.systems)
 
 
+def _loop_field(key, value, path):
+    """A loop's field: ``decay_rate`` a number, ``noise_mode`` as given, any other an array."""
+    if key == "noise_mode":
+        return value
+    return (_number if key == "decay_rate" else _numbers)(value, f"{path}.{key}")
+
+
 def _parse_pair(entry, path):
     """A loop given as a plant/controller pair, assembled into its SwitchedSystem."""
-    loop = dict(_object(entry, _PAIR_SYSTEM_KEYS, path))
+    loop = {k: _loop_field(k, v, path) for k, v in _object(entry, _PAIR_SYSTEM_KEYS, path).items()}
     assembly = {key: loop.pop(key) for key in _ASSEMBLY_KEYS if key in loop}
     try:
         system, _, _ = assemble_example_loop(PlantControllerPair(**loop), **assembly)
@@ -162,9 +170,10 @@ def _parse_pair(entry, path):
 def _parse_systems(entries):
     """The ``systems`` list: pairs assembled one by one, raw loops checked in stacks.
 
-    The raw-form loops go through ``check_loops`` together, one stacked
-    pass per state dimension. The error raised is that of the first bad
-    loop in config order, whichever phase finds it.
+    The raw-form loops' numbers are scanned together, read loop by loop only
+    to name a bad one, and the loops go through ``check_loops`` together, one
+    stacked pass per state dimension. The error raised is that of the first
+    bad loop in config order: its keys, then its numbers, then its checks.
     """
     systems, raw, at = [], [], []
     first_bad = None
@@ -180,6 +189,15 @@ def _parse_systems(entries):
             break  # no later loop can come first
         at.append(k)
         systems.append(None)
+    matrices = list(chain.from_iterable(loop[:-1] for loop in raw))
+    if not (_all_numbers([loop[-1] for loop in raw]) and _all_numbers(matrices)):
+        for i, k in enumerate(at):
+            try:
+                for key, value in entries[k].items():
+                    _loop_field(key, value, f"systems[{k}]")
+            except ConfigError as exc:
+                first_bad, raw = exc, raw[:i]
+                break
     checked, failures = check_loops(raw)
     if failures:
         i = min(failures)
@@ -205,52 +223,75 @@ def _parse_family(entry, table, path):
     # Read outside the try: a number's own error already names its full path.
     values = {k: _number(v, f"{path}.{k}") for k, v in entry.items() if k != "family"}
     try:
-        return make(cls, values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_channel(entry, path):
     _object(entry, _CHANNEL_KEYS, path)
-    return make(
-        FadingChannel,
-        {
-            "dist": _parse_family(entry["dist"], _FADES, f"{path}.dist"),
-            "curve": _parse_family(entry["curve"], _CURVES, f"{path}.curve"),
-        },
+    return FadingChannel(
+        dist=_parse_family(entry["dist"], _FADES, f"{path}.dist"),
+        curve=_parse_family(entry["curve"], _CURVES, f"{path}.curve"),
     )
 
 
-def _integer(value, field):
-    """A JSON integer, or a float with an integral value such as ``2e5``."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{field}: must be an integer, got {value!r}")
+_NUMBER_TYPES = frozenset((int, float))  # a bool is not a number
 
 
-def _number(value, field):
-    """``value`` as float() reads it, which must be finite; a bool is not a number."""
-    if isinstance(value, bool):
+def _number(value, field, finite=True):
+    """``value`` as a float: the rule for every number a file gives.
+
+    It must be a JSON int or float within the float range, and finite unless
+    ``finite`` is false (``json`` reads ``NaN`` and ``1e400`` as nan and inf).
+    """
+    if type(value) not in _NUMBER_TYPES:
         raise ConfigError(f"{field}: must be a number, got {value!r}")
     try:
         number = float(value)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{field}: must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise ConfigError(f"{field}: must be finite, got {value!r}")
+    except OverflowError as exc:
+        raise ConfigError(f"{field}: must lie within the float range") from exc
+    if finite and not math.isfinite(number):
+        raise ConfigError(f"{field}: must be finite, got {number!r}")
     return number
 
 
-def _json_number(value, field):
-    """``value`` as a float if the JSON gave a number, not a string, a bool or null."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{field}: must be a number, got {value!r}")
+def _all_numbers(value):
+    """Whether ``_number`` accepts every entry of ``value``, a number or nested lists of them.
+
+    Per level of lists, one ``groupby`` over types and one flattening, in C; the
+    float sum is finite only if every entry is, and raises on a huge integer.
+    """
+    leaves = [value]
+    while (types := {kind for kind, _ in groupby(leaves, type)}) == {list}:
+        leaves = list(chain.from_iterable(leaves))
     try:
-        return float(value)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ConfigError(f"{field}: must lie within the float range") from exc
+        return types <= _NUMBER_TYPES and math.isfinite(sum(leaves, 0.0))
+    except OverflowError:
+        return False
+
+
+def _numbers(value, field):
+    """``value``, a number or nested lists of numbers, once ``_number`` accepts every entry.
+
+    A clean value costs ``_all_numbers``' scans, not a call per entry; else the first
+    bad entry is named, as ``collision[0][1]``. The caller's coercion judges its shape.
+    """
+    if not _all_numbers(value):
+        if type(value) is list:
+            for k, item in enumerate(value):
+                _numbers(item, f"{field}[{k}]")
+        else:
+            _number(value, field)
+    return value
+
+
+def _integer(value, field):
+    """A count: a number by ``_number``'s rule with an integral value, such as ``2e5``."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        _number(value, field)  # an integer beyond the float range fails
+        return int(value)
+    raise ConfigError(f"{field}: must be an integer, got {value!r}")
 
 
 def _schema_version(doc, expected):
@@ -260,34 +301,14 @@ def _schema_version(doc, expected):
         raise ConfigError(f"schema_version: expected {expected}, got {version!r}")
 
 
-_NON_FINITE = "non-finite number {}: every config number must be finite"
-
-
-def _finite(text):
-    """JSON number hook: ``NaN``, ``Infinity`` and overflowing literals are errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(_NON_FINITE.format(text))
-    return value
-
-
-def _finite_int(text):
-    """JSON integer hook: an integer beyond the float range is an error, as ``1e400`` is."""
-    if not math.isfinite(float(text)):
-        raise ConfigError(_NON_FINITE.format(text))
-    return int(text)
-
-
-def _load(path, parse_float=None):
-    """The JSON document at ``path``; ``NaN``, ``Infinity`` and huge integers are errors."""
+def _load(path, what, parse_constant=None):
+    """The JSON document at ``path``, the ``what`` file: a config or a policies file."""
     try:
         with open(path) as fh:
-            return json.load(
-                fh, parse_float=parse_float, parse_int=_finite_int, parse_constant=_finite
-            )
+            return json.load(fh, parse_constant=parse_constant)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -358,19 +379,11 @@ def parse_config(path):
     Raises
     ------
     ConfigError
-        On unreadable files, invalid JSON, non-finite numbers (``NaN``,
-        ``Infinity``, ``1e400``), unknown keys, or any field failing
-        validation; the message names the field path.
+        On unreadable files, invalid JSON, unknown keys, or any field
+        failing validation (numbers by ``_number``); the message names
+        the field path, and the first error in reading order is raised.
     """
-    try:
-        return _build(_load(path))
-    except ConfigError:
-        # Floats are read natively, so a literal beyond the float range such
-        # as 1e400 became inf, which the check of its field rejected (or the
-        # JSON broke further on). Read again with the float hook, which
-        # names that literal instead.
-        _load(path, parse_float=_finite)
-        raise
+    return _build(_load(path, "config"))
 
 
 def _build(raw):
@@ -394,9 +407,10 @@ def _build(raw):
     )
 
     if "collision" in raw:
+        q = _numbers(raw["collision"], "collision")
         try:
-            collision = CollisionMatrix(q=np.asarray(raw["collision"], dtype=float))
-        except (ValueError, TypeError) as exc:
+            collision = CollisionMatrix(q=np.asarray(q, dtype=float))
+        except ValueError as exc:
             raise ConfigError(f"collision: {exc}") from exc
         if collision.m != m:
             raise ConfigError(
@@ -407,9 +421,9 @@ def _build(raw):
     else:
         raise ConfigError("missing required key 'collision' at top level")
 
-    powers_raw = _require(raw, "tx_powers", "top level")
+    powers = _numbers(_require(raw, "tx_powers", "top level"), "tx_powers")
     try:
-        tx_powers = _check_entries(powers_raw, m, "tx_powers")
+        tx_powers = _check_entries(powers, m, "tx_powers")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -155,7 +155,7 @@ def _coerce(values):
         try:
             arr = np.array(value, dtype=float, ndmin=2)
         except _COERCION_ERRORS as exc:
-            raise _first_nonfinite(mats) or exc
+            raise _first_nonfinite(mats) or type(exc)(f"{name}: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise _first_nonfinite(mats) or ValueError(
                 f"{name} must be square, got shape {arr.shape}"
@@ -353,8 +353,9 @@ def success_requirements(systems):
         p = np.array([s.lyap_matrix for s in loops])
         rho_p = np.array([s.decay_rate for s in loops])[:, None, None] * p
         a_o, a_c = np.array([s.a_open for s in loops]), np.array([s.a_closed for s in loops])
-        a = a_o.transpose(0, 2, 1) @ p @ a_o - rho_p
-        b = a_c.transpose(0, 2, 1) @ p @ a_c - rho_p
+        with np.errstate(over="ignore"):  # a Gram beyond the float range is inf
+            a = a_o.transpose(0, 2, 1) @ p @ a_o - rho_p
+            b = a_c.transpose(0, 2, 1) @ p @ a_c - rho_p
         keep = ~(np.linalg.eigvalsh(a)[:, -1] <= 0.0)  # the others need nothing: c = 0
         idx, a, b = idx[keep], a[keep], b[keep]
         slack = np.linalg.eigvalsh(b)[:, -1]
@@ -371,7 +372,8 @@ def success_requirements(systems):
         # L^-1 A L^-T; A is symmetric, so (L^-1 A)' = A L^-T.
         whitened = np.linalg.solve(ell, np.linalg.solve(ell, a).transpose(0, 2, 1))
         lam = np.linalg.eigvalsh(whitened)[:, -1]
-        reqs[idx] = c = lam / (1.0 + lam)
+        with np.errstate(invalid="ignore"):
+            reqs[idx] = c = lam / (1.0 + lam)
         # Also catches a nan from an overflowing whitened pencil.
         failures.update(dict.fromkeys(idx[~(c < 1.0)], boundary))
     if failures:

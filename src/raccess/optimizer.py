@@ -347,10 +347,12 @@ def _measure(thresholds, channels, mode, rngs):
         rates = [ch.dist.survival(tau) for tau, ch in zip(thresholds, channels)]
         succ = [threshold_success(tau, ch) for tau, ch in zip(thresholds, channels)]
         return np.array(rates), np.array(succ)
-    pairs = [
-        draw_transmit_sample(tau, ch, mode.samples, rng)
-        for tau, ch, rng in zip(thresholds, channels, rngs)
-    ]
+    # A fade mean or curve rate near the float maximum overflows to inf, whose q is exact.
+    with np.errstate(over="ignore"):
+        pairs = [
+            draw_transmit_sample(tau, ch, mode.samples, rng)
+            for tau, ch, rng in zip(thresholds, channels, rngs)
+        ]
     return np.array(pairs).T.copy()  # contiguous rows, as the exact branch gives
 
 

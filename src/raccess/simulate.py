@@ -194,11 +194,13 @@ def _draw_gamma(policies, channels, qmat, rng, count):
     """Transmit and delivery indicators for ``count`` slots, filled chunk by chunk."""
     tx = np.empty((len(policies), count), dtype=bool)
     gamma = np.empty_like(tx)
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        _, tx[:, start:stop], gamma[:, start:stop] = _transmission_outcomes(
-            policies, channels, qmat, rng, stop - start
-        )
+    # A fade mean or curve rate near the float maximum overflows to inf, whose q is exact.
+    with np.errstate(over="ignore"):
+        for start in range(0, count, _CHUNK):
+            stop = min(start + _CHUNK, count)
+            _, tx[:, start:stop], gamma[:, start:stop] = _transmission_outcomes(
+                policies, channels, qmat, rng, stop - start
+            )
     return tx, gamma
 
 

@@ -172,7 +172,10 @@ def loop_check_system(a_closed, a_open, noise_cov, lyap_matrix, decay_rate):
     """
     mats = []
     for name, value in zip(MATRIX_NAMES, (a_closed, a_open, noise_cov, lyap_matrix)):
-        arr = np.array(value, dtype=float, ndmin=2)
+        try:
+            arr = np.array(value, dtype=float, ndmin=2)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"{name} must be square, got shape {arr.shape}")
         if not np.isfinite(arr).all():

@@ -364,29 +364,44 @@ class TestSteepLogisticCurve:
         h = np.array([0.0, 0.5, 1.0, 2.0, 17.0, 17.5, 20.0, 1e300])
         with np.errstate(over="ignore", invalid="ignore"):
             old = allocating_value(STEEP, h)
-            got = STEEP.value(h)
+        got = STEEP.value(h)
         finite = ~np.isnan(old)
         assert list(finite) == [True] * 5 + [False] * 3
         assert np.array_equal(got[finite], old[finite])
         assert np.array_equal(got[~finite], [1.0, 1.0, 1.0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert STEEP.value(20.0) == 1.0
+        assert STEEP.value(20.0) == 1.0
 
     @pytest.mark.parametrize("size", [1, 7, 5000])
     def test_sum_values_saturates_as_value_does(self, size):
         h = np.random.default_rng(size).exponential(10.0, size=size)
         h[0] = 20.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = float(np.sum(STEEP.value(h)))
-            got = STEEP.sum_values(h.copy())
+        want = float(np.sum(STEEP.value(h)))
+        got = STEEP.sum_values(h.copy())
         assert math.isfinite(got) and got == want
 
     def test_monte_carlo_estimate_above_the_overflow(self):
         # Every fade drawn at or above tau = 20 has q = 1, so sum q = K.
         ch = FadingChannel(dist=ExponentialFading(mean=10.0), curve=STEEP)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rate, success = draw_transmit_sample(20.0, ch, 4000, np.random.default_rng(3))
+        rate, success = draw_transmit_sample(20.0, ch, 4000, np.random.default_rng(3))
         assert rate > 0.0 and success == rate
+
+    def test_sum_values_keeps_a_tiny_midpoint_finite(self):
+        # h / m overflows before the power does at m = 1e-300.
+        curve = LogisticLogCurve(midpoint=1e-300, steepness=2.0)
+        h = np.array([0.0, 1e-301, 1e10])
+        assert curve.sum_values(h.copy()) == float(np.sum(curve.value(h))) == 1.0 + 0.01 / 1.01
+
+    def test_inverse_beyond_the_float_range_is_inf(self):
+        # 9999 ** 100 overflows Python's float **; the fade level is beyond any float.
+        assert LogisticLogCurve(midpoint=1.0, steepness=0.01).inverse(0.9999) == math.inf
+        assert LogisticLogCurve(midpoint=1e300, steepness=0.5).inverse(0.99999) == math.inf
+
+    @pytest.mark.parametrize(
+        "midpoint, steepness, t", [(1.0, 0.01, 0.6), (0.8, 2.5, 0.5), (2.0, 0.02, 0.001)]
+    )
+    def test_inverse_that_fits_keeps_its_bits(self, midpoint, steepness, t):
+        curve = LogisticLogCurve(midpoint=midpoint, steepness=steepness)
+        assert curve.inverse(t) == midpoint * (t / (1.0 - t)) ** (1.0 / steepness)
 
     @pytest.mark.parametrize(
         "curve", [STEEP, LogisticLogCurve(midpoint=1e-300, steepness=1e300)], ids=["s250", "s1e300"]

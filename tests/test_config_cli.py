@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,10 +181,15 @@ class TestParseConfig:
             ([1.0], "tx_powers: expected 2 entries, got 1"),
             ([1.0, 0.0], "tx_powers: all entries must be positive"),
             ([1.0, -2.0], "tx_powers: all entries must be positive"),
-            (["nan", 1.0], "tx_powers: all entries must be finite"),
-            ([1.0, "x"], "tx_powers: could not convert string to float: 'x'"),
+            (["nan", 1.0], "tx_powers[0]: must be a number, got 'nan'"),
+            ([1.0, "x"], "tx_powers[1]: must be a number, got 'x'"),
+            ([True, 1.0], "tx_powers[0]: must be a number, got True"),
+            ([1.0, math.nan], "tx_powers[1]: must be finite, got nan"),
+            (1.0, "tx_powers: expected 2 entries, got 1"),
+            (False, "tx_powers: must be a number, got False"),
         ],
-        ids=["count", "zero", "negative", "nan-string", "not-a-number"],
+        ids=["count", "zero", "negative", "nan-string", "not-a-number", "bool", "nan",
+             "scalar", "bool-scalar"],
     )
     def test_tx_powers_messages(self, tmp_path, powers, message):
         raw = base_config()
@@ -365,21 +372,22 @@ class TestParseConfig:
         assert f"{field}: must be a number, got {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "place, literal",
+        "place, literal, field, value",
         [
-            ("tx_powers.0", "NaN"),
-            ("tx_powers.0", "Infinity"),
-            ("tx_powers.1", "1e400"),
-            ("systems.0.a_closed", "NaN"),
-            ("systems.1.noise_cov", "NaN"),
-            ("optimizer.dual_change_tol", "NaN"),
-            ("optimizer.slack_tol", "NaN"),
-            ("optimizer.divergence_bound", "NaN"),
-            ("optimizer.step_a", "-Infinity"),
+            ("tx_powers.0", "NaN", "tx_powers[0]", "nan"),
+            ("tx_powers.0", "Infinity", "tx_powers[0]", "inf"),
+            ("tx_powers.1", "1e400", "tx_powers[1]", "inf"),
+            ("systems.0.a_closed", "NaN", "systems[0].a_closed", "nan"),
+            ("systems.1.noise_cov", "NaN", "systems[1].noise_cov", "nan"),
+            ("collision.0.1", "-1e999", "collision[0][1]", "-inf"),
+            ("optimizer.dual_change_tol", "NaN", "optimizer.dual_change_tol", "nan"),
+            ("optimizer.slack_tol", "NaN", "optimizer.slack_tol", "nan"),
+            ("optimizer.divergence_bound", "NaN", "optimizer.divergence_bound", "nan"),
+            ("optimizer.step_a", "-Infinity", "optimizer.step_a", "-inf"),
         ],
     )
-    def test_non_finite_number_exits_2(self, tmp_path, capsys, place, literal):
-        # Python's json reads these literals as nan and inf unless told not to.
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, place, literal, field, value):
+        # Python's json reads these literals as nan and inf; the number reader rejects them.
         raw = base_config()
         raw["optimizer"]["max_periods"] = 800
         *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
@@ -391,7 +399,7 @@ class TestParseConfig:
         path.write_text(json.dumps(raw).replace('"NON_FINITE"', literal))
         code = main(["pipeline", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert f"non-finite number {literal}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {field}: must be finite, got {value}\n"
 
     def test_integral_floats_load_as_integers(self, tmp_path):
         raw = base_config()
@@ -409,12 +417,19 @@ class TestIntegerBeyondFloatRange:
     HUGE = "1" + "0" * 400
 
     @pytest.mark.parametrize(
-        "place",
-        ["tx_powers.0", "systems.0.decay_rate", "systems.1.a_open", "simulation.horizon"],
+        "place, field",
+        [
+            ("tx_powers.0", "tx_powers[0]"),
+            ("systems.0.decay_rate", "systems[0].decay_rate"),
+            ("systems.1.a_open", "systems[1].a_open"),
+            ("collision.1.0", "collision[1][0]"),
+            ("simulation.horizon", "simulation.horizon"),
+            ("optimizer.seed", "optimizer.seed"),
+        ],
     )
-    def test_exits_2_naming_the_literal(self, tmp_path, capsys, place):
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, place, field):
         # json reads an integer literal as a Python int, however long; the
-        # hook rejects it before any field check sees it.
+        # number reader rejects one that no float can hold.
         raw = base_config()
         *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
         target = raw
@@ -425,67 +440,55 @@ class TestIntegerBeyondFloatRange:
         path.write_text(json.dumps(raw).replace('"HUGE"', self.HUGE))
         code = main(["rates", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
-        assert f"non-finite number {self.HUGE}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {field}: must lie within the float range\n"
+
+    def test_integer_too_long_to_read_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config()).replace('"tx_powers": [1.0', '"tx_powers": [1' + "0" * 5000))
+        assert main(["rates", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: Exceeds the limit")
 
 
-class TestNonFiniteNumberStrings:
-    """A non-finite number written as a string is a config error naming its field."""
+class TestNumericStrings:
+    """A number written as a string is a config error naming its field, finite or not."""
 
     def run(self, tmp_path, capsys, command, raw):
         raw["optimizer"]["max_periods"] = 800
         code = main([command, write_config(tmp_path, raw), "--out", str(tmp_path / "out")])
         return code, capsys.readouterr().err
 
-    def test_logistic_midpoint(self, tmp_path, capsys):
-        raw = base_config()
-        raw["channels"][1]["curve"] = {"family": "logistic_log", "midpoint": "inf", "steepness": 3.0}
-        code, err = self.run(tmp_path, capsys, "rates", raw)
-        assert code == EXIT_CONFIG
-        assert "channels[1].curve.midpoint: must be finite, got 'inf'" in err
-
-    def test_optimizer_step(self, tmp_path, capsys):
-        raw = base_config()
-        raw["optimizer"]["step_a"] = "inf"
-        code, err = self.run(tmp_path, capsys, "optimize", raw)
-        assert code == EXIT_CONFIG
-        assert "optimizer.step_a: must be finite, got 'inf'" in err
-
-    def test_tx_power(self, tmp_path, capsys):
-        raw = base_config()
-        raw["tx_powers"] = ["inf", 1.0]
-        code, err = self.run(tmp_path, capsys, "optimize", raw)
-        assert code == EXIT_CONFIG
-        assert "tx_powers: all entries must be finite" in err
-
-    def test_square_matrix(self, tmp_path, capsys):
-        raw = base_config()
-        raw["systems"][0]["a_closed"] = "nan"
-        code, err = self.run(tmp_path, capsys, "optimize", raw)
-        assert code == EXIT_CONFIG
-        assert "systems[0]: a_closed entries must be finite" in err
+    @pytest.mark.parametrize(
+        "place, value, field",
+        [
+            ("channels.1.curve.kappa", "inf", "channels[1].curve.kappa"),
+            ("optimizer.step_a", "inf", "optimizer.step_a"),
+            ("optimizer.step_a", "2.5", "optimizer.step_a"),
+            ("tx_powers.0", "inf", "tx_powers[0]"),
+            ("tx_powers.0", "1.0", "tx_powers[0]"),
+            ("systems.0.a_closed", "nan", "systems[0].a_closed"),
+            ("systems.0.a_closed", "0.5", "systems[0].a_closed"),
+            ("collision.0.1", "0.5", "collision[0][1]"),
+            ("requirement_tol", "1e-9", "requirement_tol"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["rates", "optimize"])
+    def test_exits_2(self, tmp_path, capsys, command, place, value, field):
+        raw = dict(base_config(), requirement_tol=1e-9)
+        *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
+        target = raw
+        for key in outer:
+            target = target[key]
+        target[last] = value
+        code, err = self.run(tmp_path, capsys, command, raw)
+        assert (code, err) == (EXIT_CONFIG, f"error: {field}: must be a number, got {value!r}\n")
 
     def test_pair_matrix(self, tmp_path, capsys):
         raw = base_config()
-        raw["systems"][1] = {
-            "plant_a": 1.1, "plant_b": 1.0, "plant_c": 1.0, "ctrl_f": 0.0,
-            "ctrl_fc": 0.0, "ctrl_g": 0.0, "ctrl_k": 0.0, "ctrl_kc": 0.0,
-            "ctrl_l": [["-inf"]], "process_noise_cov": 1.0,
-            "meas_noise_cov": 0.0, "lyap_matrix": [[1.0, 0.0], [0.0, 1.0]],
-            "decay_rate": 0.8,
-        }
+        raw["systems"][1] = dict(PAIR_LOOP, ctrl_l=[["-inf"]])
         code, err = self.run(tmp_path, capsys, "rates", raw)
-        assert code == EXIT_CONFIG
-        assert "systems[1]: ctrl_l entries must be finite" in err
-
-    def test_finite_numeric_strings_still_load(self, tmp_path):
-        raw = base_config()
-        raw["optimizer"]["step_a"] = "2.5"
-        raw["tx_powers"] = ["1.0", 2.0]
-        raw["systems"][0]["a_closed"] = "0.5"
-        cfg = parse_config(write_config(tmp_path, raw))
-        assert cfg.optimizer.schedule.a == 2.5
-        assert cfg.tx_powers.tolist() == [1.0, 2.0]
-        assert cfg.systems[0].a_closed[0, 0] == 0.5
+        assert (code, err) == (
+            EXIT_CONFIG, "error: systems[1].ctrl_l[0][0]: must be a number, got '-inf'\n"
+        )
 
 
 PAIR_LOOP = {
@@ -509,26 +512,84 @@ def config_of_loops(loops):
     return raw
 
 
-RAW_KEYS = {"a_closed", "a_open", "noise_cov", "lyap_matrix", "decay_rate"}
+RAW_FIELDS = ("a_closed", "a_open", "noise_cov", "lyap_matrix", "decay_rate")
+
+
+def first_bad_entry(value, field, array=True):
+    """The number reader's error for the first entry of ``value`` that is not a finite JSON number.
+
+    ``value`` is nested lists of entries if ``array``, else one entry; None if all are good.
+    """
+    if array and isinstance(value, list):
+        for k, item in enumerate(value):
+            if (error := first_bad_entry(item, f"{field}[{k}]")) is not None:
+                return error
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"{field}: must be a number, got {value!r}"
+    try:
+        number = float(value)
+    except OverflowError:
+        return f"{field}: must lie within the float range"
+    if not math.isfinite(number):
+        return f"{field}: must be finite, got {number!r}"
+    return None
 
 
 def first_loop_error(loops):
     """The error named for the first bad entry of ``systems``: raw loops by the loop oracle.
 
-    A pair-form loop here is ``PAIR_LOOP``, bad only with a non-finite ``ctrl_l``.
+    Each loop's keys are checked first, then its numbers in document
+    order, then the loop itself. A pair-form loop here is ``PAIR_LOOP``, bad
+    only with a ``ctrl_l`` of ``[["-inf"]]``.
     """
     for k, loop in enumerate(loops):
         if "plant_a" in loop:
             if loop["ctrl_l"] != PAIR_LOOP["ctrl_l"]:
-                return f"systems[{k}]: ctrl_l entries must be finite"
-        elif set(loop) != RAW_KEYS:
-            return f"unknown key '{min(set(loop) - RAW_KEYS)}' at systems[{k}]"
+                return f"systems[{k}].ctrl_l[0][0]: must be a number, got '-inf'"
+        elif set(loop) != set(RAW_FIELDS):
+            return f"unknown key '{min(set(loop) - set(RAW_FIELDS))}' at systems[{k}]"
         else:
+            for name, value in loop.items():
+                error = first_bad_entry(value, f"systems[{k}].{name}", name != "decay_rate")
+                if error is not None:
+                    return error
             try:
                 loop_check_system(**loop)
             except (TypeError, ValueError) as exc:
                 return f"systems[{k}]: {exc}"
     return None
+
+
+class TestNumberReader:
+    """``_numbers`` checks whole arrays at once, and agrees with ``_number`` entry by entry."""
+
+    POOL = (0.5, -2.0, 0, 7, 10**400, -(10**400), True, False, "1.0", None, {}, [],
+            math.nan, math.inf, -math.inf, 1e308)
+
+    def random_value(self, rng, depth):
+        if depth == 0 or rng.random() < 0.2:
+            pool = self.POOL if rng.random() < 0.1 else self.POOL[:4]
+            return pool[rng.integers(len(pool))]
+        return [self.random_value(rng, depth - 1) for _ in range(rng.integers(0, 4))]
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_names_the_first_entry_number_rejects(self, seed):
+        rng = np.random.default_rng(seed)
+        value = self.random_value(rng, int(rng.integers(0, 4)))
+        want = first_bad_entry(value, "x")
+        try:
+            got = raccess.config._numbers(value, "x")
+        except ConfigError as exc:
+            assert str(exc) == want
+        else:
+            assert want is None and got is value
+
+    @pytest.mark.parametrize(
+        "value", [[1e308, 1e308], [[1e308], [1e308, 0.5]], [1e308, 10**308]], ids=["floats", "rows", "int"]
+    )
+    def test_finite_entries_whose_sum_overflows_pass(self, value):
+        assert raccess.config._numbers(value, "x") is value
 
 
 class TestFirstBadLoop:
@@ -586,7 +647,9 @@ class TestFirstBadLoop:
         loops[2] = dict(loops[2], noise_cov=(-np.eye(3)).tolist())
         loops.insert(1, dict(PAIR_LOOP, ctrl_l=[["-inf"]]))
         code, err = self.run_rates(tmp_path, capsys, loops)
-        assert (code, err) == (EXIT_CONFIG, "error: systems[1]: ctrl_l entries must be finite\n")
+        assert (code, err) == (
+            EXIT_CONFIG, "error: systems[1].ctrl_l[0][0]: must be a number, got '-inf'\n"
+        )
 
 
 def valid_certify_like_config(m=64):
@@ -598,7 +661,7 @@ def valid_certify_like_config(m=64):
 
 
 class TestStackedReader:
-    """What keeps ``parse_config`` stacked: one eigvalsh per dimension, floats parsed natively."""
+    """What keeps ``parse_config`` stacked: one eigvalsh per dimension, the file read once."""
 
     def test_one_eigvalsh_call_per_state_dimension(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, valid_certify_like_config())
@@ -611,17 +674,21 @@ class TestStackedReader:
         assert cfg.m == 64
         assert sorted(calls) == sorted([(22, 2, 2, 2), (21, 2, 3, 3), (21, 2, 4, 4)])
 
-    def test_float_hook_runs_only_after_an_error(self, tmp_path, monkeypatch):
-        texts = []
-        finite = raccess.config._finite
-        monkeypatch.setattr(raccess.config, "_finite", lambda t: texts.append(t) or finite(t))
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_the_file_is_read_once(self, tmp_path, monkeypatch, valid):
+        loads = []
+        load = json.load
+        monkeypatch.setattr(raccess.config.json, "load", lambda fh, **kw: loads.append(fh) or load(fh, **kw))
         raw = valid_certify_like_config()
-        parse_config(write_config(tmp_path, raw))
-        assert texts == []
-        raw["tx_powers"][0] = -1.0
-        with pytest.raises(ConfigError, match="^tx_powers: all entries must be positive$"):
-            parse_config(write_config(tmp_path, raw, "bad.json"))
-        assert "-1.0" in texts  # read again with the hook, which finds nothing to name
+        if not valid:
+            raw["tx_powers"][0] = -1.0
+        path = write_config(tmp_path, raw)
+        if valid:
+            parse_config(path)
+        else:
+            with pytest.raises(ConfigError, match="^tx_powers: all entries must be positive$"):
+                parse_config(path)
+        assert len(loads) == 1
 
     def test_loaded_values_keep_their_bits(self, tmp_path):
         raw = valid_certify_like_config(12)
@@ -649,17 +716,17 @@ class TestTopLevelNumbers:
         code, err = self.run_rates(tmp_path, capsys, raw)
         assert (code, err) == (EXIT_CONFIG, f"error: requirement_tol: must be a number, got {value!r}\n")
 
-    def test_numeric_requirement_tol_still_loads(self, tmp_path, capsys):
+    def test_numeric_string_requirement_tol_exits_2(self, tmp_path, capsys):
         raw = dict(base_config(), requirement_tol="1e-9")
-        assert self.run_rates(tmp_path, capsys, raw)[0] == EXIT_OK
+        code, err = self.run_rates(tmp_path, capsys, raw)
+        assert (code, err) == (EXIT_CONFIG, "error: requirement_tol: must be a number, got '1e-9'\n")
         raw = dict(base_config(), requirement_tol=1e-9)
         assert self.run_rates(tmp_path, capsys, raw)[0] == EXIT_OK
 
-    def test_overflowing_requirement_tol_names_the_literal(self, tmp_path, capsys):
+    def test_overflowing_requirement_tol_names_its_field(self, tmp_path, capsys):
         raw = dict(base_config(), requirement_tol="HUGE")
         code, err = self.run_rates(tmp_path, capsys, raw, ('"HUGE"', "1e400"))
-        assert code == EXIT_CONFIG
-        assert err.startswith("error: non-finite number 1e400")
+        assert (code, err) == (EXIT_CONFIG, "error: requirement_tol: must be finite, got inf\n")
 
     @pytest.mark.parametrize("value", [True, False])
     def test_schema_version_rejects_bools(self, tmp_path, capsys, value):
@@ -672,25 +739,43 @@ class TestTopLevelNumbers:
         assert self.run_rates(tmp_path, capsys, raw)[0] == EXIT_OK
 
 
-class TestOverflowWinsOverOtherErrors:
-    """An overflowing literal is named wherever it sits, as when the hook read every float."""
+class TestFirstErrorInReadingOrder:
+    """An overflowing literal is an error of its own field, reported only if no earlier one is.
 
-    @pytest.mark.parametrize(
-        "break_config",
-        [
-            lambda raw: raw.update(surplus=1),
-            lambda raw: raw["systems"][0].update(lyap_matrix=[[1.0, 2.0], [0.0, 1.0]]),
-            lambda raw: raw["systems"][1].update(gain=1.0),
-            lambda raw: raw["optimizer"].update(step_a="abc"),
-            lambda raw: raw.update(schema_version=2),
-        ],
-        ids=["unknown-key", "bad-matrix", "unknown-loop-key", "bad-number", "schema"],
-    )
-    @pytest.mark.parametrize("place", ["tx_powers.1", "systems.1.a_open", "simulation.horizon"])
-    @pytest.mark.parametrize("literal", ["1e400", "-2.5e999"])
-    def test_literal_is_named(self, tmp_path, capsys, break_config, place, literal):
+    The reading order is the top-level keys, ``schema_version``, the loops
+    one by one (keys, numbers, checks), then ``tx_powers``, ``optimizer``
+    and ``simulation``.
+    """
+
+    BREAKS = {
+        "unknown-key": lambda raw: raw.update(surplus=1),
+        "bad-matrix": lambda raw: raw["systems"][0].update(lyap_matrix=[[1.0, 2.0], [0.0, 1.0]]),
+        "unknown-loop-key": lambda raw: raw["systems"][1].update(gain=1.0),
+        "bad-number": lambda raw: raw["optimizer"].update(step_a="abc"),
+        "schema": lambda raw: raw.update(schema_version=2),
+    }
+    BREAK_ERRORS = {
+        "unknown-key": "unknown key 'surplus' at top level",
+        "bad-matrix": "systems[0]: lyap_matrix has shape (2, 2), expected (1, 1)",
+        "unknown-loop-key": "unknown key 'gain' at systems[1]",
+        "bad-number": "optimizer.step_a: must be a number, got 'abc'",
+        "schema": "schema_version: expected 1, got 2",
+    }
+    # The overflow's own error, and the breaks it comes before.
+    PLACES = {
+        "tx_powers.1": ("tx_powers[1]: must be finite, got {}", {"bad-number"}),
+        "systems.1.a_open": (
+            "systems[1].a_open: must be finite, got {}", {"bad-number"}
+        ),
+        "simulation.horizon": ("simulation.horizon: must be an integer, got {}", set()),
+    }
+
+    @pytest.mark.parametrize("break_id", list(BREAKS))
+    @pytest.mark.parametrize("place", list(PLACES))
+    @pytest.mark.parametrize("literal, value", [("1e400", "inf"), ("-2.5e999", "-inf")])
+    def test_first_error_is_named(self, tmp_path, capsys, break_id, place, literal, value):
         raw = base_config()
-        break_config(raw)
+        self.BREAKS[break_id](raw)
         *outer, last = (int(k) if k.isdigit() else k for k in place.split("."))
         target = raw
         for key in outer:
@@ -699,22 +784,23 @@ class TestOverflowWinsOverOtherErrors:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw).replace('"OVERFLOW"', literal))
         code = main(["rates", str(path), "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"error: non-finite number {literal}: every config number must be finite\n"
-        )
+        own, before = self.PLACES[place]
+        want = own.format(value) if break_id in before else self.BREAK_ERRORS[break_id]
+        assert (code, capsys.readouterr().err) == (EXIT_CONFIG, f"error: {want}\n")
 
-    def test_invalid_json_after_the_literal_still_names_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema_version": 1, "requirement_tol": 1e400, "systems": [',
+            '{"schema_version": 1,, "requirement_tol": 1e400}',
+        ],
+        ids=["after", "before"],
+    )
+    def test_invalid_json_is_reported_wherever_the_literal_sits(self, tmp_path, capsys, text):
         path = tmp_path / "cfg.json"
-        path.write_text('{"schema_version": 1, "requirement_tol": 1e400, "systems": [')
+        path.write_text(text)
         assert main(["rates", str(path)]) == EXIT_CONFIG
-        assert "non-finite number 1e400" in capsys.readouterr().err
-
-    def test_invalid_json_before_the_literal_is_reported(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"schema_version": 1,, "requirement_tol": 1e400}')
-        assert main(["rates", str(path)]) == EXIT_CONFIG
-        assert "invalid JSON" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: ")
 
 
 class TestConfigShapes:
@@ -1082,11 +1168,29 @@ class TestCliOptimize:
         }
         raw["optimizer"].update(max_periods=20, expectation_mode=mode)
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["pipeline", write_config(tmp_path, raw), "--out", str(out)])
+        code = main(["pipeline", write_config(tmp_path, raw), "--out", str(out)])
         assert code == EXIT_DIVERGED
         trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
         assert trace.shape[0] == 20 and np.isfinite(trace).all()
+
+    def test_steep_curve_under_monte_carlo_writes_only_the_clis_stderr(self, tmp_path):
+        # (h/m)^250 overflows for fades above 17.1, which mean-10 fades often draw.
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["channels"][1] = {
+            "dist": {"family": "exponential", "mean": 10.0},
+            "curve": {"family": "logistic_log", "midpoint": 1.0, "steepness": 250.0},
+        }
+        raw["optimizer"].update(max_periods=30, expectation_mode="mc")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        argv = ["optimize", write_config(tmp_path, raw), "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "raccess.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_DIVERGED
+        assert proc.stderr == "error: optimizer did not converge within max_periods\n"
 
     def test_dual_divergence_exits_4(self, tmp_path, capsys):
         with open(REFERENCE_CONFIG) as fh:
@@ -1235,6 +1339,28 @@ class TestCliSimulate:
     def test_infinite_threshold_still_loads(self, tmp_path):
         pols = load_policies(self._policies_file(tmp_path, [math.inf, 0.5]))
         assert [p.threshold for p in pols] == [math.inf, 0.5]
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('"threshold", "threshold": 1e400', "policies[0].threshold: must be finite, got inf"),
+            ('"threshold", "threshold": -Infinity', "policies[0].threshold: must be finite, got -inf"),
+            ('"threshold", "threshold": NaN', "policies[0].threshold: must be finite, got nan"),
+            ('"threshold", "threshold": 1' + "0" * 399,
+             "policies[0].threshold: must lie within the float range"),
+            ('"constant", "rate": Infinity', "policies[0].rate: must be finite, got inf"),
+        ],
+        ids=["overflowing-literal", "minus-infinity", "nan", "400-digit-integer", "infinite-rate"],
+    )
+    def test_only_the_literal_infinity_is_an_infinite_threshold(self, tmp_path, capsys, entry, message):
+        # 1e400 also reads as inf, but only the literal Infinity says never transmit.
+        path = tmp_path / "policies.json"
+        path.write_text(
+            f'{{"schema_version": 1, "policies": [{{"kind": {entry}}}, {json.dumps(self.T)}]}}'
+        )
+        argv = ["simulate", write_config(tmp_path, base_config()), "--policies", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_rejects_wrong_policies_schema(self, tmp_path):
         path = tmp_path / "bad.json"

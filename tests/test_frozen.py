@@ -42,7 +42,7 @@ from raccess import (
     constant_policy,
     threshold_policy,
 )
-from raccess._frozen import Frozen, make
+from raccess._frozen import Frozen
 from raccess.config import ExperimentConfig, OptimizerSettings, parse_config
 from raccess.optimizer import IterationTrace
 from raccess.simulate import DriftRecord, GammaRateRecord
@@ -241,17 +241,3 @@ def test_arguments_bind_as_the_generated_init_binds(cls):
         else:
             assert got[0] is not TypeError, (args, kwargs, got)
     assert repr(cls(*vals)) == repr(cls(**kw)) == repr(obj)
-
-
-@TYPES
-def test_make_builds_what_the_constructor_builds(cls):
-    obj = SAMPLES[cls][0]
-    kw = values(obj)
-    assert repr(make(cls, kw)) == repr(obj)
-    partial = dict(list(kw.items())[:-1])
-    assert outcome(lambda: repr(make(cls, partial))) == outcome(lambda: repr(cls(**partial)))
-
-
-def test_make_validates_as_the_constructor_does():
-    with pytest.raises(ValueError, match="mean must be positive"):
-        make(ExponentialFading, {"mean": -1.0})

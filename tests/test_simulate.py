@@ -308,8 +308,7 @@ def test_a_steep_curve_delivers_where_its_power_overflows():
         success_targets=[0.1],
     )
     settings = SimulationSettings(horizon=20_000, seed=3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        metrics = run_simulation(inst, (threshold_policy(20.0),), settings)
+    metrics = run_simulation(inst, (threshold_policy(20.0),), settings)
     assert metrics.empirical_tx_rate[0] > 0.1
     assert metrics.empirical_success_rate[0] == metrics.empirical_tx_rate[0]
 
