@@ -65,7 +65,7 @@ def _instance(cfg, targets):
     for i, c in enumerate(targets):
         if c == 0.0:
             raise ConfigError(
-                f"loop {i}: requirement is 0 (its open loop already meets the "
+                f"systems[{i}]: requirement is 0 (its open loop already meets the "
                 "contract), so it has no delivery target to design for"
             )
     return ProblemInstance(

@@ -189,8 +189,11 @@ def _parse_systems(entries):
             break  # no later loop can come first
         at.append(k)
         systems.append(None)
+    rates = [loop[-1] for loop in raw]
     matrices = list(chain.from_iterable(loop[:-1] for loop in raw))
-    if not (_all_numbers([loop[-1] for loop in raw]) and _all_numbers(matrices)):
+    # A rate is one number, which _all_numbers alone would not see in rates that are all lists.
+    clean_rates = set(map(type, rates)) <= _NUMBER_TYPES and _all_numbers(rates)
+    if not (clean_rates and _all_numbers(matrices)):
         for i, k in enumerate(at):
             try:
                 for key, value in entries[k].items():

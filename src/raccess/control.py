@@ -56,10 +56,19 @@ class InfeasibleContractError(ValueError):
 
 
 def _as_matrix(value, name, square=True):
-    """Coerce a scalar or nested sequence to a read-only finite float matrix."""
-    arr = np.array(value, dtype=float, ndmin=2)  # always a copy of the caller's data
+    """Coerce a scalar or nested sequence to a read-only finite float matrix.
+
+    Each error names ``name``; a failed coercion keeps its exception type.
+    A square matrix must not be empty.
+    """
+    try:
+        arr = np.array(value, dtype=float, ndmin=2)  # always a copy of the caller's data
+    except _COERCION_ERRORS as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
     if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"{name} must be {'square' if square else '2-D'}, got shape {arr.shape}")
+    if square and not arr.size:
+        raise ValueError(f"{name} must not be empty")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
     arr.setflags(write=False)
@@ -124,22 +133,13 @@ class SwitchedSystem(Frozen):
         return self.a_open.T @ self.lyap_matrix @ self.a_open
 
 
-def _first_nonfinite(mats):
-    """The error naming the first of ``mats``, in ``_MATRICES`` order, with a non-finite entry."""
-    for name, arr in zip(_MATRICES, mats):
-        if not np.isfinite(arr).all():
-            return ValueError(f"{name} entries must be finite")
-    return None
-
-
 def _coerce(values):
     """One loop's four matrices as one ``(4, n, n)`` float array.
 
-    Raises the error of the loop's first failing coercion or shape check
-    (square and not empty, then matching ``a_closed``). The matrices are checked one by
-    one in ``_MATRICES`` order, finite entries included, so a non-finite
-    matrix before the failing one is named instead. Finite entries are
-    otherwise left to the stacked checks.
+    Raises the error of the loop's first failing check. The matrices are
+    checked one by one in ``_MATRICES`` order (coercion, square and not
+    empty, finite entries), then their shapes against ``a_closed``'s.
+    Finite entries are otherwise left to the stacked checks.
     """
     try:
         mats = np.array(values, dtype=float)
@@ -150,24 +150,10 @@ def _coerce(values):
             return mats
         if mats.ndim < 3 and mats.size == 4:  # scalars or 1-entry rows: n = 1
             return mats.reshape(4, 1, 1)
-    mats = []
-    for name, value in zip(_MATRICES, values):
-        try:
-            arr = np.array(value, dtype=float, ndmin=2)
-        except _COERCION_ERRORS as exc:
-            raise _first_nonfinite(mats) or type(exc)(f"{name}: {exc}") from exc
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise _first_nonfinite(mats) or ValueError(
-                f"{name} must be square, got shape {arr.shape}"
-            )
-        if not arr.size:
-            raise _first_nonfinite(mats) or ValueError(f"{name} must not be empty")
-        mats.append(arr)
+    mats = [_as_matrix(value, name) for name, value in zip(_MATRICES, values)]
     for name, arr in zip(_MATRICES[1:], mats[1:]):
         if arr.shape != mats[0].shape:
-            raise _first_nonfinite(mats) or ValueError(
-                f"{name} has shape {arr.shape}, expected {mats[0].shape}"
-            )
+            raise ValueError(f"{name} has shape {arr.shape}, expected {mats[0].shape}")
     return np.array(mats)
 
 
@@ -516,38 +502,35 @@ def assemble_example_loop(pc, lyap_matrix, decay_rate, noise_mode="closed"):
     k, kc, ll = pc.ctrl_k, pc.ctrl_kc, pc.ctrl_l
     n, nz, p = pc.state_dim, pc.ctrl_dim, pc.output_dim
 
-    a_closed = np.block([[a + b @ ll @ c, b @ (k + kc)], [g @ c, f + fc]])
-    a_open = np.block([[a, b @ k], [np.zeros((nz, n)), f]])
-
-    m_closed = np.block(
-        [[np.eye(n), b @ ll], [np.zeros((nz, n)), g]]
-    )
-    m_open = np.block(
-        [[np.eye(n), np.zeros((n, p))], [np.zeros((nz, n + p))]]
-    )
-
-    noise_joint = np.block(
-        [
-            [pc.process_noise_cov, np.zeros((n, p))],
-            [np.zeros((p, n)), pc.meas_noise_cov],
-        ]
-    )
-    w_closed = m_closed @ noise_joint @ m_closed.T
-    w_open = m_open @ noise_joint @ m_open.T
-
     p_mat = _as_matrix(lyap_matrix, "lyap_matrix")
-    if p_mat.shape != a_closed.shape:
-        raise ValueError(
-            f"lyap_matrix has shape {p_mat.shape}, expected {a_closed.shape}"
+    if p_mat.shape != (n + nz, n + nz):
+        raise ValueError(f"lyap_matrix has shape {p_mat.shape}, expected {(n + nz, n + nz)}")
+
+    # Blocks near the float maximum overflow to inf or nan here, which
+    # SwitchedSystem's finite check then names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_closed = np.block([[a + b @ ll @ c, b @ (k + kc)], [g @ c, f + fc]])
+        a_open = np.block([[a, b @ k], [np.zeros((nz, n)), f]])
+
+        m_closed = np.block([[np.eye(n), b @ ll], [np.zeros((nz, n)), g]])
+        m_open = np.block([[np.eye(n), np.zeros((n, p))], [np.zeros((nz, n + p))]])
+
+        noise_joint = np.block(
+            [
+                [pc.process_noise_cov, np.zeros((n, p))],
+                [np.zeros((p, n)), pc.meas_noise_cov],
+            ]
         )
-    if noise_mode == "closed":
-        w_eff = w_closed
-    else:
-        tr_closed = float(np.trace(p_mat @ w_closed))
-        tr_open = float(np.trace(p_mat @ w_open))
-        w_eff = w_closed if tr_closed >= tr_open else w_open
-    # Symmetrize against accumulation error before validation.
-    w_eff = 0.5 * (w_eff + w_eff.T)
+        w_closed = m_closed @ noise_joint @ m_closed.T
+        w_open = m_open @ noise_joint @ m_open.T
+        if noise_mode == "closed":
+            w_eff = w_closed
+        else:
+            tr_closed = float(np.trace(p_mat @ w_closed))
+            tr_open = float(np.trace(p_mat @ w_open))
+            w_eff = w_closed if tr_closed >= tr_open else w_open
+        # Symmetrize against accumulation error before validation.
+        w_eff = 0.5 * (w_eff + w_eff.T)
 
     system = SwitchedSystem(
         a_closed=a_closed,

@@ -152,55 +152,44 @@ class DriftRecord(Frozen):
     ok: bool
 
 
-def _transmission_outcomes(policies, channels, qmat, rng, count):
-    """Draw one block: fades, transmit decisions, and deliveries.
-
-    Draw order is fixed (fades per link, transmit uniforms, collision
-    uniforms per ordered pair, decode uniforms) so a seed pins the block.
-    Every uniform row is drawn into one reused ``(count,)`` buffer: the
-    transmit and decode uniforms one link at a time, which consumes the
-    generator exactly as one ``(m, count)`` draw would, and the collision
-    uniforms one ordered pair ``(j, i)`` at a time, diagonal included and
-    discarded, as one C-order ``(m, m, count)`` draw would. So beside the
-    outputs the block needs O(count) memory.
-    """
-    m = len(policies)
-    h = np.empty((m, count))
-    for i in range(m):
-        h[i] = channels[i].dist.sample(rng, size=count)
-    u = np.empty(count)
-
-    tx = np.empty((m, count), dtype=bool)
-    for i, pol in enumerate(policies):
-        rng.random(out=u)
-        tx[i] = (h[i] >= pol.threshold) & (u < pol.rate)
-
-    q = qmat.q
-    collided = np.zeros((m, count), dtype=bool)
-    for j in range(m):
-        for i in range(m):
-            rng.random(out=u)
-            if i != j:
-                collided[i] |= tx[j] & (u < q[j, i])
-
-    gamma = np.empty((m, count), dtype=bool)
-    for i in range(m):
-        rng.random(out=u)
-        gamma[i] = tx[i] & ~collided[i] & (u < channels[i].curve.value(h[i]))
-    return h, tx, gamma
-
-
 def _draw_gamma(policies, channels, qmat, rng, count):
-    """Transmit and delivery indicators for ``count`` slots, filled chunk by chunk."""
-    tx = np.empty((len(policies), count), dtype=bool)
-    gamma = np.empty_like(tx)
+    """Transmit and delivery indicators for ``count`` slots, drawn chunk by chunk.
+
+    Each chunk's draw order is fixed (fades per link, transmit uniforms,
+    collision uniforms per ordered pair, decode uniforms) so a seed pins
+    the draw. Every uniform row is drawn into one reused buffer: the
+    transmit and decode uniforms one link at a time, which consumes the
+    generator exactly as one ``(m, chunk)`` draw would, and the collision
+    uniforms one ordered pair ``(j, i)`` at a time, diagonal included and
+    discarded, as one C-order ``(m, m, chunk)`` draw would. A chunk writes
+    its transmit flags and deliveries straight into the outputs, so beside
+    them the draw holds one reused chunk of fades and O(chunk) more.
+    """
+    m, q = len(policies), qmat.q
+    tx = np.empty((m, count), dtype=bool)
+    gamma = np.zeros((m, count), dtype=bool)
+    fades = np.empty((m, min(count, _CHUNK)))
+    row = np.empty(fades.shape[1])
     # A fade mean or curve rate near the float maximum overflows to inf, whose q is exact.
     with np.errstate(over="ignore"):
         for start in range(0, count, _CHUNK):
             stop = min(start + _CHUNK, count)
-            _, tx[:, start:stop], gamma[:, start:stop] = _transmission_outcomes(
-                policies, channels, qmat, rng, stop - start
-            )
+            h, u = fades[:, : stop - start], row[: stop - start]
+            sent, got = tx[:, start:stop], gamma[:, start:stop]
+            for i in range(m):
+                h[i] = channels[i].dist.sample(rng, size=stop - start)
+            for i, pol in enumerate(policies):
+                rng.random(out=u)
+                sent[i] = (h[i] >= pol.threshold) & (u < pol.rate)
+            # ``got`` holds which packets collided until the decode draw.
+            for j in range(m):
+                for i in range(m):
+                    rng.random(out=u)
+                    if i != j:
+                        got[i] |= sent[j] & (u < q[j, i])
+            for i in range(m):
+                rng.random(out=u)
+                got[i] = sent[i] & ~got[i] & (u < channels[i].curve.value(h[i]))
     return tx, gamma
 
 

@@ -10,6 +10,7 @@ from raccess import (
     FadingChannel,
     InfeasibleContractError,
     LogisticLogCurve,
+    PlantControllerPair,
     ProblemInstance,
     SaturatingExpCurve,
     SwitchedSystem,
@@ -157,6 +158,23 @@ def random_admissible_system(rng, dims=(2, 3, 4)):
     w = w @ w.T
     return SwitchedSystem(
         a_closed=a_c, a_open=a_o, noise_cov=w, lyap_matrix=p, decay_rate=rho
+    )
+
+
+def example_pair():
+    """A scalar plant with a scalar controller: its assembled loop has state dimension 2."""
+    return PlantControllerPair(
+        plant_a=[[1.05]],
+        plant_b=[[1.0]],
+        plant_c=[[1.0]],
+        ctrl_f=[[0.2]],
+        ctrl_fc=[[0.0]],
+        ctrl_g=[[0.1]],
+        ctrl_k=[[0.0]],
+        ctrl_kc=[[0.0]],
+        ctrl_l=[[-0.6]],
+        process_noise_cov=[[0.5]],
+        meas_noise_cov=[[0.2]],
     )
 
 

@@ -642,6 +642,13 @@ class TestFirstBadLoop:
         code, err = self.run_rates(tmp_path, capsys, loops)
         assert (code, err) == (EXIT_CONFIG, "error: unknown key 'gain' at systems[3]\n")
 
+    def test_rates_that_are_all_lists_are_named(self, tmp_path, capsys):
+        # Flattened together, [0.8] and [] would read as the one number 0.8.
+        loops = [loop_fields(random_admissible_system(np.random.default_rng(k), dims=(2,))) for k in range(2)]
+        loops = [dict(loops[0], decay_rate=[0.8]), dict(PAIR_LOOP), dict(loops[1], decay_rate=[])]
+        code, err = self.run_rates(tmp_path, capsys, loops)
+        assert (code, err) == (EXIT_CONFIG, "error: systems[0].decay_rate: must be a number, got [0.8]\n")
+
     def test_bad_pair_before_a_bad_raw_loop_wins(self, tmp_path, capsys):
         loops = [loop_fields(random_admissible_system(np.random.default_rng(k), dims=(3,))) for k in range(3)]
         loops[2] = dict(loops[2], noise_cov=(-np.eye(3)).tolist())
@@ -1444,7 +1451,7 @@ class TestCliEdgeRequirements:
     def test_zero_requirement_exits_2_naming_the_loop(self, tmp_path, capsys, command):
         assert main(self._argv(tmp_path, command, self.ZERO)) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "loop 0" in err and "requirement is 0" in err
+        assert err.startswith("error: systems[0]: requirement is 0 ")
 
     @pytest.mark.parametrize("command", ["rates", "optimize", "pipeline"])
     def test_boundary_loop_exits_3(self, tmp_path, capsys, command):

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     LOOP_BREAKS,
     break_loop,
+    example_pair,
     loop_check_system,
     loop_fields,
     loop_success_requirement,
@@ -459,22 +460,6 @@ class TestSteadyStateCostBound:
         s = random_admissible_system(rng)
         want = float(np.trace(s.lyap_matrix @ s.noise_cov)) / (1.0 - s.decay_rate)
         assert steady_state_cost_bound(s) == pytest.approx(want, rel=1e-12)
-
-
-def example_pair():
-    return PlantControllerPair(
-        plant_a=[[1.05]],
-        plant_b=[[1.0]],
-        plant_c=[[1.0]],
-        ctrl_f=[[0.2]],
-        ctrl_fc=[[0.0]],
-        ctrl_g=[[0.1]],
-        ctrl_k=[[0.0]],
-        ctrl_kc=[[0.0]],
-        ctrl_l=[[-0.6]],
-        process_noise_cov=[[0.5]],
-        meas_noise_cov=[[0.2]],
-    )
 
 
 class TestAssembleExampleLoop:

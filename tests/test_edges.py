@@ -1,14 +1,18 @@
 """Every config input either loads as written or exits 2 naming its field once.
 
-A sweep over two base configs, ``configs/twoloop.json`` (scalar loops)
-and a raw-form n = 2 config: each leaf of the JSON document is replaced,
-one at a time, by each value of ``MUTATIONS``, and the mutated config
-runs ``raccess rates`` and then ``raccess optimize`` with a small
+A sweep over three base configs, ``configs/twoloop.json`` (scalar loops),
+a raw-form n = 2 config, and the worked example with its second loop
+given as a plant/controller pair: each leaf of the JSON document is
+replaced, one at a time, by each value of ``MUTATIONS``, and the mutated
+config runs ``raccess rates`` and then ``raccess optimize`` with a small
 ``max_periods``, in process. Each run must exit 0, 2, 3 or 4 (never 1,
 an uncaught error), write at most one ``error:`` line to stderr and
-nothing else, and, on exit 2, name the mutated field exactly once.
+nothing else, no warning included (the suite turns warnings into
+errors), and, on exit 2, name the mutated field, or the loop that holds
+it (see ``names_field_once``), exactly once.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -17,7 +21,9 @@ import time
 import numpy as np
 import pytest
 
+from helpers import example_pair
 import raccess.cli
+from raccess import PlantControllerPair
 from raccess.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -79,7 +85,24 @@ def matrix_config():
     return json.loads(json.dumps(raw))  # no list shared between fields
 
 
-BASES = {"twoloop": twoloop, "matrix": matrix_config}
+PAIR_FIELDS = tuple(f.name for f in dataclasses.fields(PlantControllerPair))
+
+
+def pair_config():
+    """The worked example with ``systems[1]`` as a plant/controller pair, in the worst noise mode.
+
+    A loose dual-change tolerance ends a run whose ``max_periods`` is
+    mutated upwards within a few hundred periods.
+    """
+    raw = twoloop()
+    pair = example_pair()
+    raw["systems"][1] = {name: getattr(pair, name).tolist() for name in PAIR_FIELDS}
+    raw["systems"][1].update(lyap_matrix=np.eye(2).tolist(), decay_rate=0.9, noise_mode="worst")
+    raw["optimizer"]["dual_change_tol"] = 1.0
+    return raw
+
+
+BASES = {"twoloop": twoloop, "matrix": matrix_config, "pair": pair_config}
 
 
 def leaves(value, path=()):
@@ -112,16 +135,19 @@ def names_field_once(message, path):
     checks, the loop (``systems[0]: a_closed ...``); the field's own
     name then follows in the text. The leading path is not repeated. A
     loop whose requirement is 0, which ``optimize`` rejects, is named as
-    ``loop k``.
+    ``systems[k]`` alone. So is a loop given as a plant/controller pair
+    when its pair field passes on its own but the matrices assembled from
+    it fail (``systems[1]: noise_cov entries must be finite``).
     """
-    if path[0] == "systems" and message.startswith(f"loop {path[1]}: requirement is 0 "):
-        return True
     lead = LEADING_PATH.match(message).group()
     full = field(path)
     if not (full == lead or full.startswith(lead + ".") or full.startswith(lead + "[")):
         return False
     if re.search(re.escape(lead) + r"[:.\[]", message[len(lead):]):
         return False
+    if path[0] == "systems" and lead == field(path[:2]):
+        if message.startswith(f"{lead}: requirement is 0 ") or path[2] in PAIR_FIELDS:
+            return True
     own = next(p for p in reversed(path) if isinstance(p, str))
     return own in message
 
@@ -163,6 +189,7 @@ def test_mutated_leaf_loads_or_exits_2_naming_it(tmp_path, capsys, monkeypatch, 
 def test_sweep_covers_every_leaf():
     assert len(leaves(twoloop())) == 32
     assert len(leaves(matrix_config())) == 65
+    assert len(leaves(pair_config())) == 45
 
 
 def test_certain_collisions_on_the_worked_example(tmp_path, capsys):

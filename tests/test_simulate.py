@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from raccess import (
     run_simulation,
     threshold_policy,
 )
-from raccess.simulate import _transmission_outcomes
+from raccess.simulate import _draw_gamma
 
 # Stopping thresholds of the converged reference design; their link
 # deliveries clear both requirements, which the drift check verifies
@@ -274,13 +275,53 @@ class TestTransmissionOutcomes:
         )
         rng = np.random.default_rng(5)
         oracle_rng = np.random.default_rng(5)
-        got = _transmission_outcomes(policies, channels, qmat, rng, 1000)
-        want = transmission_outcomes_3d(policies, channels, qmat, oracle_rng, 1000)
-        for a, b in zip(got, want):
+        got = _draw_gamma(policies, channels, qmat, rng, 1000)
+        _, *want = transmission_outcomes_3d(policies, channels, qmat, oracle_rng, 1000)
+        for a, b in zip(got, want, strict=True):
             np.testing.assert_array_equal(a, b)
-        assert np.any(want[1] & ~want[2])
+        assert np.any(want[0] & ~want[1])
         # The generator is left where the 3-D draw leaves it.
         np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
+
+    def test_chunks_reproduce_the_3d_draw_chunk_by_chunk(self, monkeypatch):
+        # 2,500 slots in chunks of 1,000: two full chunks reuse the fade and
+        # uniform buffers, and the short last chunk uses their leading part.
+        monkeypatch.setattr(raccess.simulate, "_CHUNK", 1000)
+        channels, policies, qmat = random_shared_channel_setup(
+            np.random.default_rng(12), 3
+        )
+        rng = np.random.default_rng(6)
+        oracle_rng = np.random.default_rng(6)
+        tx, gamma = _draw_gamma(policies, channels, qmat, rng, 2500)
+        for start, size in ((0, 1000), (1000, 1000), (2000, 500)):
+            _, want_tx, want_gamma = transmission_outcomes_3d(
+                policies, channels, qmat, oracle_rng, size
+            )
+            np.testing.assert_array_equal(tx[:, start : start + size], want_tx)
+            np.testing.assert_array_equal(gamma[:, start : start + size], want_gamma)
+        assert np.any(tx & ~gamma)
+        np.testing.assert_array_equal(rng.random(8), oracle_rng.random(8))
+
+    def test_draw_holds_one_chunk_of_fades_beside_its_outputs(self, monkeypatch):
+        # Over several chunks at m = 8 the draw may hold, beside its two
+        # outputs, one chunk of fades and a few chunk-length float rows (the
+        # uniform row, a drawn fade row and the success curve's
+        # temporaries): no per-chunk copy of the fades, transmit flags or
+        # deliveries.
+        monkeypatch.setattr(raccess.simulate, "_CHUNK", 1000)
+        m, count = 8, 3500
+        channels, policies, qmat = random_shared_channel_setup(
+            np.random.default_rng(13), m
+        )
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            tx, gamma = _draw_gamma(policies, channels, qmat, rng, count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        fades, row = 8 * m * 1000, 8 * 1000
+        assert peak - tx.nbytes - gamma.nbytes <= fades + 6 * row
 
     def test_row_draws_into_one_buffer_reproduce_the_block_draw(self):
         # The transmit and decode uniforms are drawn one link row at a
