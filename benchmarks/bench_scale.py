@@ -110,6 +110,7 @@ from raccess import (
     FadingChannel,
     LogisticLogCurve,
     MonteCarlo,
+    OptimizerSettings,
     ProblemInstance,
     SaturatingExpCurve,
     SimulationSettings,
@@ -180,13 +181,22 @@ def instance(m, loops, n=1):
     )
 
 
+def mode_settings(mode, periods):
+    """``periods`` dual periods that cannot stop early, in ``mode`` ("quadrature" or "mc")."""
+    return OptimizerSettings(
+        stop=StopRule(max_periods=periods, dual_change_tol=0.0),
+        expectation_mode=mode,
+        mc=MonteCarlo(samples=SAMPLES, seed=0),
+    )
+
+
 def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def timed_run(inst, mode, stop):
+def timed_run(inst, settings):
     start = time.perf_counter()
-    result = run_algorithm1(inst, mode=mode, stop=stop)
+    result = run_algorithm1(inst, settings)
     return result, time.perf_counter() - start
 
 
@@ -255,14 +265,14 @@ DUAL_PHASES = {
 }
 
 
-def dual_split(inst, mode, stop):
+def dual_split(inst, settings):
     """One run with every phase timed: ms per period by phase, and the rest."""
     with contextlib.ExitStack() as stack:
         watches = {
             phase: [stack.enter_context(stopwatch(owner, name)) for owner, name in names]
             for phase, names in DUAL_PHASES.items()
         }
-        result, wall = timed_run(inst, mode, stop)
+        result, wall = timed_run(inst, settings)
     ms = {phase: 1e3 * sum(w[0] for w in ws) / result.periods for phase, ws in watches.items()}
     ms["rest"] = 1e3 * wall / result.periods - sum(ms.values())
     return ms
@@ -317,28 +327,27 @@ def scaling_entries(m):
     """The scalar entry of m loops, then the simulation-only n = 4 entry."""
     probes = [speed_probe() for _ in range(PROBES)]
     inst = instance(m, MIXED)
-    stop = StopRule(max_periods=PERIODS, dual_change_tol=0.0)
     entry = {"m": m, "n": 1, "periods": PERIODS, "repeats": REPEATS}
-    modes = (("quadrature", None), ("mc", MonteCarlo(samples=SAMPLES, seed=0)))
-    for name, mode in modes:
+    modes = {name: mode_settings(name, PERIODS) for name in ("quadrature", "mc")}
+    for name, settings in modes.items():
         per_period = []
         for _ in range(REPEATS):
             probes.append(speed_probe())
-            result, wall = timed_run(inst, mode, stop)
+            result, wall = timed_run(inst, settings)
             per_period.append(1e3 * wall / result.periods)
         entry[f"{name}_ms_per_period"] = spread(per_period)
     entry["dual_split"] = {}
-    for name, mode in modes:
+    for name, settings in modes.items():
         splits = []
         for _ in range(REPEATS):
             probes.append(speed_probe())
-            splits.append(dual_split(inst, mode, stop))
+            splits.append(dual_split(inst, settings))
         for phase in splits[0]:
             samples = [split[phase] for split in splits]
             entry["dual_split"][f"{name}_{phase}_ms_per_period"] = spread(samples)
 
     tracemalloc.start()
-    trace = timed_run(inst, None, stop)[0].trace
+    trace = timed_run(inst, modes["quadrature"])[0].trace
     gc.collect()
     kept = tracemalloc.get_traced_memory()[0]
     del trace
@@ -355,7 +364,7 @@ def scaling_entries(m):
 def long_entry(m):
     probes = [speed_probe() for _ in range(PROBES)]
     loops = LONG_LOOPS[m]
-    result, wall = timed_run(instance(m, loops), None, StopRule())
+    result, wall = timed_run(instance(m, loops), OptimizerSettings())
     entry = {
         "m": m,
         "n": 1,
@@ -406,11 +415,11 @@ def logistic_entry():
         channels=(channel, channel),
         collision=CollisionMatrix(q=np.array([[0.0, 0.5], [0.5, 0.0]])),
     )
-    stop = StopRule(max_periods=LOGISTIC_PERIODS, dual_change_tol=0.0)
+    settings = mode_settings("quadrature", LOGISTIC_PERIODS)
     walls = []
     for _ in range(REPEATS):
         probes.append(speed_probe())
-        result, wall = timed_run(inst, None, stop)
+        result, wall = timed_run(inst, settings)
         walls.append(wall)
     entry = {"m": 2, "curve": "logistic_log (0.8, 3)", "periods": result.periods}
     entry["repeats"] = REPEATS

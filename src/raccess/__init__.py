@@ -38,6 +38,7 @@ from .optimizer import (
     DivergenceError,
     DualState,
     OptimizationResult,
+    OptimizerSettings,
     ProblemInstance,
     StepSchedule,
     StopRule,

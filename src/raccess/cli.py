@@ -6,9 +6,9 @@ replays designed policies at slot level, and ``pipeline`` chains all
 three into one report. All artifacts land in ``--out`` (or the config's
 ``output_dir``) with deterministic full-precision formatting.
 
-Exit codes: 0 success, 2 config/parse error (or a run too large for
-memory), 3 infeasible performance contract, 4 optimizer divergence or
-non-convergence, 5 unstable simulation.
+Exit codes: 0 success, 2 config/parse error (or an output directory that
+cannot be made, or a run too large for memory), 3 infeasible performance
+contract, 4 optimizer divergence or non-convergence, 5 unstable simulation.
 """
 
 from __future__ import annotations
@@ -49,8 +49,11 @@ _CONSTANTS = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 
 
 def _out_dir(args, cfg):
-    out = args.out if args.out is not None else cfg.output_dir
-    os.makedirs(out, exist_ok=True)
+    name, out = ("output_dir", cfg.output_dir) if args.out is None else ("--out", args.out)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot make directory {out!r}: {exc.strerror}") from exc
     return out
 
 
@@ -58,7 +61,7 @@ def _requirements(cfg):
     try:
         return success_requirements(cfg.systems)
     except InfeasibleContractError as exc:
-        raise InfeasibleContractError(f"loop {exc.loop}: {exc}") from exc
+        raise InfeasibleContractError(f"loop {exc.loop}: {exc}", loop=exc.loop) from exc
 
 
 def _instance(cfg, targets):
@@ -75,14 +78,6 @@ def _instance(cfg, targets):
         tx_powers=cfg.tx_powers,
         success_targets=targets,
     )
-
-
-def _expectation_mode(cfg, args):
-    mode = cfg.optimizer.expectation_mode if args.mode is None else args.mode
-    if mode == "mc":
-        mc = cfg.optimizer.mc
-        return mc if args.seed is None else dataclasses.replace(mc, seed=args.seed)
-    return None  # exact expectations
 
 
 def _write_rates(out, targets):
@@ -152,17 +147,15 @@ def cmd_rates(args):
 def _design(cfg, args, out):
     """Design the policies, write rates, trace and policies, print a summary.
 
-    Shared by cmd_optimize and cmd_pipeline; reports non-convergence on
-    stderr and leaves the exit code to the caller.
+    The settings are the config's, with ``--mode`` and ``--seed`` (the
+    Monte Carlo seed) applied. Shared by cmd_optimize and cmd_pipeline;
+    reports non-convergence on stderr and leaves the exit code to the caller.
     """
     inst = _instance(cfg, _requirements(cfg))
-    result = run_algorithm1(
-        inst,
-        schedule=cfg.optimizer.schedule,
-        mode=_expectation_mode(cfg, args),
-        stop=cfg.optimizer.stop,
-        box=cfg.optimizer.box,
-    )
+    opt = cfg.optimizer
+    mc = opt.mc if args.seed is None else dataclasses.replace(opt.mc, seed=args.seed)
+    mode = opt.expectation_mode if args.mode is None else args.mode
+    result = run_algorithm1(inst, dataclasses.replace(opt, expectation_mode=mode, mc=mc))
     link = link_success_probability(result.policies, cfg.channels, cfg.collision)
     _write_rates(out, inst.success_targets)
     result.trace.to_csv(os.path.join(out, "trace.csv"))

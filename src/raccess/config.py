@@ -28,7 +28,7 @@ from .channel import (
     UniformFading,
 )
 from .control import PlantControllerPair, SwitchedSystem, assemble_example_loop, check_loops
-from .optimizer import DEFAULT_BOX, StepSchedule, StopRule, _check_box, _check_entries
+from .optimizer import DEFAULT_BOX, OptimizerSettings, StepSchedule, StopRule, _check_entries
 from .simulate import SimulationSettings
 
 __all__ = [
@@ -112,21 +112,6 @@ _ASSEMBLY_KEYS = ("lyap_matrix", "decay_rate", "noise_mode")
 _PAIR_SYSTEM_KEYS = _keys(
     PlantControllerPair, required=_ASSEMBLY_KEYS[:2], optional=_ASSEMBLY_KEYS[2:]
 )
-
-
-@frozen
-class OptimizerSettings(Frozen):
-    """The design loop's settings, each checked by its own type.
-
-    ``mc`` sets the sample size and seed when ``expectation_mode`` is
-    ``"mc"``; under ``"quadrature"`` the expectations are exact.
-    """
-
-    schedule: StepSchedule = StepSchedule()
-    stop: StopRule = StopRule()
-    box: tuple = DEFAULT_BOX
-    expectation_mode: str = "quadrature"
-    mc: MonteCarlo = MonteCarlo()
 
 
 _SIM_KEYS = _keys(SimulationSettings)
@@ -340,23 +325,20 @@ def _settings(cls, entry, path):
 
 
 def _parse_optimizer(entry):
+    """The ``optimizer`` section; its box and mode are checked before its other keys."""
     path = "optimizer"
     _check_keys(entry, _OPT_KEYS, path)
     box = [_number(entry.get(k, v), f"{path}.{k}") for k, v in zip(_BOX_KEYS, DEFAULT_BOX)]
-    try:
-        box = _check_box(box)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.beta_min and {path}.beta_max: {exc}") from exc
     mode = entry.get("expectation_mode", OptimizerSettings.expectation_mode)
-    if mode not in ("quadrature", "mc"):
-        raise ConfigError(
-            f"{path}.expectation_mode: must be 'quadrature' or 'mc', got {mode!r}"
-        )
-    return OptimizerSettings(
+    try:
+        settings = OptimizerSettings(box=box, expectation_mode=mode)
+    except ValueError as exc:
+        field = f"beta_min and {path}.beta_max: " if str(exc).startswith("box") else ""
+        raise ConfigError(f"{path}.{field}{exc}") from exc
+    return dataclasses.replace(
+        settings,
         schedule=_settings(StepSchedule, entry, path),
         stop=_settings(StopRule, entry, path),
-        box=box,
-        expectation_mode=mode,
         mc=_settings(MonteCarlo, entry, path),
     )
 

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ._frozen import Frozen, frozen
-from .channel import delivery_product, draw_transmit_sample, threshold_success
+from .channel import MonteCarlo, delivery_product, draw_transmit_sample, threshold_success
 
 # Not called here; perfbench's tracer looks both names up in this module.
 from .channel import expected_policy_rate, expected_policy_success  # noqa: F401
@@ -35,6 +35,7 @@ __all__ = [
     "DualState",
     "StepSchedule",
     "StopRule",
+    "OptimizerSettings",
     "IterationTrace",
     "OptimizationResult",
     "beta_update",
@@ -149,6 +150,34 @@ class StopRule(Frozen):
             raise ValueError(f"divergence_bound: must be > 0, got {self.divergence_bound}")
 
 
+@frozen
+class OptimizerSettings(Frozen):
+    """The design loop's settings, checked when built.
+
+    ``box`` bounds every share beta, kept as a ``(lo, hi)`` float pair with
+    0 < lo < hi < 1; ``expectation_mode`` is ``"quadrature"`` (exact) or
+    ``"mc"``, which samples as ``mc`` sets. The other fields check themselves.
+    A bad box or mode raises ValueError whose message starts with its name.
+    """
+
+    schedule: StepSchedule = StepSchedule()
+    stop: StopRule = StopRule()
+    box: tuple = DEFAULT_BOX
+    expectation_mode: str = "quadrature"
+    mc: MonteCarlo = MonteCarlo()
+
+    def __post_init__(self):
+        try:
+            lo, hi = map(float, self.box)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"box: must be a (lo, hi) pair of numbers, got {self.box!r}") from exc
+        if not 0.0 < lo < hi < 1.0:
+            raise ValueError(f"box must satisfy 0 < lo < hi < 1, got [{lo:g}, {hi:g}]")
+        object.__setattr__(self, "box", (lo, hi))
+        if (mode := self.expectation_mode) not in ("quadrature", "mc"):
+            raise ValueError(f"expectation_mode: must be 'quadrature' or 'mc', got {mode!r}")
+
+
 class IterationTrace:
     """Append-only per-period log of the dual loop, one float64 row per period.
 
@@ -233,13 +262,6 @@ def _check_entries(values, m, name, top=math.inf):
         raise ValueError(f"{name}: all entries must {inside}")
     v.setflags(write=False)
     return v
-
-
-def _check_box(box):
-    lo, hi = box
-    if not 0.0 < lo < hi < 1.0:
-        raise ValueError(f"box must satisfy 0 < lo < hi < 1, got [{lo:g}, {hi:g}]")
-    return lo, hi
 
 
 def beta_update(lam, nu, box=DEFAULT_BOX):
@@ -337,42 +359,38 @@ def lagrangian_value(measured_rate, measured_success, beta, lam, nu, inst):
     return value
 
 
-def _measure(thresholds, channels, mode, rngs):
+def _measure(thresholds, channels, mc, rngs):
     """Per-sensor E[alpha] and E[alpha q] of the rules 1[h >= tau] for one period.
 
-    Exact when ``mode`` is None; under Monte Carlo, sensor i estimates both
-    from its own generator ``rngs[i]``.
+    Exact when ``mc`` is None; under a ``MonteCarlo`` ``mc``, sensor i
+    estimates both from ``mc.samples`` fades of its own generator ``rngs[i]``.
     """
-    if mode is None:
+    if mc is None:
         rates = [ch.dist.survival(tau) for tau, ch in zip(thresholds, channels)]
         succ = [threshold_success(tau, ch) for tau, ch in zip(thresholds, channels)]
         return np.array(rates), np.array(succ)
     # A fade mean or curve rate near the float maximum overflows to inf, whose q is exact.
     with np.errstate(over="ignore"):
         pairs = [
-            draw_transmit_sample(tau, ch, mode.samples, rng)
+            draw_transmit_sample(tau, ch, mc.samples, rng)
             for tau, ch, rng in zip(thresholds, channels, rngs)
         ]
     return np.array(pairs).T.copy()  # contiguous rows, as the exact branch gives
 
 
-def run_algorithm1(
-    inst,
-    schedule=StepSchedule(),
-    mode=None,
-    stop=StopRule(),
-    box=DEFAULT_BOX,
-):
+def run_algorithm1(inst, settings=OptimizerSettings()):
     """Run the dual subgradient loop until the stop rule fires.
 
     Each period prices the sensors with the current duals into fade
     thresholds, measures the resulting transmit and delivery rates
-    (exactly when ``mode`` is None; under a ``MonteCarlo`` mode sensor i
-    estimates them from ``mode.samples`` fades per period, of which only
-    the transmitting ones are drawn, from the i-th of m streams spawned by
-    ``np.random.SeedSequence(mode.seed)``), refreshes the shares, logs the
-    period as a trace row, and steps the duals along the subgradient.
-    Convergence requires the returned policies' worst constraint slack
+    (exactly under ``settings.expectation_mode`` ``"quadrature"``; under
+    ``"mc"`` sensor i estimates them from ``settings.mc.samples`` fades per
+    period, of which only the transmitting ones are drawn, from the i-th of
+    m streams spawned by ``np.random.SeedSequence(settings.mc.seed)``),
+    refreshes the shares within ``settings.box``, logs the period as a
+    trace row, and steps the duals along the subgradient with the steps of
+    ``settings.schedule``. With ``stop = settings.stop``, convergence
+    requires the returned policies' worst constraint slack
     <= ``stop.slack_tol`` together with duals within
     ``stop.dual_change_tol`` of those ``stop.window`` periods back; the
     loop aborts if any multiplier passes ``stop.divergence_bound``, which
@@ -384,8 +402,8 @@ def run_algorithm1(
     row by row), which ``dual_step`` steps in place. The stop rule keeps
     the last ``stop.window + 1`` of these vectors in a ring, or one when
     ``stop.window >= stop.max_periods`` and the test cannot fire, so a run
-    holds O(periods * m + window * m^2) floats. ``box`` is checked once,
-    here, and ``AccessPolicy`` objects are built once, for the result.
+    holds O(periods * m + window * m^2) floats. ``AccessPolicy`` objects
+    are built once, for the result.
 
     Returns
     -------
@@ -396,13 +414,14 @@ def run_algorithm1(
         and shares, with an empty trace.
     """
     m = inst.m
-    box = _check_box(box)
+    schedule, stop, box = settings.schedule, settings.stop, settings.box
+    mc = settings.mc if settings.expectation_mode == "mc" else None
     p, q, q_t = inst.tx_powers, inst.collision.q, inst.collision.q.T
     targets, log_c = inst.success_targets, np.log(inst.success_targets)
     inverses = [ch.curve.inverse for ch in inst.channels]
     rngs = None
-    if mode is not None:
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mode.seed).spawn(m)]
+    if mc is not None:
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mc.seed).spawn(m)]
     trace = IterationTrace(m)
 
     # Cold start: lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1.
@@ -419,7 +438,7 @@ def run_algorithm1(
         eps = stepsize(t, schedule)
         beta = beta_update(lam, nu, box)
         thresholds = primal_policies(nu, p, q_t, inverses)
-        rates, succ = _measure(thresholds, inst.channels, mode, rngs)
+        rates, succ = _measure(thresholds, inst.channels, mc, rngs)
 
         link = delivery_product(succ, rates, q)
         slack = targets - link

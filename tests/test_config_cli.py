@@ -30,6 +30,7 @@ from raccess.cli import (
     main,
 )
 from raccess.channel import MonteCarlo
+from raccess.control import InfeasibleContractError
 from raccess.config import (
     _CURVES,
     _FADES,
@@ -237,6 +238,28 @@ class TestParseConfig:
         raw["optimizer"]["beta_max"] = 0.1
         with pytest.raises(ConfigError, match="beta"):
             parse_config(write_config(tmp_path, raw))
+
+    BOX_ERROR = (
+        "optimizer.beta_min and optimizer.beta_max: box must satisfy 0 < lo < hi < 1, "
+        "got [0.6, 0.4]"
+    )
+    MODE_ERROR = "optimizer.expectation_mode: must be 'quadrature' or 'mc', got 'exact'"
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"beta_min": 0.6, "beta_max": 0.4, "step_a": -1.0}, BOX_ERROR),
+            ({"expectation_mode": "exact", "mc_samples": 0}, MODE_ERROR),
+            ({"beta_min": 0.6, "beta_max": 0.4, "expectation_mode": "exact"}, BOX_ERROR),
+        ],
+        ids=["box-and-step_a", "mode-and-mc_samples", "box-and-mode"],
+    )
+    def test_optimizer_reports_the_box_then_the_mode_first(self, tmp_path, settings, message):
+        raw = base_config()
+        raw["optimizer"].update(settings)
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path, raw))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("section", ["optimizer", "simulation"])
     def test_negative_seed_names_its_path(self, tmp_path, section):
@@ -1066,6 +1089,29 @@ class TestCliRates:
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_infeasible_error_keeps_its_loop(self, tmp_path):
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["systems"][1]["a_closed"] = 1.2
+        cfg = parse_config(write_config(tmp_path, raw))
+        with pytest.raises(InfeasibleContractError, match=r"^loop 1: ") as info:
+            raccess.cli._requirements(cfg)
+        assert info.value.loop == 1
+
+    @pytest.mark.parametrize("name", ["--out", "output_dir"])
+    def test_out_that_cannot_be_a_directory_exits_2_naming_it(self, tmp_path, capsys, name):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        flags = ["--out", str(taken)]
+        if name == "output_dir":
+            raw["output_dir"], flags = str(taken), []
+        assert main(["rates", write_config(tmp_path, raw), *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: cannot make directory {str(taken)!r}: ")
+        assert err.count("\n") == 1
+
 
 class TestCliOptimize:
     def test_writes_trace_and_policies(self, tmp_path, capsys):
@@ -1141,29 +1187,30 @@ class TestCliOptimize:
         assert t1 != (out3 / "trace.csv").read_text()
 
     @pytest.mark.parametrize(
-        "flags, mode",
+        "flags, mode, mc",
         [
-            ([], None),
-            (["--mode", "mc"], MonteCarlo(samples=300, seed=5)),
-            (["--mode", "mc", "--seed", "9"], MonteCarlo(samples=300, seed=9)),
+            ([], "quadrature", MonteCarlo(samples=300, seed=5)),
+            (["--mode", "mc"], "mc", MonteCarlo(samples=300, seed=5)),
+            (["--mode", "mc", "--seed", "9"], "mc", MonteCarlo(samples=300, seed=9)),
         ],
         ids=["config", "mode-flag", "seed-flag"],
     )
-    def test_mode_flag_takes_the_configs_sample(self, tmp_path, monkeypatch, flags, mode):
+    def test_mode_flag_takes_the_configs_sample(self, tmp_path, monkeypatch, flags, mode, mc):
         # The config asks for quadrature; --mode mc uses its mc_samples and
         # seed, and --seed replaces the seed alone.
-        modes = []
+        used = []
         design = raccess.cli.run_algorithm1
 
-        def spy(inst, **kwargs):
-            modes.append(kwargs["mode"])
-            return design(inst, **kwargs)
+        def spy(inst, settings):
+            used.append(settings)
+            return design(inst, settings)
 
         monkeypatch.setattr(raccess.cli, "run_algorithm1", spy)
         raw = base_config()
         raw["optimizer"].update(max_periods=5, mc_samples=300, seed=5)
         main(["optimize", write_config(tmp_path, raw), "--out", str(tmp_path / "out")] + flags)
-        assert modes == [mode]
+        cfg = parse_config(write_config(tmp_path, raw))
+        assert used == [dataclasses.replace(cfg.optimizer, expectation_mode=mode, mc=mc)]
 
     @pytest.mark.parametrize("mode", ["quadrature", "mc"])
     def test_designs_through_a_curve_whose_power_overflows(self, tmp_path, mode):

@@ -26,6 +26,7 @@ from raccess import (
     DivergenceError,
     ProblemInstance,
     MonteCarlo,
+    OptimizerSettings,
     StepSchedule,
     StopRule,
     compute_success_requirement,
@@ -50,6 +51,11 @@ def priced_thresholds(nu, inst):
     """``primal_policies`` at duals ``nu`` on ``inst``'s powers, collisions and curves."""
     inverses = [ch.curve.inverse for ch in inst.channels]
     return primal_policies(nu, inst.tx_powers, inst.collision.q.T, inverses)
+
+
+def mc_settings(samples, seed, stop):
+    """``OptimizerSettings`` for a Monte Carlo design of ``samples`` fades, seeded ``seed``."""
+    return OptimizerSettings(stop=stop, expectation_mode="mc", mc=MonteCarlo(samples, seed))
 
 
 def subgradients(beta, succ, rate, inst):
@@ -583,15 +589,16 @@ class TestRunAlgorithm1:
 
     def test_non_convergence_is_reported_not_raised(self):
         inst = one_loop_instance(0.3)
-        result = run_algorithm1(inst, stop=StopRule(max_periods=10))
+        result = run_algorithm1(inst, OptimizerSettings(stop=StopRule(max_periods=10)))
         assert not result.converged
         assert result.periods == 10
         assert len(result.trace) == 10
 
-    @pytest.mark.parametrize("mode", [None, MonteCarlo(samples=100, seed=0)], ids=["exact", "mc"])
+    @pytest.mark.parametrize("mode", ["quadrature", "mc"], ids=["exact", "mc"])
     def test_zero_periods_return_the_cold_start(self, mode):
         inst = reference_instance()
-        result = run_algorithm1(inst, mode=mode, stop=StopRule(max_periods=0))
+        settings = mc_settings(100, 0, StopRule(max_periods=0))
+        result = run_algorithm1(inst, dataclasses.replace(settings, expectation_mode=mode))
         assert not result.converged
         assert result.periods == 0
         assert len(result.trace) == 0
@@ -608,9 +615,9 @@ class TestRunAlgorithm1:
     def test_mc_design_follows_the_mode_seed(self):
         inst = one_loop_instance(0.3)
         stop = StopRule(max_periods=25)
-        r1 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=3), stop=stop)
-        r2 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=3), stop=stop)
-        r3 = run_algorithm1(inst, mode=MonteCarlo(samples=2000, seed=4), stop=stop)
+        r1 = run_algorithm1(inst, mc_settings(2000, 3, stop))
+        r2 = run_algorithm1(inst, mc_settings(2000, 3, stop))
+        r3 = run_algorithm1(inst, mc_settings(2000, 4, stop))
         np.testing.assert_array_equal(r1.trace.rows, r2.trace.rows)
         assert not np.array_equal(r1.trace.rows, r3.trace.rows)
 
@@ -643,7 +650,7 @@ class TestRunAlgorithm1:
 
         def rate_errors(seed):
             priced.clear()
-            trace = run_algorithm1(inst, mode=MonteCarlo(samples=1000, seed=seed), stop=stop).trace
+            trace = run_algorithm1(inst, mc_settings(1000, seed, stop)).trace
             rates = np.stack([trace.column(f"rate_{i}") for i in range(m)], axis=1)
             exact = [
                 [expected_policy_rate(threshold_policy(t), ch) for t, ch in zip(ts, inst.channels)]
@@ -667,11 +674,8 @@ class TestRunAlgorithm1:
 
         monkeypatch.setattr(raccess.channel, "sample_channel", counting)
         m, samples = 3, 2000
-        result = run_algorithm1(
-            self.mc_instance(m),
-            mode=MonteCarlo(samples=samples, seed=1),
-            stop=StopRule(max_periods=40),
-        )
+        stop = StopRule(max_periods=40)
+        result = run_algorithm1(self.mc_instance(m), mc_settings(samples, 1, stop))
         assert len(drawn) == result.periods * m
         rates = np.stack([result.trace.column(f"rate_{i}") for i in range(m)], axis=1)
         assert sum(drawn) == int(np.rint(rates * samples).sum())
@@ -695,11 +699,8 @@ class TestRunAlgorithm1:
                 raccess.optimizer, name, counting(name, getattr(raccess.optimizer, name))
             )
         if mc:
-            result = run_algorithm1(
-                self.mc_instance(3),
-                mode=MonteCarlo(samples=2000, seed=1),
-                stop=StopRule(max_periods=40),
-            )
+            stop = StopRule(max_periods=40)
+            result = run_algorithm1(self.mc_instance(3), mc_settings(2000, 1, stop))
             assert not result.converged
         else:
             result = run_algorithm1(reference_instance())
@@ -723,19 +724,22 @@ class TestRunAlgorithm1:
     def test_stop_period_matches_the_full_history_oracle(self, monkeypatch, slack_tol, window):
         inst, tol = reference_instance(), 5e-3
         recorder = DualRecorder(monkeypatch)
-        full = run_algorithm1(inst, stop=StopRule(max_periods=400, dual_change_tol=0.0))
+        full = run_algorithm1(
+            inst, OptimizerSettings(stop=StopRule(max_periods=400, dual_change_tol=0.0))
+        )
         assert not full.converged
         slack = full.trace.rows[:, -inst.m :].tolist()
         want = loop_stop_period(recorder.duals, slack, window, slack_tol, tol)
         stop = StopRule(slack_tol=slack_tol, dual_change_tol=tol, window=window)
-        result = run_algorithm1(inst, stop=stop)
+        result = run_algorithm1(inst, OptimizerSettings(stop=stop))
         assert result.converged
         assert result.periods == want == self.STOP_PERIODS[slack_tol, window]
         np.testing.assert_array_equal(result.trace.rows, full.trace.rows[: result.periods])
 
     def test_window_beyond_max_periods_runs_them_all(self):
         # The stop test cannot fire, so the ring keeps one row, not 10**12 + 1.
-        result = run_algorithm1(reference_instance(), stop=StopRule(max_periods=50, window=10**12))
+        stop = StopRule(max_periods=50, window=10**12)
+        result = run_algorithm1(reference_instance(), OptimizerSettings(stop=stop))
         assert (result.converged, result.periods, len(result.trace)) == (False, 50, 50)
 
     def test_design_memory_is_linear_in_m_per_period(self):
@@ -754,10 +758,11 @@ class TestRunAlgorithm1:
             success_targets=[compute_success_requirement(s) for s in systems],
         )
         stop = StopRule(max_periods=periods, dual_change_tol=0.0, window=window)
-        run_algorithm1(inst, stop=StopRule(max_periods=2))  # first-call set-up, untraced
+        # first-call set-up, untraced
+        run_algorithm1(inst, OptimizerSettings(stop=StopRule(max_periods=2)))
         tracemalloc.start()
         try:
-            result = run_algorithm1(inst, stop=stop)
+            result = run_algorithm1(inst, OptimizerSettings(stop=stop))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -768,10 +773,18 @@ class TestRunAlgorithm1:
         floats = (window + 1) * (m + m * m) + 2 * capacity * (3 + 5 * m)
         assert peak < 8 * floats + 2**18
 
-    @pytest.mark.parametrize("box", [(0.0, 0.9), (0.5, 0.4)])
-    def test_rejects_bad_box(self, box):
-        with pytest.raises(ValueError, match="box must satisfy 0 < lo < hi < 1"):
-            run_algorithm1(reference_instance(), box=box)
+    def test_runs_inside_the_settings_box(self, monkeypatch):
+        boxes = []
+        real = raccess.optimizer.beta_update
+
+        def recording(lam, nu, box):
+            boxes.append(box)
+            return real(lam, nu, box)
+
+        monkeypatch.setattr(raccess.optimizer, "beta_update", recording)
+        settings = OptimizerSettings(stop=StopRule(max_periods=3), box=(0.1, 0.6))
+        run_algorithm1(reference_instance(), settings)
+        assert boxes == [(0.1, 0.6)] * 3
 
     def test_unreachable_targets_diverge(self):
         inst = ProblemInstance(
@@ -782,4 +795,27 @@ class TestRunAlgorithm1:
             success_targets=[0.9, 0.9],
         )
         with pytest.raises(DivergenceError):
-            run_algorithm1(inst, stop=StopRule(max_periods=300, divergence_bound=5.0))
+            stop = StopRule(max_periods=300, divergence_bound=5.0)
+            run_algorithm1(inst, OptimizerSettings(stop=stop))
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("box", [(0.0, 0.9), (0.5, 0.4)])
+    def test_rejects_bad_box(self, box):
+        with pytest.raises(ValueError, match=r"^box must satisfy 0 < lo < hi < 1, got \["):
+            OptimizerSettings(box=box)
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(
+            ValueError, match=r"^expectation_mode: must be 'quadrature' or 'mc', got 'exact'$"
+        ):
+            OptimizerSettings(expectation_mode="exact")
+
+    @pytest.mark.parametrize("box", [(0.5,), ("a", "b"), None])
+    def test_rejects_a_box_that_is_not_a_pair_of_numbers(self, box):
+        with pytest.raises(ValueError, match=r"^box: must be a \(lo, hi\) pair of numbers, got "):
+            OptimizerSettings(box=box)
+
+    def test_keeps_the_box_as_a_float_pair(self):
+        box = OptimizerSettings(box=[np.float64(0.25), 0.75]).box
+        assert box == (0.25, 0.75) and list(map(type, box)) == [float, float]
