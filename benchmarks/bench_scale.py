@@ -88,6 +88,7 @@ import argparse
 import contextlib
 import dataclasses
 import gc
+import importlib.util
 import json
 import os
 import platform
@@ -126,8 +127,18 @@ from raccess.config import parse_config
 from raccess.serialize import write_csv
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-import workloads  # noqa: E402  (perfbench's config generators; NumPy only)
+
+
+def load_workloads():
+    """perfbench's config generators (NumPy only), imported by path."""
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = load_workloads()
 
 SIZES = (2, 8, 32, 128)
 PERIODS = 100

@@ -42,6 +42,7 @@ from .optimizer import (
     ProblemInstance,
     StepSchedule,
     StopRule,
+    dual_periods,
     run_algorithm1,
 )
 from .policy import (

@@ -8,16 +8,19 @@ logs and introducing auxiliary shares beta:
     log c_i <= log beta_ii + sum_{j != i} log(1 - beta_ji),
     beta_ii <= E[alpha_i q],    beta_ji >= E[alpha_j] q_ji,
 
-with beta boxed inside (0, 1). Dualizing all three families with
-multipliers lambda_i >= 0 (contracts) and nu_ij >= 0 (shares) makes the
-Lagrangian separable: each sensor's best alpha is a fade threshold set
-by its prices, each beta entry has a closed-form boxed minimizer, and
-the duals ascend along subgradients with diminishing steps a/(b+t).
+with beta boxed inside (0, 1), or 0 for a pair that cannot collide
+(q_ji = 0). Dualizing all three families with multipliers lambda_i >= 0
+(contracts) and nu_ij >= 0 (shares) makes the Lagrangian separable: each
+sensor's best alpha is a fade threshold set by its prices, each beta
+entry has a closed-form boxed minimizer, and the duals ascend along
+subgradients with diminishing steps a/(b+t).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -38,12 +41,14 @@ __all__ = [
     "OptimizerSettings",
     "IterationTrace",
     "OptimizationResult",
+    "DualPeriod",
     "beta_update",
     "primal_policies",
     "subgradient",
     "dual_step",
     "stepsize",
     "lagrangian_value",
+    "dual_periods",
     "run_algorithm1",
 ]
 
@@ -134,6 +139,8 @@ class StopRule(Frozen):
     Convergence requires both the worst constraint slack
     max_i (c_i - P(gamma_i = 1)) <= ``slack_tol`` and the sup-norm change
     of the duals over the last ``window`` periods <= ``dual_change_tol``.
+    ``checker`` builds the test for one run, whose ring keeps copies of the
+    last window + 1 dual vectors, or one when window >= max_periods.
     """
 
     max_periods: int = 5000
@@ -148,6 +155,19 @@ class StopRule(Frozen):
                 raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
         if not self.divergence_bound > 0.0:
             raise ValueError(f"divergence_bound: must be > 0, got {self.divergence_bound}")
+
+    def checker(self):
+        """A new stop test for one run: shown each ``DualPeriod`` in turn, True once converged."""
+        ring = deque(maxlen=self.window + 1 if self.window < self.max_periods else 1)
+
+        def converged(period):
+            ring.append(period.duals.copy())
+            if len(ring) <= self.window or float(np.maximum.reduce(period.slack)) > self.slack_tol:
+                return False
+            change = float(np.maximum.reduce(np.abs(ring[-1] - ring[0])))
+            return change <= self.dual_change_tol
+
+        return converged
 
 
 @frozen
@@ -264,7 +284,7 @@ def _check_entries(values, m, name, top=math.inf):
     return v
 
 
-def beta_update(lam, nu, box=DEFAULT_BOX):
+def beta_update(lam, nu, box=DEFAULT_BOX, apart=None):
     """Boxed closed-form minimizers of the Lagrangian over the shares.
 
     Entry conventions follow the delivery product: beta[i, i] is link i's
@@ -277,14 +297,18 @@ def beta_update(lam, nu, box=DEFAULT_BOX):
 
     with a zero dual in the denominator clipping to the upper and lower
     edge respectively. ``lam`` and ``nu`` are float arrays and ``box`` a
-    ``(lo, hi)`` already checked to satisfy 0 < lo < hi < 1.
+    ``(lo, hi)`` already checked to satisfy 0 < lo < hi < 1. The pairs j != i
+    that cannot collide (q_ji = 0; the bool mask ``apart``) take beta[j, i] = 0.
     """
     lo, hi = box
     ratio = np.divide(lam[:, None], nu, out=np.full(nu.shape, np.inf), where=nu != 0.0)
     beta = np.subtract(1.0, ratio.T)
     beta.flat[:: lam.shape[0] + 1] = ratio.diagonal()  # the diagonal, via .flat
     # np.clip's float loop is max-then-min; the ufuncs skip its Python wrapper.
-    return np.minimum(np.maximum(beta, lo, out=beta), hi, out=beta)
+    np.minimum(np.maximum(beta, lo, out=beta), hi, out=beta)
+    if apart is not None:
+        beta[apart] = 0.0
+    return beta
 
 
 def primal_policies(nu, tx_powers, q_t, inverses):
@@ -339,12 +363,12 @@ def dual_step(duals, step, eps):
 def lagrangian_value(measured_rate, measured_success, beta, lam, nu, inst):
     """Evaluate the full Lagrangian at given primal measurements and duals."""
     m = inst.m
+    q = inst.collision.q
     beta = np.asarray(beta, dtype=float)
-    if np.any((beta <= 0.0) | (beta >= 1.0)):
-        raise ValueError("beta entries must lie strictly inside (0, 1)")
+    if np.any((beta < 0.0) | (beta >= 1.0) | (beta == 0.0) & (q != 0.0)) or 0.0 in beta.diagonal():
+        raise ValueError("beta entries must lie strictly inside (0, 1), or be 0 where q_ji = 0")
     rate = np.asarray(measured_rate, dtype=float)
     succ = np.asarray(measured_success, dtype=float)
-    q = inst.collision.q
     value = float(np.dot(inst.tx_powers, rate))
     for i in range(m):
         gap = math.log(inst.success_targets[i]) - math.log(beta[i, i])
@@ -378,103 +402,78 @@ def _measure(thresholds, channels, mc, rngs):
     return np.array(pairs).T.copy()  # contiguous rows, as the exact branch gives
 
 
-def run_algorithm1(inst, settings=OptimizerSettings()):
-    """Run the dual subgradient loop until the stop rule fires.
+# A trace row's fields, in ``IterationTrace.append``'s order, then the period's matrices.
+DualPeriod = namedtuple(
+    "DualPeriod", "t eps objective lam rates succ link slack duals nu beta thresholds"
+)
 
-    Each period prices the sensors with the current duals into fade
-    thresholds, measures the resulting transmit and delivery rates
-    (exactly under ``settings.expectation_mode`` ``"quadrature"``; under
-    ``"mc"`` sensor i estimates them from ``settings.mc.samples`` fades per
-    period, of which only the transmitting ones are drawn, from the i-th of
-    m streams spawned by ``np.random.SeedSequence(settings.mc.seed)``),
-    refreshes the shares within ``settings.box``, logs the period as a
-    trace row, and steps the duals along the subgradient with the steps of
-    ``settings.schedule``. With ``stop = settings.stop``, convergence
-    requires the returned policies' worst constraint slack
-    <= ``stop.slack_tol`` together with duals within
-    ``stop.dual_change_tol`` of those ``stop.window`` periods back; the
-    loop aborts if any multiplier passes ``stop.divergence_bound``, which
-    signals an infeasible or marginal set of requirements.
 
-    Each period calls ``beta_update`` and ``primal_policies`` and, unless
-    it stops the loop, ``subgradient`` and ``dual_step``, by their module
-    names. lambda and nu are views of one vector (lambda_i, then nu_i_j
-    row by row), which ``dual_step`` steps in place. The stop rule keeps
-    the last ``stop.window + 1`` of these vectors in a ring, or one when
-    ``stop.window >= stop.max_periods`` and the test cannot fire, so a run
-    holds O(periods * m + window * m^2) floats. ``AccessPolicy`` objects
-    are built once, for the result.
+def dual_periods(inst, settings=OptimizerSettings()):
+    """The dual loop as a generator of ``DualPeriod``s, at most ``settings.stop.max_periods``.
 
-    Returns
-    -------
-    OptimizationResult
-        Policies from the stopping period (they satisfy the slack test
-        when ``converged``), the final dual state, and the O(m) trace.
-        With ``stop.max_periods = 0`` these are the cold start's policies
-        and shares, with an empty trace.
+    From the cold start lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1, a period
+    prices the sensors into fade ``thresholds`` and shares ``beta`` (within
+    ``settings.box``), measures ``rates`` E[alpha_i] and ``succ`` E[alpha_i q]
+    (exactly, or under ``expectation_mode`` ``"mc"`` from ``mc.samples``
+    fades a period, of which only the transmitting ones are drawn, on the
+    i-th of m streams spawned by ``np.random.SeedSequence(mc.seed)``), and
+    yields them with the stepsize ``eps``, the ``link`` probabilities, the
+    ``slack`` c_i - link_i and the power ``objective``. ``lam`` and ``nu``
+    view ``duals`` (lambda_i, then nu_i_j row by row), which the next resume
+    steps in place, so copy what you keep; a step that takes a dual past
+    ``stop.divergence_bound`` raises DivergenceError. Closing early takes no
+    step. The step functions and ``_measure`` are looked up by module name.
     """
     m = inst.m
-    schedule, stop, box = settings.schedule, settings.stop, settings.box
+    schedule, box, bound = settings.schedule, settings.box, settings.stop.divergence_bound
     mc = settings.mc if settings.expectation_mode == "mc" else None
     p, q, q_t = inst.tx_powers, inst.collision.q, inst.collision.q.T
     targets, log_c = inst.success_targets, np.log(inst.success_targets)
     inverses = [ch.curve.inverse for ch in inst.channels]
-    rngs = None
-    if mc is not None:
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(mc.seed).spawn(m)]
-    trace = IterationTrace(m)
-
-    # Cold start: lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1.
+    apart = (q == 0.0) & ~np.eye(m, dtype=bool)  # the pairs that cannot collide
+    apart = apart if apart.any() else None
+    seeds = np.random.SeedSequence(mc.seed).spawn(m) if mc is not None else ()
+    rngs = [np.random.default_rng(s) for s in seeds]
     duals = np.full(m + m * m, 0.1)
     lam, nu = duals[:m], duals[m:].reshape(m, m)
     lam[:] = 1.0
     np.add(p, 1.0, out=duals[m :: m + 1])
     step = np.empty_like(duals)
-    # Period t's duals go to row t % rows; the next row holds period t - window's.
-    rows = stop.window + 1 if stop.window < stop.max_periods else 1
-    ring = np.empty((rows, duals.size))
-
-    for t in range(stop.max_periods):
+    for t in range(settings.stop.max_periods):
         eps = stepsize(t, schedule)
-        beta = beta_update(lam, nu, box)
+        beta = beta_update(lam, nu, box, apart)
         thresholds = primal_policies(nu, p, q_t, inverses)
         rates, succ = _measure(thresholds, inst.channels, mc, rngs)
-
         link = delivery_product(succ, rates, q)
-        slack = targets - link
-        objective = float(np.dot(p, rates))
-        trace.append(t, eps, objective, lam, rates, succ, link, slack)
-        ring[t % rows] = duals
-
-        if (
-            t >= stop.window
-            and float(np.maximum.reduce(slack)) <= stop.slack_tol
-            and float(np.maximum.reduce(np.abs(duals - ring[(t + 1) % rows])))
-            <= stop.dual_change_tol
-        ):
-            return _result(thresholds, lam, nu, beta, trace, True, t + 1)
-
+        yield DualPeriod(
+            t, eps, float(np.dot(p, rates)), lam, rates, succ, link, targets - link, duals, nu,
+            beta, thresholds,
+        )
         subgradient(beta, succ, rates, log_c, q, step)
         dual_step(duals, step, eps)
         top = float(np.maximum.reduce(duals))
-        if top > stop.divergence_bound:
+        if top > bound:
             raise DivergenceError(
-                f"dual variables reached {top:g} at period {t}; the delivery "
-                "requirements are likely infeasible for this channel and "
-                "collision configuration"
+                f"dual variables reached {top:g} at period {t}; the delivery requirements "
+                "are likely infeasible for this channel and collision configuration"
             )
 
-    if stop.max_periods == 0:  # no period ran: the cold start's shares and prices
-        beta = beta_update(lam, nu, box)
-        thresholds = primal_policies(nu, p, q_t, inverses)
-    return _result(thresholds, lam, nu, beta, trace, False, stop.max_periods)
 
+def run_algorithm1(inst, settings=OptimizerSettings()):
+    """Run ``dual_periods`` until ``settings.stop.checker`` fires, one trace row a period.
 
-def _result(thresholds, lam, nu, beta, trace, converged, periods):
-    return OptimizationResult(
-        policies=tuple(map(threshold_policy, thresholds)),
-        state=DualState(lam=lam.copy(), nu=nu.copy(), beta=beta),
-        trace=trace,
-        converged=converged,
-        periods=periods,
-    )
+    The converged period takes no step; a run that reaches ``max_periods``
+    takes its last step, so its ``state`` holds the duals after it. The
+    policies are the last period's, or with no period the cold start's.
+    """
+    trace, converged = IterationTrace(inst.m), settings.stop.checker()
+    period, done = None, False
+    for period in dual_periods(inst, settings):
+        trace.append(*period[:8])
+        if done := converged(period):
+            break
+    if period is None:  # no period ran: the cold start's shares and prices
+        period = next(dual_periods(inst, dataclasses.replace(settings, stop=StopRule())))
+    policies = tuple(map(threshold_policy, period.thresholds))
+    state = DualState(period.lam.copy(), period.nu.copy(), period.beta)
+    return OptimizationResult(policies, state, trace, done, len(trace))

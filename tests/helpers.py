@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from raccess import (
     FadingChannel,
     InfeasibleContractError,
     LogisticLogCurve,
+    OptimizerSettings,
     PlantControllerPair,
     ProblemInstance,
     SaturatingExpCurve,
@@ -18,9 +20,9 @@ from raccess import (
     _kernels,
     compute_success_requirement,
     constant_policy,
+    dual_periods,
     threshold_policy,
 )
-import raccess.optimizer
 from raccess.serialize import fmt
 from raccess.simulate import SimMetrics, _draw_gamma, _psd_factor
 
@@ -347,8 +349,11 @@ def random_shared_channel_setup(rng, m):
     return channels, policies, CollisionMatrix(q=q)
 
 
-def loop_beta_update(lam, nu, box):
-    """Loop oracle for ``raccess.optimizer.beta_update(lam, nu, box)``: beta, entry by entry."""
+def loop_beta_update(lam, nu, box, q=None):
+    """Loop oracle for ``raccess.optimizer.beta_update``: beta, entry by entry.
+
+    With a collision matrix ``q``, a pair (j, i) with q[j, i] = 0 gets beta[j, i] = 0.
+    """
     m = lam.shape[0]
     lo, hi = box
     beta = np.empty((m, m))
@@ -357,35 +362,22 @@ def loop_beta_update(lam, nu, box):
         for j in range(m):
             if j == i:
                 continue
-            if nu[i, j] == 0.0:
+            if q is not None and q[j, i] == 0.0:
+                beta[j, i] = 0.0
+            elif nu[i, j] == 0.0:
                 beta[j, i] = lo
             else:
                 beta[j, i] = min(max(1.0 - lam[i] / nu[i, j], lo), hi)
     return beta
 
 
-class DualRecorder:
-    """Copies of the duals that ``run_algorithm1`` hands ``beta_update``.
+def period_duals(inst, settings=OptimizerSettings(), periods=None):
+    """The packed duals of ``dual_periods``' first ``periods`` periods, one row each.
 
-    The loop calls ``raccess.optimizer.beta_update`` once per period on
-    that period's lambda and nu (and once more after a zero-period run),
-    so ``duals`` row t is period t's dual vector, packed as the loop
-    holds it: lambda_i, then nu_i_j row by row.
+    A period's ``duals`` is a view that the next step overwrites, so each row is a copy.
     """
-
-    def __init__(self, monkeypatch):
-        self.rows = []
-        real = raccess.optimizer.beta_update
-
-        def recording(lam, nu, box):
-            self.rows.append(np.concatenate((lam, nu.reshape(-1))))
-            return real(lam, nu, box)
-
-        monkeypatch.setattr(raccess.optimizer, "beta_update", recording)
-
-    @property
-    def duals(self):
-        return np.array(self.rows)
+    records = itertools.islice(dual_periods(inst, settings), periods)
+    return np.array([period.duals.copy() for period in records])
 
 
 def loop_stop_period(duals, slack, window, slack_tol, dual_change_tol):

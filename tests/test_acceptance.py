@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from helpers import (
-    DualRecorder,
+    period_duals,
     random_admissible_system,
     random_shared_channel_setup,
     reference_instance,
@@ -146,7 +146,7 @@ def test_link_success_matches_slot_frequency():
     assert time.perf_counter() - t0 < 60.0
 
 
-def test_dual_loop_converges_on_reference_instance(reference_run, monkeypatch):
+def test_dual_loop_converges_on_reference_instance(reference_run):
     inst = reference_run["instance"]
     result = reference_run["result"]
     assert result.converged
@@ -162,13 +162,12 @@ def test_dual_loop_converges_on_reference_instance(reference_run, monkeypatch):
     assert thresholds[0] < thresholds[1]
 
     # The exact design is deterministic end to end.
-    recorder = DualRecorder(monkeypatch)
     again = run_algorithm1(reference_instance())
     assert again.periods == result.periods
     np.testing.assert_array_equal(again.trace.rows, result.trace.rows)
 
     # Dual iterates settled: sup-norm change over the last 100 periods.
-    duals = recorder.duals
+    duals = period_duals(reference_instance(), periods=result.periods)
     assert duals.shape == (result.periods, inst.m + inst.m**2)
     change = max(abs(a - b) for a, b in zip(duals[-1].tolist(), duals[-101].tolist()))
     assert change <= 1e-3

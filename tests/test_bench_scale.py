@@ -14,18 +14,24 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERIODS = 3
 
 
-@pytest.fixture(scope="module")
-def bench():
-    """``benchmarks/bench_scale.py``, imported by path; it puts perfbench on sys.path."""
+def load_bench():
+    """``benchmarks/bench_scale.py``, imported by path."""
     path = os.path.join(ROOT, "benchmarks", "bench_scale.py")
     spec = importlib.util.spec_from_file_location("bench_scale", path)
     module = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
+    spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return load_bench()
+
+
+def test_import_leaves_sys_path_alone():
+    before = list(sys.path)
+    load_bench()
+    assert sys.path == before
 
 
 @pytest.mark.parametrize("mode", ["quadrature", "mc"])

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,6 @@ from scipy.optimize import brentq
 
 import raccess.channel
 from helpers import (
-    DualRecorder,
     loop_beta_update,
     loop_interference_prices,
     loop_stop_period,
@@ -16,6 +17,7 @@ from helpers import (
     logistic_channel,
     loop_threshold_from_prices,
     loop_write_csv,
+    period_duals,
     reference_channel,
     reference_instance,
     scalar_system,
@@ -30,6 +32,7 @@ from raccess import (
     StepSchedule,
     StopRule,
     compute_success_requirement,
+    dual_periods,
     expected_policy_rate,
     expected_policy_success,
     run_algorithm1,
@@ -226,6 +229,17 @@ class TestAgreesWithTheLoopForms:
         assert want[1, 0] == box[1]  # lam_0 = 0 with nu_01 > 0
 
     @pytest.mark.parametrize("m", [3, 5, 32])
+    def test_beta_update_gives_pairs_apart_a_zero_share(self, m):
+        inst, lam, nu, _, _ = self.case(m)
+        q = inst.collision.q.copy()
+        q[0, 2] = q[2, 1] = q[1, 0] = 0.0
+        want = loop_beta_update(lam, nu, DEFAULT_BOX, q)
+        apart = (q == 0.0) & ~np.eye(m, dtype=bool)
+        np.testing.assert_array_equal(beta_update(lam, nu, DEFAULT_BOX, apart), want)
+        assert want[0, 2] == want[2, 1] == want[1, 0] == 0.0
+        assert (want[q != 0.0] > 0.0).all()
+
+    @pytest.mark.parametrize("m", [3, 5, 32])
     @pytest.mark.parametrize("box", [DEFAULT_BOX, (0.1, 0.6)], ids=["default", "custom"])
     def test_subgradient(self, m, box):
         inst, lam, nu, rate, succ = self.case(m)
@@ -303,9 +317,10 @@ class TestLagrangianValue:
     def test_rejects_shares_on_the_boundary(self):
         inst = reference_instance()
         ok = np.full((2, 2), 0.5)
-        for bad_val in (0.0, 1.0):
+        # q_01 = 0.5, and beta_ii = 0 is never a share, even though q_ii = 0.
+        for (i, j), bad_val in [((0, 1), 0.0), ((0, 1), 1.0), ((0, 0), 0.0)]:
             bad = ok.copy()
-            bad[0, 1] = bad_val
+            bad[i, j] = bad_val
             with pytest.raises(ValueError):
                 lagrangian_value(
                     np.full(2, 0.5), np.full(2, 0.3), bad, np.ones(2), np.ones((2, 2)), inst
@@ -575,11 +590,9 @@ class TestRunAlgorithm1:
                 trace.column(f"slack_{i}")[last], abs=1e-15
             )
 
-    def test_settled_duals_at_the_stop(self, reference_run, monkeypatch):
-        recorder = DualRecorder(monkeypatch)
-        result = run_algorithm1(reference_run["instance"])
-        assert result.periods == reference_run["result"].periods
-        duals = recorder.duals
+    def test_settled_duals_at_the_stop(self, reference_run):
+        result = reference_run["result"]
+        duals = period_duals(reference_run["instance"], periods=result.periods)
         stop_window = 100
         last = result.periods - 1
         first = last - stop_window
@@ -632,31 +645,23 @@ class TestRunAlgorithm1:
             success_targets=[compute_success_requirement(s) for s in systems],
         )
 
-    def test_mc_seeds_m_apart_draw_uncorrelated_rates(self, monkeypatch):
+    def test_mc_seeds_m_apart_draw_uncorrelated_rates(self):
         # Each period's Monte Carlo rate error, rate - P(h >= threshold),
         # is fresh sampling noise. Seeds s and s + m must not share it, not
         # even one period apart (as streams seeded s + t*m + i would).
         m = 2
         inst = self.mc_instance(m)
         stop = StopRule(max_periods=300, dual_change_tol=0.0)
-        priced = []  # each period's thresholds, as primal_policies returns them
-        real = raccess.optimizer.primal_policies
-
-        def recording(*args):
-            priced.append(real(*args))
-            return priced[-1]
-
-        monkeypatch.setattr(raccess.optimizer, "primal_policies", recording)
 
         def rate_errors(seed):
-            priced.clear()
-            trace = run_algorithm1(inst, mc_settings(1000, seed, stop)).trace
-            rates = np.stack([trace.column(f"rate_{i}") for i in range(m)], axis=1)
-            exact = [
-                [expected_policy_rate(threshold_policy(t), ch) for t, ch in zip(ts, inst.channels)]
-                for ts in priced
-            ]
-            return rates - np.array(exact)
+            return np.array([
+                period.rates
+                - [
+                    expected_policy_rate(threshold_policy(t), ch)
+                    for t, ch in zip(period.thresholds, inst.channels)
+                ]
+                for period in dual_periods(inst, mc_settings(1000, seed, stop))
+            ])
 
         a, b = rate_errors(5), rate_errors(5 + m)
         for lag_a, lag_b in [(a, b), (a[1:], b[:-1]), (a[:-1], b[1:])]:
@@ -721,15 +726,13 @@ class TestRunAlgorithm1:
     }
 
     @pytest.mark.parametrize("slack_tol, window", list(STOP_PERIODS))
-    def test_stop_period_matches_the_full_history_oracle(self, monkeypatch, slack_tol, window):
+    def test_stop_period_matches_the_full_history_oracle(self, slack_tol, window):
         inst, tol = reference_instance(), 5e-3
-        recorder = DualRecorder(monkeypatch)
-        full = run_algorithm1(
-            inst, OptimizerSettings(stop=StopRule(max_periods=400, dual_change_tol=0.0))
-        )
+        settings = OptimizerSettings(stop=StopRule(max_periods=400, dual_change_tol=0.0))
+        full = run_algorithm1(inst, settings)
         assert not full.converged
         slack = full.trace.rows[:, -inst.m :].tolist()
-        want = loop_stop_period(recorder.duals, slack, window, slack_tol, tol)
+        want = loop_stop_period(period_duals(inst, settings), slack, window, slack_tol, tol)
         stop = StopRule(slack_tol=slack_tol, dual_change_tol=tol, window=window)
         result = run_algorithm1(inst, OptimizerSettings(stop=stop))
         assert result.converged
@@ -773,18 +776,67 @@ class TestRunAlgorithm1:
         floats = (window + 1) * (m + m * m) + 2 * capacity * (3 + 5 * m)
         assert peak < 8 * floats + 2**18
 
-    def test_runs_inside_the_settings_box(self, monkeypatch):
-        boxes = []
-        real = raccess.optimizer.beta_update
-
-        def recording(lam, nu, box):
-            boxes.append(box)
-            return real(lam, nu, box)
-
-        monkeypatch.setattr(raccess.optimizer, "beta_update", recording)
+    def test_runs_inside_the_settings_box(self):
         settings = OptimizerSettings(stop=StopRule(max_periods=3), box=(0.1, 0.6))
-        run_algorithm1(reference_instance(), settings)
-        assert boxes == [(0.1, 0.6)] * 3
+        betas = [period.beta for period in dual_periods(reference_instance(), settings)]
+        assert len(betas) == 3
+        assert all(((0.1 <= beta) & (beta <= 0.6)).all() for beta in betas)
+        # The cold start's off-diagonal 1 - lambda_i / nu_ij = 1 - 1 / 0.1 clips to the bottom.
+        assert betas[0][0, 1] == betas[0][1, 0] == 0.1
+
+    @pytest.mark.parametrize("mc", [False, True], ids=["exact", "mc"])
+    def test_periods_reproduce_the_trace_rows(self, mc):
+        if mc:
+            inst, settings = self.mc_instance(3), mc_settings(2000, 1, StopRule(max_periods=40))
+        else:
+            inst, settings = reference_instance(), OptimizerSettings()
+        result = run_algorithm1(inst, settings)
+        rows = [
+            np.concatenate(((p.t, p.eps, p.objective), p.lam, p.rates, p.succ, p.link, p.slack))
+            for p in itertools.islice(dual_periods(inst, settings), result.periods)
+        ]
+        np.testing.assert_array_equal(np.array(rows), result.trace.rows)
+
+    @pytest.mark.parametrize("extra", [1, 4])
+    def test_isolated_loops_leave_the_design_alone(self, reference_run, extra):
+        # Copies of loop 0 that collide with no one: each such pair takes the
+        # share 0, so loops 0 and 1 keep their prices, and their design, bit for bit.
+        base, alone = reference_run["instance"], reference_run["result"]
+        m = 2 + extra
+        q = np.zeros((m, m))
+        q[:2, :2] = base.collision.q
+        inst = ProblemInstance(
+            systems=base.systems + base.systems[:1] * extra,
+            channels=base.channels + base.channels[:1] * extra,
+            collision=CollisionMatrix(q=q),
+            tx_powers=[*base.tx_powers, *base.tx_powers[:1].tolist() * extra],
+            success_targets=[*base.success_targets, *base.success_targets[:1].tolist() * extra],
+        )
+        result = run_algorithm1(inst)
+        assert (result.converged, result.periods) == (True, alone.periods) == (True, 730)
+        assert result.policies[:2] == alone.policies
+        assert [p.threshold for p in alone.policies] == [0.3493400618071479, 0.8881000419772446]
+        np.testing.assert_array_equal(result.state.lam[:2], alone.state.lam)
+        np.testing.assert_array_equal(result.state.nu[:2, :2], alone.state.nu)
+        state = result.state
+        assert (state.beta[q == 0.0] == 0.0).sum() == m * m - m - 2  # off the diagonal
+        rates = [expected_policy_rate(p, ch) for p, ch in zip(result.policies, inst.channels)]
+        succ = [expected_policy_success(p, ch) for p, ch in zip(result.policies, inst.channels)]
+        assert math.isfinite(lagrangian_value(rates, succ, state.beta, state.lam, state.nu, inst))
+
+    def test_unconverged_run_keeps_the_duals_after_its_last_step(self):
+        # policies.json writes these duals when a run ends unconverged.
+        inst = reference_instance()
+        short, longer = (
+            run_algorithm1(inst, OptimizerSettings(stop=StopRule(max_periods=n))) for n in (10, 11)
+        )
+        assert not short.converged
+        lam = [longer.trace.column(f"lambda_{i}")[10] for i in range(inst.m)]
+        np.testing.assert_array_equal(short.state.lam, lam)
+        assert not np.array_equal(short.state.lam, short.trace.rows[-1, 3 : 3 + inst.m])
+        # Period 10 prices with the same nu.
+        priced = priced_thresholds(short.state.nu, inst)
+        assert longer.policies == tuple(map(threshold_policy, priced))
 
     def test_unreachable_targets_diverge(self):
         inst = ProblemInstance(
@@ -794,9 +846,19 @@ class TestRunAlgorithm1:
             tx_powers=[1.0, 1.0],
             success_targets=[0.9, 0.9],
         )
-        with pytest.raises(DivergenceError):
-            stop = StopRule(max_periods=300, divergence_bound=5.0)
-            run_algorithm1(inst, OptimizerSettings(stop=stop))
+
+        def run(periods):
+            stop = StopRule(max_periods=periods, divergence_bound=5.0)
+            return run_algorithm1(inst, OptimizerSettings(stop=stop))
+
+        with pytest.raises(DivergenceError) as first:
+            run(300)
+        # A run whose last step crosses the bound raises the same error.
+        t = int(re.search(r" at period (\d+);", str(first.value)).group(1))
+        assert not run(t).converged
+        with pytest.raises(DivergenceError) as last:
+            run(t + 1)
+        assert str(last.value) == str(first.value)
 
 
 class TestOptimizerSettings:

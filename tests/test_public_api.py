@@ -10,6 +10,7 @@ run.
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 
@@ -49,6 +50,11 @@ def test_package_imports_resolve():
         or not hasattr(importlib.import_module(f"raccess.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_dual_periods_is_a_generator_function():
+    # run_algorithm1 and the tests consume it period by period.
+    assert inspect.isgeneratorfunction(raccess.dual_periods)
 
 
 def load_tracing():
