@@ -36,7 +36,7 @@ from .control import (
 )
 from .optimizer import (
     DivergenceError,
-    DualState,
+    DualPeriod,
     OptimizationResult,
     OptimizerSettings,
     ProblemInstance,

@@ -98,7 +98,7 @@ def _policies_doc(result, inst, link):
         },
         "converged": bool(result.converged),
         "periods": int(result.periods),
-        "objective": float(result.trace.column("objective")[-1]) if len(result.trace) else None,
+        "objective": result.state.objective,
         "success_targets": [float(c) for c in inst.success_targets],
         "link_success": [float(v) for v in link],
     }

@@ -18,7 +18,6 @@ subgradients with diminishing steps a/(b+t).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import deque, namedtuple
 
@@ -35,7 +34,6 @@ from .serialize import write_csv
 __all__ = [
     "DivergenceError",
     "ProblemInstance",
-    "DualState",
     "StepSchedule",
     "StopRule",
     "OptimizerSettings",
@@ -105,15 +103,6 @@ class ProblemInstance(Frozen):
 
 
 @frozen
-class DualState(Frozen):
-    """Dual multipliers and the matching auxiliary shares at one period."""
-
-    lam: np.ndarray
-    nu: np.ndarray
-    beta: np.ndarray
-
-
-@frozen
 class StepSchedule(Frozen):
     """Diminishing stepsize eps(t) = a / (b + t).
 
@@ -140,7 +129,9 @@ class StopRule(Frozen):
     max_i (c_i - P(gamma_i = 1)) <= ``slack_tol`` and the sup-norm change
     of the duals over the last ``window`` periods <= ``dual_change_tol``.
     ``checker`` builds the test for one run, whose ring keeps copies of the
-    last window + 1 dual vectors, or one when window >= max_periods.
+    last window + 1 dual vectors, or one when window >= max_periods. A run
+    has at least one period, and neither tolerance may be NaN, under which
+    its test could never pass (``dual_change_tol``) or never fail (``slack_tol``).
     """
 
     max_periods: int = 5000
@@ -150,9 +141,11 @@ class StopRule(Frozen):
     divergence_bound: float = 1e6
 
     def __post_init__(self):
-        for name in ("max_periods", "window", "dual_change_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0, got {getattr(self, name)}")
+        for name, low in (("max_periods", 1), ("window", 0), ("dual_change_tol", 0)):
+            if not getattr(self, name) >= low:  # a NaN tolerance fails too
+                raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)}")
+        if math.isnan(self.slack_tol):
+            raise ValueError(f"slack_tol: must not be NaN, got {self.slack_tol}")
         if not self.divergence_bound > 0.0:
             raise ValueError(f"divergence_bound: must be > 0, got {self.divergence_bound}")
 
@@ -248,10 +241,13 @@ class IterationTrace:
 
 @frozen
 class OptimizationResult(Frozen):
-    """The designed policies, the final dual state, the trace, and whether the loop converged."""
+    """The designed policies, the trace, whether the loop converged, and its last period.
+
+    ``state`` is that last ``DualPeriod``, as yielded: its duals priced the policies.
+    """
 
     policies: tuple
-    state: DualState
+    state: DualPeriod
     trace: IterationTrace
     converged: bool
     periods: int
@@ -418,11 +414,13 @@ def dual_periods(inst, settings=OptimizerSettings()):
     fades a period, of which only the transmitting ones are drawn, on the
     i-th of m streams spawned by ``np.random.SeedSequence(mc.seed)``), and
     yields them with the stepsize ``eps``, the ``link`` probabilities, the
-    ``slack`` c_i - link_i and the power ``objective``. ``lam`` and ``nu``
-    view ``duals`` (lambda_i, then nu_i_j row by row), which the next resume
-    steps in place, so copy what you keep; a step that takes a dual past
-    ``stop.divergence_bound`` raises DivergenceError. Closing early takes no
-    step. The step functions and ``_measure`` are looked up by module name.
+    ``slack`` c_i - link_i and the power ``objective``. Period t's step is
+    taken only when period t + 1 is asked for, so the last record a consumer
+    sees holds the duals that priced it. ``lam`` and ``nu`` view ``duals``
+    (lambda_i, then nu_i_j row by row), which that step overwrites in place,
+    so copy what you keep; a step that takes a dual past
+    ``stop.divergence_bound`` raises DivergenceError, naming its period.
+    The step functions and ``_measure`` are looked up by module name.
     """
     m = inst.m
     schedule, box, bound = settings.schedule, settings.box, settings.stop.divergence_bound
@@ -440,6 +438,15 @@ def dual_periods(inst, settings=OptimizerSettings()):
     np.add(p, 1.0, out=duals[m :: m + 1])
     step = np.empty_like(duals)
     for t in range(settings.stop.max_periods):
+        if t:  # period t - 1's step, from its shares, measurements and stepsize
+            subgradient(beta, succ, rates, log_c, q, step)
+            dual_step(duals, step, eps)
+            top = float(np.maximum.reduce(duals))
+            if top > bound:
+                raise DivergenceError(
+                    f"dual variables reached {top:g} at period {t - 1}; the delivery requirements "
+                    "are likely infeasible for this channel and collision configuration"
+                )
         eps = stepsize(t, schedule)
         beta = beta_update(lam, nu, box, apart)
         thresholds = primal_policies(nu, p, q_t, inverses)
@@ -449,31 +456,18 @@ def dual_periods(inst, settings=OptimizerSettings()):
             t, eps, float(np.dot(p, rates)), lam, rates, succ, link, targets - link, duals, nu,
             beta, thresholds,
         )
-        subgradient(beta, succ, rates, log_c, q, step)
-        dual_step(duals, step, eps)
-        top = float(np.maximum.reduce(duals))
-        if top > bound:
-            raise DivergenceError(
-                f"dual variables reached {top:g} at period {t}; the delivery requirements "
-                "are likely infeasible for this channel and collision configuration"
-            )
 
 
 def run_algorithm1(inst, settings=OptimizerSettings()):
     """Run ``dual_periods`` until ``settings.stop.checker`` fires, one trace row a period.
 
-    The converged period takes no step; a run that reaches ``max_periods``
-    takes its last step, so its ``state`` holds the duals after it. The
-    policies are the last period's, or with no period the cold start's.
+    However the run ends, converged or at ``max_periods``, its last period is
+    the result's ``state``, and no step follows it.
     """
     trace, converged = IterationTrace(inst.m), settings.stop.checker()
-    period, done = None, False
     for period in dual_periods(inst, settings):
         trace.append(*period[:8])
         if done := converged(period):
             break
-    if period is None:  # no period ran: the cold start's shares and prices
-        period = next(dual_periods(inst, dataclasses.replace(settings, stop=StopRule())))
     policies = tuple(map(threshold_policy, period.thresholds))
-    state = DualState(period.lam.copy(), period.nu.copy(), period.beta)
-    return OptimizationResult(policies, state, trace, done, len(trace))
+    return OptimizationResult(policies, period, trace, done, len(trace))

@@ -271,7 +271,7 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "field, value, rule",
         [
-            ("max_periods", -1, ">= 0"),
+            ("max_periods", 0, ">= 1"),
             ("window", -1, ">= 0"),
             ("dual_change_tol", -1, ">= 0"),
             ("divergence_bound", 0, "> 0"),
@@ -1145,22 +1145,6 @@ class TestCliOptimize:
         doc = json.loads((out / "policies.json").read_text())
         assert doc["converged"] is False
         assert (out / "trace.csv").exists()
-
-    def test_zero_periods_write_empty_traces_and_exit_4(self, tmp_path, capsys):
-        raw = base_config()
-        raw["optimizer"]["max_periods"] = 0
-        out = tmp_path / "out"
-        assert main(["optimize", write_config(tmp_path, raw), "--out", str(out)]) == EXIT_DIVERGED
-        assert "optimizer did not converge after 0 periods" in capsys.readouterr().out
-        header = (out / "trace.csv").read_text()
-        assert header == ",".join(
-            ["period", "stepsize", "objective", "lambda_0", "lambda_1"]
-            + [f"{kind}_{i}" for kind in ("rate", "success", "link_prob", "slack") for i in (0, 1)]
-        ) + "\n"
-        assert sorted(os.listdir(out)) == ["policies.json", "rates.csv", "trace.csv"]
-        doc = json.loads((out / "policies.json").read_text())
-        assert doc["converged"] is False and doc["periods"] == 0 and doc["objective"] is None
-        assert doc["duals"]["nu"] == [[2.0, 0.1], [0.1, 2.0]]  # the cold start's
 
     def test_window_beyond_max_periods_exits_4(self, tmp_path, capsys):
         # The stop test cannot fire, and its ring of past duals must not try

@@ -24,7 +24,6 @@ from helpers import reference_channel, reference_instance, scalar_system
 from raccess import (
     AccessPolicy,
     CollisionMatrix,
-    DualState,
     ExponentialFading,
     FadingChannel,
     LogisticLogCurve,
@@ -40,6 +39,7 @@ from raccess import (
     SwitchedSystem,
     UniformFading,
     constant_policy,
+    dual_periods,
     threshold_policy,
 )
 from raccess._frozen import Frozen
@@ -51,8 +51,8 @@ REFERENCE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "two
 GENERATED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 
 
-def dual_state():
-    return DualState(lam=np.zeros(2), nu=np.zeros((2, 2)), beta=np.full((2, 2), 0.5))
+def first_period():
+    return next(dual_periods(reference_instance()))
 
 
 def samples():
@@ -87,12 +87,11 @@ def samples():
         SwitchedSystem: [scalar_system(1.1, 0.5), scalar_system(1.0, 0.4)],
         PlantControllerPair: [pair],
         ProblemInstance: [reference_instance()],
-        DualState: [dual_state()],
         StepSchedule: [StepSchedule(), StepSchedule(a=5.0, b=2.0)],
         StopRule: [StopRule(), StopRule(max_periods=10, window=3)],
         OptimizationResult: [
             OptimizationResult(
-                policies=policies[:1], state=dual_state(), trace=IterationTrace(1),
+                policies=policies[:1], state=first_period(), trace=IterationTrace(1),
                 converged=True, periods=3,
             )
         ],
@@ -162,7 +161,7 @@ def outcome(call):
 def test_every_public_value_type_is_sampled():
     frozen = {cls for cls in raccess_classes() if issubclass(cls, Frozen) and cls is not Frozen}
     assert frozen == set(SAMPLES)
-    assert len(SAMPLES) == 21
+    assert len(SAMPLES) == 20
 
 
 def test_no_class_carries_a_generated_method():

@@ -91,15 +91,20 @@ class TestStopRule:
     @pytest.mark.parametrize(
         "field, value, rule",
         [
-            ("max_periods", -1, ">= 0"),
-            ("window", -1, ">= 0"),
-            ("dual_change_tol", -1, ">= 0"),
-            ("divergence_bound", 0, "> 0"),
+            ("max_periods", 0, "be >= 1"),
+            ("window", -1, "be >= 0"),
+            ("dual_change_tol", -1, "be >= 0"),
+            ("divergence_bound", 0, "be > 0"),
+            ("dual_change_tol", math.nan, "be >= 0"),
+            ("slack_tol", math.nan, "not be NaN"),
         ],
-        ids=["max_periods", "window", "dual_change_tol", "divergence_bound"],
+        ids=[
+            "max_periods", "window", "dual_change_tol", "divergence_bound",
+            "dual_change_tol_nan", "slack_tol_nan",
+        ],
     )
     def test_rejects_negative_counts(self, field, value, rule):
-        with pytest.raises(ValueError, match=f"{field}: must be {rule}"):
+        with pytest.raises(ValueError, match=f"^{field}: must {rule}, got"):
             StopRule(**{field: value})
 
 
@@ -608,20 +613,20 @@ class TestRunAlgorithm1:
         assert len(result.trace) == 10
 
     @pytest.mark.parametrize("mode", ["quadrature", "mc"], ids=["exact", "mc"])
-    def test_zero_periods_return_the_cold_start(self, mode):
+    def test_first_period_prices_the_cold_start(self, mode):
         inst = reference_instance()
-        settings = mc_settings(100, 0, StopRule(max_periods=0))
+        settings = mc_settings(100, 0, StopRule(max_periods=1))
         result = run_algorithm1(inst, dataclasses.replace(settings, expectation_mode=mode))
-        assert not result.converged
-        assert result.periods == 0
-        assert len(result.trace) == 0
+        assert (result.converged, result.periods, len(result.trace)) == (False, 1, 1)
         lam = np.ones(2)
         nu = np.array([[2.0, 0.1], [0.1, 2.0]])  # nu_ii = p_i + 1, nu_ij = 0.1
         beta = beta_update(lam, nu)
+        assert result.state.t == 0
         np.testing.assert_array_equal(result.state.lam, lam)
         np.testing.assert_array_equal(result.state.nu, nu)
         np.testing.assert_array_equal(result.state.beta, beta)
         cold = priced_thresholds(nu, inst)
+        assert result.state.thresholds == cold
         assert result.policies == tuple(map(threshold_policy, cold))
         assert 0.0 < cold[0] < math.inf
 
@@ -709,13 +714,13 @@ class TestRunAlgorithm1:
             assert not result.converged
         else:
             result = run_algorithm1(reference_instance())
-            assert result.converged  # the stopping period takes no step
-        stepped = result.periods - result.converged
+            assert result.converged
+        # Only a period that follows another takes a step, so the last one takes none.
         assert calls == {
             "beta_update": result.periods,
             "primal_policies": result.periods,
-            "subgradient": stepped,
-            "dual_step": stepped,
+            "subgradient": result.periods - 1,
+            "dual_step": result.periods - 1,
         }
 
     # The parent's stopping periods, from a stop test that read the full
@@ -824,19 +829,19 @@ class TestRunAlgorithm1:
         succ = [expected_policy_success(p, ch) for p, ch in zip(result.policies, inst.channels)]
         assert math.isfinite(lagrangian_value(rates, succ, state.beta, state.lam, state.nu, inst))
 
-    def test_unconverged_run_keeps_the_duals_after_its_last_step(self):
-        # policies.json writes these duals when a run ends unconverged.
+    @pytest.mark.parametrize("mc", [False, True], ids=["exact", "mc"])
+    @pytest.mark.parametrize("periods", [None, 10], ids=["converged", "10-periods"])
+    def test_every_result_prices_its_own_policies(self, mc, periods):
+        # policies.json writes these duals however the run ends.
         inst = reference_instance()
-        short, longer = (
-            run_algorithm1(inst, OptimizerSettings(stop=StopRule(max_periods=n))) for n in (10, 11)
-        )
-        assert not short.converged
-        lam = [longer.trace.column(f"lambda_{i}")[10] for i in range(inst.m)]
-        np.testing.assert_array_equal(short.state.lam, lam)
-        assert not np.array_equal(short.state.lam, short.trace.rows[-1, 3 : 3 + inst.m])
-        # Period 10 prices with the same nu.
-        priced = priced_thresholds(short.state.nu, inst)
-        assert longer.policies == tuple(map(threshold_policy, priced))
+        stop = StopRule() if periods is None else StopRule(max_periods=periods)
+        settings = mc_settings(2000, 1, stop) if mc else OptimizerSettings(stop=stop)
+        result = run_algorithm1(inst, settings)
+        assert result.converged is (periods is None)
+        assert result.state.t == result.periods - 1
+        priced = priced_thresholds(result.state.nu, inst)
+        assert [p.threshold for p in result.policies] == priced == result.state.thresholds
+        np.testing.assert_array_equal(result.state.lam, result.trace.rows[-1, 3 : 3 + inst.m])
 
     def test_unreachable_targets_diverge(self):
         inst = ProblemInstance(
@@ -853,12 +858,14 @@ class TestRunAlgorithm1:
 
         with pytest.raises(DivergenceError) as first:
             run(300)
-        # A run whose last step crosses the bound raises the same error.
+        # Period t's step crosses the bound, but only a period t + 1 takes it.
         t = int(re.search(r" at period (\d+);", str(first.value)).group(1))
-        assert not run(t).converged
-        with pytest.raises(DivergenceError) as last:
-            run(t + 1)
-        assert str(last.value) == str(first.value)
+        last = run(t + 1)
+        assert not last.converged and last.state.t == t
+        assert float(np.max(last.state.duals)) <= 5.0
+        with pytest.raises(DivergenceError) as later:
+            run(t + 2)
+        assert str(later.value) == str(first.value)
 
 
 class TestOptimizerSettings:
