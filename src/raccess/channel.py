@@ -326,19 +326,33 @@ class CollisionMatrix(Frozen):
         return cls(q=np.zeros((m, m)))
 
 
+def _check_counts(settings, *names):
+    """Keep each named field as a Python int; it must be a Python or NumPy integer, not a bool.
+
+    Anything else raises ValueError whose message starts with the field's name.
+    """
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name}: must be an integer, got {value!r}")
+        object.__setattr__(settings, name, int(value))
+
+
 @frozen
 class MonteCarlo(Frozen):
     """Expectation from a finite seeded sample of fades.
 
     The design loop estimates each sensor's rate and delivery from
     ``samples`` fades per period (``draw_transmit_sample``), each sensor
-    from its own stream spawned from ``seed``.
+    from its own stream spawned from ``seed``. Both are integers, not bools,
+    kept as Python ints.
     """
 
     samples: int = 10_000
     seed: int = 0
 
     def __post_init__(self):
+        _check_counts(self, "samples", "seed")
         if self.samples < 1:
             raise ValueError(f"samples: must be >= 1, got {self.samples}")
         if self.samples > _MAX_SAMPLES:

@@ -24,7 +24,9 @@ from collections import deque, namedtuple
 import numpy as np
 
 from ._frozen import Frozen, frozen
-from .channel import MonteCarlo, delivery_product, draw_transmit_sample, threshold_success
+from .channel import (
+    MonteCarlo, _check_counts, delivery_product, draw_transmit_sample, threshold_success,
+)
 
 # Not called here; perfbench's tracer looks both names up in this module.
 from .channel import expected_policy_rate, expected_policy_success  # noqa: F401
@@ -132,6 +134,7 @@ class StopRule(Frozen):
     last window + 1 dual vectors, or one when window >= max_periods. A run
     has at least one period, and neither tolerance may be NaN, under which
     its test could never pass (``dual_change_tol``) or never fail (``slack_tol``).
+    The two counts must be integers, not bools, and are kept as Python ints.
     """
 
     max_periods: int = 5000
@@ -141,6 +144,7 @@ class StopRule(Frozen):
     divergence_bound: float = 1e6
 
     def __post_init__(self):
+        _check_counts(self, "max_periods", "window")
         for name, low in (("max_periods", 1), ("window", 0), ("dual_change_tol", 0)):
             if not getattr(self, name) >= low:  # a NaN tolerance fails too
                 raise ValueError(f"{name}: must be >= {low}, got {getattr(self, name)}")
@@ -398,28 +402,28 @@ def _measure(thresholds, channels, mc, rngs):
     return np.array(pairs).T.copy()  # contiguous rows, as the exact branch gives
 
 
-# A trace row's fields, in ``IterationTrace.append``'s order, then the period's matrices.
+# A trace row's fields, in ``IterationTrace.append``'s order, then the period's arrays.
 DualPeriod = namedtuple(
-    "DualPeriod", "t eps objective lam rates succ link slack duals nu beta thresholds"
+    "DualPeriod", "t eps objective lam rates succ link slack duals nu beta thresholds subgradient"
 )
 
 
 def dual_periods(inst, settings=OptimizerSettings()):
     """The dual loop as a generator of ``DualPeriod``s, at most ``settings.stop.max_periods``.
 
-    From the cold start lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1, a period
+    From the cold start lambda = 1, nu_ii = p_i + 1, nu_ij = 0.1, each period
     prices the sensors into fade ``thresholds`` and shares ``beta`` (within
     ``settings.box``), measures ``rates`` E[alpha_i] and ``succ`` E[alpha_i q]
-    (exactly, or under ``expectation_mode`` ``"mc"`` from ``mc.samples``
-    fades a period, of which only the transmitting ones are drawn, on the
-    i-th of m streams spawned by ``np.random.SeedSequence(mc.seed)``), and
-    yields them with the stepsize ``eps``, the ``link`` probabilities, the
-    ``slack`` c_i - link_i and the power ``objective``. Period t's step is
-    taken only when period t + 1 is asked for, so the last record a consumer
-    sees holds the duals that priced it. ``lam`` and ``nu`` view ``duals``
-    (lambda_i, then nu_i_j row by row), which that step overwrites in place,
-    so copy what you keep; a step that takes a dual past
-    ``stop.divergence_bound`` raises DivergenceError, naming its period.
+    (exactly, or under ``expectation_mode`` ``"mc"`` from ``mc.samples`` fades
+    a period, only the transmitting ones drawn, on the i-th of m streams spawned
+    by ``np.random.SeedSequence(mc.seed)``), takes its ``subgradient``, packed
+    like ``duals``, and yields them with ``eps``, ``link``, the ``slack``
+    c_i - link_i and the power ``objective``: ``objective + duals @ subgradient``
+    is the Lagrangian there. Its step follows only when the next period is asked
+    for, so the last record holds the duals that priced it. ``lam`` and ``nu``
+    view ``duals`` (lambda_i, then nu_i_j row by row); that step overwrites
+    ``duals`` and ``subgradient`` in place, so copy what you keep, and raises
+    DivergenceError, naming its period, if a dual passes ``stop.divergence_bound``.
     The step functions and ``_measure`` are looked up by module name.
     """
     m = inst.m
@@ -438,24 +442,24 @@ def dual_periods(inst, settings=OptimizerSettings()):
     np.add(p, 1.0, out=duals[m :: m + 1])
     step = np.empty_like(duals)
     for t in range(settings.stop.max_periods):
-        if t:  # period t - 1's step, from its shares, measurements and stepsize
-            subgradient(beta, succ, rates, log_c, q, step)
-            dual_step(duals, step, eps)
-            top = float(np.maximum.reduce(duals))
-            if top > bound:
-                raise DivergenceError(
-                    f"dual variables reached {top:g} at period {t - 1}; the delivery requirements "
-                    "are likely infeasible for this channel and collision configuration"
-                )
         eps = stepsize(t, schedule)
         beta = beta_update(lam, nu, box, apart)
         thresholds = primal_policies(nu, p, q_t, inverses)
         rates, succ = _measure(thresholds, inst.channels, mc, rngs)
         link = delivery_product(succ, rates, q)
+        subgradient(beta, succ, rates, log_c, q, step)
         yield DualPeriod(
             t, eps, float(np.dot(p, rates)), lam, rates, succ, link, targets - link, duals, nu,
-            beta, thresholds,
+            beta, thresholds, step,
         )
+        if t + 1 < settings.stop.max_periods:
+            dual_step(duals, step, eps)
+            top = float(np.maximum.reduce(duals))
+            if top > bound:
+                raise DivergenceError(
+                    f"dual variables reached {top:g} at period {t}; the delivery requirements "
+                    "are likely infeasible for this channel and collision configuration"
+                )
 
 
 def run_algorithm1(inst, settings=OptimizerSettings()):

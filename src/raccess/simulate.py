@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._frozen import Frozen, frozen
-from .channel import link_success_probability
+from .channel import _check_counts, link_success_probability
 
 __all__ = [
     "UnstableSimulationError",
@@ -68,7 +68,8 @@ class SimulationSettings(Frozen):
     thin : int
         Keep every thin-th slot in the trajectory record (0 disables).
 
-    A bad setting raises ValueError whose message starts with its name, as
+    Each count is an integer, not a bool, kept as a Python int. A bad setting
+    raises ValueError whose message starts with its name, as
     ``horizon must be >= 1, got 0``; ``check_horizon`` checks the horizon
     against the loops.
     """
@@ -79,6 +80,9 @@ class SimulationSettings(Frozen):
     thin: int = 0
 
     def __post_init__(self):
+        _check_counts(self, "horizon", "seed", "thin")
+        if self.burn_in is not None:
+            _check_counts(self, "burn_in")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.seed < 0:
@@ -93,7 +97,7 @@ class SimulationSettings(Frozen):
     @property
     def burn(self):
         """The slots a run drops: ``burn_in``, or horizon // 10 if that is None."""
-        return self.horizon // 10 if self.burn_in is None else int(self.burn_in)
+        return self.horizon // 10 if self.burn_in is None else self.burn_in
 
     def check_horizon(self, systems):
         """Raise ValueError unless a run over the loops ``systems`` fits NumPy's indices."""

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -194,6 +195,17 @@ class TestMonteCarloExpectations:
     def test_rejects_an_empty_sample(self, samples):
         with pytest.raises(ValueError, match="samples"):
             MonteCarlo(samples=samples, seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("samples", 2.5), ("seed", 1.5), ("samples", True), ("seed", np.float64(2.0))],
+        ids=["samples_float", "seed_float", "samples_bool", "seed_numpy_float"],
+    )
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        # Generator.binomial would truncate 2.5 samples to 2 trials.
+        message = rf"^{field}: must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            MonteCarlo(**{field: value})
 
     def test_rejects_a_negative_seed(self):
         with pytest.raises(ValueError, match=r"seed: must be >= 0, got -3"):

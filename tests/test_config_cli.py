@@ -1197,6 +1197,20 @@ class TestCliOptimize:
         assert used == [dataclasses.replace(cfg.optimizer, expectation_mode=mode, mc=mc)]
 
     @pytest.mark.parametrize("mode", ["quadrature", "mc"])
+    def test_pipeline_seed_flag_sets_both_seeds(self, tmp_path, capsys, mode):
+        # pipeline --seed replaces optimizer.seed and simulation.seed alike, in either mode.
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        raw["optimizer"]["seed"] = raw["simulation"]["seed"] = 5
+        runs = {"flag": [REFERENCE_CONFIG, "--seed", "5"], "config": [write_config(tmp_path, raw)]}
+        seen = []
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert main(["pipeline", *args, "--mode", mode, "--out", str(out)]) == EXIT_OK
+            seen.append(({p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr().out))
+        assert "report.json" in seen[0][0] and seen[0] == seen[1]
+
+    @pytest.mark.parametrize("mode", ["quadrature", "mc"])
     def test_designs_through_a_curve_whose_power_overflows(self, tmp_path, mode):
         # At m = 1e-300 and s = 1e300, (h/m)^s overflows at every fade h > 0.
         with open(REFERENCE_CONFIG) as fh:

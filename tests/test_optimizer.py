@@ -97,15 +97,25 @@ class TestStopRule:
             ("divergence_bound", 0, "be > 0"),
             ("dual_change_tol", math.nan, "be >= 0"),
             ("slack_tol", math.nan, "not be NaN"),
+            ("max_periods", 2.5, "be an integer"),
+            ("window", 1.5, "be an integer"),
+            ("max_periods", True, "be an integer"),
+            ("window", "3", "be an integer"),
         ],
         ids=[
             "max_periods", "window", "dual_change_tol", "divergence_bound",
-            "dual_change_tol_nan", "slack_tol_nan",
+            "dual_change_tol_nan", "slack_tol_nan", "max_periods_float", "window_float",
+            "max_periods_bool", "window_str",
         ],
     )
     def test_rejects_negative_counts(self, field, value, rule):
         with pytest.raises(ValueError, match=f"^{field}: must {rule}, got"):
             StopRule(**{field: value})
+
+    def test_keeps_numpy_integer_counts_as_ints(self):
+        stop = StopRule(max_periods=np.int64(3), window=np.int32(1))
+        assert type(stop.max_periods) is type(stop.window) is int
+        assert run_algorithm1(reference_instance(), OptimizerSettings(stop=stop)).periods == 3
 
 
 class TestBetaUpdate:
@@ -330,6 +340,50 @@ class TestLagrangianValue:
                 lagrangian_value(
                     np.full(2, 0.5), np.full(2, 0.3), bad, np.ones(2), np.ones((2, 2)), inst
                 )
+
+
+class TestDualValue:
+    """A record's ``objective + duals @ subgradient`` is the Lagrangian at its period."""
+
+    OPTIMUM = 1.1135328493591572  # the worked example's least power, pinned as a literal
+
+    @staticmethod
+    def dual_value(period, inst, rel):
+        value = period.objective + period.duals @ period.subgradient
+        want = lagrangian_value(period.rates, period.succ, period.beta, period.lam, period.nu, inst)
+        assert value == pytest.approx(want, rel=rel, abs=0.0)
+        return value
+
+    def test_bounds_the_worked_examples_optimum_at_every_period(self, reference_run):
+        # Weak duality: each period's shares and thresholds minimize the
+        # Lagrangian at its duals, so its value lies below the least power.
+        inst, converged = reference_instance(), StopRule().checker()
+        values = []
+        for period in dual_periods(inst):
+            values.append(self.dual_value(period, inst, 1e-12))
+            if converged(period):
+                break
+        assert len(values) == reference_run["result"].periods == 730
+        assert max(values) <= self.OPTIMUM + 1e-12
+        # The result's last record takes no step, so its subgradient is its own.
+        state = reference_run["result"].state
+        assert state.objective + state.duals @ state.subgradient == values[-1]
+
+    @pytest.mark.parametrize("m", [3, 5, 32])
+    @pytest.mark.parametrize("mode", ["quadrature", "mc"])
+    @pytest.mark.parametrize("isolated", [False, True], ids=["colliding", "isolated"])
+    def test_is_the_lagrangian_at_every_period(self, m, mode, isolated):
+        inst = TestAgreesWithTheLoopForms.case(m)[0]
+        if isolated:  # loops 0 and 1 collide with no one
+            q = inst.collision.q.copy()
+            q[:2], q[:, :2] = 0.0, 0.0
+            inst = dataclasses.replace(inst, collision=CollisionMatrix(q=q))
+        stop = StopRule(max_periods=20)
+        settings = mc_settings(2000, 1, stop) if mode == "mc" else OptimizerSettings(stop=stop)
+        for period in dual_periods(inst, settings):
+            self.dual_value(period, inst, 1e-11)
+            if isolated:
+                assert not period.beta[:2, 2:].any() and not period.beta[2:, :2].any()
 
 
 class TestPrimalPolicies:
@@ -715,11 +769,12 @@ class TestRunAlgorithm1:
         else:
             result = run_algorithm1(reference_instance())
             assert result.converged
-        # Only a period that follows another takes a step, so the last one takes none.
+        # Every period takes its subgradient; only one that another follows
+        # takes a step, so the last one takes none.
         assert calls == {
             "beta_update": result.periods,
             "primal_policies": result.periods,
-            "subgradient": result.periods - 1,
+            "subgradient": result.periods,
             "dual_step": result.periods - 1,
         }
 
@@ -858,7 +913,8 @@ class TestRunAlgorithm1:
 
         with pytest.raises(DivergenceError) as first:
             run(300)
-        # Period t's step crosses the bound, but only a period t + 1 takes it.
+        # Period t's step crosses the bound, but only a run with room for a
+        # period t + 1 takes it.
         t = int(re.search(r" at period (\d+);", str(first.value)).group(1))
         last = run(t + 1)
         assert not last.converged and last.state.t == t

@@ -22,7 +22,8 @@ def test_library_use_prints_its_commented_values():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
     lines = out.getvalue().splitlines()
-    # The cost, to the two decimals of its comment, then period 0's cold-start lambda.
-    assert "# ~[4.93, 5.01]" in block and "# 0 [1. 1.]" in block
+    # The cost, to the two decimals of its comment, then period 0's cold-start
+    # lambda and dual value.
+    assert "# ~[4.93, 5.01]" in block and "# 0 [1. 1.] 0.4082" in block
     assert [round(float(v), 2) for v in lines[0].strip("[]").split()] == [4.93, 5.01]
-    assert lines[1] == "0 [1. 1.]"
+    assert lines[1] == "0 [1. 1.] 0.4082"

@@ -83,6 +83,25 @@ class TestSimulationSettings:
         with pytest.raises(ValueError, match=r"^thin must be >= 0, got -1$"):
             SimulationSettings(horizon=100, seed=0, thin=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 2.5), ("seed", 1.5), ("burn_in", 10.5), ("thin", 1.5),
+            ("horizon", True), ("thin", np.float64(2.0)),
+        ],
+        ids=["horizon", "seed", "burn_in", "thin", "horizon_bool", "thin_numpy_float"],
+    )
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        message = rf"^{field}: must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SimulationSettings(**{"horizon": 100, field: value})
+
+    def test_keeps_numpy_integer_counts_as_ints(self):
+        settings = SimulationSettings(horizon=np.int64(100), seed=np.uint8(3), burn_in=np.int32(10))
+        assert {type(v) for v in dataclasses.astuple(settings)} == {int}
+        met = run_simulation(one_loop_instance(), (threshold_policy(0.5),), settings)
+        assert (met.horizon, met.burn_in) == (100, 10)
+
     def test_default_burn_in_is_a_tenth(self):
         settings = SimulationSettings(horizon=250, seed=0)
         assert settings.burn_in is None and settings.burn == 25
