@@ -171,7 +171,9 @@ class SaturatingExpCurve(Frozen):
     """Decode probability q(h) = 1 - exp(-kappa * gain * h).
 
     Strictly increasing from q(0) = 0 toward 1; ``gain`` scales the fade
-    (e.g. a fixed transmit power multiplier).
+    (e.g. a fixed transmit power multiplier). The rate ``kappa * gain`` must
+    itself be a positive finite float: one that underflows to 0 or overflows
+    to inf would leave ``inverse`` and ``tail_mean`` without a value.
     """
 
     kappa: float = 1.5
@@ -182,6 +184,11 @@ class SaturatingExpCurve(Frozen):
             raise ValueError(f"kappa must be positive, got {self.kappa:g}")
         if not self.gain > 0.0:
             raise ValueError(f"gain must be positive, got {self.gain:g}")
+        if not 0.0 < self.kappa * self.gain < math.inf:
+            raise ValueError(
+                f"kappa * gain must lie inside (0, inf), got {self.kappa:g} * {self.gain:g}"
+                f" = {self.kappa * self.gain:g}"
+            )
 
     def value(self, h):
         """q(h) elementwise, in a new array."""
@@ -326,16 +333,22 @@ class CollisionMatrix(Frozen):
         return cls(q=np.zeros((m, m)))
 
 
-def _check_counts(settings, *names):
-    """Keep each named field as a Python int; it must be a Python or NumPy integer, not a bool.
+def _count(name, value, low=None):
+    """``value`` as a Python int; it must be a Python or NumPy integer, not a bool, and >= ``low``.
 
-    Anything else raises ValueError whose message starts with the field's name.
+    Anything else raises ValueError whose message starts with ``name``.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name}: must be >= {low}, got {value}")
+    return int(value)
+
+
+def _check_counts(settings, *names):
+    """Keep each named field of ``settings`` as a Python int, by ``_count``'s rule."""
     for name in names:
-        value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name}: must be an integer, got {value!r}")
-        object.__setattr__(settings, name, int(value))
+        object.__setattr__(settings, name, _count(name, getattr(settings, name)))
 
 
 @frozen

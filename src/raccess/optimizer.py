@@ -198,13 +198,15 @@ class OptimizerSettings(Frozen):
 class IterationTrace:
     """Append-only per-period log of the dual loop, one float64 row per period.
 
-    A row holds the period's O(m) columns: ``period``, ``stepsize``,
-    ``objective``, then ``lambda_i``, ``rate_i``, ``success_i``,
-    ``link_prob_i`` and ``slack_i`` for each sensor. The rows fill an array
-    that starts with ``BLOCK`` rows and doubles when full; ``rows`` views
-    the filled part, ``column`` copies one column out by name, and
-    ``to_csv`` writes them all, with ``period`` as an integer. The nu and
-    beta matrices are not kept: the result's ``state`` holds the last ones.
+    A row holds a ``DualPeriod``'s O(m) columns: ``period``, ``stepsize``
+    and ``objective`` (its ``t``, ``eps`` and ``objective``), then
+    ``lambda_i``, ``rate_i``, ``success_i``, ``link_prob_i`` and ``slack_i``
+    for each sensor (``lam``, ``rates``, ``succ``, ``link`` and ``slack``).
+    The rows fill an array that starts with ``BLOCK`` rows and doubles when
+    full; ``rows`` views the filled part, ``column`` copies one column out
+    by name, and ``to_csv`` writes them all, with ``period`` as an integer.
+    The nu and beta matrices are not kept: the result's ``state`` holds the
+    last ones.
     """
 
     BLOCK = 64
@@ -216,14 +218,19 @@ class IterationTrace:
         self._data = np.empty((self.BLOCK, len(self.columns)))
         self._len = 0
 
-    def append(self, period, eps, objective, lam, rates, success, link, slack):
+    def append(self, period):
+        """Log the row of ``period``, a ``DualPeriod``, reading each field by name."""
         n = self._len
         if n == self._data.shape[0]:
             grown = np.empty((2 * n, self._data.shape[1]))
             grown[:n] = self._data
             self._data = grown
         np.concatenate(
-            ((period, eps, objective), lam, rates, success, link, slack), out=self._data[n]
+            (
+                (period.t, period.eps, period.objective),
+                period.lam, period.rates, period.succ, period.link, period.slack,
+            ),
+            out=self._data[n],
         )
         self._len = n + 1
 
@@ -245,16 +252,24 @@ class IterationTrace:
 
 @frozen
 class OptimizationResult(Frozen):
-    """The designed policies, the trace, whether the loop converged, and its last period.
+    """A run's last period, its trace and whether it converged.
 
-    ``state`` is that last ``DualPeriod``, as yielded: its duals priced the policies.
+    ``state`` is that last ``DualPeriod``, as yielded; ``policies`` are the
+    rules of its thresholds, which its duals priced, and ``periods`` counts
+    the trace's rows, ``state.t + 1``. Both are read from the fields.
     """
 
-    policies: tuple
     state: DualPeriod
     trace: IterationTrace
     converged: bool
-    periods: int
+
+    @property
+    def policies(self):
+        return tuple(map(threshold_policy, self.state.thresholds))
+
+    @property
+    def periods(self):
+        return len(self.trace)
 
 
 def stepsize(t, schedule=StepSchedule()):
@@ -267,12 +282,15 @@ def stepsize(t, schedule=StepSchedule()):
 def _check_entries(values, m, name, top=math.inf):
     """``values`` as a new read-only vector of ``m`` finite floats inside (0, ``top``).
 
-    The ValueError's message starts with ``name``, as config errors do.
+    ``values`` is a number or a flat list: nested lists are refused, not
+    flattened. The ValueError's message starts with ``name``, as config errors do.
     """
     try:
-        v = np.array(values, dtype=float).reshape(-1)
+        v = np.array(values, dtype=float, ndmin=1)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{name}: {exc}") from exc
+    if v.ndim != 1:
+        raise ValueError(f"{name}: expected a list of {m} numbers, got shape {v.shape}")
     if v.shape[0] != m:
         raise ValueError(f"{name}: expected {m} entries, got {v.shape[0]}")
     if not np.isfinite(v).all():
@@ -402,7 +420,6 @@ def _measure(thresholds, channels, mc, rngs):
     return np.array(pairs).T.copy()  # contiguous rows, as the exact branch gives
 
 
-# A trace row's fields, in ``IterationTrace.append``'s order, then the period's arrays.
 DualPeriod = namedtuple(
     "DualPeriod", "t eps objective lam rates succ link slack duals nu beta thresholds subgradient"
 )
@@ -470,8 +487,7 @@ def run_algorithm1(inst, settings=OptimizerSettings()):
     """
     trace, converged = IterationTrace(inst.m), settings.stop.checker()
     for period in dual_periods(inst, settings):
-        trace.append(*period[:8])
+        trace.append(period)
         if done := converged(period):
             break
-    policies = tuple(map(threshold_policy, period.thresholds))
-    return OptimizationResult(policies, period, trace, done, len(trace))
+    return OptimizationResult(period, trace, done)

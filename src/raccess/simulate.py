@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._frozen import Frozen, frozen
-from .channel import _check_counts, link_success_probability
+from .channel import _check_counts, _count, link_success_probability
 
 __all__ = [
     "UnstableSimulationError",
@@ -261,9 +261,10 @@ def run_simulation(instance, policies, settings=SimulationSettings()):
     rng = np.random.default_rng(settings.seed)
     tx, gamma = _draw_gamma(policies, instance.channels, instance.collision, rng, horizon)
 
+    tx_rates = tx[:, burn:].mean(axis=1)
+    success_rates = gamma[:, burn:].mean(axis=1)
+
     costs = np.empty(m)
-    tx_rates = np.empty(m)
-    success_rates = np.empty(m)
     kept = np.arange(thin - 1, horizon, thin) if thin else np.arange(0)
     v_kept = np.empty((kept.size, m))
 
@@ -296,8 +297,6 @@ def run_simulation(instance, policies, settings=SimulationSettings()):
                     )
                 v = _quadratic_form(x, sys.lyap_matrix)
             costs[i] = float(np.mean(v[burn:]))
-            tx_rates[i] = float(np.mean(tx[i, burn:]))
-            success_rates[i] = float(np.mean(gamma[i, burn:]))
             v_kept[:, i] = v[kept]
 
     trajectory = None
@@ -325,9 +324,11 @@ def empirical_gamma_rate_check(instance, policies, n_slots, seed):
     Returns one record per link with the empirical frequency over
     ``n_slots``, the quadrature value, and the binomial z-score of their
     difference. ``instance`` and ``policies`` are read as in
-    ``run_simulation``; ``seed`` seeds the draws.
+    ``run_simulation``; ``seed`` seeds the draws. ``n_slots`` >= 1 and
+    ``seed`` >= 0 are integers, not bools.
     """
     policies = _checked_policies(instance, policies)
+    n_slots, seed = _count("n_slots", n_slots, 1), _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     _, gamma = _draw_gamma(policies, instance.channels, instance.collision, rng, n_slots)
     analytic = link_success_probability(policies, instance.channels, instance.collision)
@@ -361,7 +362,9 @@ def lyapunov_drift_check(instance, policies, x_probe, n_replications, seed):
     x_probe : sequence of ndarray
         One probe state per loop.
     n_replications : int
+        At least 2, which a standard error needs.
     seed : int
+        At least 0. Both counts are integers, not bools.
 
     Returns
     -------
@@ -370,6 +373,8 @@ def lyapunov_drift_check(instance, policies, x_probe, n_replications, seed):
         verdict per loop.
     """
     policies = _checked_policies(instance, policies)
+    n_replications = _count("n_replications", n_replications, 2)
+    seed = _count("seed", seed, 0)
     if len(x_probe) != instance.m:
         raise ValueError(f"{len(x_probe)} probe states for {instance.m} loops")
     link = link_success_probability(policies, instance.channels, instance.collision)

@@ -359,6 +359,11 @@ class TestSuccessCurves:
     def test_curve_parameter_validation(self):
         with pytest.raises(ValueError):
             SaturatingExpCurve(kappa=0.0)
+        # Each factor is positive and finite; their product is not.
+        for value, product in ((1e-200, "0"), (1e200, "inf")):
+            message = rf"^kappa \* gain must lie inside \(0, inf\), got .* = {product}$"
+            with pytest.raises(ValueError, match=message):
+                SaturatingExpCurve(kappa=value, gain=value)
         with pytest.raises(ValueError):
             LogisticLogCurve(midpoint=0.0, steepness=2.0)
         with pytest.raises(ValueError):

@@ -188,9 +188,12 @@ class TestParseConfig:
             ([1.0, math.nan], "tx_powers[1]: must be finite, got nan"),
             (1.0, "tx_powers: expected 2 entries, got 1"),
             (False, "tx_powers: must be a number, got False"),
+            ([[1.0], [1.0]], "tx_powers: expected a list of 2 numbers, got shape (2, 1)"),
+            ([[1.0, 1.0]], "tx_powers: expected a list of 2 numbers, got shape (1, 2)"),
+            ([[[1.0]], [[1.0]]], "tx_powers: expected a list of 2 numbers, got shape (2, 1, 1)"),
         ],
         ids=["count", "zero", "negative", "nan-string", "not-a-number", "bool", "nan",
-             "scalar", "bool-scalar"],
+             "scalar", "bool-scalar", "column", "row", "nested"],
     )
     def test_tx_powers_messages(self, tmp_path, powers, message):
         raw = base_config()

@@ -192,6 +192,35 @@ def test_sweep_covers_every_leaf():
     assert len(leaves(pair_config())) == 45
 
 
+RATE = "channels[1].curve: kappa * gain must lie inside (0, inf)"
+POWERS = "tx_powers: expected a list of 2 numbers, got shape"
+# (leaf path, value) changes the one-leaf sweep cannot make, and the message they exit 2 with.
+CHANGES = {
+    # kappa * gain underflows to 0 and overflows to inf, each factor in range.
+    "rate-underflow": ([(("channels", 1, "curve", k), 1e-200) for k in ("kappa", "gain")], RATE),
+    "rate-overflow": ([(("channels", 1, "curve", k), 1e200) for k in ("kappa", "gain")], RATE),
+    "powers-column": ([(("tx_powers",), [[1.0], [1.0]])], f"{POWERS} (2, 1)"),
+    "powers-row": ([(("tx_powers",), [[1.0, 1.0]])], f"{POWERS} (1, 2)"),
+    "powers-nested": ([(("tx_powers",), [[[1.0]], [[1.0]]])], f"{POWERS} (2, 1, 1)"),
+}
+
+
+@pytest.mark.parametrize("mode", ["quadrature", "mc"])
+@pytest.mark.parametrize("case", list(CHANGES))
+def test_changes_the_sweep_cannot_make_exit_2_naming_their_field(tmp_path, capsys, case, mode):
+    changes, message = CHANGES[case]
+    raw = twoloop()
+    for path, value in changes:
+        set_leaf(raw, path, value)
+    raw["optimizer"]["expectation_mode"] = mode
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("rates", "optimize", "pipeline"):
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (command, err)
+
+
 def test_certain_collisions_on_the_worked_example(tmp_path, capsys):
     # q = 1: each sensor's transmission kills the other's in every slot.
     raw = twoloop()

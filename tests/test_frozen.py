@@ -55,6 +55,14 @@ def first_period():
     return next(dual_periods(reference_instance()))
 
 
+def first_run():
+    """The result of a run stopped after its first period, which its trace holds."""
+    period = first_period()
+    trace = IterationTrace(len(period.lam))
+    trace.append(period)
+    return OptimizationResult(state=period, trace=trace, converged=False)
+
+
 def samples():
     """One or two instances of every public frozen type, by type."""
     pair = PlantControllerPair(
@@ -63,7 +71,6 @@ def samples():
         ctrl_k=[[0.0]], ctrl_kc=[[0.0]], ctrl_l=[[-0.6]],
         process_noise_cov=[[0.5]], meas_noise_cov=[[0.2]],
     )
-    policies = (threshold_policy(0.3), threshold_policy(0.9))
     return {
         ExponentialFading: [ExponentialFading(), ExponentialFading(mean=2.5)],
         UniformFading: [UniformFading(0.2, 1.5), UniformFading(low=0.0, high=3.0)],
@@ -89,12 +96,7 @@ def samples():
         ProblemInstance: [reference_instance()],
         StepSchedule: [StepSchedule(), StepSchedule(a=5.0, b=2.0)],
         StopRule: [StopRule(), StopRule(max_periods=10, window=3)],
-        OptimizationResult: [
-            OptimizationResult(
-                policies=policies[:1], state=first_period(), trace=IterationTrace(1),
-                converged=True, periods=3,
-            )
-        ],
+        OptimizationResult: [first_run()],
         AccessPolicy: [threshold_policy(0.7), constant_policy(0.3)],
         SimMetrics: [
             SimMetrics(

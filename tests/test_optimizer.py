@@ -40,6 +40,7 @@ from raccess import (
 )
 from raccess.optimizer import (
     DEFAULT_BOX,
+    DualPeriod,
     IterationTrace,
     beta_update,
     dual_step,
@@ -482,6 +483,9 @@ class TestProblemInstanceValidation:
             ([1.0], [1.0], r"success_targets: all entries must lie strictly inside \(0, 1\)"),
             ([1.0, 1.0], [0.4], "tx_powers: expected 1 entries, got 2"),
             ([1.0], [0.4, 0.4], "success_targets: expected 1 entries, got 2"),
+            ([[1.0]], [0.4], r"tx_powers: expected a list of 1 numbers, got shape \(1, 1\)"),
+            ([1.0], [[0.4]], r"success_targets: expected a list of 1 numbers, got shape \(1, 1\)"),
+            ([[[1.0]]], [0.4], r"tx_powers: expected a list of 1 numbers, got shape \(1, 1, 1\)"),
         ],
     )
     def test_rejects_bad_entries_naming_the_field(self, powers, targets, message):
@@ -492,6 +496,13 @@ class TestProblemInstanceValidation:
                 collision=CollisionMatrix.none(1),
                 tx_powers=powers,
                 success_targets=targets,
+            )
+
+    def test_rejects_nested_entries_of_two_loops(self):
+        message = r"^tx_powers: expected a list of 2 numbers, got shape \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(
+                reference_instance(), tx_powers=[[1.0, 1.0]], success_targets=[[0.4], [0.2]]
             )
 
     def test_fields_are_read_only_copies(self):
@@ -528,6 +539,11 @@ def csv_columns(m):
     return names
 
 
+def record(**traced):
+    """A ``DualPeriod`` holding the fields given by name; every other field is None."""
+    return DualPeriod(**dict.fromkeys(DualPeriod._fields) | traced)
+
+
 def random_trace(m, periods, seed=4):
     """A trace of random rows with edge values mixed in."""
     rng = np.random.default_rng(seed)
@@ -538,7 +554,12 @@ def random_trace(m, periods, seed=4):
         v[t % m] = edges[t % edges.size]
         link = rng.random(m)
         link[(t + 1) % m] = edges[(t + 3) % edges.size]
-        trace.append(t, 1.0 / (t + 1), float(v.sum()), v, rng.random(m), rng.random(m), link, -v)
+        trace.append(
+            record(
+                t=t, eps=1.0 / (t + 1), objective=float(v.sum()), lam=v, rates=rng.random(m),
+                succ=rng.random(m), link=link, slack=-v,
+            )
+        )
     return trace
 
 
@@ -547,14 +568,16 @@ class TestIterationTrace:
         trace = IterationTrace(2)
         assert trace.columns == csv_columns(2)  # O(m) columns only: no nu or beta
         trace.append(
-            0,
-            0.1,
-            1.0,
-            np.array([1.0, 2.0]),
-            np.array([0.6, 0.4]),
-            np.array([0.4, 0.2]),
-            np.array([0.35, 0.18]),
-            np.array([0.07, 0.05]),
+            record(
+                t=0,
+                eps=0.1,
+                objective=1.0,
+                lam=np.array([1.0, 2.0]),
+                rates=np.array([0.6, 0.4]),
+                succ=np.array([0.4, 0.2]),
+                link=np.array([0.35, 0.18]),
+                slack=np.array([0.07, 0.05]),
+            )
         )
         assert len(trace) == 1
         assert trace.column("lambda_1")[0] == 2.0
@@ -565,14 +588,39 @@ class TestIterationTrace:
         assert header.split(",") == csv_columns(2)
         assert row == "0,0.1,1.0,1.0,2.0,0.6,0.4,0.4,0.2,0.35,0.18,0.07,0.05"
 
+    def test_each_column_reads_its_named_field(self):
+        # Every traced value is distinct, so a column read from the wrong field shows.
+        m, periods = 2, 3
+        groups = {
+            "lam": "lambda", "rates": "rate", "succ": "success", "link": "link_prob",
+            "slack": "slack",
+        }
+        trace, sent = IterationTrace(m), []
+        for t in range(periods):
+            arrays = {
+                field: 100.0 * t + 10.0 * k + np.arange(11.0, 11 + m)
+                for k, field in enumerate(groups)
+            }
+            sent.append(record(t=t, eps=0.5 + t, objective=-1.0 - t, **arrays))
+            trace.append(sent[-1])
+        assert np.unique(trace.rows).size == trace.rows.size
+        for column, name in (("period", "t"), ("stepsize", "eps"), ("objective", "objective")):
+            np.testing.assert_array_equal(trace.column(column), [getattr(p, name) for p in sent])
+        for name, kind in groups.items():
+            for i in range(m):
+                want = [getattr(p, name)[i] for p in sent]
+                np.testing.assert_array_equal(trace.column(f"{kind}_{i}"), want)
+
     def test_grows_past_one_block(self, tmp_path):
         m, periods = 2, 2 * IterationTrace.BLOCK + 3
         trace = IterationTrace(m)
         for t in range(periods):
             v = t + 0.5
             trace.append(
-                t, 1.0 / (t + 1), v, np.full(m, v), np.full(m, 0.6), np.full(m, 0.4),
-                np.full(m, 0.3), np.full(m, -v),
+                record(
+                    t=t, eps=1.0 / (t + 1), objective=v, lam=np.full(m, v), rates=np.full(m, 0.6),
+                    succ=np.full(m, 0.4), link=np.full(m, 0.3), slack=np.full(m, -v),
+                )
             )
         assert len(trace) == periods
         assert trace.rows.shape == (periods, 3 + 5 * m)
@@ -599,7 +647,8 @@ class TestIterationTrace:
     def test_column_is_a_copy(self):
         trace = IterationTrace(1)
         one = np.ones(1)
-        trace.append(0, 0.1, 1.0, one, one, one, one, one)
+        arrays = dict.fromkeys(("lam", "rates", "succ", "link", "slack"), one)
+        trace.append(record(t=0, eps=0.1, objective=1.0, **arrays))
         col = trace.column("lambda_0")
         col[0] = -7.0
         assert trace.column("lambda_0")[0] == 1.0
@@ -893,7 +942,7 @@ class TestRunAlgorithm1:
         settings = mc_settings(2000, 1, stop) if mc else OptimizerSettings(stop=stop)
         result = run_algorithm1(inst, settings)
         assert result.converged is (periods is None)
-        assert result.state.t == result.periods - 1
+        assert result.periods == len(result.trace) == result.state.t + 1
         priced = priced_thresholds(result.state.nu, inst)
         assert [p.threshold for p in result.policies] == priced == result.state.thresholds
         np.testing.assert_array_equal(result.state.lam, result.trace.rows[-1, 3 : 3 + inst.m])

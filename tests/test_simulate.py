@@ -468,6 +468,49 @@ class TestEmpiricalGammaRateCheck:
             assert abs(rec.z_score) <= 4.0
 
 
+# (value, message template, id) of each count the self-checks refuse.
+BAD_COUNTS = [
+    pytest.param(0, "must be >= {low}, got 0", id="zero"),
+    pytest.param(-3, "must be >= {low}, got -3", id="negative"),
+    pytest.param(2.5, "must be an integer, got {value!r}", id="float"),
+    pytest.param(True, "must be an integer, got {value!r}", id="bool"),
+    pytest.param(np.float64(4.0), "must be an integer, got {value!r}", id="numpy-float"),
+]
+
+
+def check_calls(n, seed):
+    """The two self-checks on the reference design, with count ``n`` and ``seed``."""
+    inst, policies = reference_instance(), reference_policies()
+    return {
+        "n_slots": lambda: empirical_gamma_rate_check(inst, policies, n, seed),
+        "n_replications": lambda: lyapunov_drift_check(inst, policies, [np.ones(1)] * 2, n, seed),
+    }
+
+
+class TestSelfCheckCounts:
+    @pytest.mark.parametrize("count, low", [("n_slots", 1), ("n_replications", 2)])
+    @pytest.mark.parametrize("value, message", BAD_COUNTS)
+    def test_rejects_a_count_it_cannot_use(self, count, low, value, message):
+        text = f"{count}: {message.format(low=low, value=value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            check_calls(value, 0)[count]()
+
+    @pytest.mark.parametrize("count", ["n_slots", "n_replications"])
+    @pytest.mark.parametrize("value, message", BAD_COUNTS[1:])
+    def test_rejects_a_seed_it_cannot_use(self, count, value, message):
+        text = f"seed: {message.format(low=0, value=value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            check_calls(100, value)[count]()
+
+    def test_one_replication_is_too_few_for_a_standard_error(self):
+        with pytest.raises(ValueError, match=r"^n_replications: must be >= 2, got 1$"):
+            check_calls(1, 0)["n_replications"]()
+
+    @pytest.mark.parametrize("count", ["n_slots", "n_replications"])
+    def test_numpy_integers_give_the_int_records(self, count):
+        assert check_calls(np.int64(50), np.uint8(3))[count]() == check_calls(50, 3)[count]()
+
+
 class TestLyapunovDriftCheck:
     def test_contract_holds_at_random_probes(self):
         inst = reference_instance()
