@@ -13,10 +13,10 @@ collision matrix, and the expectation operators used everywhere else.
 Under alpha(h) = r 1[h >= tau] they are exact: r P(h >= tau), and
 r E[q(h); h >= tau] from the curve's ``tail_mean`` (``threshold_success``
 at r = 1), a closed form except on the logistic_log curve, which a fixed
-composite Gauss-Legendre rule in log-fade integrates. Under
-``MonteCarlo`` the design loop estimates both for each sensor's threshold
-from one ``draw_transmit_sample`` call. Link success probabilities are
-exact.
+composite Gauss-Legendre rule in log-fade integrates; ``measure`` gives
+both at r = 1 for every sensor. Under ``MonteCarlo`` the design loop
+estimates both for each sensor's threshold from one
+``draw_transmit_sample`` call. Link success probabilities are exact.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "expected_policy_rate",
     "expected_policy_success",
     "threshold_success",
+    "measure",
     "link_success_probability",
     "delivery_product",
 ]
@@ -357,8 +358,10 @@ class MonteCarlo(Frozen):
 
     The design loop estimates each sensor's rate and delivery from
     ``samples`` fades per period (``draw_transmit_sample``), each sensor
-    from its own stream spawned from ``seed``. Both are integers, not bools,
-    kept as Python ints.
+    from its own stream spawned from ``seed``: stream i follows position i,
+    so permuting the loops changes the draws, and a Monte Carlo design is
+    not permuted with them as an exact one is. Both are integers, not
+    bools, kept as Python ints.
     """
 
     samples: int = 10_000
@@ -417,6 +420,17 @@ def expected_policy_success(policy, ch):
     return policy.rate * threshold_success(policy.threshold, ch)
 
 
+def measure(thresholds, channels):
+    """Exact (P(h_i >= tau_i), E[q(h_i); h_i >= tau_i]) of every sensor i, as two float arrays.
+
+    Entry i is ``channels[i].dist.survival(thresholds[i])``, then
+    ``threshold_success(thresholds[i], channels[i])``.
+    """
+    pairs = tuple(zip(thresholds, channels))
+    survival = np.array([ch.dist.survival(tau) for tau, ch in pairs])
+    return survival, np.array([threshold_success(tau, ch) for tau, ch in pairs])
+
+
 def delivery_product(own, rates, q):
     """own_i * prod_{j != i} (1 - rates_j q[j, i]) for every column i of q.
 
@@ -449,7 +463,6 @@ def link_success_probability(policies, channels, qmat):
         raise ValueError(f"{len(channels)} channels for {m} policies")
     if qmat.m != m:
         raise ValueError(f"collision matrix is {qmat.m}x{qmat.m} for {m} policies")
-    pairs = tuple(zip(policies, channels))
-    own = np.array([expected_policy_success(pol, ch) for pol, ch in pairs])
-    rates = np.array([expected_policy_rate(pol, ch) for pol, ch in pairs])
-    return delivery_product(own, rates, qmat.q)
+    survival, success = measure([pol.threshold for pol in policies], channels)
+    rate = np.array([pol.rate for pol in policies])
+    return delivery_product(rate * success, rate * survival, qmat.q)

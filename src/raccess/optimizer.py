@@ -24,9 +24,7 @@ from collections import deque, namedtuple
 import numpy as np
 
 from ._frozen import Frozen, frozen
-from .channel import (
-    MonteCarlo, _check_counts, delivery_product, draw_transmit_sample, threshold_success,
-)
+from .channel import MonteCarlo, _check_counts, delivery_product, draw_transmit_sample, measure
 
 # Not called here; perfbench's tracer looks both names up in this module.
 from .channel import expected_policy_rate, expected_policy_success  # noqa: F401
@@ -404,13 +402,11 @@ def lagrangian_value(measured_rate, measured_success, beta, lam, nu, inst):
 def _measure(thresholds, channels, mc, rngs):
     """Per-sensor E[alpha] and E[alpha q] of the rules 1[h >= tau] for one period.
 
-    Exact when ``mc`` is None; under a ``MonteCarlo`` ``mc``, sensor i
+    Exact (``measure``) when ``mc`` is None; under a ``MonteCarlo`` ``mc``, sensor i
     estimates both from ``mc.samples`` fades of its own generator ``rngs[i]``.
     """
     if mc is None:
-        rates = [ch.dist.survival(tau) for tau, ch in zip(thresholds, channels)]
-        succ = [threshold_success(tau, ch) for tau, ch in zip(thresholds, channels)]
-        return np.array(rates), np.array(succ)
+        return measure(thresholds, channels)
     # A fade mean or curve rate near the float maximum overflows to inf, whose q is exact.
     with np.errstate(over="ignore"):
         pairs = [

@@ -234,6 +234,19 @@ def _quadratic_form(x, p):
     return v
 
 
+def _mean_cost(v):
+    """mean(v) as a float, inf only where some v is.
+
+    A sum of finite v that overflows is taken again on v * 2**-64, which
+    scales exactly, and scaled back.
+    """
+    with np.errstate(over="ignore"):
+        cost = np.mean(v)
+        if np.isinf(cost) and np.isfinite(v).all():
+            cost = np.ldexp(np.mean(np.ldexp(v, -64)), 64)
+    return float(cost)
+
+
 def run_simulation(instance, policies, settings=SimulationSettings()):
     """Simulate the full horizon from x_0 = 0 and average the quadratic cost.
 
@@ -251,8 +264,9 @@ def run_simulation(instance, policies, settings=SimulationSettings()):
     Raises
     ------
     UnstableSimulationError
-        If any state norm passes 1e12 (reported with the first such
-        system, in loop order, and its slot).
+        If a loop's state norm passes 1e12 * max(1, sqrt(lambda_max(W))),
+        W its ``noise_cov`` (reported with the first such loop, in loop
+        order, its limit and its slot).
     """
     policies = _checked_policies(instance, policies)
     settings.check_horizon(instance.systems)
@@ -285,18 +299,19 @@ def run_simulation(instance, policies, settings=SimulationSettings()):
             np.zeros((stop - start, n)),
         )
         for i, sys, x in zip(range(start, stop), systems, states):
+            limit = _NORM_LIMIT * math.sqrt(max(1.0, np.linalg.eigvalsh(sys.noise_cov)[-1]))
             with np.errstate(over="ignore", invalid="ignore"):
                 norm_sq = np.einsum("kn,kn->k", x, x)
-                escaped = ~np.isfinite(norm_sq) | (norm_sq > _NORM_LIMIT**2)
+                escaped = ~np.isfinite(norm_sq) | (norm_sq > limit * limit)
                 if np.any(escaped):
                     k = int(np.argmax(escaped))
                     raise UnstableSimulationError(
-                        f"loop {i} state norm passed {_NORM_LIMIT:g} at slot "
+                        f"loop {i} state norm passed {limit:g} at slot "
                         f"{k + 1} of {horizon}; its access policy does not "
                         "stabilize it"
                     )
                 v = _quadratic_form(x, sys.lyap_matrix)
-            costs[i] = float(np.mean(v[burn:]))
+            costs[i] = _mean_cost(v[burn:])
             v_kept[:, i] = v[kept]
 
     trajectory = None

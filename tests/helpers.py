@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 
+import importlib.util
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -25,6 +27,17 @@ from raccess import (
 )
 from raccess.serialize import fmt
 from raccess.simulate import SimMetrics, _draw_gamma, _psd_factor
+
+
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` by path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(root, "perfbench", f"{name}.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def scalar_system(a_open, a_closed, rho=0.8, w=1.0, p=1.0):

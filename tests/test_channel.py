@@ -34,7 +34,7 @@ from raccess import (
     sample_channel,
     threshold_policy,
 )
-from raccess.channel import _GL_NODES, _GL_WEIGHTS, delivery_product
+from raccess.channel import _GL_NODES, _GL_WEIGHTS, delivery_product, measure, threshold_success
 
 
 def exp_saturating_channel(mean, kappa, gain=1.0):
@@ -572,7 +572,54 @@ class TestFadingDistributions:
             UniformFading(low=0.0, high=math.inf)
 
 
+# The four (fade law, curve family) pairs.
+MEASURE_CHANNELS = [
+    FadingChannel(dist=dist, curve=curve)
+    for dist in (ExponentialFading(mean=1.3), UniformFading(low=0.4, high=1.6))
+    for curve in (SaturatingExpCurve(kappa=1.5, gain=0.8), LogisticLogCurve(0.7, 3.0))
+]
+MEASURE_IDS = ["exp-saturating", "exp-logistic", "uniform-saturating", "uniform-logistic"]
+
+
 class TestLinkSuccessProbability:
+    @pytest.mark.parametrize("ch", MEASURE_CHANNELS, ids=MEASURE_IDS)
+    @pytest.mark.parametrize("tau", [0.0, 0.9, math.inf])
+    def test_measure_is_the_one_sensor_forms_bit_for_bit(self, ch, tau):
+        # m = 1, then all four channels together with this sensor's threshold in position 2.
+        for thresholds, channels in (
+            ([tau], [ch]),
+            ([0.0, 0.9, tau, math.inf], [*MEASURE_CHANNELS[1:3], ch, MEASURE_CHANNELS[0]]),
+        ):
+            survival, success = measure(thresholds, channels)
+            assert survival.dtype == success.dtype == np.float64
+            pairs = list(zip(thresholds, channels))
+            want_survival = np.array([c.dist.survival(t) for t, c in pairs])
+            want_success = np.array([threshold_success(t, c) for t, c in pairs])
+            assert survival.tobytes() == want_survival.tobytes()
+            assert success.tobytes() == want_success.tobytes()
+
+    @pytest.mark.parametrize(
+        "policies",
+        [
+            (constant_policy(0.35),),
+            (threshold_policy(0.9),),
+            (constant_policy(0.35), threshold_policy(0.9), constant_policy(0.0),
+             threshold_policy(0.0)),
+            (threshold_policy(math.inf), constant_policy(1.0), threshold_policy(0.4),
+             constant_policy(0.6)),
+        ],
+        ids=["constant", "threshold", "mix-a", "mix-b"],
+    )
+    def test_mixed_policies_are_the_one_policy_product_bit_for_bit(self, policies):
+        m = len(policies)
+        chs = MEASURE_CHANNELS[:m]
+        q = np.full((m, m), 0.3)
+        np.fill_diagonal(q, 0.0)
+        own = np.array([expected_policy_success(p, ch) for p, ch in zip(policies, chs)])
+        rates = np.array([expected_policy_rate(p, ch) for p, ch in zip(policies, chs)])
+        got = link_success_probability(policies, chs, CollisionMatrix(q=q))
+        assert got.tobytes() == delivery_product(own, rates, q).tobytes()
+
     def test_two_link_product_form(self):
         chs = (reference_channel(), exp_saturating_channel(0.8, 2.0))
         pols = (threshold_policy(0.35), threshold_policy(0.9))

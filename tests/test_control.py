@@ -9,6 +9,7 @@ from helpers import (
     example_pair,
     loop_check_system,
     loop_fields,
+    load_perfbench,
     loop_success_requirement,
     random_admissible_system,
     scalar_system,
@@ -25,6 +26,7 @@ from raccess import (
     steady_state_cost_bound,
     success_requirements,
 )
+from raccess.config import parse_config
 
 
 class TestSwitchedSystemValidation:
@@ -351,6 +353,19 @@ class TestStackedRequirements:
 
     def test_no_loops(self):
         assert success_requirements(()).shape == (0,)
+
+    def test_permuting_the_loops_permutes_the_requirements(self, tmp_path):
+        # certify's seed-1 config: 64 loops with n = 2, 3, 4. Each loop's value
+        # comes from its own slice of its dimension's stack, wherever it sits.
+        workloads = load_perfbench("workloads")
+        path = tmp_path / "certify.json"
+        path.write_bytes(workloads.config_bytes(workloads.make_config("certify", 1)))
+        systems = parse_config(str(path)).systems
+        assert len(systems) == 64 and {s.dim for s in systems} == {2, 3, 4}
+        want = success_requirements(systems)
+        for perm in (np.arange(64)[::-1], np.random.default_rng(0).permutation(64)):
+            got = success_requirements([systems[k] for k in perm])
+            assert got.tobytes() == want[perm].tobytes()
 
     def test_one_dimension_with_every_loop_at_zero(self):
         rng = np.random.default_rng(3)

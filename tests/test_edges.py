@@ -14,6 +14,7 @@ it (see ``names_field_once``), exactly once.
 
 import dataclasses
 import json
+import math
 import os
 import re
 import time
@@ -267,3 +268,43 @@ def test_simulate_draws_near_the_float_maximum_quietly(tmp_path, capsys, part, k
     argv = ["simulate", str(cfg), "--policies", str(policies), "--horizon", "2000"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+# (leaf path, value) that scale a stable loop 0 far from 1.
+LARGE_SCALES = {
+    "noise-1e24": (("systems", 0, "noise_cov"), 1e24),
+    "noise-1e200": (("systems", 0, "noise_cov"), 1e200),
+    "lyap-1e305": (("systems", 0, "lyap_matrix"), 1e305),
+    "lyap-1e306": (("systems", 0, "lyap_matrix"), 1e306),
+}
+
+
+def pipeline_report(raw, out_dir, capsys):
+    """``pipeline`` on ``raw`` over 20,000 slots: its report, after checking it ran quietly."""
+    raw["optimizer"]["max_periods"] = 5000
+    raw["simulation"]["horizon"] = 20000
+    out_dir.mkdir()
+    cfg = out_dir / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["pipeline", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out_dir / "report.json") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("case", list(LARGE_SCALES))
+def test_pipeline_simulates_a_stable_loop_at_any_scale(tmp_path, capsys, case):
+    # The state norm limit grows with the loop's noise, and a cost whose sum
+    # overflows is taken again at a smaller scale; at lyap_matrix = 1e306
+    # some per-slot values themselves overflow, so the cost is inf.
+    path, value = LARGE_SCALES[case]
+    want = pipeline_report(twoloop(), tmp_path / "unit", capsys)
+    raw = twoloop()
+    set_leaf(raw, path, value)
+    got = pipeline_report(raw, tmp_path / "scaled", capsys)
+    assert got["empirical_cost"][1] == want["empirical_cost"][1]
+    ratio, want_ratio = (r["empirical_cost"][0] / r["cost_bounds"][0] for r in (got, want))
+    if case == "lyap-1e306":
+        assert ratio == math.inf
+    else:
+        assert ratio == pytest.approx(want_ratio, rel=1e-9)

@@ -933,6 +933,26 @@ class TestRunAlgorithm1:
         succ = [expected_policy_success(p, ch) for p, ch in zip(result.policies, inst.channels)]
         assert math.isfinite(lagrangian_value(rates, succ, state.beta, state.lam, state.nu, inst))
 
+    def test_permuting_the_loops_permutes_the_design(self, reference_run):
+        # Systems, channels, the collision matrix's rows and columns, powers and
+        # targets all swap. At m = 2 each charge has one off-diagonal term, so
+        # no sum is reordered and the design swaps bit for bit.
+        base, want = reference_run["instance"], reference_run["result"]
+        perm = [1, 0]
+        inst = ProblemInstance(
+            systems=[base.systems[k] for k in perm],
+            channels=[base.channels[k] for k in perm],
+            collision=CollisionMatrix(q=base.collision.q[np.ix_(perm, perm)]),
+            tx_powers=base.tx_powers[perm],
+            success_targets=base.success_targets[perm],
+        )
+        result = run_algorithm1(inst)
+        assert (result.converged, result.periods) == (True, want.periods) == (True, 730)
+        assert result.state.thresholds == [want.state.thresholds[k] for k in perm]
+        np.testing.assert_array_equal(result.state.lam, want.state.lam[perm])
+        np.testing.assert_array_equal(result.state.nu, want.state.nu[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(result.trace.column("lambda_0"), want.trace.column("lambda_1"))
+
     @pytest.mark.parametrize("mc", [False, True], ids=["exact", "mc"])
     @pytest.mark.parametrize("periods", [None, 10], ids=["converged", "10-periods"])
     def test_every_result_prices_its_own_policies(self, mc, periods):

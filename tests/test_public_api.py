@@ -9,17 +9,14 @@ run.
 
 import ast
 import importlib
-import importlib.util
 import inspect
-import os
 import pkgutil
 
 import pytest
 
 import raccess
 import raccess._kernels
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from helpers import load_perfbench
 
 MODULES = sorted(
     f"raccess.{info.name}" for info in pkgutil.iter_modules(raccess.__path__)
@@ -57,17 +54,9 @@ def test_dual_periods_is_a_generator_function():
     assert inspect.isgeneratorfunction(raccess.dual_periods)
 
 
-def load_tracing():
-    """Import ``perfbench/tracing.py`` by path, only to read its tables."""
-    path = os.path.join(ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_boundary_resolves():
-    boundaries = load_tracing().BOUNDARIES
+    # Only the tables are read.
+    boundaries = load_perfbench("tracing").BOUNDARIES
     assert boundaries
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"

@@ -25,6 +25,7 @@ from raccess import (
     LogisticLogCurve,
     ProblemInstance,
     SimulationSettings,
+    SwitchedSystem,
     UnstableSimulationError,
     constant_policy,
     empirical_gamma_rate_check,
@@ -33,7 +34,7 @@ from raccess import (
     run_simulation,
     threshold_policy,
 )
-from raccess.simulate import _draw_gamma
+from raccess.simulate import _draw_gamma, _mean_cost
 
 # Stopping thresholds of the converged reference design; their link
 # deliveries clear both requirements, which the drift check verifies
@@ -434,6 +435,42 @@ class TestInstability:
         settings = SimulationSettings(horizon=1000, seed=3)
         met = run_simulation(one_loop_instance(), (threshold_policy(0.5),), settings)
         assert np.isfinite(met.empirical_cost[0])
+
+    @pytest.mark.parametrize(
+        "noise_cov, limit",
+        [(0.25, "1e+12"), (1.0, "1e+12"), (1e24, "1e+24"), (np.diag([4e4, 1.0]), "2e+14")],
+    )
+    def test_limit_scales_with_the_loops_noise(self, noise_cov, limit):
+        # 1e12 * max(1, sqrt(lambda_max(W))): a noise at most 1 keeps the absolute limit.
+        n = np.ndim(noise_cov) or 1
+        system = SwitchedSystem(
+            a_closed=0.5 * np.eye(n), a_open=1.1 * np.eye(n), noise_cov=noise_cov,
+            lyap_matrix=np.eye(n), decay_rate=0.8,
+        )
+        inst = ProblemInstance(
+            systems=(system,), channels=(reference_channel(),), collision=CollisionMatrix.none(1),
+            tx_powers=[1.0], success_targets=[0.3],
+        )
+        stable, unstable = (threshold_policy(0.5),), (threshold_policy(math.inf),)
+        settings = SimulationSettings(horizon=1000, seed=3)
+        assert np.isfinite(run_simulation(inst, stable, settings).empirical_cost[0])
+        with pytest.raises(UnstableSimulationError, match=f"^loop 0 state norm passed {re.escape(limit)} at"):
+            run_simulation(inst, unstable, settings)
+
+
+class TestMeanCost:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_finite_sum_is_the_plain_mean(self, seed):
+        v = np.random.default_rng(seed).exponential(5.0, size=1001)
+        assert _mean_cost(v) == float(np.mean(v))
+
+    def test_a_sum_that_overflows_is_taken_at_a_smaller_scale(self):
+        # The sum of three 1e308 overflows, though their mean is 1e308.
+        assert _mean_cost(np.array([1e308, 1e308, 1e308])) == 1e308
+        assert _mean_cost(np.array([1.5e308, 1.7e308])) == 1.6e308
+
+    def test_an_infinite_value_gives_inf(self):
+        assert _mean_cost(np.array([1.0, math.inf])) == math.inf
 
 
 class TestEmpiricalGammaRateCheck:

@@ -10,31 +10,20 @@ workload, in-process, so such a failure shows in the test suite first.
 
 import contextlib
 import gc
-import importlib.util
 import io
 import os
 import time
 
 import pytest
 
+from helpers import load_perfbench
 from raccess.cli import main
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # perfbench/run.py's TRACE_WALL_TOL_S.
 TRACE_WALL_TOL_S = 2e-3
 
-
-def load(name):
-    """Import ``perfbench/<name>.py`` by path."""
-    path = os.path.join(ROOT, "perfbench", f"{name}.py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = load("workloads")
-tracing = load("tracing")
+workloads = load_perfbench("workloads")
+tracing = load_perfbench("tracing")
 
 
 def run(cli, argv, out_dir):
