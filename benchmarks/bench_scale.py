@@ -19,7 +19,10 @@ records:
   have no split;
 - the trace's bytes per period: the memory freed by dropping the trace
   of a 100-period quadrature run, as counted by ``tracemalloc``. The
-  trace holds O(m) floats per period; runs recorded before
+  trace holds one row array of 3 + 5m floats per period, plus the
+  array's header and the list's pointer; runs recorded before
+  ``list-trace`` held the rows in one array that started at 64 rows and
+  doubled when full (128 rows for 100 periods), and runs recorded before
   ``ring-duals`` also held each period's nu and beta, O(m^2);
 - the peak RSS of the process after the dual-loop runs;
 - a 20k-slot ``run_simulation`` of fade-threshold policies at 0.1 with

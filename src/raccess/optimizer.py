@@ -200,47 +200,39 @@ class IterationTrace:
     and ``objective`` (its ``t``, ``eps`` and ``objective``), then
     ``lambda_i``, ``rate_i``, ``success_i``, ``link_prob_i`` and ``slack_i``
     for each sensor (``lam``, ``rates``, ``succ``, ``link`` and ``slack``).
-    The rows fill an array that starts with ``BLOCK`` rows and doubles when
-    full; ``rows`` views the filled part, ``column`` copies one column out
-    by name, and ``to_csv`` writes them all, with ``period`` as an integer.
-    The nu and beta matrices are not kept: the result's ``state`` holds the
-    last ones.
+    Each row is its own array in a list, so the trace holds the rows written
+    and no spare capacity; ``rows`` stacks them into a new array, ``column``
+    copies one column out by name, and ``to_csv`` writes them all, with
+    ``period`` as an integer. The nu and beta matrices are not kept: the
+    result's ``state`` holds the last ones.
     """
-
-    BLOCK = 64
 
     def __init__(self, m):
         self.columns = ["period", "stepsize", "objective"]
         for kind in ("lambda", "rate", "success", "link_prob", "slack"):
             self.columns += [f"{kind}_{i}" for i in range(m)]
-        self._data = np.empty((self.BLOCK, len(self.columns)))
-        self._len = 0
+        self._rows = []
 
     def append(self, period):
         """Log the row of ``period``, a ``DualPeriod``, reading each field by name."""
-        n = self._len
-        if n == self._data.shape[0]:
-            grown = np.empty((2 * n, self._data.shape[1]))
-            grown[:n] = self._data
-            self._data = grown
-        np.concatenate(
-            (
-                (period.t, period.eps, period.objective),
-                period.lam, period.rates, period.succ, period.link, period.slack,
-            ),
-            out=self._data[n],
+        self._rows.append(
+            np.concatenate(
+                (
+                    (period.t, period.eps, period.objective),
+                    period.lam, period.rates, period.succ, period.link, period.slack,
+                )
+            )
         )
-        self._len = n + 1
 
     @property
     def rows(self):
-        return self._data[: self._len]
+        return np.reshape(self._rows, (-1, len(self.columns)))
 
     def column(self, name):
         return self.rows[:, self.columns.index(name)].copy()
 
     def __len__(self):
-        return self._len
+        return len(self._rows)
 
     def to_csv(self, path):
         """Write every column, one row per period."""

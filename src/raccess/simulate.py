@@ -301,8 +301,13 @@ def run_simulation(instance, policies, settings=SimulationSettings()):
         for i, sys, x in zip(range(start, stop), systems, states):
             limit = _NORM_LIMIT * math.sqrt(max(1.0, np.linalg.eigvalsh(sys.noise_cov)[-1]))
             with np.errstate(over="ignore", invalid="ignore"):
-                norm_sq = np.einsum("kn,kn->k", x, x)
-                escaped = ~np.isfinite(norm_sq) | (norm_sq > limit * limit)
+                norm_sq, bound = np.einsum("kn,kn->k", x, x), limit * limit
+                over = np.isinf(norm_sq)
+                if over.any() and np.isfinite(x[over]).all(axis=1).any():
+                    # A finite state whose square overflows: compare on x * 2**-512.
+                    small = np.ldexp(x, -512)
+                    norm_sq, bound = np.einsum("kn,kn->k", small, small), np.ldexp(limit, -512) ** 2
+                escaped = ~np.isfinite(norm_sq) | (norm_sq > bound)
                 if np.any(escaped):
                     k = int(np.argmax(escaped))
                     raise UnstableSimulationError(

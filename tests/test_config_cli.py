@@ -1247,6 +1247,48 @@ class TestCliOptimize:
         assert proc.returncode == EXIT_DIVERGED
         assert proc.stderr == "error: optimizer did not converge within max_periods\n"
 
+    def test_permuting_the_loops_permutes_the_design_files(self, tmp_path):
+        # Swapping the worked example's loops swaps every per-sensor value of
+        # policies.json, rates.csv and trace.csv, bit for bit; nu is permuted
+        # in rows and columns. (Monte Carlo designs draw in sensor order.)
+        with open(REFERENCE_CONFIG) as fh:
+            raw = json.load(fh)
+        perm = [1, 0]
+        swapped = json.loads(json.dumps(raw))
+        for key in ("systems", "channels", "tx_powers"):
+            swapped[key] = [raw[key][j] for j in perm]
+        swapped["collision"] = [[raw["collision"][i][j] for j in perm] for i in perm]
+        outs = [tmp_path / "base", tmp_path / "swapped"]
+        for out, cfg in zip(outs, (raw, swapped)):
+            cfg_path = write_config(tmp_path, cfg, f"{out.name}.json")
+            assert main(["optimize", cfg_path, "--out", str(out)]) == EXIT_OK
+        base, other = (json.loads((out / "policies.json").read_text()) for out in outs)
+        assert base["periods"] == other["periods"] == 730
+        assert other["objective"] == base["objective"]
+        for key in ("policies", "success_targets", "link_success"):
+            assert other[key] == [base[key][j] for j in perm]
+        assert other["duals"]["lambda"] == [base["duals"]["lambda"][j] for j in perm]
+        nu = base["duals"]["nu"]
+        assert other["duals"]["nu"] == [[nu[i][j] for j in perm] for i in perm]
+        rates = [
+            [line.split(",")[1] for line in (out / "rates.csv").read_text().splitlines()[1:]]
+            for out in outs
+        ]
+        assert rates[1] == [rates[0][j] for j in perm]
+        base_trace, other_trace = (
+            [line.split(",") for line in (out / "trace.csv").read_text().splitlines()]
+            for out in outs
+        )
+        header = base_trace[0]
+        assert other_trace[0] == header
+
+        def swapped_column(name):
+            kind, _, i = name.rpartition("_")
+            return f"{kind}_{perm[int(i)]}" if i.isdigit() else name
+
+        moved = [header.index(swapped_column(name)) for name in header]
+        assert other_trace[1:] == [[row[k] for k in moved] for row in base_trace[1:]]
+
     def test_dual_divergence_exits_4(self, tmp_path, capsys):
         with open(REFERENCE_CONFIG) as fh:
             raw = json.load(fh)

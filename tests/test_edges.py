@@ -274,6 +274,8 @@ def test_simulate_draws_near_the_float_maximum_quietly(tmp_path, capsys, part, k
 LARGE_SCALES = {
     "noise-1e24": (("systems", 0, "noise_cov"), 1e24),
     "noise-1e200": (("systems", 0, "noise_cov"), 1e200),
+    "noise-1e306": (("systems", 0, "noise_cov"), 1e306),
+    "noise-1e307": (("systems", 0, "noise_cov"), 1e307),
     "lyap-1e305": (("systems", 0, "lyap_matrix"), 1e305),
     "lyap-1e306": (("systems", 0, "lyap_matrix"), 1e306),
 }
@@ -294,9 +296,10 @@ def pipeline_report(raw, out_dir, capsys):
 
 @pytest.mark.parametrize("case", list(LARGE_SCALES))
 def test_pipeline_simulates_a_stable_loop_at_any_scale(tmp_path, capsys, case):
-    # The state norm limit grows with the loop's noise, and a cost whose sum
-    # overflows is taken again at a smaller scale; at lyap_matrix = 1e306
-    # some per-slot values themselves overflow, so the cost is inf.
+    # The state norm limit grows with the loop's noise, a squared norm or a
+    # cost sum that overflows is taken again at a smaller scale; at
+    # lyap_matrix = 1e306 and noise_cov >= 1e306 some per-slot values
+    # themselves overflow, so the cost is inf.
     path, value = LARGE_SCALES[case]
     want = pipeline_report(twoloop(), tmp_path / "unit", capsys)
     raw = twoloop()
@@ -304,7 +307,7 @@ def test_pipeline_simulates_a_stable_loop_at_any_scale(tmp_path, capsys, case):
     got = pipeline_report(raw, tmp_path / "scaled", capsys)
     assert got["empirical_cost"][1] == want["empirical_cost"][1]
     ratio, want_ratio = (r["empirical_cost"][0] / r["cost_bounds"][0] for r in (got, want))
-    if case == "lyap-1e306":
+    if case in ("lyap-1e306", "noise-1e306", "noise-1e307"):
         assert ratio == math.inf
     else:
         assert ratio == pytest.approx(want_ratio, rel=1e-9)

@@ -611,8 +611,8 @@ class TestIterationTrace:
                 want = [getattr(p, name)[i] for p in sent]
                 np.testing.assert_array_equal(trace.column(f"{kind}_{i}"), want)
 
-    def test_grows_past_one_block(self, tmp_path):
-        m, periods = 2, 2 * IterationTrace.BLOCK + 3
+    def test_holds_many_rows(self, tmp_path):
+        m, periods = 2, 131
         trace = IterationTrace(m)
         for t in range(periods):
             v = t + 0.5
@@ -635,7 +635,7 @@ class TestIterationTrace:
     def test_to_csv_matches_the_row_list_oracle(self, tmp_path):
         # The bytes of the writer that formatted ``rows.tolist()`` with the
         # period cast to int, on random rows with edge values mixed in.
-        m, periods = 3, IterationTrace.BLOCK + 5
+        m, periods = 3, 69
         trace = random_trace(m, periods)
         trace.to_csv(tmp_path / "new.csv")
         rows = trace.rows.tolist()
@@ -854,10 +854,24 @@ class TestRunAlgorithm1:
         result = run_algorithm1(reference_instance(), OptimizerSettings(stop=stop))
         assert (result.converged, result.periods, len(result.trace)) == (False, 50, 50)
 
+    def test_huge_max_periods_costs_nothing_up_front(self):
+        # The trace holds the rows written, not max_periods of them.
+        stop = StopRule(max_periods=10**12)
+        # first-call set-up, untraced
+        run_algorithm1(reference_instance(), OptimizerSettings(stop=StopRule(max_periods=2)))
+        tracemalloc.start()
+        try:
+            result = run_algorithm1(reference_instance(), OptimizerSettings(stop=stop))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.converged, result.periods, len(result.trace)) == (True, 730, 730)
+        assert peak < 2**20
+
     def test_design_memory_is_linear_in_m_per_period(self):
         # Traced peak of a 400-period m = 32 run: the stop rule's ring of
-        # window + 1 dual vectors, plus the O(m) trace while it doubles to
-        # its capacity, not periods x m^2 floats.
+        # window + 1 dual vectors, plus the O(m) trace rows written, with no
+        # spare capacity and not periods x m^2 floats.
         m, periods, window = 32, 400, 100
         systems = tuple(scalar_system(*(1.1, 0.5) if i % 2 else (1.0, 0.4)) for i in range(m))
         q = np.full((m, m), 0.3 / m)
@@ -879,10 +893,7 @@ class TestRunAlgorithm1:
         finally:
             tracemalloc.stop()
         assert result.periods == periods and not result.converged
-        capacity = IterationTrace.BLOCK
-        while capacity < periods:
-            capacity *= 2
-        floats = (window + 1) * (m + m * m) + 2 * capacity * (3 + 5 * m)
+        floats = (window + 1) * (m + m * m) + periods * (3 + 5 * m)
         assert peak < 8 * floats + 2**18
 
     def test_runs_inside_the_settings_box(self):
